@@ -1,28 +1,20 @@
-"""Hot numeric loops, JIT-compiled with numba when available.
+"""Hot numeric kernels, in plain numpy.
 
-Setting the environment variable ``MSPN_NO_NUMBA`` (to any non-empty
-value) before import forces the pure-numpy fallbacks. ``NUMBA_ENABLED``
-reports which path is active. Both paths implement the same arithmetic
-in the same order, so results agree; ``benchmarks/bench_kernels.py``
-times them against each other and checks that agreement.
+The binning DP is loop-free numpy within each bin count (one masked
+argmax fills a whole DP column) and K-means is vectorised over points;
+PAVA is a short Python loop. The tests check ``dp_fill`` bit for bit
+against a triple-loop oracle and ``lloyd`` against a loop implementation.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NUMBA_ENABLED = not os.environ.get("MSPN_NO_NUMBA", "")
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a hard dependency
-        NUMBA_ENABLED = False
+# read by the benchmark's environment record; there is no JIT path
+NUMBA_ENABLED = False
 
 
-def _pava_impl(values, weights):
+def pava_nondecreasing(values, weights):
     # pool-adjacent-violators for a weighted least-squares nondecreasing fit;
     # merged blocks take the weighted mean of their members
     n = values.shape[0]
@@ -52,99 +44,30 @@ def _pava_impl(values, weights):
     return out
 
 
-def _dp_fill_impl(seg_ll):
+def dp_fill(seg_ll):
     # seg_ll[q, p-1] holds the log-likelihood of one bin spanning boundary q
     # to boundary p; fill f[p, j] = best score splitting boundaries 0..p into
-    # j bins, with back[p, j] the start boundary of the last bin
+    # j bins, with back[p, j] the start boundary of the last bin. Column j is
+    # one argmax over the table cand[q, p] = f[q, j-1] + seg_ll[q, p-1] for
+    # q >= j-1, p >= j, with the cells q >= p masked out; argmax keeps the
+    # first maximum, so ties go to the earliest start boundary.
     n_bounds = seg_ll.shape[0]
     f = np.full((n_bounds + 1, n_bounds + 1), -np.inf)
     back = np.zeros((n_bounds + 1, n_bounds + 1), dtype=np.int64)
     f[0, 0] = 0.0
+    below = np.tri(n_bounds, n_bounds, -1, dtype=bool)
+    cols = np.arange(n_bounds)
     for j in range(1, n_bounds + 1):
-        for p in range(j, n_bounds + 1):
-            best = -np.inf
-            arg = j - 1
-            for q in range(j - 1, p):
-                v = f[q, j - 1] + seg_ll[q, p - 1]
-                if v > best:
-                    best = v
-                    arg = q
-            f[p, j] = best
-            back[p, j] = arg
+        m = n_bounds - j + 1
+        cand = f[j - 1 : n_bounds, j - 1, None] + seg_ll[j - 1 :, j - 1 :]
+        np.copyto(cand, -np.inf, where=below[:m, :m])
+        arg = cand.argmax(axis=0)
+        f[j:, j] = cand[arg, cols[:m]]
+        back[j:, j] = arg + (j - 1)
     return f, back
 
 
-def _dp_fill_numpy(seg_ll):
-    n_bounds = seg_ll.shape[0]
-    f = np.full((n_bounds + 1, n_bounds + 1), -np.inf)
-    back = np.zeros((n_bounds + 1, n_bounds + 1), dtype=np.int64)
-    f[0, 0] = 0.0
-    for j in range(1, n_bounds + 1):
-        for p in range(j, n_bounds + 1):
-            cand = f[j - 1 : p, j - 1] + seg_ll[j - 1 : p, p - 1]
-            a = int(np.argmax(cand))
-            f[p, j] = cand[a]
-            back[p, j] = a + j - 1
-    return f, back
-
-
-def _lloyd_impl(points, centroids, max_iter, tol):
-    m, d = points.shape
-    k = centroids.shape[0]
-    cent = centroids.copy()
-    labels = np.zeros(m, dtype=np.int64)
-    for _ in range(max_iter):
-        for i in range(m):
-            best = 0
-            best_d = np.inf
-            for c in range(k):
-                acc = 0.0
-                for t in range(d):
-                    diff = points[i, t] - cent[c, t]
-                    acc += diff * diff
-                if acc < best_d:
-                    best_d = acc
-                    best = c
-            labels[i] = best
-        new_cent = np.zeros((k, d))
-        counts = np.zeros(k)
-        for i in range(m):
-            c = labels[i]
-            counts[c] += 1.0
-            for t in range(d):
-                new_cent[c, t] += points[i, t]
-        shift = 0.0
-        for c in range(k):
-            if counts[c] > 0.0:
-                acc = 0.0
-                for t in range(d):
-                    new_cent[c, t] /= counts[c]
-                    diff = new_cent[c, t] - cent[c, t]
-                    acc += diff * diff
-                if acc > shift:
-                    shift = acc
-            else:
-                for t in range(d):
-                    new_cent[c, t] = cent[c, t]
-        cent = new_cent
-        if np.sqrt(shift) < tol:
-            break
-    for i in range(m):
-        best = 0
-        best_d = np.inf
-        for c in range(k):
-            acc = 0.0
-            for t in range(d):
-                diff = points[i, t] - cent[c, t]
-                acc += diff * diff
-            if acc < best_d:
-                best_d = acc
-                best = c
-        labels[i] = best
-    return labels
-
-
-def _lloyd_numpy(points, centroids, max_iter, tol):
+def lloyd(points, centroids, max_iter, tol):
     cent = centroids.copy()
     for _ in range(max_iter):
         d2 = ((points[:, None, :] - cent[None, :, :]) ** 2).sum(axis=2)
@@ -161,13 +84,3 @@ def _lloyd_numpy(points, centroids, max_iter, tol):
             break
     d2 = ((points[:, None, :] - cent[None, :, :]) ** 2).sum(axis=2)
     return np.argmin(d2, axis=1)
-
-
-if NUMBA_ENABLED:
-    pava_nondecreasing = njit(cache=True)(_pava_impl)
-    dp_fill = njit(cache=True)(_dp_fill_impl)
-    lloyd = njit(cache=True)(_lloyd_impl)
-else:
-    pava_nondecreasing = _pava_impl
-    dp_fill = _dp_fill_numpy
-    lloyd = _lloyd_numpy

@@ -4,8 +4,9 @@ Pairwise mutual information is computed by deterministic grid quadrature
 over the model's own pairwise marginals: continuous variables get a
 midpoint grid over the union of their leaves' supports, discrete and
 categorical variables are enumerated exactly. Marginals come from summing
-the same gridded joint, which keeps every MI nonnegative and makes
-model-independent pairs score exactly zero.
+the same gridded joint, which keeps every MI nonnegative (rounding
+residue below zero is clamped to 0) and makes model-independent pairs
+score exactly zero.
 
 Normalized MI divides by the geometric mean of the two grid entropies
 (differential entropy for continuous variables) and clamps to [0, 1].
@@ -96,6 +97,8 @@ def _mi_pair(mspn: Mspn, i: int, j: int, grid_size: int) -> tuple[float, float]:
     outer = np.outer(pa, pb)
     live = joint > 0
     mi = float((joint[live] * (np.log(joint[live]) - np.log(outer[live]))).sum())
+    # the sum is nonnegative up to rounding; independent pairs land at -1e-16
+    mi = max(0.0, mi)
 
     ha = _entropy(pa, wa, mspn.schema.stat_type(a).is_continuous)
     hb = _entropy(pb, wb, mspn.schema.stat_type(b).is_continuous)

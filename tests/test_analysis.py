@@ -98,6 +98,15 @@ class TestMiGraph:
         assert graph.entropies.shape == (6,)
         assert graph.names == hybrid6_model.schema.names
 
+    @pytest.mark.parametrize(
+        "model", ["cont_indep_model", "cat_indep_model", "hybrid_small_model"]
+    )
+    def test_every_mi_is_nonnegative(self, model, request):
+        # independent pairs sum to about -1e-16 before the clamp
+        graph = mi_graph(request.getfixturevalue(model), grid_size=64)
+        assert (graph.mi >= 0).all()
+        assert (graph.nmi >= 0).all()
+
     def test_planted_dependency_is_the_strongest_edge(self, hybrid6_model):
         graph = mi_graph(hybrid6_model)
         edges = graph.edges()
