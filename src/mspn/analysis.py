@@ -21,49 +21,53 @@ import numpy as np
 
 from .errors import DomainError, QueryError
 from .leaves import HistogramLeaf, PiecewiseLinearLeaf, leaf_support
-from .inference import log_evaluate_batch
-from .structure import Mspn, iter_nodes
+from .inference import evaluation_plan, log_evaluate_batch
+from .structure import Mspn
 
 DEFAULT_GRID_SIZE = 256
 DEFAULT_EDGE_THRESHOLD = 0.01
 
 
-def _variable_grid(mspn: Mspn, var: int, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluation points and cell measures for one variable.
+def _variable_grids(mspn: Mspn, grid_size: int, variables) -> dict:
+    """Evaluation points and cell measures for each of ``variables``.
 
     Continuous: ``grid_size`` midpoint cells over the union of leaf
     supports. Discrete: every integer of the united support. Categorical:
     every category code. The second array holds the quadrature measure of
-    each point (cell width, or 1 for counting measure).
+    each point (cell width, or 1 for counting measure). One pass over the
+    leaves finds every variable's support.
     """
-    st = mspn.schema.stat_type(var)
-    if st.is_categorical:
-        points = np.arange(st.arity, dtype=np.float64)
-        return points, np.ones_like(points)
-
-    lo = math.inf
-    hi = -math.inf
-    for _, node in iter_nodes(mspn.root):
-        if isinstance(node, (HistogramLeaf, PiecewiseLinearLeaf)) and node.variable == var:
+    supports: dict[int, tuple[float, float]] = {}
+    for node in evaluation_plan(mspn).nodes:
+        if isinstance(node, (HistogramLeaf, PiecewiseLinearLeaf)):
             a, b = leaf_support(node)
-            lo = min(lo, a)
-            hi = max(hi, b)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise QueryError(f"no leaf covers variable {var}")
+            lo, hi = supports.get(node.variable, (math.inf, -math.inf))
+            supports[node.variable] = (min(lo, a), max(hi, b))
 
-    if st.is_discrete:
-        points = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.float64)
-        return points, np.ones_like(points)
+    grids = {}
+    for var in variables:
+        st = mspn.schema.stat_type(var)
+        if st.is_categorical:
+            points = np.arange(st.arity, dtype=np.float64)
+            grids[var] = points, np.ones_like(points)
+            continue
+        if var not in supports:
+            raise QueryError(f"no leaf covers variable {var}")
+        lo, hi = supports[var]
+        if st.is_discrete:
+            points = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.float64)
+            grids[var] = points, np.ones_like(points)
+            continue
+        width = (hi - lo) / grid_size
+        points = lo + (np.arange(grid_size, dtype=np.float64) + 0.5) * width
+        grids[var] = points, np.full(grid_size, width)
+    return grids
 
-    width = (hi - lo) / grid_size
-    points = lo + (np.arange(grid_size, dtype=np.float64) + 0.5) * width
-    return points, np.full(grid_size, width)
 
-
-def _grid_joint(mspn: Mspn, a: int, b: int, grid_size: int):
+def _grid_joint(mspn: Mspn, a: int, b: int, grids: dict):
     """Normalized joint probability table of a variable pair on the grid."""
-    pa, wa = _variable_grid(mspn, a, grid_size)
-    pb, wb = _variable_grid(mspn, b, grid_size)
+    pa, wa = grids[a]
+    pb, wb = grids[b]
     ga, gb = pa.size, pb.size
 
     values = np.zeros((ga * gb, mspn.n_vars))
@@ -88,9 +92,9 @@ def _entropy(p: np.ndarray, measure: np.ndarray, continuous: bool) -> float:
     return float(-(p[live] * np.log(p[live])).sum())
 
 
-def _mi_pair(mspn: Mspn, i: int, j: int, grid_size: int) -> tuple[float, float]:
+def _mi_pair(mspn: Mspn, i: int, j: int, grids: dict) -> tuple[float, float]:
     a, b = (i, j) if i < j else (j, i)
-    joint, wa, wb = _grid_joint(mspn, a, b, grid_size)
+    joint, wa, wb = _grid_joint(mspn, a, b, grids)
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
 
@@ -124,11 +128,11 @@ def mutual_information(mspn: Mspn, i: int, j: int,
         raise DomainError("variable index out of range")
     if grid_size < 2:
         raise DomainError("grid_size must be at least 2")
-    return _mi_pair(mspn, i, j, grid_size)
+    return _mi_pair(mspn, i, j, _variable_grids(mspn, grid_size, (i, j)))
 
 
-def _variable_entropy(mspn: Mspn, var: int, grid_size: int) -> float:
-    points, measure = _variable_grid(mspn, var, grid_size)
+def _variable_entropy(mspn: Mspn, var: int, grids: dict) -> float:
+    points, measure = grids[var]
     values = np.zeros((points.size, mspn.n_vars))
     values[:, var] = points
     observed = np.zeros(mspn.n_vars, dtype=bool)
@@ -207,12 +211,13 @@ def mi_graph(mspn: Mspn, grid_size: int = DEFAULT_GRID_SIZE,
     n = mspn.n_vars
     if n < 2:
         raise DomainError("need at least two variables for a dependency graph")
+    grids = _variable_grids(mspn, grid_size, range(n))
     mi = np.zeros((n, n))
     nmi = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            mi[i, j], nmi[i, j] = _mi_pair(mspn, i, j, grid_size)
+            mi[i, j], nmi[i, j] = _mi_pair(mspn, i, j, grids)
             mi[j, i] = mi[i, j]
             nmi[j, i] = nmi[i, j]
-    entropies = np.array([_variable_entropy(mspn, v, grid_size) for v in range(n)])
+    entropies = np.array([_variable_entropy(mspn, v, grids) for v in range(n)])
     return MiGraph(mspn.schema.names, mi, nmi, entropies, edge_threshold, grid_size)

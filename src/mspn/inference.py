@@ -1,17 +1,45 @@
 """Query answering on a learned network.
 
-Everything here is a bottom-up traversal (plus, for MPE and sampling, one
-top-down pass), so query cost is linear in the node count. All
-computation happens in log space: observed continuous variables
+Every query is a bottom-up pass over the tree (plus, for MPE and
+sampling, one top-down pass), so query cost is linear in the node count.
+All computation happens in log space: observed continuous variables
 contribute log-densities, observed discrete/categorical variables
 contribute log-masses, and marginalized variables contribute log 1 = 0
 at their leaves. The value of a mixed query is therefore a density with
 respect to the product of Lebesgue measure (continuous coordinates) and
 counting measure (the rest).
 
+The first query compiles the model into an evaluation plan, kept on the
+model: the nodes in iterative postorder with their child indices and
+heights, per-variable leaf tables (padded knots, densities and slopes of
+the piecewise-linear leaves, edges and bin densities of the histograms,
+categorical ones included), and the sum nodes grouped by height and
+child count. Neither compiling nor running a plan recurses, so the depth
+of the trees they handle is bounded by memory, not by Python's recursion
+limit. Two executors run on the plan:
+
+* ``_Plan.evaluate_row`` answers one validated row (``log_evaluate``,
+  ``log_conditional``, ``sample``). It walks the heights once: each
+  variable's leaves get their densities from a few vectorized ops that
+  reproduce ``leaf_density_batch``, each sum group runs
+  ``weighted_logsumexp``'s arithmetic through one stacked matmul, whose
+  per-node dots are the same BLAS calls as a lone node's, and products
+  add ``0.0 + c0 + c1 + ...`` in child order.
+* ``_Plan.evaluate_rows`` answers many rows (``log_evaluate_batch``, and
+  the fully observed subtrees ``mpe`` scores, as postorder ranges): a
+  stack machine that applies each node's own arithmetic through
+  ``leaf_density_batch`` and ``weighted_logsumexp`` and holds only the
+  live frontier of row arrays.
+
+Both give every node, bit for bit, the value a recursive evaluation of
+that node alone gives it (``tests/test_plan.py`` keeps that evaluator as
+the oracle). ``mpe``'s maximization pass still recurses over the nodes
+that have free variables.
+
 Passing a ``collections.Counter`` as ``counter`` to any query records
-per-node visit counts (keyed by ``id(node)``), which is how the
-at-most-two-traversals contract is asserted in the tests.
+per-node visit counts (keyed by ``id(node)``): one count per node per
+plan pass, plus one per node the top-down walks and MPE's pass visit.
+That is how the at-most-two-traversals contract is asserted in the tests.
 """
 
 from __future__ import annotations
@@ -122,29 +150,241 @@ def _bump(counter, node) -> None:
         counter[id(node)] += 1
 
 
-def _eval(node, values: np.ndarray, observed: np.ndarray,
-          counter, cache) -> np.ndarray:
-    """One bottom-up pass over the tree; returns per-row log values."""
-    _bump(counter, node)
-    if isinstance(node, SumNode):
-        child_vals = np.stack(
-            [_eval(c, values, observed, counter, cache) for c in node.children]
-        )
-        out = weighted_logsumexp(child_vals, node.weights)
-    elif isinstance(node, ProductNode):
-        out = np.zeros(values.shape[0])
-        for c in node.children:
-            out = out + _eval(c, values, observed, counter, cache)
-    else:
-        var = node.variable
-        if observed[var]:
-            with np.errstate(divide="ignore"):
-                out = np.log(leaf_density_batch(node, values[:, var]))
-        else:
-            out = np.zeros(values.shape[0])
-    if cache is not None:
-        cache[id(node)] = out
+_LEAF, _SUM, _PRODUCT = 0, 1, 2
+
+
+def _padded(rows, fill) -> np.ndarray:
+    """Stack 1-d arrays of unequal length into a matrix, padding with ``fill``."""
+    lengths = np.array([len(r) for r in rows])
+    out = np.full((len(rows), lengths.max()), fill)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate(rows)
     return out
+
+
+class _PwlTable:
+    """All piecewise-linear leaves of one variable, knots padded to one width.
+
+    Reproduces ``np.interp(x, knots_x, knots_y, left=0, right=0)`` for one
+    value: the segment is the last knot <= x, a value on a knot (the last
+    one included) takes that knot's density, and otherwise the density is
+    ``slope * (x - x_j) + y_j`` with the slope computed as ``np.interp``
+    computes it.
+    """
+
+    def __init__(self, index, leaves):
+        self.index = np.asarray(index, dtype=np.intp)
+        self.x = _padded([leaf.knots_x for leaf in leaves], np.inf)
+        self.y = _padded([leaf.knots_y for leaf in leaves], 0.0)
+        n_knots = np.array([leaf.knots_x.size for leaf in leaves])
+        # slope of the segment that starts at each knot (0 past the last one)
+        with np.errstate(invalid="ignore"):  # inf - inf in the padding
+            slope = (self.y[:, 1:] - self.y[:, :-1]) / (self.x[:, 1:] - self.x[:, :-1])
+        inner = np.arange(self.x.shape[1] - 1) < n_knots[:, None] - 1
+        self.slope = np.zeros_like(self.x)
+        self.slope[:, :-1] = np.where(inner, slope, 0.0)
+        self.rows = np.arange(len(leaves))
+        self.first = self.x[:, 0].copy()
+        self.last = self.x[self.rows, n_knots - 1]
+
+    def density(self, x: float) -> np.ndarray:
+        j = np.maximum((self.x <= x).sum(axis=1) - 1, 0)
+        xj = self.x[self.rows, j]
+        yj = self.y[self.rows, j]
+        d = np.where(x == xj, yj, self.slope[self.rows, j] * (x - xj) + yj)
+        return np.where((x < self.first) | (x > self.last), 0.0, d)
+
+
+class _HistogramTable:
+    """All histogram leaves of one variable, edges padded to one width.
+
+    Holds each bin's density as ``leaf_density_batch`` divides it out; the
+    bin of x is the last edge <= x, clipped to the leaf's bins. Outside
+    the leaf's range x gets density 0, or for a categorical leaf, whose
+    range is the codes 0 .. arity - 1 (x is a validated integer), its
+    unseen mass.
+    """
+
+    def __init__(self, index, leaves):
+        self.index = np.asarray(index, dtype=np.intp)
+        self.edges = _padded([leaf.edges for leaf in leaves], np.inf)
+        dens, last, outside = [], [], []
+        for leaf in leaves:
+            widths = np.diff(leaf.edges)
+            if leaf.domain == DISCRETE:
+                widths = np.maximum(np.rint(widths), 1.0)
+            dens.append(leaf.masses / widths)
+            categorical = leaf.domain == CATEGORICAL
+            last.append(leaf.edges[-1] - 1.0 if categorical else leaf.edges[-1])
+            outside.append(leaf.unseen_mass if categorical else 0.0)
+        self.dens = _padded(dens, 0.0)
+        self.last = np.array(last)
+        self.outside = np.array(outside)
+        self.top_bin = np.array([leaf.n_bins - 1 for leaf in leaves])
+        self.first = self.edges[:, 0].copy()
+        self.rows = np.arange(len(leaves))
+
+    def density(self, x: float) -> np.ndarray:
+        b = np.clip((self.edges <= x).sum(axis=1) - 1, 0, self.top_bin)
+        inside = (x >= self.first) & (x <= self.last)
+        return np.where(inside, self.dens[self.rows, b], self.outside)
+
+
+class _Plan:
+    """A tree compiled once for evaluation; see the module docstring.
+
+    Node ``i`` is the i-th node of an iterative postorder walk, so every
+    subtree is the contiguous range ``first[i] .. i`` and the root is the
+    last node.
+    """
+
+    def __init__(self, root):
+        nodes: list = []
+        kinds: list[int] = []
+        children: list[np.ndarray] = []
+        heights: list[int] = []
+        first: list[int] = []
+        index: dict[int, int] = {}
+        stack = [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            internal = isinstance(node, (SumNode, ProductNode))
+            if internal and not expanded:
+                stack.append((node, True))
+                stack.extend((c, False) for c in reversed(node.children))
+                continue
+            i = len(nodes)
+            kids = [index[id(c)] for c in node.children] if internal else []
+            nodes.append(node)
+            kinds.append(_LEAF if not internal else
+                         _SUM if isinstance(node, SumNode) else _PRODUCT)
+            children.append(np.array(kids, dtype=np.intp))
+            heights.append(1 + max((heights[c] for c in kids), default=0) if internal else 0)
+            first.append(first[kids[0]] if kids else i)
+            index[id(node)] = i
+
+        self.nodes = nodes
+        self.ids = [id(node) for node in nodes]
+        self.kinds = kinds
+        self.children = children
+        self.heights = heights
+        self.first = first
+        self.index = index
+        self.root = len(nodes) - 1
+        self.leaf_tables = self._leaf_tables()
+        self.levels = self._levels()
+
+    def _leaf_tables(self) -> list:
+        groups: dict[tuple, list[int]] = {}
+        for i, node in enumerate(self.nodes):
+            if self.kinds[i] != _LEAF:
+                continue
+            family = _PwlTable if isinstance(node, PiecewiseLinearLeaf) else _HistogramTable
+            groups.setdefault((node.variable, family), []).append(i)
+        return [
+            (var, family(idx, [self.nodes[i] for i in idx]))
+            for (var, family), idx in groups.items()
+        ]
+
+    def _levels(self) -> list:
+        """Per height above the leaves: sum groups by child count, then products.
+
+        A sum group is (node indices, child index matrix, weights stacked as
+        (G, 1, C)); the products of a height share one child matrix,
+        transposed to one row per child position and padded with the index
+        of a constant 0.0 slot past the last node.
+        """
+        sums: dict[tuple[int, int], list[int]] = {}
+        products: dict[int, list[int]] = {}
+        for i, kind in enumerate(self.kinds):
+            if kind == _SUM:
+                sums.setdefault((self.heights[i], len(self.children[i])), []).append(i)
+            elif kind == _PRODUCT:
+                products.setdefault(self.heights[i], []).append(i)
+        levels = [([], None) for _ in range(max(self.heights))]
+        for (h, _), idx in sorted(sums.items()):
+            levels[h - 1][0].append((
+                np.array(idx, dtype=np.intp),
+                np.stack([self.children[i] for i in idx]),
+                np.stack([self.nodes[i].weights for i in idx])[:, None, :],
+            ))
+        for h, idx in products.items():
+            kids = _padded([self.children[i] for i in idx], len(self.nodes))
+            levels[h - 1] = (levels[h - 1][0],
+                             (np.array(idx, dtype=np.intp), kids.astype(np.intp).T))
+        return levels
+
+    def evaluate_row(self, values: np.ndarray, observed: np.ndarray,
+                     counter=None) -> np.ndarray:
+        """Log value of every node for one validated row (one plan pass).
+
+        Slot ``len(nodes)`` past the last node holds the 0.0 that pads
+        product rows. Sum groups run ``weighted_logsumexp``'s arithmetic
+        for all their nodes at once: the stacked matmul makes each node's
+        ``w @ shifted`` the same BLAS dot as for a lone node.
+        """
+        if counter is not None:
+            counter.update(self.ids)
+        vals = np.zeros(len(self.nodes) + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for var, table in self.leaf_tables:
+                if observed[var]:
+                    vals[table.index] = np.log(table.density(values[var]))
+            for groups, prods in self.levels:
+                for idx, kids, weights in groups:
+                    lv = vals[kids]
+                    top = lv.max(axis=1)
+                    # a node whose children are all -inf gets 0 + log(0) = -inf
+                    live = np.where(top > -np.inf, top, 0.0)
+                    shifted = np.exp(lv - live[:, None])
+                    vals[idx] = live + np.log((weights @ shifted[:, :, None])[:, 0, 0])
+                if prods is not None:
+                    idx, kids = prods
+                    acc = np.zeros(idx.size)
+                    for column in kids:
+                        acc = acc + vals[column]
+                    vals[idx] = acc
+        return vals
+
+    def evaluate_rows(self, values: np.ndarray, observed: np.ndarray,
+                      start: int, stop: int, counter=None) -> np.ndarray:
+        """Per-row log values of the subtree in postorder range ``start .. stop - 1``.
+
+        A stack machine over the range: each node pops its children's
+        arrays and pushes its own, so only the live frontier is held.
+        """
+        if counter is not None:
+            counter.update(self.ids[start:stop])
+        n_rows = values.shape[0]
+        stack: list[np.ndarray] = []
+        with np.errstate(divide="ignore"):
+            for i in range(start, stop):
+                node, kind = self.nodes[i], self.kinds[i]
+                if kind == _LEAF:
+                    if observed[node.variable]:
+                        out = np.log(leaf_density_batch(node, values[:, node.variable]))
+                    else:
+                        out = np.zeros(n_rows)
+                else:
+                    k = len(self.children[i])
+                    kids = stack[len(stack) - k:]
+                    del stack[len(stack) - k:]
+                    if kind == _SUM:
+                        out = weighted_logsumexp(np.stack(kids), node.weights)
+                    else:
+                        out = np.zeros(n_rows)
+                        for c in kids:
+                            out = out + c
+                stack.append(out)
+        return stack[-1]
+
+
+def evaluation_plan(mspn: Mspn) -> _Plan:
+    """The model's evaluation plan, compiled on first use and kept on the model."""
+    plan = mspn._plan
+    if plan is None:
+        plan = _Plan(mspn.root)
+        object.__setattr__(mspn, "_plan", plan)
+    return plan
 
 
 def log_evaluate_batch(mspn: Mspn, values: np.ndarray, observed: np.ndarray) -> np.ndarray:
@@ -156,7 +396,8 @@ def log_evaluate_batch(mspn: Mspn, values: np.ndarray, observed: np.ndarray) -> 
     """
     values = np.asarray(values, dtype=np.float64)
     observed = np.asarray(observed, dtype=bool)
-    return _eval(mspn.root, values, observed, None, None)
+    plan = evaluation_plan(mspn)
+    return plan.evaluate_rows(values, observed, 0, len(plan.nodes))
 
 
 def log_evaluate(mspn: Mspn, evidence: Evidence, counter=None) -> float:
@@ -166,10 +407,8 @@ def log_evaluate(mspn: Mspn, evidence: Evidence, counter=None) -> float:
     returns exactly 0 for a valid model.
     """
     _check_evidence(mspn, evidence)
-    out = _eval(
-        mspn.root, evidence.values[None, :], evidence.observed, counter, None
-    )
-    return float(out[0])
+    plan = evaluation_plan(mspn)
+    return float(plan.evaluate_row(evidence.values, evidence.observed, counter)[plan.root])
 
 
 def log_conditional(mspn: Mspn, query: Evidence, given: Evidence, counter=None) -> float:
@@ -183,7 +422,13 @@ def log_conditional(mspn: Mspn, query: Evidence, given: Evidence, counter=None) 
     return num - denom
 
 
-def _mixture_terms(node, var, values, observed, counter) -> list:
+def _score(plan: _Plan, node, values, observed, counter) -> float:
+    """Log value of a fully observed subtree: its postorder range on the plan."""
+    i = plan.index[id(node)]
+    return float(plan.evaluate_rows(values, observed, plan.first[i], i + 1, counter)[0])
+
+
+def _mixture_terms(plan, node, var, values, observed, counter) -> list:
     """Flatten a one-free-variable subtree into (log coefficient, leaf) terms.
 
     The subtree's value as a function of the free variable ``var`` is
@@ -198,7 +443,7 @@ def _mixture_terms(node, var, values, observed, counter) -> list:
         for lw, child in zip(log_w, node.children):
             terms.extend(
                 (float(lw) + t, leaf)
-                for t, leaf in _mixture_terms(child, var, values, observed, counter)
+                for t, leaf in _mixture_terms(plan, child, var, values, observed, counter)
             )
         return terms
     if isinstance(node, ProductNode):
@@ -208,10 +453,10 @@ def _mixture_terms(node, var, values, observed, counter) -> list:
             if var in child.scope:
                 spine = child
             else:  # fully observed factor: a scalar under this evidence
-                offset += float(_eval(child, values, observed, counter, None)[0])
+                offset += _score(plan, child, values, observed, counter)
         return [
             (offset + t, leaf)
-            for t, leaf in _mixture_terms(spine, var, values, observed, counter)
+            for t, leaf in _mixture_terms(plan, spine, var, values, observed, counter)
         ]
     return [(0.0, node)]
 
@@ -246,9 +491,10 @@ def _free_candidates(terms) -> np.ndarray:
     return np.unique(np.concatenate(parts))
 
 
-def _reduce_free_subtree(node, var, values, observed, counter) -> tuple[float, float]:
+def _reduce_free_subtree(plan, node, var, values, observed,
+                         counter) -> tuple[float, float]:
     """Exact maximizer and log maximum of a single-free-variable subtree."""
-    terms = _mixture_terms(node, var, values, observed, counter)
+    terms = _mixture_terms(plan, node, var, values, observed, counter)
     candidates = _free_candidates(terms)
     total = np.full(candidates.shape, -np.inf)
     for log_w, leaf in terms:
@@ -259,21 +505,21 @@ def _reduce_free_subtree(node, var, values, observed, counter) -> tuple[float, f
     return float(candidates[best]), float(total[best])
 
 
-def _mpe_pass(node, values, observed, counter, decisions) -> float:
+def _mpe_pass(plan, node, values, observed, counter, decisions) -> float:
     """Bottom-up maximization pass; records completion decisions by node id."""
     free = [v for v in node.scope if not observed[v]]
     if not free:
         # nothing to complete below here: score the exact mixture value
-        return float(_eval(node, values, observed, counter, None)[0])
+        return _score(plan, node, values, observed, counter)
     if len(free) == 1:
-        x, log_f = _reduce_free_subtree(node, free[0], values, observed, counter)
+        x, log_f = _reduce_free_subtree(plan, node, free[0], values, observed, counter)
         decisions[id(node)] = ("assign", free[0], x)
         return log_f
     _bump(counter, node)
     if isinstance(node, SumNode):
         with np.errstate(divide="ignore"):
             scores = [
-                float(np.log(w)) + _mpe_pass(c, values, observed, counter, decisions)
+                float(np.log(w)) + _mpe_pass(plan, c, values, observed, counter, decisions)
                 for w, c in zip(node.weights, node.children)
             ]
         branch = int(np.argmax(scores))
@@ -281,7 +527,7 @@ def _mpe_pass(node, values, observed, counter, decisions) -> float:
         return scores[branch]
     decisions[id(node)] = ("descend",)
     return sum(
-        _mpe_pass(c, values, observed, counter, decisions) for c in node.children
+        _mpe_pass(plan, c, values, observed, counter, decisions) for c in node.children
     )
 
 
@@ -302,7 +548,8 @@ def mpe(mspn: Mspn, evidence: Evidence, counter=None) -> tuple[np.ndarray, float
     """
     _check_evidence(mspn, evidence)
     decisions: dict[int, tuple] = {}
-    _mpe_pass(mspn.root, evidence.values[None, :], evidence.observed, counter, decisions)
+    _mpe_pass(evaluation_plan(mspn), mspn.root, evidence.values[None, :],
+              evidence.observed, counter, decisions)
 
     assignment = evidence.values.copy()
     stack = [mspn.root]
@@ -328,36 +575,34 @@ def sample(mspn: Mspn, evidence: Evidence, rng: np.random.Generator,
            counter=None) -> np.ndarray:
     """Draw one assignment from the model conditioned on the evidence.
 
-    Bottom-up evaluation under the evidence, then a top-down descent that
-    picks a child at each Sum with probability proportional to weight
-    times the child's evaluated value, descends every child of a Product,
-    samples unobserved leaves, and copies observed values through.
+    One plan pass evaluates every node under the evidence, then a top-down
+    descent picks a child at each Sum with probability proportional to
+    weight times the child's evaluated value, descends every child of a
+    Product, samples unobserved leaves, and copies observed values through.
     """
     _check_evidence(mspn, evidence)
-    cache: dict[int, np.ndarray] = {}
-    root_val = _eval(
-        mspn.root, evidence.values[None, :], evidence.observed, counter, cache
-    )
-    if float(root_val[0]) == -np.inf:
+    plan = evaluation_plan(mspn)
+    vals = plan.evaluate_row(evidence.values, evidence.observed, counter)
+    if vals[plan.root] == -np.inf:
         raise ConditioningError("evidence has zero probability; cannot sample")
 
     assignment = evidence.values.copy()
-    stack = [mspn.root]
+    stack = [plan.root]
     while stack:
-        node = stack.pop()
+        i = stack.pop()
+        node, kind, kids = plan.nodes[i], plan.kinds[i], plan.children[i]
         _bump(counter, node)
-        if isinstance(node, SumNode):
-            logits = np.array([float(cache[id(c)][0]) for c in node.children])
+        if kind == _SUM:
+            logits = vals[kids]
             top = logits.max()
             probs = node.weights * np.exp(logits - top)
             cum = np.cumsum(probs)
             pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            stack.append(node.children[min(pick, len(node.children) - 1)])
-        elif isinstance(node, ProductNode):
+            stack.append(int(kids[min(pick, kids.size - 1)]))
+        elif kind == _PRODUCT:
             # reversed so children are visited (and consume randomness)
             # in their natural left-to-right order
-            stack.extend(reversed(node.children))
-        else:
-            if not evidence.observed[node.variable]:
-                assignment[node.variable] = leaf_sample(node, rng)
+            stack.extend(kids[::-1].tolist())
+        elif not evidence.observed[node.variable]:
+            assignment[node.variable] = leaf_sample(node, rng)
     return assignment

@@ -118,6 +118,8 @@ class Mspn:
     root: object
     schema: Schema
     config: LearnConfig
+    # evaluation plan: compiled by mspn.inference on the first query
+    _plan: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def seed(self) -> int:

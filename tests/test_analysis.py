@@ -107,6 +107,11 @@ class TestMiGraph:
         assert (graph.mi >= 0).all()
         assert (graph.nmi >= 0).all()
 
+    def test_equals_pairwise_mutual_information_exactly(self, hybrid6_model):
+        graph = mi_graph(hybrid6_model, grid_size=64)
+        for i, j, mi, nmi in graph.edges():
+            assert (mi, nmi) == mutual_information(hybrid6_model, i, j, grid_size=64)
+
     def test_planted_dependency_is_the_strongest_edge(self, hybrid6_model):
         graph = mi_graph(hybrid6_model)
         edges = graph.edges()

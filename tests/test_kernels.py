@@ -6,12 +6,14 @@ bit, ``lloyd`` must give the labels of the loop K-means below, and
 """
 
 import sys
+from collections import Counter
 
 import numpy as np
 from scipy.optimize import isotonic_regression
 
 import mspn
 from mspn._kernels import dp_fill, lloyd, pava_nondecreasing
+from conftest import make_dataset
 
 
 def loop_dp_fill(seg_ll):
@@ -199,6 +201,17 @@ class TestLloydKernel:
         np.testing.assert_array_equal(labels, [0, 0])
 
 
+def mixture_model():
+    """p(x) = 0.5 * U(x; 0, 1) + 0.5 * U(x; 0, 2)."""
+    leaves = tuple(
+        mspn.HistogramLeaf(0, mspn.CONTINUOUS, np.array([0.0, hi]), np.array([1.0]))
+        for hi in (1.0, 2.0)
+    )
+    data = make_dataset([("x", mspn.CONTINUOUS, None)], [[0.5]])
+    root = mspn.SumNode((0,), np.array([0.5, 0.5]), leaves)
+    return mspn.Mspn(root, data.schema, mspn.LearnConfig())
+
+
 class TestBenchmarkHooks:
     def test_kernel_names_and_environment_flag_stay_in_place(self):
         # the benchmark's tracer rebinds these three names inside
@@ -207,3 +220,37 @@ class TestBenchmarkHooks:
         assert mspn._kernels.NUMBA_ENABLED is False
         for name in ("dp_fill", "lloyd", "pava_nondecreasing"):
             assert callable(getattr(mspn.numerics, name))
+
+    def test_query_hook_targets_stay_bound_in_inference(self, monkeypatch):
+        # the tracer rebinds these names inside mspn.inference; batches and
+        # sampling must still call them through that namespace
+        calls = Counter()
+        for name in ("leaf_density_batch", "weighted_logsumexp", "leaf_sample"):
+            original = getattr(mspn.inference, name)
+            assert callable(original)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(mspn.inference, name, counted)
+        model = mixture_model()
+        mspn.log_evaluate_batch(model, np.array([[0.5], [1.5]]), np.array([True]))
+        mspn.sample(model, mspn.Evidence.marginalized(1), np.random.default_rng(0))
+        assert calls["leaf_density_batch"] == 2
+        assert calls["weighted_logsumexp"] == 1
+        assert calls["leaf_sample"] == 1
+
+    def test_loading_a_model_does_not_compile_its_plan(self, monkeypatch, tmp_path):
+        # load_ms times load_model alone; the plan is compiled on the first query
+        compiled = []
+        plan_type = mspn.inference._Plan
+        monkeypatch.setattr(mspn.inference, "_Plan",
+                            lambda root: compiled.append(root) or plan_type(root))
+        path = tmp_path / "model.json"
+        mspn.save_model(mixture_model(), path)
+        model = mspn.load_model(path)
+        assert compiled == []
+        for _ in range(2):
+            mspn.log_evaluate(model, mspn.Evidence.marginalized(1))
+        assert len(compiled) == 1

@@ -1,0 +1,290 @@
+"""The compiled evaluation plan against the recursive evaluator it replaced.
+
+``oracle_eval`` and ``oracle_sample`` evaluate and sample by plain
+recursion over the tree, one node at a time, with each node's own
+arithmetic. Every query must reproduce them bit for bit: the README's
+printed values and the determinism gate depend on it. The evidence mixes training rows with
+values exactly on knots and bin edges, values outside every support,
+unseen category codes and random observation masks, so that whole
+sub-mixtures evaluate to -inf.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from mspn import (
+    CATEGORICAL,
+    CONTINUOUS,
+    ConditioningError,
+    Evidence,
+    HistogramLeaf,
+    LearnConfig,
+    Mspn,
+    PiecewiseLinearLeaf,
+    ProductNode,
+    SumNode,
+    log_conditional,
+    log_evaluate,
+    log_evaluate_batch,
+    sample,
+)
+from mspn.leaves import leaf_density_batch, leaf_sample
+from mspn.numerics import weighted_logsumexp
+from mspn.structure import iter_nodes
+from conftest import make_dataset
+
+EVIDENCES_PER_MODEL = 150
+
+
+def oracle_eval(node, values, observed, cache=None):
+    """One recursive bottom-up pass; per-row log values."""
+    if isinstance(node, SumNode):
+        child_vals = np.stack(
+            [oracle_eval(c, values, observed, cache) for c in node.children]
+        )
+        out = weighted_logsumexp(child_vals, node.weights)
+    elif isinstance(node, ProductNode):
+        out = np.zeros(values.shape[0])
+        for c in node.children:
+            out = out + oracle_eval(c, values, observed, cache)
+    else:
+        var = node.variable
+        if observed[var]:
+            with np.errstate(divide="ignore"):
+                out = np.log(leaf_density_batch(node, values[:, var]))
+        else:
+            out = np.zeros(values.shape[0])
+    if cache is not None:
+        cache[id(node)] = out
+    return out
+
+
+def oracle_sample(model, evidence, rng):
+    cache = {}
+    root_val = oracle_eval(model.root, evidence.values[None, :], evidence.observed, cache)
+    if float(root_val[0]) == -np.inf:
+        raise ConditioningError("evidence has zero probability; cannot sample")
+    assignment = evidence.values.copy()
+    stack = [model.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SumNode):
+            logits = np.array([float(cache[id(c)][0]) for c in node.children])
+            top = logits.max()
+            probs = node.weights * np.exp(logits - top)
+            cum = np.cumsum(probs)
+            pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+            stack.append(node.children[min(pick, len(node.children) - 1)])
+        elif isinstance(node, ProductNode):
+            stack.extend(reversed(node.children))
+        elif not evidence.observed[node.variable]:
+            assignment[node.variable] = leaf_sample(node, rng)
+    return assignment
+
+
+def value_pools(model, data):
+    """Per variable: valid values to draw evidence from.
+
+    Continuous variables get every knot and bin edge of their leaves (the
+    first, interior and last ones), the midpoints between them, points
+    outside every support and training values. Discrete variables get the
+    integers among those plus integers beyond the support; categorical
+    ones every code plus codes past the vocabulary.
+    """
+    pools = []
+    for var in range(model.n_vars):
+        st = model.schema.stat_type(var)
+        col = data.column(var)
+        if st.is_categorical:
+            pools.append(np.arange(st.arity + 3, dtype=np.float64))
+            continue
+        points = [col[:40]]
+        for _, node in iter_nodes(model.root):
+            if getattr(node, "variable", None) != var:
+                continue
+            grid = node.knots_x if isinstance(node, PiecewiseLinearLeaf) else node.edges
+            points += [grid, 0.5 * (grid[1:] + grid[:-1])]
+        pts = np.concatenate(points)
+        span = pts.max() - pts.min() + 1.0
+        pts = np.concatenate([pts, [pts.min() - span, pts.max() + span,
+                                    pts.min() - 0.25, pts.max() + 0.25]])
+        if st.is_discrete:
+            pts = np.rint(pts)
+        pools.append(np.unique(pts))
+    return pools
+
+
+def random_evidences(model, data, rng, count):
+    pools = value_pools(model, data)
+    out = []
+    for k in range(count):
+        values = np.array([rng.choice(pool) for pool in pools])
+        if k % 3 == 0:  # a training row: mostly finite values
+            values = data.values[rng.integers(data.n_rows)].copy()
+        out.append(Evidence(values, rng.random(model.n_vars) < rng.random()))
+    return out
+
+
+def test_log_evaluate_matches_the_recursive_pass(fixture_models):
+    for name, (data, model) in fixture_models.items():
+        rng = np.random.default_rng(11)
+        for ev in random_evidences(model, data, rng, EVIDENCES_PER_MODEL):
+            want = oracle_eval(model.root, ev.values[None, :], ev.observed)
+            assert np.array_equal([log_evaluate(model, ev)], want), name
+
+
+def test_batches_match_the_recursive_pass(fixture_models):
+    for name, (data, model) in fixture_models.items():
+        rng = np.random.default_rng(12)
+        evs = random_evidences(model, data, rng, EVIDENCES_PER_MODEL)
+        rows = np.stack([ev.values for ev in evs])
+        for ev in evs[:6]:
+            want = oracle_eval(model.root, rows, ev.observed)
+            got = log_evaluate_batch(model, rows, ev.observed)
+            assert np.array_equal(got, want), name
+            # a one-row batch is a different BLAS shape: compare it on its own
+            one = log_evaluate_batch(model, rows[:1], ev.observed)
+            assert np.array_equal(one, oracle_eval(model.root, rows[:1], ev.observed)), name
+
+
+def test_conditionals_match_the_recursive_pass(fixture_models):
+    for name, (data, model) in fixture_models.items():
+        rng = np.random.default_rng(13)
+        for ev in random_evidences(model, data, rng, EVIDENCES_PER_MODEL):
+            given_mask = ev.observed & (rng.random(model.n_vars) < 0.5)
+            given = Evidence(ev.values, given_mask)
+            query = Evidence(ev.values, ev.observed & ~given_mask)
+            denom = oracle_eval(model.root, ev.values[None, :], given_mask)[0]
+            if denom == -np.inf:
+                with pytest.raises(ConditioningError):
+                    log_conditional(model, query, given)
+                continue
+            num = oracle_eval(model.root, ev.values[None, :], ev.observed)[0]
+            assert np.array_equal([log_conditional(model, query, given)], [num - denom]), name
+
+
+def test_sample_draws_match_the_recursive_sampler(fixture_models):
+    for name, (data, model) in fixture_models.items():
+        rng = np.random.default_rng(14)
+        for k, ev in enumerate(random_evidences(model, data, rng, EVIDENCES_PER_MODEL)):
+            want_rng, got_rng = np.random.default_rng(k), np.random.default_rng(k)
+            try:
+                want = oracle_sample(model, ev, want_rng)
+            except ConditioningError:
+                with pytest.raises(ConditioningError):
+                    sample(model, ev, got_rng)
+                continue
+            assert np.array_equal(sample(model, ev, got_rng), want), name
+            assert want_rng.random() == got_rng.random(), name
+
+
+def test_some_evidence_reaches_minus_infinity_inside_the_tree(fixture_models):
+    # the comparisons above only cover -inf sub-mixtures if some occur
+    finite_root_dead_child = 0
+    for data, model in fixture_models.values():
+        rng = np.random.default_rng(11)
+        for ev in random_evidences(model, data, rng, EVIDENCES_PER_MODEL):
+            cache = {}
+            root = oracle_eval(model.root, ev.values[None, :], ev.observed, cache)[0]
+            dead = any(v[0] == -np.inf for v in cache.values())
+            finite_root_dead_child += bool(np.isfinite(root) and dead)
+    assert finite_root_dead_child >= 10
+
+
+def test_values_on_knots_and_edges_match_the_leaves():
+    pwl = PiecewiseLinearLeaf(0, CONTINUOUS, np.array([0.0, 0.5, 1.5, 2.0]),
+                              np.array([0.0, 0.8, 0.4, 0.0]) / 0.9, 1)
+    falling = PiecewiseLinearLeaf(0, CONTINUOUS, np.array([0.0, 1.0]),
+                                  np.array([2.0, 0.0]), 0)
+    rising = PiecewiseLinearLeaf(0, CONTINUOUS, np.array([1.0, 2.0]),
+                                 np.array([0.0, 2.0]), 1)
+    hist = HistogramLeaf(0, CONTINUOUS, np.array([0.0, 0.5, 1.0, 3.0]),
+                         np.array([0.2, 0.3, 0.5]))
+    pair = HistogramLeaf(1, CATEGORICAL, np.arange(3.0), np.array([0.4, 0.6]),
+                         1.0, 0.05)
+    triple = HistogramLeaf(1, CATEGORICAL, np.arange(4.0), np.array([0.2, 0.3, 0.5]),
+                           1.0, 0.01)
+    continuous = SumNode((0,), np.full(4, 0.25), (pwl, falling, rising, hist))
+    categorical = SumNode((1,), np.array([0.5, 0.5]), (pair, triple))
+    root = ProductNode((0, 1), (continuous, categorical))
+    data = make_dataset([("x", CONTINUOUS, None), ("c", CATEGORICAL, ("a", "b", "c"))],
+                        [[0.5, 0.0]])
+    model = Mspn(root, data.schema, LearnConfig())
+    both = np.array([True, True])
+    for x in [-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 1.75, 2.0, 2.5, 3.0, 3.5]:
+        for code in range(6):
+            ev = Evidence(np.array([x, code]), both)
+            want = oracle_eval(root, ev.values[None, :], ev.observed)
+            assert np.array_equal([log_evaluate(model, ev)], want), (x, code)
+
+
+# ---------------------------------------------------------------------------
+# trees far deeper than Python's recursion limit
+# ---------------------------------------------------------------------------
+
+CHAIN = 3000
+STAY = 0.99  # weight of the chain's next sum node; 1 - STAY goes to the product
+
+
+def unit_leaf(variable, k):
+    return HistogramLeaf(variable, CONTINUOUS, np.array([k, k + 1.0]), np.array([1.0]))
+
+
+@pytest.fixture(scope="module")
+def chain_model():
+    """CHAIN nested sums; the k-th mixes in U(x; k, k+1) * U(y; k, k+1).
+
+    Component k has weight (1 - STAY) * STAY**k (the last one STAY**CHAIN),
+    and components have disjoint supports, so a point in component k has
+    log density log(weight_k).
+    """
+    node = ProductNode((0, 1), (unit_leaf(0, CHAIN), unit_leaf(1, CHAIN)))
+    for k in reversed(range(CHAIN)):
+        part = ProductNode((0, 1), (unit_leaf(0, k), unit_leaf(1, k)))
+        node = SumNode((0, 1), np.array([1.0 - STAY, STAY]), (part, node))
+    data = make_dataset([("x", CONTINUOUS, None), ("y", CONTINUOUS, None)], [[0.5, 0.5]])
+    return Mspn(node, data.schema, LearnConfig())
+
+
+def log_weight(k):
+    if k == CHAIN:
+        return CHAIN * np.log(STAY)
+    return k * np.log(STAY) + np.log(1.0 - STAY)
+
+
+def test_deep_chain_evaluates_in_closed_form(chain_model):
+    both = np.array([True, True])
+    for k in (0, 1, 1700, CHAIN - 1, CHAIN):
+        ev = Evidence(np.array([k + 0.5, k + 0.5]), both)
+        np.testing.assert_allclose(log_evaluate(chain_model, ev), log_weight(k), rtol=1e-9)
+    mismatched = Evidence(np.array([3.5, 4.5]), both)
+    assert log_evaluate(chain_model, mismatched) == -np.inf
+    assert abs(log_evaluate(chain_model, Evidence.marginalized(2))) <= 1e-9
+
+
+def test_deep_chain_batch_evaluates_in_closed_form(chain_model):
+    ks = np.array([0, 5, 2999, CHAIN])
+    rows = np.column_stack([ks + 0.5, ks + 0.5])
+    got = log_evaluate_batch(chain_model, rows, np.array([True, True]))
+    np.testing.assert_allclose(got, [log_weight(k) for k in ks], rtol=1e-9)
+
+
+def test_deep_chain_conditional_is_exact(chain_model):
+    k = 2500
+    query = Evidence(np.array([0.0, k + 0.5]), np.array([False, True]))
+    given = Evidence(np.array([k + 0.5, 0.0]), np.array([True, False]))
+    assert abs(log_conditional(chain_model, query, given)) <= 1e-9
+    elsewhere = Evidence(np.array([0.0, k + 1.5]), np.array([False, True]))
+    assert log_conditional(chain_model, elsewhere, given) == -np.inf
+
+
+def test_deep_chain_samples_the_only_live_component(chain_model):
+    rng = np.random.default_rng(3)
+    for k in (0, 2222, CHAIN):
+        counter = Counter()
+        given = Evidence(np.array([k + 0.5, 0.0]), np.array([True, False]))
+        draw = sample(chain_model, given, rng, counter)
+        assert draw[0] == k + 0.5 and k <= draw[1] <= k + 1
+        assert max(counter.values()) <= 2
