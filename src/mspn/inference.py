@@ -1,7 +1,8 @@
 """Query answering on a learned network.
 
-Every query is a bottom-up pass over the tree (plus, for MPE and
-sampling, one top-down pass), so query cost is linear in the node count.
+Every query is a bottom-up pass over the tree, plus for MPE a second
+bottom-up (max-product) pass over the nodes with free variables and for
+sampling one top-down pass, so query cost is linear in the node count.
 All computation happens in log space: observed continuous variables
 contribute log-densities, observed discrete/categorical variables
 contribute log-masses, and marginalized variables contribute log 1 = 0
@@ -19,27 +20,26 @@ of the trees they handle is bounded by memory, not by Python's recursion
 limit. Two executors run on the plan:
 
 * ``_Plan.evaluate_row`` answers one validated row (``log_evaluate``,
-  ``log_conditional``, ``sample``). It walks the heights once: each
+  ``log_conditional``, ``mpe``, ``sample``). It walks the heights once: each
   variable's leaves get their densities from a few vectorized ops that
   reproduce ``leaf_density_batch``, each sum group runs
   ``weighted_logsumexp``'s arithmetic through one stacked matmul, whose
   per-node dots are the same BLAS calls as a lone node's, and products
   add ``0.0 + c0 + c1 + ...`` in child order.
-* ``_Plan.evaluate_rows`` answers many rows (``log_evaluate_batch``, and
-  the fully observed subtrees ``mpe`` scores, as postorder ranges): a
+* ``_Plan.evaluate_rows`` answers many rows (``log_evaluate_batch``): a
   stack machine that applies each node's own arithmetic through
   ``leaf_density_batch`` and ``weighted_logsumexp`` and holds only the
   live frontier of row arrays.
 
 Both give every node, bit for bit, the value a recursive evaluation of
 that node alone gives it (``tests/test_plan.py`` keeps that evaluator as
-the oracle). ``mpe``'s maximization pass still recurses over the nodes
-that have free variables.
+the oracle). ``mpe``'s max-product pass runs up the same postorder.
 
 Passing a ``collections.Counter`` as ``counter`` to any query records
 per-node visit counts (keyed by ``id(node)``): one count per node per
-plan pass, plus one per node the top-down walks and MPE's pass visit.
-That is how the at-most-two-traversals contract is asserted in the tests.
+plan pass, plus one per free node in MPE's max-product pass, plus one
+per node the sampler's top-down walk visits. That is how the
+at-most-two-traversals contract is asserted in the tests.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import CATEGORICAL, DISCRETE
+from .data import CATEGORICAL, DISCRETE, Schema
 from .errors import ConditioningError, QueryError
 from .leaves import (
     HistogramLeaf,
@@ -233,8 +233,8 @@ class _Plan:
     """A tree compiled once for evaluation; see the module docstring.
 
     Node ``i`` is the i-th node of an iterative postorder walk, so every
-    subtree is the contiguous range ``first[i] .. i`` and the root is the
-    last node.
+    child comes before its parent and the root is the last node. Node
+    ``scope_owner[k]`` has variable ``scope_vars[k]`` in its scope.
     """
 
     def __init__(self, root):
@@ -242,7 +242,6 @@ class _Plan:
         kinds: list[int] = []
         children: list[np.ndarray] = []
         heights: list[int] = []
-        first: list[int] = []
         index: dict[int, int] = {}
         stack = [(root, False)]
         while stack:
@@ -259,7 +258,6 @@ class _Plan:
                          _SUM if isinstance(node, SumNode) else _PRODUCT)
             children.append(np.array(kids, dtype=np.intp))
             heights.append(1 + max((heights[c] for c in kids), default=0) if internal else 0)
-            first.append(first[kids[0]] if kids else i)
             index[id(node)] = i
 
         self.nodes = nodes
@@ -267,8 +265,8 @@ class _Plan:
         self.kinds = kinds
         self.children = children
         self.heights = heights
-        self.first = first
-        self.index = index
+        self.scope_vars = np.array([v for node in nodes for v in node.scope], dtype=np.intp)
+        self.scope_owner = np.repeat(np.arange(len(nodes)), [len(node.scope) for node in nodes])
         self.root = len(nodes) - 1
         self.leaf_tables = self._leaf_tables()
         self.levels = self._levels()
@@ -345,27 +343,23 @@ class _Plan:
                     vals[idx] = acc
         return vals
 
-    def evaluate_rows(self, values: np.ndarray, observed: np.ndarray,
-                      start: int, stop: int, counter=None) -> np.ndarray:
-        """Per-row log values of the subtree in postorder range ``start .. stop - 1``.
+    def evaluate_rows(self, values: np.ndarray, observed: np.ndarray) -> np.ndarray:
+        """Per-row log values of the root for many rows sharing one mask.
 
-        A stack machine over the range: each node pops its children's
+        A stack machine over the postorder: each node pops its children's
         arrays and pushes its own, so only the live frontier is held.
         """
-        if counter is not None:
-            counter.update(self.ids[start:stop])
         n_rows = values.shape[0]
         stack: list[np.ndarray] = []
         with np.errstate(divide="ignore"):
-            for i in range(start, stop):
-                node, kind = self.nodes[i], self.kinds[i]
+            for node, kind, children in zip(self.nodes, self.kinds, self.children):
                 if kind == _LEAF:
                     if observed[node.variable]:
                         out = np.log(leaf_density_batch(node, values[:, node.variable]))
                     else:
                         out = np.zeros(n_rows)
                 else:
-                    k = len(self.children[i])
+                    k = len(children)
                     kids = stack[len(stack) - k:]
                     del stack[len(stack) - k:]
                     if kind == _SUM:
@@ -396,8 +390,7 @@ def log_evaluate_batch(mspn: Mspn, values: np.ndarray, observed: np.ndarray) -> 
     """
     values = np.asarray(values, dtype=np.float64)
     observed = np.asarray(observed, dtype=bool)
-    plan = evaluation_plan(mspn)
-    return plan.evaluate_rows(values, observed, 0, len(plan.nodes))
+    return evaluation_plan(mspn).evaluate_rows(values, observed)
 
 
 def log_evaluate(mspn: Mspn, evidence: Evidence, counter=None) -> float:
@@ -420,45 +413,6 @@ def log_conditional(mspn: Mspn, query: Evidence, given: Evidence, counter=None) 
         raise ConditioningError("conditioning evidence has zero probability")
     num = log_evaluate(mspn, query.merged(given), counter)
     return num - denom
-
-
-def _score(plan: _Plan, node, values, observed, counter) -> float:
-    """Log value of a fully observed subtree: its postorder range on the plan."""
-    i = plan.index[id(node)]
-    return float(plan.evaluate_rows(values, observed, plan.first[i], i + 1, counter)[0])
-
-
-def _mixture_terms(plan, node, var, values, observed, counter) -> list:
-    """Flatten a one-free-variable subtree into (log coefficient, leaf) terms.
-
-    The subtree's value as a function of the free variable ``var`` is
-    sum over terms of coefficient × leaf density; coefficients absorb sum
-    weights and the exact mixture values of fully observed siblings.
-    """
-    _bump(counter, node)
-    if isinstance(node, SumNode):
-        with np.errstate(divide="ignore"):
-            log_w = np.log(node.weights)
-        terms = []
-        for lw, child in zip(log_w, node.children):
-            terms.extend(
-                (float(lw) + t, leaf)
-                for t, leaf in _mixture_terms(plan, child, var, values, observed, counter)
-            )
-        return terms
-    if isinstance(node, ProductNode):
-        offset = 0.0
-        spine = None
-        for child in node.children:
-            if var in child.scope:
-                spine = child
-            else:  # fully observed factor: a scalar under this evidence
-                offset += _score(plan, child, values, observed, counter)
-        return [
-            (offset + t, leaf)
-            for t, leaf in _mixture_terms(plan, spine, var, values, observed, counter)
-        ]
-    return [(0.0, node)]
 
 
 def _free_candidates(terms) -> np.ndarray:
@@ -491,82 +445,94 @@ def _free_candidates(terms) -> np.ndarray:
     return np.unique(np.concatenate(parts))
 
 
-def _reduce_free_subtree(plan, node, var, values, observed,
-                         counter) -> tuple[float, float]:
-    """Exact maximizer and log maximum of a single-free-variable subtree."""
-    terms = _mixture_terms(plan, node, var, values, observed, counter)
+def _maximize_mixture(terms) -> tuple[float, list]:
+    """Log maximum and maximizer of a 1-d mixture of (log coefficient, leaf) terms."""
     candidates = _free_candidates(terms)
     total = np.full(candidates.shape, -np.inf)
     for log_w, leaf in terms:
-        _bump(counter, leaf)
         with np.errstate(divide="ignore"):
             total = np.logaddexp(total, log_w + np.log(leaf_density_batch(leaf, candidates)))
     best = int(np.argmax(total))
-    return float(candidates[best]), float(total[best])
-
-
-def _mpe_pass(plan, node, values, observed, counter, decisions) -> float:
-    """Bottom-up maximization pass; records completion decisions by node id."""
-    free = [v for v in node.scope if not observed[v]]
-    if not free:
-        # nothing to complete below here: score the exact mixture value
-        return _score(plan, node, values, observed, counter)
-    if len(free) == 1:
-        x, log_f = _reduce_free_subtree(plan, node, free[0], values, observed, counter)
-        decisions[id(node)] = ("assign", free[0], x)
-        return log_f
-    _bump(counter, node)
-    if isinstance(node, SumNode):
-        with np.errstate(divide="ignore"):
-            scores = [
-                float(np.log(w)) + _mpe_pass(plan, c, values, observed, counter, decisions)
-                for w, c in zip(node.weights, node.children)
-            ]
-        branch = int(np.argmax(scores))
-        decisions[id(node)] = ("branch", branch)
-        return scores[branch]
-    decisions[id(node)] = ("descend",)
-    return sum(
-        _mpe_pass(plan, c, values, observed, counter, decisions) for c in node.children
-    )
+    return float(total[best]), [(terms[0][1].variable, float(candidates[best]))]
 
 
 def mpe(mspn: Mspn, evidence: Evidence, counter=None) -> tuple[np.ndarray, float]:
     """Most probable completion of the evidence.
 
-    One bottom-up maximization pass and one top-down selection pass. Sum
-    nodes with two or more free variables in scope follow their
-    maximizing child (ties to the lowest index); a maximal subtree with
-    exactly one free variable is reduced exactly — under the evidence it
-    is a 1-d mixture whose density is piecewise linear (or a finite
-    table), so the true maximizer is found on the union of the leaves'
-    knots, bin midpoints, integers, or category codes (ties to the
-    smallest value). Fully observed subtrees contribute their exact
-    mixture value. The returned log value scores the completed
-    assignment with a standard evaluation query, so for fully observed
-    evidence it equals ``log_evaluate(evidence)``.
+    Two passes over the evaluation plan. The first evaluates every node
+    under the evidence, which gives each fully observed subtree its exact
+    mixture value. The second, a max-product pass, runs up the postorder
+    over the nodes with free (unobserved) variables in scope, each parent
+    consuming its children's results:
+
+    * a node with one free variable is, under the evidence, a 1-d mixture
+      of its leaves; it passes up those leaves with their log
+      coefficients, which absorb sum weights and the values of fully
+      observed product siblings. Where a node with two or more free
+      variables consumes it, or at the root, the mixture is maximized
+      exactly: its density is piecewise linear (or a finite table), so
+      the true maximizer lies on the union of the leaves' knots, bin
+      midpoints, integers or category codes (ties to the smallest value);
+    * a node with two or more free variables passes up its log maximum
+      and the partial assignment that reaches it: a sum follows its best
+      weighted child (ties to the lowest index), a product adds its
+      children's maxima and joins their assignments.
+
+    The returned log value scores the completed assignment with a
+    standard evaluation query, so for fully observed evidence it equals
+    ``log_evaluate(evidence)``.
     """
     _check_evidence(mspn, evidence)
-    decisions: dict[int, tuple] = {}
-    _mpe_pass(evaluation_plan(mspn), mspn.root, evidence.values[None, :],
-              evidence.observed, counter, decisions)
+    plan = evaluation_plan(mspn)
+    vals = plan.evaluate_row(evidence.values, evidence.observed, counter).tolist()
+    free = np.bincount(plan.scope_owner, ~evidence.observed[plan.scope_vars], len(plan.nodes))
+    n_free = free.tolist()
+
+    # per live node: its mixture terms (one free variable), or its log
+    # maximum and partial assignment as [(variable, value), ...]
+    results: dict[int, object] = {}
+
+    def settle(c: int) -> tuple[float, list]:
+        if not n_free[c]:
+            return vals[c], []
+        if n_free[c] == 1:
+            return _maximize_mixture(results.pop(c))
+        return results.pop(c)
+
+    for i in np.flatnonzero(free).tolist():
+        node, kind, kids = plan.nodes[i], plan.kinds[i], plan.children[i].tolist()
+        _bump(counter, node)
+        if n_free[i] == 1:
+            if kind == _LEAF:
+                results[i] = [(0.0, node)]
+            elif kind == _SUM:
+                with np.errstate(divide="ignore"):
+                    log_w = np.log(node.weights)
+                results[i] = [(float(lw) + t, leaf)
+                              for lw, c in zip(log_w, kids) for t, leaf in results.pop(c)]
+            else:
+                offset = 0.0
+                for c in kids:
+                    if n_free[c]:
+                        spine = c
+                    else:  # fully observed factor: a scalar under this evidence
+                        offset += vals[c]
+                results[i] = [(offset + t, leaf) for t, leaf in results.pop(spine)]
+        elif kind == _SUM:
+            with np.errstate(divide="ignore"):
+                scored = [(float(np.log(w)) + s, part)
+                          for w, (s, part) in zip(node.weights, map(settle, kids))]
+            results[i] = scored[int(np.argmax([s for s, _ in scored]))]
+        else:
+            total, assignment = 0, []
+            for s, part in map(settle, kids):
+                total += s
+                assignment += part
+            results[i] = (total, assignment)
 
     assignment = evidence.values.copy()
-    stack = [mspn.root]
-    while stack:
-        node = stack.pop()
-        decision = decisions.get(id(node))
-        if decision is None:  # fully observed subtree: nothing to fill in
-            continue
-        if decision[0] == "assign":
-            assignment[decision[1]] = decision[2]
-        elif decision[0] == "branch":
-            _bump(counter, node)
-            stack.append(node.children[decision[1]])
-        else:
-            _bump(counter, node)
-            stack.extend(node.children)
-
+    for var, x in settle(plan.root)[1]:
+        assignment[var] = x
     value = log_evaluate(mspn, Evidence(assignment, np.ones(mspn.n_vars, dtype=bool)))
     return assignment, value
 

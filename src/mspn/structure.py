@@ -135,11 +135,17 @@ class Mspn:
 
 
 def iter_nodes(root, path: str = "root"):
-    """Preorder traversal yielding (path string, node) pairs."""
-    yield path, root
-    if isinstance(root, (SumNode, ProductNode)):
-        for i, child in enumerate(root.children):
-            yield from iter_nodes(child, f"{path}.{i}")
+    """Preorder traversal yielding (path string, node) pairs.
+
+    Iterative, so trees deeper than Python's recursion limit walk too.
+    """
+    stack = [(path, root)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        if isinstance(node, (SumNode, ProductNode)):
+            stack.extend((f"{path}.{i}", child)
+                         for i, child in reversed(list(enumerate(node.children))))
 
 
 def _fit_leaf(data: Dataset, variable: int, config: LearnConfig):

@@ -1,10 +1,13 @@
 """Evidence handling, evaluation, conditionals, MPE, and sampling."""
 
+import inspect
+import typing
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import mspn
 from mspn import (
     CATEGORICAL,
     CONTINUOUS,
@@ -320,9 +323,50 @@ class TestQueryCounters:
         assert max(counter.values()) <= 2
         assert sum(counter.values()) <= 2 * hybrid6_model.node_count
 
+    def test_mpe_counts_each_node_once_per_pass(self, hybrid6_model, hybrid6_train):
+        # an evaluation pass over every node, then a max-product pass over
+        # the nodes with a free variable in scope
+        counter = Counter()
+        mpe(hybrid6_model, Evidence.marginalized(6), counter)
+        assert set(counter.values()) == {2}
+        assert sum(counter.values()) == 2 * hybrid6_model.node_count
+        counter = Counter()
+        mpe(hybrid6_model, Evidence(hybrid6_train.values[0], np.ones(6, dtype=bool)), counter)
+        assert set(counter.values()) == {1}
+        assert sum(counter.values()) == hybrid6_model.node_count
+
     def test_sampling_stays_within_two_visits_per_node(self, hybrid6_model):
         counter = Counter()
         sample(hybrid6_model, Evidence.marginalized(6),
                np.random.default_rng(1), counter)
         assert max(counter.values()) <= 2
         assert sum(counter.values()) <= 2 * hybrid6_model.node_count
+
+
+def public_callables():
+    """(name, object) for every function, class and method reachable from mspn.__all__."""
+    for name in mspn.__all__:
+        obj = getattr(mspn, name)
+        if inspect.isclass(obj):
+            yield name, obj
+            for attr, member in vars(obj).items():
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+        elif inspect.isfunction(obj):
+            yield name, obj
+
+
+def test_every_public_annotation_resolves():
+    # annotations are strings until resolved; a name the module never
+    # imported only fails here
+    unresolved = []
+    for name, obj in public_callables():
+        try:
+            typing.get_type_hints(obj)
+        except NameError as err:
+            unresolved.append(f"{name}: {err}")
+    assert unresolved == []

@@ -1,14 +1,15 @@
 """The compiled evaluation plan against the recursive evaluator it replaced.
 
-``oracle_eval`` and ``oracle_sample`` evaluate and sample by plain
-recursion over the tree, one node at a time, with each node's own
-arithmetic. Every query must reproduce them bit for bit: the README's
-printed values and the determinism gate depend on it. The evidence mixes training rows with
-values exactly on knots and bin edges, values outside every support,
-unseen category codes and random observation masks, so that whole
-sub-mixtures evaluate to -inf.
+``oracle_eval``, ``oracle_sample`` and ``oracle_mpe`` evaluate, sample
+and maximize by plain recursion over the tree, one node at a time, with
+each node's own arithmetic. Every query must reproduce them bit for bit:
+the README's printed values and the determinism gate depend on it. The
+evidence mixes training rows with values exactly on knots and bin edges,
+values outside every support, unseen category codes and random
+observation masks, so that whole sub-mixtures evaluate to -inf.
 """
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -28,8 +29,11 @@ from mspn import (
     log_conditional,
     log_evaluate,
     log_evaluate_batch,
+    mpe,
     sample,
+    validate,
 )
+from mspn.inference import _free_candidates
 from mspn.leaves import leaf_density_batch, leaf_sample
 from mspn.numerics import weighted_logsumexp
 from mspn.structure import iter_nodes
@@ -82,6 +86,83 @@ def oracle_sample(model, evidence, rng):
         elif not evidence.observed[node.variable]:
             assignment[node.variable] = leaf_sample(node, rng)
     return assignment
+
+
+def oracle_mpe(model, evidence):
+    """Recursive max-product pass recording decisions by node id, then a top-down walk.
+
+    A subtree with one free variable is flattened into (log coefficient,
+    leaf) terms and maximized over ``_free_candidates``; fully observed
+    subtrees are scored with ``oracle_eval``.
+    """
+    values, observed = evidence.values[None, :], evidence.observed
+
+    def score(node):
+        return float(oracle_eval(node, values, observed)[0])
+
+    def mixture_terms(node, var):
+        if isinstance(node, SumNode):
+            with np.errstate(divide="ignore"):
+                log_w = np.log(node.weights)
+            return [(float(lw) + t, leaf)
+                    for lw, child in zip(log_w, node.children)
+                    for t, leaf in mixture_terms(child, var)]
+        if isinstance(node, ProductNode):
+            offset, spine = 0.0, None
+            for child in node.children:
+                if var in child.scope:
+                    spine = child
+                else:
+                    offset += score(child)
+            return [(offset + t, leaf) for t, leaf in mixture_terms(spine, var)]
+        return [(0.0, node)]
+
+    def reduce_free_subtree(node, var):
+        terms = mixture_terms(node, var)
+        candidates = _free_candidates(terms)
+        total = np.full(candidates.shape, -np.inf)
+        for log_w, leaf in terms:
+            with np.errstate(divide="ignore"):
+                total = np.logaddexp(total, log_w + np.log(leaf_density_batch(leaf, candidates)))
+        best = int(np.argmax(total))
+        return float(candidates[best]), float(total[best])
+
+    decisions = {}
+
+    def mpe_pass(node):
+        free = [v for v in node.scope if not observed[v]]
+        if not free:
+            return score(node)
+        if len(free) == 1:
+            x, log_f = reduce_free_subtree(node, free[0])
+            decisions[id(node)] = ("assign", free[0], x)
+            return log_f
+        if isinstance(node, SumNode):
+            with np.errstate(divide="ignore"):
+                scores = [float(np.log(w)) + mpe_pass(c)
+                          for w, c in zip(node.weights, node.children)]
+            branch = int(np.argmax(scores))
+            decisions[id(node)] = ("branch", branch)
+            return scores[branch]
+        decisions[id(node)] = ("descend",)
+        return sum(mpe_pass(c) for c in node.children)
+
+    mpe_pass(model.root)
+    assignment = evidence.values.copy()
+    stack = [model.root]
+    while stack:
+        node = stack.pop()
+        decision = decisions.get(id(node))
+        if decision is None:  # fully observed subtree: nothing to fill in
+            continue
+        if decision[0] == "assign":
+            assignment[decision[1]] = decision[2]
+        elif decision[0] == "branch":
+            stack.append(node.children[decision[1]])
+        else:
+            stack.extend(node.children)
+    full = np.ones(model.n_vars, dtype=bool)
+    return assignment, float(oracle_eval(model.root, assignment[None, :], full)[0])
 
 
 def value_pools(model, data):
@@ -180,6 +261,19 @@ def test_sample_draws_match_the_recursive_sampler(fixture_models):
             assert want_rng.random() == got_rng.random(), name
 
 
+def test_mpe_matches_the_recursive_max_product_pass(fixture_models):
+    for name, (data, model) in fixture_models.items():
+        rng = np.random.default_rng(15)
+        evs = random_evidences(model, data, rng, EVIDENCES_PER_MODEL)
+        evs += [Evidence.marginalized(model.n_vars),
+                Evidence(data.values[0], np.ones(model.n_vars, dtype=bool))]
+        for ev in evs:
+            want_assignment, want_value = oracle_mpe(model, ev)
+            assignment, value = mpe(model, ev)
+            assert np.array_equal(assignment, want_assignment), name
+            assert value == want_value, name
+
+
 def test_some_evidence_reaches_minus_infinity_inside_the_tree(fixture_models):
     # the comparisons above only cover -inf sub-mixtures if some occur
     finite_root_dead_child = 0
@@ -218,6 +312,37 @@ def test_values_on_knots_and_edges_match_the_leaves():
             ev = Evidence(np.array([x, code]), both)
             want = oracle_eval(root, ev.values[None, :], ev.observed)
             assert np.array_equal([log_evaluate(model, ev)], want), (x, code)
+
+
+def test_mpe_breaks_exact_ties_like_the_recursive_pass():
+    # three equally weighted components with equal maxima: marginalized
+    # evidence ties all of them, and evidence no component supports ties
+    # them at -inf; both must pick the first, as the recursive pass does
+    def component(x_lo, masses, y_lo):
+        return ProductNode((0, 1, 2), (
+            HistogramLeaf(0, CONTINUOUS, np.array([x_lo, x_lo + 1.0]), np.array([1.0])),
+            HistogramLeaf(1, CATEGORICAL, np.arange(3.0), np.array(masses), 1.0, 0.05),
+            HistogramLeaf(2, CONTINUOUS, np.array([y_lo, y_lo + 1.0]), np.array([1.0])),
+        ))
+
+    root = SumNode((0, 1, 2), np.full(3, 1.0 / 3.0), (
+        component(0.0, [0.6, 0.4], 0.0),
+        component(2.0, [0.4, 0.6], 0.0),
+        component(4.0, [0.6, 0.4], 1.0),
+    ))
+    data = make_dataset([("x", CONTINUOUS, None), ("c", CATEGORICAL, ("a", "b")),
+                         ("y", CONTINUOUS, None)], [[0.5, 0.0, 0.5]])
+    model = Mspn(root, data.schema, LearnConfig())
+    choices = [(None, 0.5, 2.5, 9.0), (None, 0.0, 1.0, 5.0), (None, 0.5, 1.5, 9.0)]
+    for picks in itertools.product(*choices):
+        observed = np.array([p is not None for p in picks])
+        ev = Evidence(np.array([0.0 if p is None else p for p in picks]), observed)
+        want_assignment, want_value = oracle_mpe(model, ev)
+        assignment, value = mpe(model, ev)
+        assert np.array_equal(assignment, want_assignment), picks
+        assert value == want_value, picks
+    assignment, _ = mpe(model, Evidence.marginalized(3))
+    assert np.array_equal(assignment, [0.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +413,19 @@ def test_deep_chain_samples_the_only_live_component(chain_model):
         draw = sample(chain_model, given, rng, counter)
         assert draw[0] == k + 0.5 and k <= draw[1] <= k + 1
         assert max(counter.values()) <= 2
+
+
+def test_deep_chain_mpe_is_exact(chain_model):
+    assignment, value = mpe(chain_model, Evidence.marginalized(2))
+    np.testing.assert_allclose(value, log_weight(0), rtol=1e-9)
+    assert np.all((0.0 <= assignment) & (assignment <= 1.0))
+    for k in (0, 2500, CHAIN):
+        given = Evidence(np.array([k + 0.5, 0.0]), np.array([True, False]))
+        assignment, value = mpe(chain_model, given)
+        assert assignment[0] == k + 0.5 and k <= assignment[1] <= k + 1
+        np.testing.assert_allclose(value, log_weight(k), rtol=1e-9)
+
+
+def test_deep_chain_validates_and_counts_its_nodes(chain_model):
+    assert validate(chain_model).ok
+    assert chain_model.node_count == 4 * CHAIN + 3

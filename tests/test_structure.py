@@ -140,6 +140,18 @@ class TestIterNodes:
         root = ProductNode((0, 1), (leaf0, leaf1))
         assert [p for p, _ in iter_nodes(root)] == ["root", "root.0", "root.1"]
 
+    def test_matches_the_recursive_preorder(self, fixture_models):
+        def recursive(node, path="root"):
+            yield path, node
+            if isinstance(node, (SumNode, ProductNode)):
+                for i, child in enumerate(node.children):
+                    yield from recursive(child, f"{path}.{i}")
+
+        for name, (_, model) in fixture_models.items():
+            got, want = list(iter_nodes(model.root)), list(recursive(model.root))
+            assert [p for p, _ in got] == [p for p, _ in want], name
+            assert all(a is b for (_, a), (_, b) in zip(got, want)), name
+
 
 def two_var_schema_model(root):
     data = make_dataset(
