@@ -1,9 +1,10 @@
 """Hot numeric kernels, in plain numpy.
 
 The binning DP is loop-free numpy within each bin count (one masked
-argmax fills a whole DP column) and K-means is vectorised over points;
-PAVA is a short Python loop. The tests check ``dp_fill`` bit for bit
-against a triple-loop oracle and ``lloyd`` against a loop implementation.
+argmax fills a whole DP column) and K-means is vectorised over points,
+one centroid at a time; PAVA is a short Python loop. The tests check
+``dp_fill`` bit for bit against a triple-loop oracle and ``lloyd``
+against a loop and a broadcast implementation.
 """
 
 from __future__ import annotations
@@ -70,8 +71,7 @@ def dp_fill(seg_ll):
 def lloyd(points, centroids, max_iter, tol):
     cent = centroids.copy()
     for _ in range(max_iter):
-        d2 = ((points[:, None, :] - cent[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
+        labels = np.argmin(_sq_dists(points, cent), axis=1)
         new_cent = cent.copy()
         shift = 0.0
         for c in range(cent.shape[0]):
@@ -82,5 +82,15 @@ def lloyd(points, centroids, max_iter, tol):
         cent = new_cent
         if np.sqrt(shift) < tol:
             break
-    d2 = ((points[:, None, :] - cent[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    return np.argmin(_sq_dists(points, cent), axis=1)
+
+
+def _sq_dists(points, cent):
+    # (rows, k) squared distances, one centroid at a time: no (rows, k, D)
+    # temporary, and each row's sum runs over the same contiguous D values
+    d2 = np.empty((points.shape[0], cent.shape[0]))
+    for c in range(cent.shape[0]):
+        diff = points - cent[c]
+        diff *= diff
+        diff.sum(axis=1, out=d2[:, c])
+    return d2

@@ -96,22 +96,39 @@ def cca_max_correlation(a: np.ndarray, b: np.ndarray, ridge: float = CCA_RIDGE) 
         raise DomainError("feature blocks must have the same number of rows")
     if m < 2:
         raise DomainError("canonical correlation needs at least two rows")
+    return _pair_correlation(_whiten(a, ridge), _whiten(b, ridge))
+
+
+@dataclass(frozen=True)
+class _Whitened:
+    """One feature block prepared for canonical correlation with any other."""
+
+    block: np.ndarray  # standardized columns, (m, d)
+    cov: np.ndarray  # ridge-regularized covariance of ``block``, (d, d)
+    inv_sqrt: np.ndarray  # cov ** -1/2, (d, d)
+
+
+def _whiten(a: np.ndarray, ridge: float = CCA_RIDGE) -> _Whitened:
+    # everything here depends on one block only, so a caller scoring many
+    # pairs prepares each block once; ``a`` is 2-d float64 with >= 2 rows
+    m = a.shape[0]
     a = a - a.mean(axis=0)
-    b = b - b.mean(axis=0)
     # standardize columns (constant columns stay zero) so the ridge acts on
     # a correlation matrix: the result is then invariant under positive
     # per-column affine maps of either block, and every eigenvalue of the
     # regularized blocks is at least ``ridge``
     sa = np.sqrt((a * a).sum(axis=0) / (m - 1))
-    sb = np.sqrt((b * b).sum(axis=0) / (m - 1))
     a = a / np.where(sa > 0.0, sa, 1.0)
-    b = b / np.where(sb > 0.0, sb, 1.0)
-    saa = a.T @ a / (m - 1) + ridge * np.eye(a.shape[1])
-    sbb = b.T @ b / (m - 1) + ridge * np.eye(b.shape[1])
-    sab = a.T @ b / (m - 1)
-    evals, evecs = np.linalg.eigh(saa)
+    cov = a.T @ a / (m - 1) + ridge * np.eye(a.shape[1])
+    evals, evecs = np.linalg.eigh(cov)
     inv_sqrt = evecs @ ((1.0 / np.sqrt(evals))[:, None] * evecs.T)
-    mid = inv_sqrt @ sab @ np.linalg.solve(sbb, sab.T) @ inv_sqrt
+    return _Whitened(a, cov, inv_sqrt)
+
+
+def _pair_correlation(a: _Whitened, b: _Whitened) -> float:
+    # largest eigenvalue of Saa^-1/2 Sab Sbb^-1 Sba Saa^-1/2, symmetrized
+    sab = a.block.T @ b.block / (a.block.shape[0] - 1)
+    mid = a.inv_sqrt @ sab @ np.linalg.solve(b.cov, sab.T) @ a.inv_sqrt
     mid = 0.5 * (mid + mid.T)
     lam = np.linalg.eigvalsh(mid)
     return float(np.sqrt(np.clip(lam[-1], 0.0, 1.0)))

@@ -21,7 +21,14 @@ import numpy as np
 
 from .data import Dataset, copula_transform, one_hot
 from .errors import DomainError
-from .numerics import SeedScope, SineProjection, cca_max_correlation, kmeans
+from .numerics import (
+    SeedScope,
+    SineProjection,
+    _pair_correlation,
+    _whiten,
+    cca_max_correlation,
+    kmeans,
+)
 
 # purpose tags for seed streams; never reuse values across purposes
 _SPLIT_TAG = 1
@@ -131,9 +138,10 @@ def dependency_graph(dataset: Dataset, threshold: float, config,
         seeds = SeedScope(config.seed)
     n = dataset.n_cols
     constant = [_is_constant(dataset, v) for v in range(n)]
-    feats = [
+    # whitening depends on one variable only: once per variable, not per pair
+    white = [
         None if constant[v]
-        else _variable_features(dataset, v, config, seeds, _SPLIT_TAG)
+        else _whiten(_variable_features(dataset, v, config, seeds, _SPLIT_TAG))
         for v in range(n)
     ]
     edges = []
@@ -141,7 +149,7 @@ def dependency_graph(dataset: Dataset, threshold: float, config,
         for j in range(i + 1, n):
             if constant[i] or constant[j]:
                 continue
-            score = cca_max_correlation(feats[i], feats[j])
+            score = _pair_correlation(white[i], white[j])
             if score > threshold:
                 edges.append((i, j, score))
     return DependencyGraph(n, threshold, tuple(edges))

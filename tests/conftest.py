@@ -49,6 +49,35 @@ def pytest_terminal_summary(terminalreporter):
 
 
 # ---------------------------------------------------------------------------
+# reference implementations
+# ---------------------------------------------------------------------------
+
+
+def per_pair_cca_max_correlation(a, b, ridge=1e-6):
+    """Largest canonical correlation, standardizing and whitening both blocks
+    on every call: the learner's per-pair computation before each block was
+    whitened once per node. Scores must equal it bit for bit."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    m = a.shape[0]
+    a = a - a.mean(axis=0)
+    b = b - b.mean(axis=0)
+    sa = np.sqrt((a * a).sum(axis=0) / (m - 1))
+    sb = np.sqrt((b * b).sum(axis=0) / (m - 1))
+    a = a / np.where(sa > 0.0, sa, 1.0)
+    b = b / np.where(sb > 0.0, sb, 1.0)
+    saa = a.T @ a / (m - 1) + ridge * np.eye(a.shape[1])
+    sbb = b.T @ b / (m - 1) + ridge * np.eye(b.shape[1])
+    sab = a.T @ b / (m - 1)
+    evals, evecs = np.linalg.eigh(saa)
+    inv_sqrt = evecs @ ((1.0 / np.sqrt(evals))[:, None] * evecs.T)
+    mid = inv_sqrt @ sab @ np.linalg.solve(sbb, sab.T) @ inv_sqrt
+    mid = 0.5 * (mid + mid.T)
+    lam = np.linalg.eigvalsh(mid)
+    return float(np.sqrt(np.clip(lam[-1], 0.0, 1.0)))
+
+
+# ---------------------------------------------------------------------------
 # dataset builders
 # ---------------------------------------------------------------------------
 

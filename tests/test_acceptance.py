@@ -149,8 +149,8 @@ class TestCriterion1Validity:
         }
         all_valid = all(report.ok for report in reports.values())
 
-        # the fixture models above already compiled every jitted kernel,
-        # so this measures learning, not compilation
+        # the fixture models above were learned first, so this learn does
+        # not pay the process's first-call costs
         data = make_dataset(H14_COLS, make_hybrid14(2024, 5000))
         start = time.perf_counter()
         wide = learn_mspn(data, LearnConfig())

@@ -1,7 +1,8 @@
 """Hot-loop kernels against loop oracles and reference solvers.
 
 ``dp_fill`` must match the triple-loop dynamic program below bit for
-bit, ``lloyd`` must give the labels of the loop K-means below, and
+bit, ``lloyd`` must give the labels of the loop K-means below (and of
+the broadcast K-means below for points too wide for loop sums), and
 ``pava_nondecreasing`` must agree with scipy's isotonic regression.
 """
 
@@ -12,7 +13,7 @@ import numpy as np
 from scipy.optimize import isotonic_regression
 
 import mspn
-from mspn._kernels import dp_fill, lloyd, pava_nondecreasing
+from mspn._kernels import _sq_dists, dp_fill, lloyd, pava_nondecreasing
 from conftest import make_dataset
 
 
@@ -81,6 +82,28 @@ def loop_lloyd(points, centroids, max_iter, tol):
         if np.sqrt(shift) < tol:
             break
     return assign()
+
+
+def broadcast_lloyd(points, centroids, max_iter, tol):
+    # K-means with all (rows, k, D) differences formed at once, as lloyd did
+    # before it went one centroid at a time; it sums each row's D squares
+    # the way numpy does, so it is the oracle for wide points
+    cent = centroids.copy()
+    for _ in range(max_iter):
+        d2 = ((points[:, None, :] - cent[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        new_cent = cent.copy()
+        shift = 0.0
+        for c in range(cent.shape[0]):
+            member = labels == c
+            if member.any():
+                new_cent[c] = points[member].sum(axis=0) / member.sum()
+                shift = max(shift, float(((new_cent[c] - cent[c]) ** 2).sum()))
+        cent = new_cent
+        if np.sqrt(shift) < tol:
+            break
+    d2 = ((points[:, None, :] - cent[None, :, :]) ** 2).sum(axis=2)
+    return np.argmin(d2, axis=1)
 
 
 def assert_dp_matches_oracle(seg):
@@ -193,6 +216,32 @@ class TestLloydKernel:
         np.testing.assert_array_equal(
             lloyd(pts, cent, 50, 1e-4), loop_lloyd(pts, cent, 50, 1e-4)
         )
+
+    def test_wide_points_match_the_broadcast_oracle(self):
+        r = np.random.default_rng(12)
+        for dim in (20, 280):
+            v = r.normal(size=dim)
+            noise = r.normal(0.0, 0.8, size=(150, dim))
+            # mirrored clusters around +v and -v (and a far third one): the
+            # origin, last, is exactly equidistant from the first two
+            # starting centroids, so its first assignment is a tie that must
+            # go to the first, where it then stays
+            mirrored = [v + noise, -v - noise]
+            far = [4.0 + noise[:60]]
+            for k in (2, 3):
+                pts = np.vstack(mirrored + far * (k - 2) + [np.zeros((1, dim))])
+                cent = np.vstack([v, -v, np.full(dim, 4.0)])[:k]
+                labels = lloyd(pts, cent, 100, 1e-4)
+                np.testing.assert_array_equal(labels, broadcast_lloyd(pts, cent, 100, 1e-4))
+                assert labels[-1] == 0
+                start = pts[r.choice(pts.shape[0], size=k, replace=False)]
+                np.testing.assert_array_equal(
+                    lloyd(pts, start, 100, 1e-4), broadcast_lloyd(pts, start, 100, 1e-4)
+                )
+                # labels rarely see a last-bit change; the distances do
+                np.testing.assert_array_equal(
+                    _sq_dists(pts, start), ((pts[:, None, :] - start[None]) ** 2).sum(axis=2)
+                )
 
     def test_empty_cluster_keeps_its_centroid(self):
         pts = np.array([[0.0], [0.1]])

@@ -19,6 +19,7 @@ from mspn import (
     weighted_logsumexp,
 )
 from mspn.numerics import trapezoid
+from conftest import per_pair_cca_max_correlation
 
 
 class TestSeedScope:
@@ -115,6 +116,24 @@ class TestCcaMaxCorrelation:
     def test_constant_block_scores_zero(self):
         r = np.random.default_rng(6)
         assert cca_max_correlation(np.ones((100, 2)), r.normal(size=(100, 2))) == 0.0
+
+    def test_equals_the_per_pair_whitening_bit_for_bit(self):
+        r = np.random.default_rng(7)
+        x = r.uniform(-1.0, 1.0, size=(400, 1))
+        blocks = {}
+        for width in (1, 3, 20):
+            mix = r.normal(size=(width, width))
+            blocks[width] = np.sin((x + 0.3 * r.normal(size=(400, width))) @ mix)
+            if width > 1:
+                blocks[width][:, 1] = 2.5  # a constant column inside a block
+        blocks["constant"] = np.full((400, 3), -1.0)
+        for a in blocks.values():
+            for b in blocks.values():
+                for ridge in (1e-6, 0.05):
+                    assert cca_max_correlation(a, b, ridge) == (
+                        per_pair_cca_max_correlation(a, b, ridge)
+                    )
+        assert cca_max_correlation(blocks[3], blocks[20]) > 0.1
 
     def test_single_row_rejected(self):
         with pytest.raises(DomainError):

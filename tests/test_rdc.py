@@ -14,7 +14,9 @@ from mspn import (
     split_features,
 )
 
-from conftest import make_dataset
+from mspn.numerics import SeedScope
+from mspn.rdc import _SPLIT_TAG, _variable_features
+from conftest import HYBRID6_COLS, make_dataset, per_pair_cca_max_correlation
 
 
 def _cont2(values):
@@ -121,6 +123,28 @@ class TestDependencyGraph:
         got = sorted(tuple(sorted(grp)) for grp in g.components())
         assert got == expected
         assert got == [(0, 1), (2, 3)]
+
+    @pytest.mark.parametrize("table", ["hybrid6_train", "cat_pair_data", "constant_column"])
+    def test_every_score_equals_the_per_pair_whitening(self, table, request):
+        if table == "constant_column":
+            values = request.getfixturevalue("hybrid6_train").values[:1500].copy()
+            values[:, 3] = 4.0
+            data = make_dataset(HYBRID6_COLS, values)
+        else:
+            data = request.getfixturevalue(table)
+        cfg = LearnConfig(seed=21)
+        seeds = SeedScope(cfg.seed, (0, 1))
+        # a threshold below every score keeps every non-constant pair as an edge
+        graph = dependency_graph(data, -1.0, cfg, seeds)
+        n = data.n_cols
+        varying = [v for v in range(n) if np.any(data.column(v) != data.column(v)[0])]
+        feats = {v: _variable_features(data, v, cfg, seeds, _SPLIT_TAG) for v in varying}
+        expected = [
+            (i, j, per_pair_cca_max_correlation(feats[i], feats[j]))
+            for i in varying for j in varying if i < j
+        ]
+        assert list(graph.edges) == expected
+        assert len(varying) == (n - 1 if table == "constant_column" else n)
 
 
 class TestSplitFeatures:
