@@ -82,21 +82,20 @@ class SineProjection:
         return np.sin(data @ self.weights.T + self.offsets)
 
 
-def cca_max_correlation(a: np.ndarray, b: np.ndarray, ridge: float = CCA_RIDGE) -> float:
+def cca_max_correlation(a: np.ndarray | _Whitened, b: np.ndarray | _Whitened,
+                        ridge: float = CCA_RIDGE) -> float:
     """Largest canonical correlation between feature blocks ``a`` and ``b``.
 
     Solves the generalized eigenproblem on ridge-regularized covariance
     blocks via a symmetric whitening, so the result is clamped to [0, 1]
-    and degenerate (constant) blocks yield 0 rather than an error.
+    and degenerate (constant) blocks yield 0 rather than an error. Either
+    block may also come already whitened by :func:`_whiten` with the same
+    ``ridge``, so a caller scoring many pairs prepares each block once.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    m = a.shape[0]
-    if b.shape[0] != m:
+    a, b = (_whitened(x, ridge) for x in (a, b))
+    if b.shape[0] != a.shape[0]:
         raise DomainError("feature blocks must have the same number of rows")
-    if m < 2:
-        raise DomainError("canonical correlation needs at least two rows")
-    return _pair_correlation(_whiten(a, ridge), _whiten(b, ridge))
+    return _pair_correlation(a, b)
 
 
 @dataclass(frozen=True)
@@ -106,12 +105,28 @@ class _Whitened:
     block: np.ndarray  # standardized columns, (m, d)
     cov: np.ndarray  # ridge-regularized covariance of ``block``, (d, d)
     inv_sqrt: np.ndarray  # cov ** -1/2, (d, d)
+    ridge: float
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.block.shape
+
+
+def _whitened(x: np.ndarray | _Whitened, ridge: float) -> _Whitened:
+    if not isinstance(x, _Whitened):
+        return _whiten(x, ridge)
+    if x.ridge != ridge:
+        raise DomainError("feature block was whitened with another ridge")
+    return x
 
 
 def _whiten(a: np.ndarray, ridge: float = CCA_RIDGE) -> _Whitened:
     # everything here depends on one block only, so a caller scoring many
-    # pairs prepares each block once; ``a`` is 2-d float64 with >= 2 rows
+    # pairs prepares each block once
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     m = a.shape[0]
+    if m < 2:
+        raise DomainError("canonical correlation needs at least two rows")
     a = a - a.mean(axis=0)
     # standardize columns (constant columns stay zero) so the ridge acts on
     # a correlation matrix: the result is then invariant under positive
@@ -122,7 +137,7 @@ def _whiten(a: np.ndarray, ridge: float = CCA_RIDGE) -> _Whitened:
     cov = a.T @ a / (m - 1) + ridge * np.eye(a.shape[1])
     evals, evecs = np.linalg.eigh(cov)
     inv_sqrt = evecs @ ((1.0 / np.sqrt(evals))[:, None] * evecs.T)
-    return _Whitened(a, cov, inv_sqrt)
+    return _Whitened(a, cov, inv_sqrt, ridge)
 
 
 def _pair_correlation(a: _Whitened, b: _Whitened) -> float:

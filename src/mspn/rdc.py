@@ -24,7 +24,6 @@ from .errors import DomainError
 from .numerics import (
     SeedScope,
     SineProjection,
-    _pair_correlation,
     _whiten,
     cca_max_correlation,
     kmeans,
@@ -149,7 +148,7 @@ def dependency_graph(dataset: Dataset, threshold: float, config,
         for j in range(i + 1, n):
             if constant[i] or constant[j]:
                 continue
-            score = _pair_correlation(white[i], white[j])
+            score = cca_max_correlation(white[i], white[j])
             if score > threshold:
                 edges.append((i, j, score))
     return DependencyGraph(n, threshold, tuple(edges))

@@ -18,7 +18,7 @@ from mspn import (
     kmeans,
     weighted_logsumexp,
 )
-from mspn.numerics import trapezoid
+from mspn.numerics import _whiten, trapezoid
 from conftest import per_pair_cca_max_correlation
 
 
@@ -130,9 +130,12 @@ class TestCcaMaxCorrelation:
         for a in blocks.values():
             for b in blocks.values():
                 for ridge in (1e-6, 0.05):
-                    assert cca_max_correlation(a, b, ridge) == (
-                        per_pair_cca_max_correlation(a, b, ridge)
-                    )
+                    expected = per_pair_cca_max_correlation(a, b, ridge)
+                    assert cca_max_correlation(a, b, ridge) == expected
+                    # blocks whitened once score the same as raw ones
+                    wa, wb = _whiten(a, ridge), _whiten(b, ridge)
+                    assert cca_max_correlation(wa, wb, ridge) == expected
+                    assert cca_max_correlation(wa, b, ridge) == expected
         assert cca_max_correlation(blocks[3], blocks[20]) > 0.1
 
     def test_single_row_rejected(self):
@@ -142,6 +145,17 @@ class TestCcaMaxCorrelation:
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(DomainError):
             cca_max_correlation(np.ones((3, 1)), np.ones((4, 1)))
+        with pytest.raises(DomainError):
+            cca_max_correlation(_whiten(np.ones((3, 1))), _whiten(np.ones((4, 1))))
+
+    def test_whitened_block_keeps_its_ridge(self):
+        r = np.random.default_rng(8)
+        a, b = r.normal(size=(50, 2)), r.normal(size=(50, 3))
+        assert _whiten(a).shape == (50, 2)
+        with pytest.raises(DomainError):
+            cca_max_correlation(_whiten(a, 0.05), b)
+        with pytest.raises(DomainError):
+            _whiten(np.ones((1, 2)))
 
 
 class TestKmeans:

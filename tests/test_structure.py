@@ -125,8 +125,9 @@ class TestDeterminism:
     def test_fixture_models_keep_their_bytes(self, fixture_models):
         # sha256 prefixes of serialize(model): a learner change meant to run
         # faster without changing what it computes must leave them alone.
-        # Computed with numpy 2.4.6 and its bundled OpenBLAS 0.3.31; another
-        # BLAS build may round the CCA's matrix products differently
+        # Another numpy or BLAS build may round the CCA's matrix products
+        # differently, so a failure names the build the pins came from
+        pinned_build = "numpy 2.4.6 with scipy-openblas 0.3.31.188.0"
         pinned = {
             "blobs2d": "8883630a53b1611c",
             "cont_indep": "bf52522aa933d85b",
@@ -141,7 +142,12 @@ class TestDeterminism:
             name: hashlib.sha256(serialize(model)).hexdigest()[:16]
             for name, (_, model) in fixture_models.items()
         }
-        assert got == pinned
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = f"numpy {np.__version__} with {blas['name']} {blas['version']}"
+        assert got == pinned, (
+            f"model bytes changed; pinned under {pinned_build}, run under "
+            f"{build}: on another build, repin rather than blame the learner"
+        )
 
     def test_different_seeds_may_differ_but_stay_valid(self, blobs2d_data):
         for seed in (11, 12, 13):
