@@ -9,31 +9,16 @@ and pairwise mutual information all cost a constant number of passes
 over the tree.
 """
 
-from .analysis import MiGraph, mi_graph, mutual_information
+from .analysis import mi_graph, mutual_information
 from .data import (
     CATEGORICAL,
     CONTINUOUS,
-    DISCRETE,
     Column,
     Dataset,
     Schema,
     StatType,
-    copula_transform,
     load_dataset,
     load_schema,
-    one_hot,
-)
-from .errors import (
-    ConditioningError,
-    ConfigError,
-    DomainError,
-    EmptyInputError,
-    FormatError,
-    IngestError,
-    MspnError,
-    QueryError,
-    SchemaError,
-    VersionError,
 )
 from .inference import (
     Evidence,
@@ -43,43 +28,12 @@ from .inference import (
     mpe,
     sample,
 )
-from .numerics import (
-    SeedScope,
-    SineProjection,
-    adaptive_bin_edges,
-    cca_max_correlation,
-    fit_monotone,
-    integrate_piecewise_linear,
-    kmeans,
-    weighted_logsumexp,
-)
-from .leaves import (
-    HistogramLeaf,
-    PiecewiseLinearLeaf,
-    fit_histogram,
-    fit_isotonic_pwl,
-    leaf_cdf,
-    leaf_density,
-    leaf_mode,
-    leaf_sample,
-    leaf_support,
-)
-from .rdc import (
-    DependencyGraph,
-    FeaturePartition,
-    SamplePartition,
-    cluster_samples,
-    dependency_graph,
-    rdc,
-    split_features,
-)
+from .rdc import rdc
 from .serialize import deserialize, load_model, save_model, serialize
 from .structure import (
     LearnConfig,
-    Mspn,
     ProductNode,
     SumNode,
-    ValidityReport,
     iter_nodes,
     learn_mspn,
     validate,
@@ -87,55 +41,20 @@ from .structure import (
 
 __version__ = "0.1.0"
 
+# what README shows; everything else is imported from its module
 __all__ = [
     "CATEGORICAL",
     "CONTINUOUS",
-    "DISCRETE",
     "Column",
-    "ConditioningError",
-    "ConfigError",
     "Dataset",
-    "DependencyGraph",
-    "DomainError",
-    "EmptyInputError",
     "Evidence",
-    "FeaturePartition",
-    "FormatError",
-    "HistogramLeaf",
-    "IngestError",
     "LearnConfig",
-    "MiGraph",
-    "Mspn",
-    "MspnError",
-    "PiecewiseLinearLeaf",
     "ProductNode",
-    "QueryError",
-    "SamplePartition",
     "Schema",
-    "SchemaError",
-    "SeedScope",
-    "SineProjection",
     "StatType",
     "SumNode",
-    "ValidityReport",
-    "VersionError",
-    "adaptive_bin_edges",
-    "cca_max_correlation",
-    "cluster_samples",
-    "copula_transform",
-    "dependency_graph",
     "deserialize",
-    "fit_histogram",
-    "fit_isotonic_pwl",
-    "fit_monotone",
-    "integrate_piecewise_linear",
     "iter_nodes",
-    "kmeans",
-    "leaf_cdf",
-    "leaf_density",
-    "leaf_mode",
-    "leaf_sample",
-    "leaf_support",
     "learn_mspn",
     "load_dataset",
     "load_model",
@@ -146,12 +65,9 @@ __all__ = [
     "mi_graph",
     "mpe",
     "mutual_information",
-    "one_hot",
     "rdc",
     "sample",
     "save_model",
     "serialize",
-    "split_features",
     "validate",
-    "weighted_logsumexp",
 ]

@@ -211,6 +211,8 @@ def mi_graph(mspn: Mspn, grid_size: int = DEFAULT_GRID_SIZE,
     n = mspn.n_vars
     if n < 2:
         raise DomainError("need at least two variables for a dependency graph")
+    if grid_size < 2:
+        raise DomainError("grid_size must be at least 2")
     grids = _variable_grids(mspn, grid_size, range(n))
     mi = np.zeros((n, n))
     nmi = np.zeros((n, n))

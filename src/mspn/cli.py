@@ -187,6 +187,8 @@ def _cmd_mpe(args) -> int:
 def _cmd_sample(args) -> int:
     if args.n < 1:
         raise _UsageError("-n must be at least 1")
+    if args.seed < 0:
+        raise _UsageError("--seed must be nonnegative")
     model = load_model(args.model)
     given = _evidence_from_flag(model, args.given)
     rng = np.random.default_rng(args.seed)
@@ -201,6 +203,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_mi(args) -> int:
+    if args.grid < 2:
+        raise _UsageError("--grid must be at least 2")
+    if not np.isfinite(args.threshold):
+        raise _UsageError("--threshold must be a finite number")
     model = load_model(args.model)
     graph = mi_graph(model, args.grid, args.threshold)
     with open(args.dot, "w", encoding="utf-8") as fh:

@@ -59,7 +59,7 @@ from .leaves import (
     leaf_support,
 )
 from .numerics import weighted_logsumexp
-from .structure import Mspn, ProductNode, SumNode
+from .structure import Mspn, ProductNode, SumNode, postorder
 
 
 @dataclass(frozen=True)
@@ -232,33 +232,19 @@ class _HistogramTable:
 class _Plan:
     """A tree compiled once for evaluation; see the module docstring.
 
-    Node ``i`` is the i-th node of an iterative postorder walk, so every
-    child comes before its parent and the root is the last node. Node
+    Node ``i`` is the i-th node of ``structure.postorder``, so every child
+    comes before its parent and the root is the last node. Node
     ``scope_owner[k]`` has variable ``scope_vars[k]`` in its scope.
     """
 
     def __init__(self, root):
-        nodes: list = []
-        kinds: list[int] = []
-        children: list[np.ndarray] = []
+        nodes, children = postorder(root)
+        kinds = [_SUM if isinstance(node, SumNode) else
+                 _PRODUCT if isinstance(node, ProductNode) else _LEAF for node in nodes]
         heights: list[int] = []
-        index: dict[int, int] = {}
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            internal = isinstance(node, (SumNode, ProductNode))
-            if internal and not expanded:
-                stack.append((node, True))
-                stack.extend((c, False) for c in reversed(node.children))
-                continue
-            i = len(nodes)
-            kids = [index[id(c)] for c in node.children] if internal else []
-            nodes.append(node)
-            kinds.append(_LEAF if not internal else
-                         _SUM if isinstance(node, SumNode) else _PRODUCT)
-            children.append(np.array(kids, dtype=np.intp))
-            heights.append(1 + max((heights[c] for c in kids), default=0) if internal else 0)
-            index[id(node)] = i
+        for kind, kids in zip(kinds, children):
+            heights.append(0 if kind == _LEAF else
+                           1 + max((heights[c] for c in kids.tolist()), default=0))
 
         self.nodes = nodes
         self.ids = [id(node) for node in nodes]

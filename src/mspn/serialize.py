@@ -4,6 +4,14 @@ The emitter sorts object keys and prints every float with 17 significant
 digits, which round-trips IEEE doubles exactly. Serializing a model twice,
 or serializing a deserialized model, therefore produces identical bytes,
 and two learning runs with the same seed produce identical files.
+
+A model file (format 2) is one object with ``format_version``, ``seed``,
+``config``, ``schema`` and ``nodes``: the tree flattened by
+``structure.postorder``, so children come before their parent and the
+root is the last node. Sum and product records name their children by
+index into ``nodes``; leaf records hold their own parameters. No array
+nests deeper than a few levels and neither direction recurses, so a tree
+of any depth saves and loads.
 """
 
 from __future__ import annotations
@@ -15,9 +23,9 @@ import numpy as np
 from .data import Schema
 from .errors import FormatError, MspnError, VersionError
 from .leaves import HistogramLeaf, PiecewiseLinearLeaf
-from .structure import LearnConfig, Mspn, ProductNode, SumNode, iter_nodes
+from .structure import LearnConfig, Mspn, ProductNode, SumNode, postorder
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _format_float(x: float) -> str:
@@ -66,20 +74,16 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
-def _node_to_dict(node) -> dict:
+def _node_record(node, children) -> dict:
     if isinstance(node, SumNode):
         return {
             "kind": "sum",
             "scope": [int(v) for v in node.scope],
             "weights": [float(w) for w in node.weights],
-            "children": [_node_to_dict(c) for c in node.children],
+            "children": children,
         }
     if isinstance(node, ProductNode):
-        return {
-            "kind": "product",
-            "scope": [int(v) for v in node.scope],
-            "children": [_node_to_dict(c) for c in node.children],
-        }
+        return {"kind": "product", "scope": [int(v) for v in node.scope], "children": children}
     if isinstance(node, HistogramLeaf):
         return {
             "kind": "histogram",
@@ -102,18 +106,31 @@ def _node_to_dict(node) -> dict:
     raise FormatError(f"cannot serialize node type {type(node).__name__}")
 
 
-def _node_from_dict(obj) -> object:
+def _take_children(obj, built: list, used: list) -> tuple:
+    """The already-built children a record names, each claimed by one parent only."""
+    kids = obj["children"]
+    if not isinstance(kids, list):
+        raise FormatError("children must be a list of node indices")
+    for c in kids:
+        # bool is an int subclass, and true must not mean node 1
+        if type(c) is not int or not 0 <= c < len(built):
+            raise FormatError(f"child index {c!r} does not name an earlier node")
+        if used[c]:
+            raise FormatError(f"node {c} is the child of two nodes")
+        used[c] = True
+    return tuple(built[c] for c in kids)
+
+
+def _node_from_record(obj, built: list, used: list) -> object:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("every node needs a 'kind' tag")
     kind = obj["kind"]
     try:
         if kind == "sum":
-            children = tuple(_node_from_dict(c) for c in obj["children"])
             return SumNode(tuple(obj["scope"]), np.asarray(obj["weights"], dtype=np.float64),
-                           children)
+                           _take_children(obj, built, used))
         if kind == "product":
-            children = tuple(_node_from_dict(c) for c in obj["children"])
-            return ProductNode(tuple(obj["scope"]), children)
+            return ProductNode(tuple(obj["scope"]), _take_children(obj, built, used))
         if kind == "histogram":
             return HistogramLeaf(
                 int(obj["variable"]),
@@ -131,8 +148,6 @@ def _node_from_dict(obj) -> object:
                 np.asarray(obj["knots_y"], dtype=np.float64),
                 int(obj["mode_index"]),
             )
-    except VersionError:
-        raise
     except (MspnError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad {kind} node: {exc}") from exc
     raise FormatError(f"unknown node kind {kind!r}")
@@ -140,13 +155,13 @@ def _node_from_dict(obj) -> object:
 
 def serialize(mspn: Mspn) -> bytes:
     """Canonical JSON bytes for a model."""
+    nodes, children = postorder(mspn.root)
     payload = {
         "format_version": FORMAT_VERSION,
         "seed": int(mspn.seed),
         "config": mspn.config.to_dict(),
         "schema": mspn.schema.to_json_dict(),
-        "node_count": mspn.node_count,
-        "root": _node_to_dict(mspn.root),
+        "nodes": [_node_record(node, kids.tolist()) for node, kids in zip(nodes, children)],
     }
     return (canonical_json(payload) + "\n").encode("utf-8")
 
@@ -156,7 +171,8 @@ def deserialize(data: bytes | str) -> Mspn:
 
     Raises :class:`VersionError` for unsupported ``format_version`` values
     and :class:`FormatError` for anything else wrong with the payload,
-    including reconstructed nodes that fail their own validation.
+    including reconstructed nodes that fail their own validation and node
+    lists that do not form one tree rooted at their last node.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
@@ -164,6 +180,8 @@ def deserialize(data: bytes | str) -> Mspn:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid json: {exc}") from exc
+    except RecursionError:
+        raise FormatError("json nested too deeply") from None
     if not isinstance(obj, dict):
         raise FormatError("model file must hold a json object")
     version = obj.get("format_version")
@@ -174,25 +192,22 @@ def deserialize(data: bytes | str) -> Mspn:
     try:
         schema = Schema.from_json_dict(obj["schema"])
         config = LearnConfig.from_dict(obj["config"])
-        root = _node_from_dict(obj["root"])
-        declared_count = int(obj["node_count"])
+        records = obj["nodes"]
         declared_seed = int(obj["seed"])
-    except VersionError:
-        raise
-    except FormatError:
-        raise
     except (MspnError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed model file: {exc}") from exc
-
     if declared_seed != config.seed:
         raise FormatError("seed field disagrees with the config snapshot")
-    model = Mspn(root, schema, config)
-    actual = sum(1 for _ in iter_nodes(root))
-    if actual != declared_count:
-        raise FormatError(
-            f"node_count says {declared_count} but the tree has {actual} nodes"
-        )
-    return model
+    if not isinstance(records, list) or not records:
+        raise FormatError("nodes must be a non-empty list")
+
+    built: list = []
+    used = [False] * len(records)
+    for record in records:
+        built.append(_node_from_record(record, built, used))
+    if not all(used[:-1]):
+        raise FormatError(f"node {used.index(False)} is not the child of any node")
+    return Mspn(built[-1], schema, config)
 
 
 def save_model(mspn: Mspn, path) -> None:

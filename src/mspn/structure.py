@@ -148,6 +148,30 @@ def iter_nodes(root, path: str = "root"):
                          for i, child in reversed(list(enumerate(node.children))))
 
 
+def postorder(root) -> tuple[list, list[np.ndarray]]:
+    """The nodes in postorder, with each node's child indices into that list.
+
+    Children come before their parent, left to right, and the root is
+    last. Iterative, so trees deeper than Python's recursion limit walk too.
+    """
+    nodes: list = []
+    children: list[np.ndarray] = []
+    index: dict[int, int] = {}
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        internal = isinstance(node, (SumNode, ProductNode))
+        if internal and not expanded:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(node.children))
+            continue
+        kids = [index[id(c)] for c in node.children] if internal else []
+        index[id(node)] = len(nodes)
+        nodes.append(node)
+        children.append(np.array(kids, dtype=np.intp))
+    return nodes, children
+
+
 def _fit_leaf(data: Dataset, variable: int, config: LearnConfig):
     st = data.schema.stat_type(0)
     col = data.column(0)

@@ -12,7 +12,6 @@ import pytest
 from mspn import (
     CATEGORICAL,
     CONTINUOUS,
-    DISCRETE,
     Column,
     Dataset,
     LearnConfig,
@@ -20,6 +19,7 @@ from mspn import (
     StatType,
     learn_mspn,
 )
+from mspn.data import DISCRETE
 
 # ---------------------------------------------------------------------------
 # acceptance reporting: one printed line per acceptance criterion

@@ -13,20 +13,13 @@ import numpy as np
 from mspn import (
     CATEGORICAL,
     CONTINUOUS,
-    DISCRETE,
     Evidence,
     LearnConfig,
-    Mspn,
-    PiecewiseLinearLeaf,
     ProductNode,
     StatType,
     SumNode,
     deserialize,
-    fit_histogram,
-    fit_isotonic_pwl,
     iter_nodes,
-    leaf_cdf,
-    leaf_sample,
     learn_mspn,
     log_conditional,
     log_evaluate,
@@ -40,6 +33,15 @@ from mspn import (
     validate,
 )
 from mspn.cli import main
+from mspn.data import DISCRETE
+from mspn.leaves import (
+    HistogramLeaf,
+    PiecewiseLinearLeaf,
+    fit_histogram,
+    leaf_cdf,
+    leaf_sample,
+)
+from mspn.structure import Mspn
 from conftest import (
     HYBRID6_COLS,
     make_dataset,
@@ -371,8 +373,6 @@ class TestCriterion7MutualInformation:
         def bit_leaf(variable, value):
             masses = np.zeros(2)
             masses[value] = 1.0
-            from mspn import HistogramLeaf
-
             return HistogramLeaf(variable, CATEGORICAL, np.arange(3.0), masses)
 
         coupled_root = SumNode(

@@ -6,15 +6,15 @@ import pytest
 from mspn import (
     CATEGORICAL,
     CONTINUOUS,
-    DomainError,
-    HistogramLeaf,
     LearnConfig,
-    Mspn,
     ProductNode,
     SumNode,
     mi_graph,
     mutual_information,
 )
+from mspn.errors import DomainError
+from mspn.leaves import HistogramLeaf
+from mspn.structure import Mspn
 from conftest import make_dataset
 
 
@@ -124,6 +124,11 @@ class TestMiGraph:
         exported = graph.edges(exported_only=True)
         assert all(nmi >= graph.edge_threshold for _, _, _, nmi in exported)
         assert len(exported) < 15
+
+    @pytest.mark.parametrize("grid_size", [1, 0, -3])
+    def test_tiny_grid_rejected(self, blobs2d_model, grid_size):
+        with pytest.raises(DomainError):
+            mi_graph(blobs2d_model, grid_size=grid_size)
 
     def test_threshold_is_respected_by_exports(self, blobs2d_model):
         high = mi_graph(blobs2d_model, edge_threshold=0.99)

@@ -8,20 +8,15 @@ import pytest
 from mspn import (
     CATEGORICAL,
     CONTINUOUS,
-    DISCRETE,
     Column,
     Dataset,
-    DomainError,
-    EmptyInputError,
-    IngestError,
     Schema,
-    SchemaError,
     StatType,
-    copula_transform,
     load_dataset,
     load_schema,
-    one_hot,
 )
+from mspn.data import DISCRETE, copula_transform, one_hot
+from mspn.errors import DomainError, EmptyInputError, IngestError, SchemaError
 
 from conftest import make_dataset
 

@@ -1,8 +1,12 @@
 """Evidence handling, evaluation, conditionals, MPE, and sampling."""
 
+import importlib
 import inspect
+import pkgutil
+import re
 import typing
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +15,9 @@ import mspn
 from mspn import (
     CATEGORICAL,
     CONTINUOUS,
-    ConditioningError,
     Evidence,
-    HistogramLeaf,
     LearnConfig,
-    Mspn,
     ProductNode,
-    QueryError,
     SumNode,
     log_conditional,
     log_evaluate,
@@ -25,6 +25,9 @@ from mspn import (
     mpe,
     sample,
 )
+from mspn.errors import ConditioningError, QueryError
+from mspn.leaves import HistogramLeaf
+from mspn.structure import Mspn
 from conftest import make_dataset
 
 
@@ -343,30 +346,46 @@ class TestQueryCounters:
         assert sum(counter.values()) <= 2 * hybrid6_model.node_count
 
 
-def public_callables():
-    """(name, object) for every function, class and method reachable from mspn.__all__."""
-    for name in mspn.__all__:
-        obj = getattr(mspn, name)
-        if inspect.isclass(obj):
-            yield name, obj
-            for attr, member in vars(obj).items():
-                if isinstance(member, (classmethod, staticmethod)):
-                    member = member.__func__
-                elif isinstance(member, property):
-                    member = member.fget
-                if inspect.isfunction(member):
-                    yield f"{name}.{attr}", member
-        elif inspect.isfunction(obj):
-            yield name, obj
+def package_callables():
+    """(name, object) for every function, class and method the package's modules define."""
+    for info in pkgutil.iter_modules(mspn.__path__):
+        module = importlib.import_module(f"mspn.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue  # imported from elsewhere
+            name = f"{info.name}.{name}"
+            if inspect.isclass(obj):
+                yield name, obj
+                for attr, member in vars(obj).items():
+                    if isinstance(member, (classmethod, staticmethod)):
+                        member = member.__func__
+                    elif isinstance(member, property):
+                        member = member.fget
+                    if inspect.isfunction(member):
+                        yield f"{name}.{attr}", member
+            elif inspect.isfunction(obj):
+                yield name, obj
 
 
 def test_every_public_annotation_resolves():
     # annotations are strings until resolved; a name the module never
     # imported only fails here
     unresolved = []
-    for name, obj in public_callables():
+    checked = list(package_callables())
+    assert len(checked) > 250  # private helpers included, so a walk that misses a module shows
+    for name, obj in checked:
         try:
             typing.get_type_hints(obj)
         except NameError as err:
             unresolved.append(f"{name}: {err}")
     assert unresolved == []
+
+
+def test_all_is_what_readme_shows():
+    # every name the package exports is documented, and every package-level
+    # name the README mentions is exported
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    shown = {word for word in re.findall(r"\w+", readme)
+             if not word.startswith("_") and hasattr(mspn, word)
+             and not inspect.ismodule(getattr(mspn, word))}
+    assert shown == set(mspn.__all__)

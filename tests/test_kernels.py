@@ -253,12 +253,12 @@ class TestLloydKernel:
 def mixture_model():
     """p(x) = 0.5 * U(x; 0, 1) + 0.5 * U(x; 0, 2)."""
     leaves = tuple(
-        mspn.HistogramLeaf(0, mspn.CONTINUOUS, np.array([0.0, hi]), np.array([1.0]))
+        mspn.leaves.HistogramLeaf(0, mspn.CONTINUOUS, np.array([0.0, hi]), np.array([1.0]))
         for hi in (1.0, 2.0)
     )
     data = make_dataset([("x", mspn.CONTINUOUS, None)], [[0.5]])
     root = mspn.SumNode((0,), np.array([0.5, 0.5]), leaves)
-    return mspn.Mspn(root, data.schema, mspn.LearnConfig())
+    return mspn.structure.Mspn(root, data.schema, mspn.LearnConfig())
 
 
 class TestBenchmarkHooks:

@@ -3,23 +3,21 @@
 import numpy as np
 import pytest
 
-from mspn import (
-    CATEGORICAL,
-    CONTINUOUS,
-    DISCRETE,
-    DomainError,
+from mspn import CATEGORICAL, CONTINUOUS, StatType
+from mspn.data import DISCRETE
+from mspn.errors import DomainError
+from mspn.leaves import (
     HistogramLeaf,
     PiecewiseLinearLeaf,
-    StatType,
     fit_histogram,
     fit_isotonic_pwl,
     leaf_cdf,
     leaf_density,
+    leaf_density_batch,
     leaf_mode,
     leaf_sample,
     leaf_support,
 )
-from mspn.leaves import leaf_density_batch
 
 
 def tent_leaf(variable=0):

@@ -6,19 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from mspn import (
-    DomainError,
-    EmptyInputError,
+from mspn.errors import DomainError, EmptyInputError
+from mspn.numerics import (
     SeedScope,
     SineProjection,
+    _whiten,
     adaptive_bin_edges,
     cca_max_correlation,
     fit_monotone,
     integrate_piecewise_linear,
     kmeans,
+    trapezoid,
     weighted_logsumexp,
 )
-from mspn.numerics import _whiten, trapezoid
 from conftest import per_pair_cca_max_correlation
 
 

@@ -18,25 +18,30 @@ import pytest
 from mspn import (
     CATEGORICAL,
     CONTINUOUS,
-    ConditioningError,
     Evidence,
-    HistogramLeaf,
     LearnConfig,
-    Mspn,
-    PiecewiseLinearLeaf,
     ProductNode,
     SumNode,
+    load_model,
     log_conditional,
     log_evaluate,
     log_evaluate_batch,
     mpe,
     sample,
+    save_model,
+    serialize,
     validate,
 )
+from mspn.errors import ConditioningError
 from mspn.inference import _free_candidates
-from mspn.leaves import leaf_density_batch, leaf_sample
+from mspn.leaves import (
+    HistogramLeaf,
+    PiecewiseLinearLeaf,
+    leaf_density_batch,
+    leaf_sample,
+)
 from mspn.numerics import weighted_logsumexp
-from mspn.structure import iter_nodes
+from mspn.structure import Mspn, iter_nodes
 from conftest import make_dataset
 
 EVIDENCES_PER_MODEL = 150
@@ -429,3 +434,18 @@ def test_deep_chain_mpe_is_exact(chain_model):
 def test_deep_chain_validates_and_counts_its_nodes(chain_model):
     assert validate(chain_model).ok
     assert chain_model.node_count == 4 * CHAIN + 3
+
+
+def test_deep_chain_saves_and_loads_byte_identically(chain_model, tmp_path):
+    path = tmp_path / "chain.json"
+    save_model(chain_model, path)
+    clone = load_model(path)
+    assert serialize(clone) == path.read_bytes()
+    both = np.array([True, True])
+    for k in (0, 1700, CHAIN):
+        ev = Evidence(np.array([k + 0.5, k + 0.5]), both)
+        assert log_evaluate(clone, ev) == log_evaluate(chain_model, ev)
+    given = Evidence(np.array([2500.5, 0.0]), np.array([True, False]))
+    for ev in (Evidence.marginalized(2), given):
+        (got, got_value), (want, want_value) = mpe(clone, ev), mpe(chain_model, ev)
+        assert np.array_equal(got, want) and got_value == want_value

@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
-from mspn import (
-    CATEGORICAL,
-    CONTINUOUS,
-    DomainError,
-    LearnConfig,
+from mspn import CONTINUOUS, LearnConfig, rdc
+from mspn.errors import DomainError
+from mspn.rdc import (
+    _SPLIT_TAG,
+    _variable_features,
     cluster_samples,
     dependency_graph,
-    rdc,
     split_features,
 )
 
 from mspn.numerics import SeedScope
-from mspn.rdc import _SPLIT_TAG, _variable_features
 from conftest import HYBRID6_COLS, make_dataset, per_pair_cca_max_correlation
 
 

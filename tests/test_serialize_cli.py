@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from mspn import (
+    CONTINUOUS,
+    Column,
     Evidence,
-    FormatError,
-    VersionError,
+    LearnConfig,
+    Schema,
+    StatType,
     deserialize,
     load_model,
     log_evaluate,
@@ -16,7 +19,10 @@ from mspn import (
     serialize,
 )
 from mspn.cli import main
+from mspn.errors import FormatError, VersionError
+from mspn.leaves import HistogramLeaf
 from mspn.serialize import canonical_json
+from mspn.structure import Mspn, ProductNode, SumNode
 
 
 class TestCanonicalJson:
@@ -109,30 +115,82 @@ class TestDeserializeValidation:
         with pytest.raises(FormatError):
             deserialize(b"[1, 2, 3]")
 
-    def test_node_count_mismatch_rejected(self, hybrid_small_model):
-        blob = tampered(hybrid_small_model,
-                        node_count=hybrid_small_model.node_count + 1)
-        with pytest.raises(FormatError):
-            deserialize(blob)
-
     def test_seed_field_mismatch_rejected(self, hybrid_small_model):
         with pytest.raises(FormatError):
             deserialize(tampered(hybrid_small_model, seed=12345))
 
+    def test_version_one_file_rejected(self, hybrid_small_model):
+        with pytest.raises(VersionError):
+            deserialize(tampered(hybrid_small_model, format_version=1))
+
     def test_unknown_node_kind_rejected(self, hybrid_small_model):
         obj = json.loads(serialize(hybrid_small_model))
-        obj["root"]["kind"] = "magic"
+        obj["nodes"][-1]["kind"] = "magic"
         with pytest.raises(FormatError):
             deserialize(json.dumps(obj).encode())
 
     def test_invalid_leaf_payload_rejected(self, hybrid_small_model):
         obj = json.loads(serialize(hybrid_small_model))
-        leaf = obj["root"]["children"][0]
+        leaf = obj["nodes"][0]
         assert leaf["kind"] in ("histogram", "piecewise_linear")
         key = "masses" if leaf["kind"] == "histogram" else "knots_y"
         leaf[key] = [v * 2 for v in leaf[key]]
         with pytest.raises(FormatError):
             deserialize(json.dumps(obj).encode())
+
+
+def two_component_model():
+    """Postorder: 0, 1 and 3, 4 leaves; 2 and 5 products; 6 the root sum."""
+    schema = Schema((Column("x", StatType(CONTINUOUS)), Column("y", StatType(CONTINUOUS))))
+
+    def part(k):
+        return ProductNode((0, 1), [
+            HistogramLeaf(v, CONTINUOUS, np.array([k, k + 1.0]), np.array([1.0])) for v in (0, 1)
+        ])
+
+    return Mspn(SumNode((0, 1), np.array([0.5, 0.5]), (part(0), part(1))), schema, LearnConfig())
+
+
+def _set_children(node, children):
+    return lambda obj: obj["nodes"][node].update(children=children)
+
+
+HOSTILE_FILES = {
+    "forward reference": _set_children(2, [0, 3]),
+    "self reference": _set_children(2, [0, 2]),
+    "out of range": _set_children(6, [2, 7]),
+    "negative": _set_children(6, [2, -1]),
+    "true as an index": _set_children(2, [0, True]),
+    "float index": _set_children(2, [0, 1.0]),
+    "children not a list": _set_children(6, 5),
+    "shared child": _set_children(5, [3, 1]),
+    "orphan node": lambda obj: obj["nodes"][6].update(children=[5], weights=[1.0]),
+    "empty list": lambda obj: obj.update(nodes=[]),
+    "nodes not a list": lambda obj: obj.update(nodes={"0": obj["nodes"][0]}),
+    "nodes missing": lambda obj: obj.pop("nodes"),
+}
+
+
+class TestFlatNodeList:
+    def test_nodes_are_the_postorder_with_child_indices(self):
+        obj = json.loads(serialize(two_component_model()))
+        assert "root" not in obj and "node_count" not in obj
+        kinds = [record["kind"] for record in obj["nodes"]]
+        assert kinds == ["histogram"] * 2 + ["product"] + ["histogram"] * 2 + ["product", "sum"]
+        assert [obj["nodes"][i]["children"] for i in (2, 5, 6)] == [[0, 1], [3, 4], [2, 5]]
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_FILES))
+    def test_hostile_node_lists_are_format_errors(self, case, tmp_path, capsys):
+        obj = json.loads(serialize(two_component_model()))
+        HOSTILE_FILES[case](obj)
+        blob = json.dumps(obj).encode()
+        with pytest.raises(FormatError) as info:
+            deserialize(blob)
+        assert not isinstance(info.value, VersionError)
+        path = tmp_path / "hostile.json"
+        path.write_bytes(blob)
+        assert main(["validate", "--model", str(path)]) == 2
+        assert "data error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +383,11 @@ class TestCliSample:
     def test_nonpositive_count_is_a_usage_error(self, cli_files, capsys):
         assert main(["sample", "--model", str(cli_files["model"]), "-n", "0"]) == 1
 
+    def test_negative_seed_is_a_usage_error(self, cli_files, capsys):
+        assert main(["sample", "--model", str(cli_files["model"]), "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and captured.out == ""
+
 
 class TestCliMi:
     def test_writes_dot_and_json_reports(self, cli_files, tmp_path, capsys):
@@ -338,6 +401,19 @@ class TestCliMi:
         report = json.loads(js.read_text())
         assert report["variables"] == ["temp", "mode"]
         assert len(report["mi"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--grid", "0"), ("--grid", "-3"), ("--grid", "1"),
+        ("--threshold", "nan"), ("--threshold", "inf"), ("--threshold", "-inf"),
+    ])
+    def test_bad_grid_or_threshold_is_a_usage_error(self, cli_files, tmp_path, capsys,
+                                                     flag, value):
+        dot, js = tmp_path / "deps.dot", tmp_path / "deps.json"
+        code = main(["mi", "--model", str(cli_files["model"]),
+                     "--dot", str(dot), "--json", str(js), f"{flag}={value}"])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not dot.exists() and not js.exists()
 
 
 class TestCliValidate:
@@ -354,6 +430,12 @@ class TestCliValidate:
 
     def test_missing_model_is_a_data_error(self, cli_files, tmp_path):
         assert main(["validate", "--model", str(tmp_path / "gone.json")]) == 2
+
+    def test_deeply_nested_json_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        assert main(["validate", "--model", str(path)]) == 2
+        assert "data error" in capsys.readouterr().err
 
 
 class TestCliParsing:
