@@ -22,18 +22,21 @@ limit. Two executors run on the plan:
 * ``_Plan.evaluate_row`` answers one validated row (``log_evaluate``,
   ``log_conditional``, ``mpe``, ``sample``). It walks the heights once: each
   variable's leaves get their densities from a few vectorized ops that
-  reproduce ``leaf_density_batch``, each sum group runs
-  ``weighted_logsumexp``'s arithmetic through one stacked matmul, whose
-  per-node dots are the same BLAS calls as a lone node's, and products
+  reproduce ``leaf_density_batch``, each group of sum nodes with the same
+  height and child count is one ``weighted_logsumexp`` call, and products
   add ``0.0 + c0 + c1 + ...`` in child order.
 * ``_Plan.evaluate_rows`` answers many rows (``log_evaluate_batch``): a
   stack machine that applies each node's own arithmetic through
   ``leaf_density_batch`` and ``weighted_logsumexp`` and holds only the
   live frontier of row arrays.
 
-Both give every node, bit for bit, the value a recursive evaluation of
-that node alone gives it (``tests/test_plan.py`` keeps that evaluator as
-the oracle). ``mpe``'s max-product pass runs up the same postorder.
+So ``weighted_logsumexp`` is the one place a sum node combines its
+children. It is elementwise and uses no BLAS, so its bits do not depend
+on how many rows or nodes share a call: every row of a batch gets the
+value a single-row query of that row gets, and both executors give every
+node, bit for bit, the value a recursive evaluation of that node alone
+gives it (``tests/test_plan.py`` keeps that evaluator as the oracle).
+``mpe``'s max-product pass runs up the same postorder.
 
 Passing a ``collections.Counter`` as ``counter`` to any query records
 per-node visit counts (keyed by ``id(node)``): one count per node per
@@ -272,10 +275,11 @@ class _Plan:
     def _levels(self) -> list:
         """Per height above the leaves: sum groups by child count, then products.
 
-        A sum group is (node indices, child index matrix, weights stacked as
-        (G, 1, C)); the products of a height share one child matrix,
-        transposed to one row per child position and padded with the index
-        of a constant 0.0 slot past the last node.
+        A sum group of G nodes with C children each is (node indices, child
+        indices, weights), the last two (C, G): one row per child position,
+        as ``weighted_logsumexp`` takes them. The products of a height share
+        one child matrix, also one row per child position, padded with the
+        index of a constant 0.0 slot past the last node.
         """
         sums: dict[tuple[int, int], list[int]] = {}
         products: dict[int, list[int]] = {}
@@ -288,8 +292,8 @@ class _Plan:
         for (h, _), idx in sorted(sums.items()):
             levels[h - 1][0].append((
                 np.array(idx, dtype=np.intp),
-                np.stack([self.children[i] for i in idx]),
-                np.stack([self.nodes[i].weights for i in idx])[:, None, :],
+                np.stack([self.children[i] for i in idx], axis=1),
+                np.stack([self.nodes[i].weights for i in idx], axis=1),
             ))
         for h, idx in products.items():
             kids = _padded([self.children[i] for i in idx], len(self.nodes))
@@ -302,9 +306,9 @@ class _Plan:
         """Log value of every node for one validated row (one plan pass).
 
         Slot ``len(nodes)`` past the last node holds the 0.0 that pads
-        product rows. Sum groups run ``weighted_logsumexp``'s arithmetic
-        for all their nodes at once: the stacked matmul makes each node's
-        ``w @ shifted`` the same BLAS dot as for a lone node.
+        product rows. Each sum group is one ``weighted_logsumexp`` call with
+        a column per node; its arithmetic is elementwise, so every node gets
+        the bits it gets in a batch or alone.
         """
         if counter is not None:
             counter.update(self.ids)
@@ -315,12 +319,7 @@ class _Plan:
                     vals[table.index] = np.log(table.density(values[var]))
             for groups, prods in self.levels:
                 for idx, kids, weights in groups:
-                    lv = vals[kids]
-                    top = lv.max(axis=1)
-                    # a node whose children are all -inf gets 0 + log(0) = -inf
-                    live = np.where(top > -np.inf, top, 0.0)
-                    shifted = np.exp(lv - live[:, None])
-                    vals[idx] = live + np.log((weights @ shifted[:, :, None])[:, 0, 0])
+                    vals[idx] = weighted_logsumexp(vals[kids], weights)
                 if prods is not None:
                     idx, kids = prods
                     acc = np.zeros(idx.size)
@@ -372,7 +371,9 @@ def log_evaluate_batch(mspn: Mspn, values: np.ndarray, observed: np.ndarray) -> 
 
     ``values`` is (rows, n_vars); ``observed`` is a single (n_vars,) bool
     mask applied to every row. No per-row validation happens here; the
-    caller owns that.
+    caller owns that (a NaN value, which ``Evidence`` queries reject, can
+    make the row's result NaN). Each row gets the value ``log_evaluate``
+    gives it alone, bit for bit, whatever the other rows are.
     """
     values = np.asarray(values, dtype=np.float64)
     observed = np.asarray(observed, dtype=bool)

@@ -255,19 +255,6 @@ def leaf_density(leaf: Leaf, value: float) -> float:
     return float(leaf_density_batch(leaf, np.asarray([value]))[0])
 
 
-def leaf_mode(leaf: Leaf) -> float:
-    """Highest-mass value, ties broken toward the smallest value."""
-    if isinstance(leaf, PiecewiseLinearLeaf):
-        return float(leaf.knots_x[leaf.mode_index])
-    if leaf.domain == CATEGORICAL:
-        return float(np.argmax(leaf.masses))
-    b = int(np.argmax(leaf.masses))
-    center = 0.5 * (leaf.edges[b] + leaf.edges[b + 1])
-    if leaf.domain == DISCRETE:
-        return float(np.rint(center))
-    return float(center)
-
-
 def leaf_support(leaf: Leaf) -> tuple[float, float]:
     if isinstance(leaf, PiecewiseLinearLeaf):
         return float(leaf.knots_x[0]), float(leaf.knots_x[-1])

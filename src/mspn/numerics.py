@@ -204,24 +204,6 @@ def fit_monotone(
     raise DomainError(f"direction must be 'increasing' or 'decreasing', got {direction!r}")
 
 
-def integrate_piecewise_linear(knots_x: np.ndarray, knots_y: np.ndarray) -> float:
-    """Exact integral of the piecewise-linear function through the knots.
-
-    Validates the knot sequence (1-d, matching lengths, at least two
-    knots, strictly increasing x) before applying the trapezoid rule,
-    which is exact for piecewise-linear integrands.
-    """
-    x = np.asarray(knots_x, dtype=np.float64)
-    y = np.asarray(knots_y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
-        raise DomainError("knot arrays must be 1-d and the same length")
-    if x.size < 2:
-        raise DomainError("need at least two knots to integrate")
-    if np.any(np.diff(x) <= 0.0):
-        raise DomainError("knot x positions must be strictly increasing")
-    return trapezoid(y, x)
-
-
 def fit_nondecreasing(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted least-squares nondecreasing fit (pool adjacent violators)."""
     v = np.ascontiguousarray(values, dtype=np.float64)
@@ -319,18 +301,23 @@ def adaptive_bin_edges(values: np.ndarray) -> np.ndarray:
 def weighted_logsumexp(log_values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """log(sum_c w_c * exp(log_values[c])) along axis 0, safely.
 
-    ``log_values`` has shape (C, B); returns shape (B,). Columns where every
-    term is -inf come back as -inf instead of nan.
+    ``log_values`` has shape (C, ...) and ``weights`` shape (C,), or one
+    weight per child and column, (C, ...); the result has the trailing
+    shape. Columns where every term is -inf come back as -inf instead of
+    nan. Every step is elementwise and the weighted terms are added one
+    child at a time, in child order, so a column's result depends on that
+    column alone: whatever else shares the call, it gets the same bits.
     """
     lv = np.asarray(log_values, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    top = np.max(lv, axis=0)
-    out = np.full(top.shape, -np.inf)
-    ok = np.isfinite(top)
-    if np.any(ok):
-        shifted = np.exp(lv[:, ok] - top[ok])
-        out[ok] = top[ok] + np.log(w @ shifted)
-    return out
+    top = lv.max(axis=0)
+    dead = top == -np.inf
+    shifted = np.exp(lv - np.where(dead, 0.0, top))
+    total = w[0] * shifted[0]
+    for c in range(1, w.shape[0]):
+        total += w[c] * shifted[c]
+    # a dead column has total 0; log(0 + 1) keeps its -inf top without a warning
+    return top + np.log(total + dead)
 
 
 def trapezoid(y: np.ndarray, x: np.ndarray) -> float:

@@ -20,7 +20,7 @@ import json
 
 import numpy as np
 
-from .data import Schema
+from .data import CATEGORICAL, Schema
 from .errors import FormatError, MspnError, VersionError
 from .leaves import HistogramLeaf, PiecewiseLinearLeaf
 from .structure import LearnConfig, Mspn, ProductNode, SumNode, postorder
@@ -67,6 +67,11 @@ def _emit(obj, out: list) -> None:
         raise FormatError(f"cannot serialize {type(obj).__name__}")
 
 
+def _reject_constant(name: str):
+    # json.loads reads NaN and Infinity, which the emitter never writes
+    raise FormatError(f"non-finite number {name} in model file")
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON text: sorted keys, 17-significant-digit floats."""
     out: list = []
@@ -106,11 +111,14 @@ def _node_record(node, children) -> dict:
     raise FormatError(f"cannot serialize node type {type(node).__name__}")
 
 
-def _take_children(obj, built: list, used: list) -> tuple:
-    """The already-built children a record names, each claimed by one parent only."""
+def _take_children(obj, built: list, used: list) -> list:
+    """The indices of the already-built children a record names.
+
+    Each child is claimed by one parent only.
+    """
     kids = obj["children"]
-    if not isinstance(kids, list):
-        raise FormatError("children must be a list of node indices")
+    if not isinstance(kids, list) or not kids:
+        raise FormatError("children must be a non-empty list of node indices")
     for c in kids:
         # bool is an int subclass, and true must not mean node 1
         if type(c) is not int or not 0 <= c < len(built):
@@ -118,19 +126,22 @@ def _take_children(obj, built: list, used: list) -> tuple:
         if used[c]:
             raise FormatError(f"node {c} is the child of two nodes")
         used[c] = True
-    return tuple(built[c] for c in kids)
+    return kids
 
 
-def _node_from_record(obj, built: list, used: list) -> object:
+def _node_from_record(obj, built: list, used: list) -> tuple[object, list]:
+    """One node built from its record, with the indices of its children."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("every node needs a 'kind' tag")
     kind = obj["kind"]
     try:
         if kind == "sum":
+            kids = _take_children(obj, built, used)
             return SumNode(tuple(obj["scope"]), np.asarray(obj["weights"], dtype=np.float64),
-                           _take_children(obj, built, used))
+                           tuple(built[c] for c in kids)), kids
         if kind == "product":
-            return ProductNode(tuple(obj["scope"]), _take_children(obj, built, used))
+            kids = _take_children(obj, built, used)
+            return ProductNode(tuple(obj["scope"]), tuple(built[c] for c in kids)), kids
         if kind == "histogram":
             return HistogramLeaf(
                 int(obj["variable"]),
@@ -139,7 +150,7 @@ def _node_from_record(obj, built: list, used: list) -> object:
                 np.asarray(obj["masses"], dtype=np.float64),
                 float(obj["smoothing"]),
                 float(obj["unseen_mass"]),
-            )
+            ), []
         if kind == "piecewise_linear":
             return PiecewiseLinearLeaf(
                 int(obj["variable"]),
@@ -147,10 +158,47 @@ def _node_from_record(obj, built: list, used: list) -> object:
                 np.asarray(obj["knots_x"], dtype=np.float64),
                 np.asarray(obj["knots_y"], dtype=np.float64),
                 int(obj["mode_index"]),
-            )
+            ), []
     except (MspnError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad {kind} node: {exc}") from exc
     raise FormatError(f"unknown node kind {kind!r}")
+
+
+def _checked_scope(node, child_scopes: list, schema: Schema) -> frozenset:
+    """The node's scope as a set, once the node fits its children and the schema.
+
+    Together with the leaves' own checks and the loader's tree checks this
+    covers everything ``validate`` checks, node by node as they are built.
+    """
+    if not isinstance(node, (SumNode, ProductNode)):
+        var = node.variable
+        if not 0 <= var < len(schema):
+            raise FormatError(f"leaf variable {var} is outside the schema")
+        st = schema.stat_type(var)
+        if node.domain != st.kind:
+            raise FormatError(f"leaf domain {node.domain} does not match column kind {st.kind}")
+        # only histogram leaves can be categorical
+        if st.kind == CATEGORICAL and node.n_bins != st.arity:
+            raise FormatError(f"categorical leaf has {node.n_bins} bins for {st.arity} categories")
+        return frozenset((var,))
+    try:
+        scope = frozenset(node.scope)
+    except TypeError:
+        raise FormatError(f"scope {list(node.scope)!r} is not a list of variables") from None
+    if len(scope) != len(node.scope):
+        raise FormatError(f"scope {list(node.scope)} repeats a variable")
+    if isinstance(node, SumNode):
+        if node.weights.shape != (len(child_scopes),):
+            raise FormatError(f"sum node has {node.weights.size} weights "
+                              f"for {len(child_scopes)} children")
+        w = node.weights.tolist()  # a few Python floats check faster than numpy calls
+        if not min(w) > 0.0 or not abs(sum(w) - 1.0) <= 1e-12:
+            raise FormatError("sum weights must be positive and sum to 1")
+        if child_scopes.count(scope) != len(child_scopes):
+            raise FormatError("sum child scope differs from the sum's scope")
+    elif sum(map(len, child_scopes)) != len(scope) or frozenset().union(*child_scopes) != scope:
+        raise FormatError("product children overlap or do not cover the product's scope")
+    return scope
 
 
 def serialize(mspn: Mspn) -> bytes:
@@ -170,14 +218,16 @@ def deserialize(data: bytes | str) -> Mspn:
     """Rebuild a model from its serialized form.
 
     Raises :class:`VersionError` for unsupported ``format_version`` values
-    and :class:`FormatError` for anything else wrong with the payload,
-    including reconstructed nodes that fail their own validation and node
-    lists that do not form one tree rooted at their last node.
+    and :class:`FormatError` for anything else wrong with the payload:
+    non-finite numbers, reconstructed nodes that fail their own validation,
+    node lists that do not form one tree rooted at their last node, and
+    nodes that do not fit their children or the schema (see
+    ``_checked_scope``). So a model that loads passes ``validate``.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     try:
-        obj = json.loads(data)
+        obj = json.loads(data, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid json: {exc}") from exc
     except RecursionError:
@@ -202,17 +252,24 @@ def deserialize(data: bytes | str) -> Mspn:
         raise FormatError("nodes must be a non-empty list")
 
     built: list = []
+    scopes: list[frozenset] = []
     used = [False] * len(records)
     for record in records:
-        built.append(_node_from_record(record, built, used))
+        node, kids = _node_from_record(record, built, used)
+        scopes.append(_checked_scope(node, [scopes[c] for c in kids], schema))
+        built.append(node)
     if not all(used[:-1]):
         raise FormatError(f"node {used.index(False)} is not the child of any node")
+    if scopes[-1] != frozenset(range(len(schema))):
+        raise FormatError("root scope does not cover every variable")
     return Mspn(built[-1], schema, config)
 
 
 def save_model(mspn: Mspn, path) -> None:
+    # serialize first: a model that cannot be saved leaves the path untouched
+    data = serialize(mspn)
     with open(path, "wb") as fh:
-        fh.write(serialize(mspn))
+        fh.write(data)
 
 
 def load_model(path) -> Mspn:

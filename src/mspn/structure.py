@@ -14,6 +14,7 @@ so learning is bit-deterministic for a given dataset and config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -58,15 +59,16 @@ class LearnConfig:
     def __post_init__(self):
         if int(self.min_instances) != self.min_instances or self.min_instances < 2:
             raise ConfigError("min_instances must be an integer >= 2")
-        if self.smoothing < 0:
-            raise ConfigError("smoothing must be >= 0")
+        # written as ranges that NaN fails, since NaN fails every comparison
+        if not 0 <= self.smoothing < math.inf:
+            raise ConfigError("smoothing must be a finite number >= 0")
         if not 0.0 < self.dependence_threshold < 1.0:
             raise ConfigError("dependence_threshold must lie strictly inside (0, 1)")
         if self.leaf_kind not in LEAF_KINDS:
             raise ConfigError(f"leaf_kind must be one of {LEAF_KINDS}")
-        if self.proj_features < 1 or self.proj_scale <= 0:
-            raise ConfigError("projection settings must be positive")
-        if self.kmeans_max_iter < 1 or self.kmeans_tol < 0:
+        if self.proj_features < 1 or not 0 < self.proj_scale < math.inf:
+            raise ConfigError("projection settings must be positive and finite")
+        if self.kmeans_max_iter < 1 or not self.kmeans_tol >= 0:
             raise ConfigError("bad kmeans settings")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")

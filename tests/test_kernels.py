@@ -272,7 +272,8 @@ class TestBenchmarkHooks:
 
     def test_query_hook_targets_stay_bound_in_inference(self, monkeypatch):
         # the tracer rebinds these names inside mspn.inference; batches and
-        # sampling must still call them through that namespace
+        # sampling must still call them through that namespace (the batch
+        # and the sampler's one-row pass each combine the root sum once)
         calls = Counter()
         for name in ("leaf_density_batch", "weighted_logsumexp", "leaf_sample"):
             original = getattr(mspn.inference, name)
@@ -287,7 +288,7 @@ class TestBenchmarkHooks:
         mspn.log_evaluate_batch(model, np.array([[0.5], [1.5]]), np.array([True]))
         mspn.sample(model, mspn.Evidence.marginalized(1), np.random.default_rng(0))
         assert calls["leaf_density_batch"] == 2
-        assert calls["weighted_logsumexp"] == 1
+        assert calls["weighted_logsumexp"] == 2
         assert calls["leaf_sample"] == 1
 
     def test_loading_a_model_does_not_compile_its_plan(self, monkeypatch, tmp_path):

@@ -14,7 +14,6 @@ from mspn.leaves import (
     leaf_cdf,
     leaf_density,
     leaf_density_batch,
-    leaf_mode,
     leaf_sample,
     leaf_support,
 )
@@ -225,35 +224,6 @@ class TestLeafDensity:
         np.testing.assert_array_equal(
             leaf_density_batch(leaf, xs), [leaf_density(leaf, float(v)) for v in xs]
         )
-
-
-class TestLeafMode:
-    def test_histogram_mode_is_max_mass_bin_center(self):
-        leaf = HistogramLeaf(
-            0, CONTINUOUS, np.array([0.0, 1.0, 2.0]), np.array([0.3, 0.7])
-        )
-        assert leaf_mode(leaf) == 1.5
-
-    def test_mode_tie_breaks_to_first_bin(self):
-        leaf = HistogramLeaf(
-            0, CONTINUOUS, np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.5])
-        )
-        assert leaf_mode(leaf) == 0.5
-
-    def test_discrete_mode_is_an_integer(self):
-        leaf = HistogramLeaf(
-            0, DISCRETE, np.array([-0.5, 0.5, 1.5]), np.array([0.2, 0.8])
-        )
-        assert leaf_mode(leaf) == 1.0
-
-    def test_categorical_mode_is_argmax_code(self):
-        leaf = HistogramLeaf(
-            0, CATEGORICAL, np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.2, 0.5, 0.3])
-        )
-        assert leaf_mode(leaf) == 1.0
-
-    def test_pwl_mode_is_the_peak_knot(self):
-        assert leaf_mode(tent_leaf()) == 1.0
 
 
 class TestLeafCdf:

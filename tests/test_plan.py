@@ -351,6 +351,78 @@ def test_mpe_breaks_exact_ties_like_the_recursive_pass():
 
 
 # ---------------------------------------------------------------------------
+# batch invariance: a row's value does not depend on the rest of its batch
+# ---------------------------------------------------------------------------
+
+BATCH_POOL = 1100
+BATCH_SIZES = (1, 2, 7, 1000, BATCH_POOL)
+
+
+def assert_batches_match_single_rows(model, rows, mask, rng, sizes):
+    """Every row of shuffled batches of each size == ``log_evaluate`` of that row."""
+    single = np.array([log_evaluate(model, Evidence(row, mask)) for row in rows])
+    for size in sizes:
+        order = rng.permutation(rows.shape[0])[:size]
+        got = log_evaluate_batch(model, rows[order], mask)
+        assert np.array_equal(got, single[order]), size
+    return single
+
+
+def test_batch_rows_equal_single_row_queries(fixture_models):
+    dead = 0
+    for name, (data, model) in fixture_models.items():
+        rng = np.random.default_rng(16)
+        # training rows with about a third of their values swapped for knots,
+        # bin edges, off-support values and unseen codes
+        rows = data.values[rng.integers(data.n_rows, size=BATCH_POOL)].copy()
+        drawn = np.column_stack([rng.choice(pool, size=BATCH_POOL)
+                                 for pool in value_pools(model, data)])
+        swap = rng.random(rows.shape) < 0.3
+        rows[swap] = drawn[swap]
+        masks = [np.ones(model.n_vars, dtype=bool)]
+        masks += [rng.random(model.n_vars) < 0.6 for _ in range(2)]
+        for mask in masks:
+            single = assert_batches_match_single_rows(model, rows, mask, rng, BATCH_SIZES)
+            dead += int(np.sum(single == -np.inf))
+    assert dead >= 10  # -inf rows are compared too
+
+
+def test_wide_sums_are_batch_invariant():
+    # sums of 9 and 12 children: from 8 terms on, a numpy reduction would
+    # add them pairwise, grouped by position; the combine adds in child order
+    rng = np.random.default_rng(17)
+
+    def box(variable):
+        lo = rng.uniform(0.0, 8.0)
+        return HistogramLeaf(variable, CONTINUOUS, np.array([lo, lo + rng.uniform(0.5, 3.0)]),
+                             np.array([1.0]))
+
+    def weights(n):
+        w = rng.uniform(0.05, 1.0, n)
+        return w / w.sum()
+
+    parts = [ProductNode((0, 1), (box(0), SumNode((1,), weights(12),
+                                                  [box(1) for _ in range(12)])))
+             for _ in range(9)]
+    root = SumNode((0, 1), weights(9), parts)
+    data = make_dataset([("x", CONTINUOUS, None), ("y", CONTINUOUS, None)], [[0.5, 0.5]])
+    model = Mspn(root, data.schema, LearnConfig())
+    assert validate(model).ok
+    rows = rng.uniform(-1.0, 11.0, size=(600, 2))
+    for mask in ([True, True], [True, False], [False, True]):
+        single = assert_batches_match_single_rows(model, rows, np.array(mask), rng,
+                                                  (1, 2, 599, 600))
+        assert np.any(single == -np.inf) and np.any(np.isfinite(single)), mask
+    # some live rows have dead children in both kinds of sum
+    cache = {}
+    oracle_eval(root, rows, np.array([True, True]), cache)
+    live = cache[id(root)] > -np.inf
+    for sums in ([root], [part.children[1] for part in parts]):
+        kids = np.stack([cache[id(c)] for s in sums for c in s.children])
+        assert np.any(live & np.any(kids == -np.inf, axis=0))
+
+
+# ---------------------------------------------------------------------------
 # trees far deeper than Python's recursion limit
 # ---------------------------------------------------------------------------
 

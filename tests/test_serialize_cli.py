@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import mspn.cli
 from mspn import (
     CONTINUOUS,
     Column,
@@ -193,6 +194,79 @@ class TestFlatNodeList:
         assert "data error" in capsys.readouterr().err
 
 
+def _set(node, **fields):
+    return lambda obj: obj["nodes"][node].update(fields)
+
+
+def _categorical_y(obj):
+    # column y becomes categorical with three categories, its leaves two-bin
+    obj["schema"]["columns"][1] = {"name": "y", "type": "categorical",
+                                   "categories": ["a", "b", "c"]}
+    for i in (1, 4):
+        obj["nodes"][i].update(domain="categorical", edges=[0.0, 1.0, 2.0], masses=[0.5, 0.5])
+
+
+# files that form one tree whose nodes do not fit their children or the schema
+MISFIT_FILES = {
+    "weights cut to one": _set(6, weights=[1.0]),
+    "weights not positive": _set(6, weights=[1.5, -0.5]),
+    "weights not summing to one": _set(6, weights=[0.5, 0.6]),
+    "sum without children": _set(6, children=[], weights=[]),
+    "sum scope narrowed": _set(6, scope=[0]),
+    "product scope widened": _set(2, scope=[0, 1, 5]),
+    "product scope repeats a variable": _set(2, scope=[0, 1, 1]),
+    "product scope not a list of variables": _set(2, scope=[[0], 1]),
+    "product children overlap": _set(1, variable=0),
+    "leaf variable outside the schema": _set(0, variable=9),
+    "leaf domain not the column's": _set(0, domain="discrete"),
+    "categorical arity not the column's": _categorical_y,
+    "root scope short of the schema": lambda obj: obj["schema"]["columns"].append(
+        {"name": "z", "type": "continuous"}),
+    "non-finite number": _set(0, edges=[0.0, float("inf")]),
+}
+
+
+class TestLoadChecksEveryNode:
+    @pytest.mark.parametrize("case", sorted(MISFIT_FILES))
+    def test_misfit_files_are_format_errors(self, case, tmp_path, capsys):
+        obj = json.loads(serialize(two_component_model()))
+        MISFIT_FILES[case](obj)
+        blob = json.dumps(obj).encode()
+        with pytest.raises(FormatError):
+            deserialize(blob)
+        path = tmp_path / "misfit.json"
+        path.write_bytes(blob)
+        for command in (["query"], ["mpe"], ["validate"]):
+            assert main(command + ["--model", str(path)]) == 2, command
+            assert "data error" in capsys.readouterr().err
+
+    def test_categorical_case_fits_with_the_right_arity(self):
+        obj = json.loads(serialize(two_component_model()))
+        _categorical_y(obj)
+        obj["schema"]["columns"][1]["categories"] = ["a", "b"]
+        deserialize(json.dumps(obj).encode())
+
+    def test_fixture_models_load(self, fixture_models):
+        for _, model in fixture_models.values():
+            assert serialize(deserialize(serialize(model))) == serialize(model)
+
+
+class TestSaveModel:
+    def test_unserializable_model_leaves_the_file_alone(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"earlier contents")
+        model = two_component_model()
+        bad = Mspn(SumNode((0, 1), np.array([np.nan, 0.5]), model.root.children),
+                   model.schema, model.config)
+        with pytest.raises(FormatError):
+            save_model(bad, path)
+        assert path.read_bytes() == b"earlier contents"
+        assert not (tmp_path / "absent.json").exists()
+        with pytest.raises(FormatError):
+            save_model(bad, tmp_path / "absent.json")
+        assert not (tmp_path / "absent.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # command-line interface (driven in-process through main(argv))
 # ---------------------------------------------------------------------------
@@ -256,6 +330,18 @@ class TestCliLearn:
                      "--out", str(tmp_path / "m.json"), "--eta", "1"])
         assert code == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_is_a_usage_error(self, cli_files, tmp_path, capsys,
+                                               monkeypatch, delta):
+        monkeypatch.setattr(mspn.cli, "learn_mspn", lambda *args: pytest.fail("learned"))
+        out = tmp_path / "m.json"
+        code = main(["learn", "--data", str(cli_files["train"]),
+                     "--schema", str(cli_files["schema"]), "--out", str(out),
+                     "--delta", delta])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_data_file_is_a_data_error(self, cli_files, tmp_path, capsys):
         code = main(["learn", "--data", str(tmp_path / "absent.csv"),

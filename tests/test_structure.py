@@ -44,6 +44,16 @@ class TestLearnConfig:
         with pytest.raises(ConfigError):
             LearnConfig(smoothing=-0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("smoothing", float("nan")), ("smoothing", float("inf")),
+        ("proj_scale", float("nan")), ("proj_scale", float("inf")),
+        ("kmeans_tol", float("nan")),
+    ])
+    def test_non_finite_settings_rejected(self, field, value):
+        # NaN fails no plain < or <= bound, so each check is a range it must lie in
+        with pytest.raises(ConfigError):
+            LearnConfig(**{field: value})
+
     def test_threshold_must_be_interior(self):
         with pytest.raises(ConfigError):
             LearnConfig(dependence_threshold=0.0)
