@@ -10,6 +10,12 @@ score exactly zero.
 
 Normalized MI divides by the geometric mean of the two grid entropies
 (differential entropy for continuous variables) and clamps to [0, 1].
+
+The log values come from the evaluation plan's grid tables (see
+``inference``): one pass per variable over the nodes with that variable
+in scope, shared by every pair, then per pair a pass over only the nodes
+whose scope holds both variables. Each cell gets the bits a full-grid
+``log_evaluate_batch`` gives it.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, QueryError
 from .leaves import HistogramLeaf, PiecewiseLinearLeaf, leaf_support
-from .inference import evaluation_plan, log_evaluate_batch
+from .inference import evaluation_plan
 from .structure import Mspn
 
 DEFAULT_GRID_SIZE = 256
@@ -64,20 +70,33 @@ def _variable_grids(mspn: Mspn, grid_size: int, variables) -> dict:
     return grids
 
 
-def _grid_joint(mspn: Mspn, a: int, b: int, grids: dict):
+class _GridTables:
+    """Log tables of the model's nodes on the variable grids, shared by all pairs.
+
+    One pass per gridded variable over the nodes with it in scope
+    (``_Plan.variable_tables``); a pair then combines only the nodes with
+    both variables in scope (``_Plan.pair_table``).
+    """
+
+    def __init__(self, mspn: Mspn, grids: dict):
+        self.plan = evaluation_plan(mspn)
+        n = mspn.n_vars
+        self.base = self.plan.evaluate_row(np.zeros(n), np.zeros(n, dtype=bool))
+        self.single = {var: self.plan.variable_tables(var, points, self.base)
+                       for var, (points, _) in grids.items()}
+
+    def marginal(self, var: int) -> np.ndarray:
+        return self.single[var][self.plan.root]
+
+    def joint(self, a: int, b: int) -> np.ndarray:
+        return self.plan.pair_table(self.single[a], self.single[b], self.base)
+
+
+def _grid_joint(tables: _GridTables, a: int, b: int, grids: dict):
     """Normalized joint probability table of a variable pair on the grid."""
-    pa, wa = grids[a]
-    pb, wb = grids[b]
-    ga, gb = pa.size, pb.size
-
-    values = np.zeros((ga * gb, mspn.n_vars))
-    values[:, a] = np.repeat(pa, gb)
-    values[:, b] = np.tile(pb, ga)
-    observed = np.zeros(mspn.n_vars, dtype=bool)
-    observed[a] = observed[b] = True
-
-    log_vals = log_evaluate_batch(mspn, values, observed)
-    cell_mass = np.exp(log_vals).reshape(ga, gb) * np.outer(wa, wb)
+    _, wa = grids[a]
+    _, wb = grids[b]
+    cell_mass = np.exp(tables.joint(a, b)) * np.outer(wa, wb)
     total = float(cell_mass.sum())
     if total <= 0.0:
         raise QueryError("pairwise marginal has zero total mass on the grid")
@@ -92,9 +111,10 @@ def _entropy(p: np.ndarray, measure: np.ndarray, continuous: bool) -> float:
     return float(-(p[live] * np.log(p[live])).sum())
 
 
-def _mi_pair(mspn: Mspn, i: int, j: int, grids: dict) -> tuple[float, float]:
+def _mi_pair(mspn: Mspn, i: int, j: int, grids: dict,
+             tables: _GridTables) -> tuple[float, float]:
     a, b = (i, j) if i < j else (j, i)
-    joint, wa, wb = _grid_joint(mspn, a, b, grids)
+    joint, wa, wb = _grid_joint(tables, a, b, grids)
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
 
@@ -128,16 +148,13 @@ def mutual_information(mspn: Mspn, i: int, j: int,
         raise DomainError("variable index out of range")
     if grid_size < 2:
         raise DomainError("grid_size must be at least 2")
-    return _mi_pair(mspn, i, j, _variable_grids(mspn, grid_size, (i, j)))
+    grids = _variable_grids(mspn, grid_size, (i, j))
+    return _mi_pair(mspn, i, j, grids, _GridTables(mspn, grids))
 
 
-def _variable_entropy(mspn: Mspn, var: int, grids: dict) -> float:
-    points, measure = grids[var]
-    values = np.zeros((points.size, mspn.n_vars))
-    values[:, var] = points
-    observed = np.zeros(mspn.n_vars, dtype=bool)
-    observed[var] = True
-    mass = np.exp(log_evaluate_batch(mspn, values, observed)) * measure
+def _variable_entropy(mspn: Mspn, var: int, grids: dict, tables: _GridTables) -> float:
+    _, measure = grids[var]
+    mass = np.exp(tables.marginal(var)) * measure
     total = float(mass.sum())
     if total <= 0.0:
         raise QueryError(f"marginal of variable {var} has zero mass on the grid")
@@ -214,12 +231,13 @@ def mi_graph(mspn: Mspn, grid_size: int = DEFAULT_GRID_SIZE,
     if grid_size < 2:
         raise DomainError("grid_size must be at least 2")
     grids = _variable_grids(mspn, grid_size, range(n))
+    tables = _GridTables(mspn, grids)
     mi = np.zeros((n, n))
     nmi = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            mi[i, j], nmi[i, j] = _mi_pair(mspn, i, j, grids)
+            mi[i, j], nmi[i, j] = _mi_pair(mspn, i, j, grids, tables)
             mi[j, i] = mi[i, j]
             nmi[j, i] = nmi[i, j]
-    entropies = np.array([_variable_entropy(mspn, v, grids) for v in range(n)])
+    entropies = np.array([_variable_entropy(mspn, v, grids, tables) for v in range(n)])
     return MiGraph(mspn.schema.names, mi, nmi, entropies, edge_threshold, grid_size)

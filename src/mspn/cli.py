@@ -24,7 +24,14 @@ from .errors import (
     QueryError,
     SchemaError,
 )
-from .inference import Evidence, log_conditional, log_evaluate, log_evaluate_batch, mpe, sample
+from .inference import (
+    Evidence,
+    log_conditional,
+    log_evaluate,
+    log_evaluate_batch,
+    mpe,
+    sample_rows,
+)
 from .serialize import canonical_json, load_model, save_model
 from .structure import LEAF_KINDS, LearnConfig, learn_mspn, validate
 
@@ -194,8 +201,7 @@ def _cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(model.schema.names)
-    for _ in range(args.n):
-        row = sample(model, given, rng)
+    for row in sample_rows(model, given, rng, args.n):
         writer.writerow(
             _format_cell(model.schema, i, row[i]) for i in range(model.n_vars)
         )

@@ -17,7 +17,7 @@ the piecewise-linear leaves, edges and bin densities of the histograms,
 categorical ones included), and the sum nodes grouped by height and
 child count. Neither compiling nor running a plan recurses, so the depth
 of the trees they handle is bounded by memory, not by Python's recursion
-limit. Two executors run on the plan:
+limit. Three executors run on the plan:
 
 * ``_Plan.evaluate_row`` answers one validated row (``log_evaluate``,
   ``log_conditional``, ``mpe``, ``sample``). It walks the heights once: each
@@ -29,11 +29,19 @@ limit. Two executors run on the plan:
   stack machine that applies each node's own arithmetic through
   ``leaf_density_batch`` and ``weighted_logsumexp`` and holds only the
   live frontier of row arrays.
+* ``_Plan.variable_tables`` and ``_Plan.pair_table`` evaluate the nodes
+  on grids of one or two observed variables (``mutual_information``,
+  ``mi_graph``), each node as a table shaped by its scope's share of the
+  pair: a scalar from the all-marginalized row where it holds neither
+  variable, a (g,) vector where it holds one, cached per variable, and a
+  (ga, gb) table only where it holds both. The same arithmetic on
+  broadcast tables gives each cell the bits of that grid cell in a full
+  batch, while a pair costs only the nodes with both variables in scope.
 
 So ``weighted_logsumexp`` is the one place a sum node combines its
 children. It is elementwise and uses no BLAS, so its bits do not depend
 on how many rows or nodes share a call: every row of a batch gets the
-value a single-row query of that row gets, and both executors give every
+value a single-row query of that row gets, and the executors give every
 node, bit for bit, the value a recursive evaluation of that node alone
 gives it (``tests/test_plan.py`` keeps that evaluator as the oracle).
 ``mpe``'s max-product pass runs up the same postorder.
@@ -356,6 +364,59 @@ class _Plan:
                 stack.append(out)
         return stack[-1]
 
+    def variable_tables(self, var: int, points: np.ndarray, base: np.ndarray) -> dict:
+        """Log tables of the nodes with ``var`` in scope, ``var`` observed at ``points``.
+
+        Maps node index to its (g,) table, in postorder, so the root's table
+        is ``var``'s log marginal on ``points``. ``base`` holds every node's
+        all-marginalized log value (``evaluate_row`` with nothing observed);
+        a child without ``var`` in scope enters as that scalar.
+        """
+        tables: dict[int, np.ndarray] = {}
+        for i in self.scope_owner[self.scope_vars == var].tolist():
+            if self.kinds[i] == _LEAF:
+                with np.errstate(divide="ignore"):
+                    tables[i] = np.log(leaf_density_batch(self.nodes[i], points))
+            else:
+                kids = [tables.get(c, base[c]) for c in self.children[i].tolist()]
+                tables[i] = self._combine(i, kids)
+        return tables
+
+    def pair_table(self, tables_a: dict, tables_b: dict, base: np.ndarray) -> np.ndarray:
+        """(ga, gb) log table of the root with variables a and b observed on their grids.
+
+        ``tables_a`` and ``tables_b`` are the two variables'
+        ``variable_tables``. Only the nodes with both variables in scope are
+        combined here; their other children enter as a's tables (ga, 1), b's
+        tables (1, gb) or ``base`` scalars.
+        """
+        tables: dict[int, np.ndarray] = {}
+        for i in (i for i in tables_a if i in tables_b):
+            kids = []
+            for c in self.children[i].tolist():
+                if c in tables:
+                    kids.append(tables[c])
+                elif c in tables_a:
+                    kids.append(tables_a[c][:, None])
+                elif c in tables_b:
+                    kids.append(tables_b[c][None, :])
+                else:
+                    kids.append(base[c])
+            tables[i] = self._combine(i, kids)
+        return tables[self.root]
+
+    def _combine(self, i: int, kids: list) -> np.ndarray:
+        """Node ``i``'s table from its children's, broadcast against each other.
+
+        The arithmetic of ``evaluate_rows``, cell by cell.
+        """
+        if self.kinds[i] == _SUM:
+            return weighted_logsumexp(np.stack(np.broadcast_arrays(*kids)), self.nodes[i].weights)
+        out = np.zeros(np.broadcast_shapes(*(np.shape(k) for k in kids)))
+        for k in kids:
+            out = out + k
+        return out
+
 
 def evaluation_plan(mspn: Mspn) -> _Plan:
     """The model's evaluation plan, compiled on first use and kept on the model."""
@@ -370,13 +431,16 @@ def log_evaluate_batch(mspn: Mspn, values: np.ndarray, observed: np.ndarray) -> 
     """Log value of many queries sharing one observation mask.
 
     ``values`` is (rows, n_vars); ``observed`` is a single (n_vars,) bool
-    mask applied to every row. No per-row validation happens here; the
-    caller owns that (a NaN value, which ``Evidence`` queries reject, can
-    make the row's result NaN). Each row gets the value ``log_evaluate``
-    gives it alone, bit for bit, whatever the other rows are.
+    mask applied to every row. An observed value that is not finite raises
+    :class:`QueryError`; the rest of the per-row validation of ``Evidence``
+    queries (integer codes and counts) is the caller's. Each row gets the
+    value ``log_evaluate`` gives it alone, bit for bit, whatever the other
+    rows are.
     """
     values = np.asarray(values, dtype=np.float64)
     observed = np.asarray(observed, dtype=bool)
+    if not np.isfinite(values[:, observed]).all():
+        raise QueryError("an observed value is not finite")
     return evaluation_plan(mspn).evaluate_rows(values, observed)
 
 
@@ -533,29 +597,40 @@ def sample(mspn: Mspn, evidence: Evidence, rng: np.random.Generator,
     weight times the child's evaluated value, descends every child of a
     Product, samples unobserved leaves, and copies observed values through.
     """
+    return sample_rows(mspn, evidence, rng, 1, counter)[0]
+
+
+def sample_rows(mspn: Mspn, evidence: Evidence, rng: np.random.Generator, n: int,
+                counter=None) -> np.ndarray:
+    """``n`` draws, one per row, from one plan pass under the evidence.
+
+    The evidence fixes every node's value, so only the descent repeats;
+    the rows equal ``n`` successive ``sample`` calls with the same ``rng``.
+    """
     _check_evidence(mspn, evidence)
     plan = evaluation_plan(mspn)
     vals = plan.evaluate_row(evidence.values, evidence.observed, counter)
     if vals[plan.root] == -np.inf:
         raise ConditioningError("evidence has zero probability; cannot sample")
 
-    assignment = evidence.values.copy()
-    stack = [plan.root]
-    while stack:
-        i = stack.pop()
-        node, kind, kids = plan.nodes[i], plan.kinds[i], plan.children[i]
-        _bump(counter, node)
-        if kind == _SUM:
-            logits = vals[kids]
-            top = logits.max()
-            probs = node.weights * np.exp(logits - top)
-            cum = np.cumsum(probs)
-            pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            stack.append(int(kids[min(pick, kids.size - 1)]))
-        elif kind == _PRODUCT:
-            # reversed so children are visited (and consume randomness)
-            # in their natural left-to-right order
-            stack.extend(kids[::-1].tolist())
-        elif not evidence.observed[node.variable]:
-            assignment[node.variable] = leaf_sample(node, rng)
-    return assignment
+    rows = np.tile(evidence.values, (n, 1))
+    for assignment in rows:
+        stack = [plan.root]
+        while stack:
+            i = stack.pop()
+            node, kind, kids = plan.nodes[i], plan.kinds[i], plan.children[i]
+            _bump(counter, node)
+            if kind == _SUM:
+                logits = vals[kids]
+                top = logits.max()
+                probs = node.weights * np.exp(logits - top)
+                cum = np.cumsum(probs)
+                pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+                stack.append(int(kids[min(pick, kids.size - 1)]))
+            elif kind == _PRODUCT:
+                # reversed so children are visited (and consume randomness)
+                # in their natural left-to-right order
+                stack.extend(kids[::-1].tolist())
+            elif not evidence.observed[node.variable]:
+                assignment[node.variable] = leaf_sample(node, rng)
+    return rows

@@ -111,6 +111,17 @@ def _node_record(node, children) -> dict:
     raise FormatError(f"cannot serialize node type {type(node).__name__}")
 
 
+def _integer(value, what: str) -> int:
+    # bool is an int subclass, and a float such as 0.9 must not load as 0
+    if type(value) is not int:
+        raise FormatError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def _scope(obj) -> tuple:
+    return tuple(_integer(v, "scope entry") for v in obj["scope"])
+
+
 def _take_children(obj, built: list, used: list) -> list:
     """The indices of the already-built children a record names.
 
@@ -137,14 +148,14 @@ def _node_from_record(obj, built: list, used: list) -> tuple[object, list]:
     try:
         if kind == "sum":
             kids = _take_children(obj, built, used)
-            return SumNode(tuple(obj["scope"]), np.asarray(obj["weights"], dtype=np.float64),
+            return SumNode(_scope(obj), np.asarray(obj["weights"], dtype=np.float64),
                            tuple(built[c] for c in kids)), kids
         if kind == "product":
             kids = _take_children(obj, built, used)
-            return ProductNode(tuple(obj["scope"]), tuple(built[c] for c in kids)), kids
+            return ProductNode(_scope(obj), tuple(built[c] for c in kids)), kids
         if kind == "histogram":
             return HistogramLeaf(
-                int(obj["variable"]),
+                _integer(obj["variable"], "leaf variable"),
                 str(obj["domain"]),
                 np.asarray(obj["edges"], dtype=np.float64),
                 np.asarray(obj["masses"], dtype=np.float64),
@@ -153,11 +164,11 @@ def _node_from_record(obj, built: list, used: list) -> tuple[object, list]:
             ), []
         if kind == "piecewise_linear":
             return PiecewiseLinearLeaf(
-                int(obj["variable"]),
+                _integer(obj["variable"], "leaf variable"),
                 str(obj["domain"]),
                 np.asarray(obj["knots_x"], dtype=np.float64),
                 np.asarray(obj["knots_y"], dtype=np.float64),
-                int(obj["mode_index"]),
+                _integer(obj["mode_index"], "mode_index"),
             ), []
     except (MspnError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad {kind} node: {exc}") from exc
@@ -181,10 +192,7 @@ def _checked_scope(node, child_scopes: list, schema: Schema) -> frozenset:
         if st.kind == CATEGORICAL and node.n_bins != st.arity:
             raise FormatError(f"categorical leaf has {node.n_bins} bins for {st.arity} categories")
         return frozenset((var,))
-    try:
-        scope = frozenset(node.scope)
-    except TypeError:
-        raise FormatError(f"scope {list(node.scope)!r} is not a list of variables") from None
+    scope = frozenset(node.scope)
     if len(scope) != len(node.scope):
         raise FormatError(f"scope {list(node.scope)} repeats a variable")
     if isinstance(node, SumNode):

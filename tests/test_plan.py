@@ -10,6 +10,7 @@ observation masks, so that whole sub-mixtures evaluate to -inf.
 """
 
 import itertools
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -26,14 +27,17 @@ from mspn import (
     log_conditional,
     log_evaluate,
     log_evaluate_batch,
+    mi_graph,
     mpe,
+    mutual_information,
     sample,
     save_model,
     serialize,
     validate,
 )
-from mspn.errors import ConditioningError
-from mspn.inference import _free_candidates
+from mspn.analysis import _GridTables, _variable_grids
+from mspn.errors import ConditioningError, QueryError
+from mspn.inference import _free_candidates, evaluation_plan, sample_rows
 from mspn.leaves import (
     HistogramLeaf,
     PiecewiseLinearLeaf,
@@ -422,6 +426,117 @@ def test_wide_sums_are_batch_invariant():
         assert np.any(live & np.any(kids == -np.inf, axis=0))
 
 
+def test_batch_rejects_non_finite_observed_values(hybrid_small_model):
+    # columns: score (continuous), count (discrete), state (categorical)
+    mask = np.ones(3, dtype=bool)
+    for column in (0, 2):
+        for bad in (np.nan, np.inf):
+            rows = np.array([[0.1, 2.0, 1.0], [0.2, 3.0, 0.0]])
+            rows[1, column] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(QueryError):
+                    log_evaluate_batch(hybrid_small_model, rows, mask)
+    # an unobserved column's value is never read
+    mask = np.array([True, True, False])
+    want = log_evaluate(hybrid_small_model, Evidence(np.array([0.1, 2.0, 0.0]), mask))
+    got = log_evaluate_batch(hybrid_small_model, np.array([[0.1, 2.0, np.nan]]), mask)
+    assert np.array_equal(got, [want])
+
+
+def test_sample_rows_share_one_plan_pass(fixture_models):
+    for name, (data, model) in fixture_models.items():
+        evidence = Evidence(data.values[0], np.arange(model.n_vars) == 0)
+        want_rng, got_rng = np.random.default_rng(9), np.random.default_rng(9)
+        want_visits, got_visits = Counter(), Counter()
+        want = np.stack([sample(model, evidence, want_rng, want_visits) for _ in range(25)])
+        got = sample_rows(model, evidence, got_rng, 25, got_visits)
+        assert np.array_equal(got, want), name
+        assert want_rng.random() == got_rng.random(), name
+        # the same descents after one plan pass instead of 25
+        got_visits.update(evaluation_plan(model).ids * 24)
+        assert got_visits == want_visits, name
+
+
+# ---------------------------------------------------------------------------
+# grid tables for mutual information against the full-grid batch
+# ---------------------------------------------------------------------------
+
+
+def full_grid_log_joint(model, a, b, grids):
+    """The (ga, gb) log table of the root from one batch over every grid cell."""
+    pa, pb = grids[a][0], grids[b][0]
+    values = np.zeros((pa.size * pb.size, model.n_vars))
+    values[:, a] = np.repeat(pa, pb.size)
+    values[:, b] = np.tile(pb, pa.size)
+    observed = np.zeros(model.n_vars, dtype=bool)
+    observed[a] = observed[b] = True
+    return log_evaluate_batch(model, values, observed).reshape(pa.size, pb.size)
+
+
+def full_grid_log_marginal(model, var, grids):
+    points = grids[var][0]
+    values = np.zeros((points.size, model.n_vars))
+    values[:, var] = points
+    return log_evaluate_batch(model, values, np.arange(model.n_vars) == var)
+
+
+def full_grid_mi_graph(model, grid_size):
+    """mi, nmi and entropies of ``mi_graph`` by full-grid batches (the oracle)."""
+    n = model.n_vars
+    grids = _variable_grids(model, grid_size, range(n))
+
+    def entropy(p, measure, var):
+        live = p > 0
+        if model.schema.stat_type(var).is_continuous:
+            return float(-(p[live] * (np.log(p[live]) - np.log(measure[live]))).sum())
+        return float(-(p[live] * np.log(p[live])).sum())
+
+    mi, nmi = np.zeros((n, n)), np.zeros((n, n))
+    for a, b in itertools.combinations(range(n), 2):
+        (_, wa), (_, wb) = grids[a], grids[b]
+        cell_mass = np.exp(full_grid_log_joint(model, a, b, grids)) * np.outer(wa, wb)
+        joint = cell_mass / float(cell_mass.sum())
+        pa, pb = joint.sum(axis=1), joint.sum(axis=0)
+        outer = np.outer(pa, pb)
+        live = joint > 0
+        value = max(0.0, float((joint[live] * (np.log(joint[live]) - np.log(outer[live]))).sum()))
+        denom = entropy(pa, wa, a) * entropy(pb, wb, b)
+        normalized = 0.0 if denom <= 0.0 else min(max(value / np.sqrt(denom), 0.0), 1.0)
+        mi[a, b] = mi[b, a] = value
+        nmi[a, b] = nmi[b, a] = normalized
+    entropies = []
+    for var in range(n):
+        mass = np.exp(full_grid_log_marginal(model, var, grids)) * grids[var][1]
+        entropies.append(entropy(mass / float(mass.sum()), grids[var][1], var))
+    return mi, nmi, np.array(entropies)
+
+
+@pytest.mark.parametrize("grid_size", [2, 7, 64])
+def test_pair_tables_equal_the_full_grid_batch(fixture_models, grid_size):
+    for name, (_, model) in fixture_models.items():
+        grids = _variable_grids(model, grid_size, range(model.n_vars))
+        tables = _GridTables(model, grids)
+        for var in range(model.n_vars):
+            want = full_grid_log_marginal(model, var, grids)
+            assert np.array_equal(tables.marginal(var), want), (name, var)
+        for a, b in itertools.combinations(range(model.n_vars), 2):
+            want = full_grid_log_joint(model, a, b, grids)
+            assert np.array_equal(tables.joint(a, b), want), (name, a, b)
+
+
+@pytest.mark.parametrize("grid_size", [7, 64])
+def test_mi_graph_equals_the_full_grid_oracle(fixture_models, grid_size):
+    for name, (_, model) in fixture_models.items():
+        if model.n_vars < 2:
+            continue
+        graph = mi_graph(model, grid_size)
+        mi, nmi, entropies = full_grid_mi_graph(model, grid_size)
+        assert np.array_equal(graph.mi, mi), name
+        assert np.array_equal(graph.nmi, nmi), name
+        assert np.array_equal(graph.entropies, entropies), name
+
+
 # ---------------------------------------------------------------------------
 # trees far deeper than Python's recursion limit
 # ---------------------------------------------------------------------------
@@ -521,3 +636,10 @@ def test_deep_chain_saves_and_loads_byte_identically(chain_model, tmp_path):
     for ev in (Evidence.marginalized(2), given):
         (got, got_value), (want, want_value) = mpe(clone, ev), mpe(chain_model, ev)
         assert np.array_equal(got, want) and got_value == want_value
+
+
+def test_deep_chain_mi_graph_equals_the_pair_query(chain_model):
+    graph = mi_graph(chain_model, 64)
+    mi, nmi = mutual_information(chain_model, 0, 1, 64)
+    assert graph.mi[0, 1] == mi and graph.nmi[0, 1] == nmi
+    assert mi > 0.0

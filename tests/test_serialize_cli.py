@@ -1,6 +1,7 @@
 """Canonical serialization round trips and the command-line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mspn import (
     deserialize,
     load_model,
     log_evaluate,
+    sample,
     save_model,
     serialize,
 )
@@ -223,7 +225,19 @@ MISFIT_FILES = {
     "root scope short of the schema": lambda obj: obj["schema"]["columns"].append(
         {"name": "z", "type": "continuous"}),
     "non-finite number": _set(0, edges=[0.0, float("inf")]),
+    "leaf variable a float": _set(0, variable=0.9),
+    "leaf variable a bool": _set(3, variable=False),
+    "leaf mode_index a float": lambda obj: obj["nodes"][0].update(_pwl_record(0.0)),
+    "sum scope of floats": _set(6, scope=[0.0, 1.0]),
+    "product scope of floats": _set(5, scope=[0.0, 1.0]),
+    "product scope a string": _set(5, scope="01"),
 }
+
+
+def _pwl_record(mode_index):
+    # a flat density on [0, 1] in place of leaf 0's one-bin histogram
+    return {"kind": "piecewise_linear", "variable": 0, "domain": "continuous",
+            "knots_x": [0.0, 1.0], "knots_y": [1.0, 1.0], "mode_index": mode_index}
 
 
 class TestLoadChecksEveryNode:
@@ -245,6 +259,11 @@ class TestLoadChecksEveryNode:
         _categorical_y(obj)
         obj["schema"]["columns"][1]["categories"] = ["a", "b"]
         deserialize(json.dumps(obj).encode())
+
+    def test_piecewise_linear_case_fits_with_an_integer_mode_index(self):
+        obj = json.loads(serialize(two_component_model()))
+        obj["nodes"][0] = _pwl_record(0)
+        assert deserialize(json.dumps(obj).encode()).root.children[0].children[0].mode_index == 0
 
     def test_fixture_models_load(self, fixture_models):
         for _, model in fixture_models.values():
@@ -457,6 +476,28 @@ class TestCliSample:
         main(["sample", "--model", str(cli_files["model"]), "-n", "20",
               "--seed", "4"])
         assert capsys.readouterr().out != first
+
+    def test_rows_equal_successive_sample_calls(self, cli_files, capsys):
+        assert main(["sample", "--model", str(cli_files["model"]), "-n", "40",
+                     "--seed", "11", "--given", "mode=high"]) == 0
+        model = load_model(cli_files["model"])
+        given = Evidence.observe(model.schema, {"mode": "high"})
+        rng = np.random.default_rng(11)
+        lines = ["temp,mode"]
+        for _ in range(40):
+            row = sample(model, given, rng)
+            lines.append(",".join(mspn.cli._format_cell(model.schema, i, row[i])
+                                  for i in range(model.n_vars)))
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+    def test_readme_sample_is_reproduced(self, cli_files, capsys):
+        # cli_files holds the README walkthrough's data, seed and model
+        command = "$ mspn sample --model model.json -n 3 --seed 1 --given mode=low\n"
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        printed = readme[readme.index(command) + len(command):].split("\n\n")[0] + "\n"
+        assert main(["sample", "--model", str(cli_files["model"]), "-n", "3",
+                     "--seed", "1", "--given", "mode=low"]) == 0
+        assert capsys.readouterr().out == printed
 
     def test_conditioning_pins_the_sampled_column(self, cli_files, capsys):
         code = main(["sample", "--model", str(cli_files["model"]), "-n", "10",
