@@ -1,23 +1,23 @@
 """Query answering on a learned network.
 
-Every query is a bottom-up pass over the tree, plus for MPE a second
-bottom-up (max-product) pass over the nodes with free variables and for
-sampling one top-down pass, so query cost is linear in the node count.
-All computation happens in log space: observed continuous variables
-contribute log-densities, observed discrete/categorical variables
-contribute log-masses, and marginalized variables contribute log 1 = 0
-at their leaves. The value of a mixed query is therefore a density with
-respect to the product of Lebesgue measure (continuous coordinates) and
-counting measure (the rest).
+Every query is a bottom-up pass over the tree, plus for MPE a max-product
+pass over the nodes with free variables and for sampling one top-down
+pass, so query cost is linear in the node count. All computation happens
+in log space: observed continuous variables contribute log-densities,
+observed discrete/categorical variables contribute log-masses, and
+marginalized variables contribute log 1 = 0 at their leaves. The value of
+a mixed query is therefore a density with respect to the product of
+Lebesgue measure (continuous coordinates) and counting measure (the rest).
 
 The first query compiles the model into an evaluation plan, kept on the
-model: the nodes in iterative postorder with their child indices and
-heights, per-variable leaf tables (padded knots, densities and slopes of
-the piecewise-linear leaves, edges and bin densities of the histograms,
-categorical ones included), and the sum nodes grouped by height and
-child count. Neither compiling nor running a plan recurses, so the depth
-of the trees they handle is bounded by memory, not by Python's recursion
-limit. Three executors run on the plan:
+model: the nodes in iterative postorder with their child indices, parents
+and heights, per-variable leaf tables (padded knots, densities and slopes
+of the piecewise-linear leaves, edges and bin densities of the
+histograms, categorical ones included), the sum nodes grouped by height
+and child count, and every edge with the range of leaves below it.
+Neither compiling nor running a plan recurses, so the depth of the trees
+they handle is bounded by memory, not by Python's recursion limit. The
+executors on the plan:
 
 * ``_Plan.evaluate_row`` answers one validated row (``log_evaluate``,
   ``log_conditional``, ``mpe``, ``sample``). It walks the heights once: each
@@ -37,14 +37,21 @@ limit. Three executors run on the plan:
   (ga, gb) table only where it holds both. The same arithmetic on
   broadcast tables gives each cell the bits of that grid cell in a full
   batch, while a pair costs only the nodes with both variables in scope.
+* ``_Plan.max_product`` is MPE's second pass, in three vectorized steps.
+  The leaves' log coefficients in their 1-d mixtures accumulate per leaf,
+  one step per height. Each mixture is maximized on a candidate grid
+  whose leaf densities are cached on the plan per (node, variable). The
+  nodes with two or more free variables then take their maxima level by
+  level, sums keeping a back-pointer to their best child, and a walk down
+  those pointers collects the assignment.
 
 So ``weighted_logsumexp`` is the one place a sum node combines its
 children. It is elementwise and uses no BLAS, so its bits do not depend
 on how many rows or nodes share a call: every row of a batch gets the
 value a single-row query of that row gets, and the executors give every
 node, bit for bit, the value a recursive evaluation of that node alone
-gives it (``tests/test_plan.py`` keeps that evaluator as the oracle).
-``mpe``'s max-product pass runs up the same postorder.
+gives it. ``mpe`` likewise reproduces a recursive max-product pass bit for
+bit (``tests/test_plan.py`` keeps both recursive passes as oracles).
 
 Passing a ``collections.Counter`` as ``counter`` to any query records
 per-node visit counts (keyed by ``id(node)``): one count per node per
@@ -56,11 +63,11 @@ at-most-two-traversals contract is asserted in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .data import CATEGORICAL, DISCRETE, Schema
+from .data import CATEGORICAL, CONTINUOUS, DISCRETE, Schema
 from .errors import ConditioningError, QueryError
 from .leaves import (
     HistogramLeaf,
@@ -142,18 +149,33 @@ def _check_evidence(mspn: Mspn, evidence: Evidence) -> None:
         raise QueryError(
             f"evidence covers {evidence.n_vars} variables, model has {mspn.n_vars}"
         )
-    for i in np.flatnonzero(evidence.observed):
-        st = mspn.schema.stat_type(int(i))
-        v = evidence.values[i]
-        name = mspn.schema.names[int(i)]
-        if not np.isfinite(v):
-            raise QueryError(f"observed value for {name!r} is not finite")
-        if st.is_continuous:
-            continue
-        if v != np.rint(v):
-            raise QueryError(f"observed value for {name!r} must be an integer")
-        if st.is_categorical and v < 0:
-            raise QueryError(f"negative category code for {name!r}")
+    _check_values(mspn.schema, evidence.values[None, :], evidence.observed)
+
+
+def _check_values(schema: Schema, values: np.ndarray, observed: np.ndarray) -> None:
+    """Reject observed values that no query may hold, naming the first such column.
+
+    ``values`` is (rows, n_vars). Observed values must be finite, discrete
+    and categorical ones integers, and category codes nonnegative. Codes
+    at or past the end of the vocabulary are legal: they score the leaves'
+    unseen mass.
+    """
+    cols = np.flatnonzero(observed)
+    if not cols.size:
+        return
+    block = values[:, cols]
+    finite = np.isfinite(block).all(axis=0).tolist()
+    whole = (block == np.rint(block)).all(axis=0).tolist()
+    signed = (block >= 0).all(axis=0).tolist()
+    for j, is_finite, is_whole, is_signed in zip(cols.tolist(), finite, whole, signed):
+        column = schema.columns[j]
+        kind = column.stat_type.kind
+        if not is_finite:
+            raise QueryError(f"observed value for {column.name!r} is not finite")
+        if kind != CONTINUOUS and not is_whole:
+            raise QueryError(f"observed value for {column.name!r} must be an integer")
+        if kind == CATEGORICAL and not is_signed:
+            raise QueryError(f"negative category code for {column.name!r}")
 
 
 def _bump(counter, node) -> None:
@@ -240,6 +262,43 @@ class _HistogramTable:
         return np.where(inside, self.dens[self.rows, b], self.outside)
 
 
+class _SettleTable(NamedTuple):
+    """What MPE needs to maximize one node's 1-d mixture in one variable.
+
+    The mixture's terms are the node's leaves of that variable, in
+    postorder; ``ranks`` are their positions among all the plan's leaves.
+    Term j has log density ``log_density[o:p]`` on ``grid[a:b]``, where
+    ``(a, b, o, p) = spans[j]`` and ``sizes[j] = b - a``: the part of the
+    candidate grid inside the leaf's support (all of it for categorical
+    leaves, which give unseen codes their unseen mass). Outside it the
+    density is 0, so the term adds nothing there. ``unset`` is -inf on the
+    whole grid, the start of each fold.
+    """
+
+    grid: np.ndarray
+    unset: np.ndarray
+    ranks: np.ndarray
+    sizes: np.ndarray
+    spans: list
+    log_density: np.ndarray
+
+
+class _Edges(NamedTuple):
+    """Every parent-child edge of a plan, in ascending order of the parent's height.
+
+    ``log_w`` is the log weight of a sum edge and NaN on a product edge;
+    the child's leaves are ``lo .. lo + size - 1`` in postorder.
+    """
+
+    parent: np.ndarray
+    child: np.ndarray
+    height: np.ndarray
+    is_sum: np.ndarray
+    log_w: np.ndarray
+    lo: np.ndarray
+    size: np.ndarray
+
+
 class _Plan:
     """A tree compiled once for evaluation; see the module docstring.
 
@@ -252,21 +311,43 @@ class _Plan:
         nodes, children = postorder(root)
         kinds = [_SUM if isinstance(node, SumNode) else
                  _PRODUCT if isinstance(node, ProductNode) else _LEAF for node in nodes]
+        n = len(nodes)
         heights: list[int] = []
-        for kind, kids in zip(kinds, children):
+        first = list(range(n))  # postorder index where each subtree starts
+        parent = np.full(n, n, dtype=np.intp)  # the root's parent is the padding slot
+        for i, (kind, kids) in enumerate(zip(kinds, children)):
             heights.append(0 if kind == _LEAF else
                            1 + max((heights[c] for c in kids.tolist()), default=0))
+            if kids.size:
+                first[i] = first[int(kids[0])]
+                parent[kids] = i
+        is_leaf = np.array(kinds) == _LEAF
+        # leaves_before[i]: how many leaves come before node i in postorder
+        leaves_before = np.concatenate(([0], np.cumsum(is_leaf)))
 
         self.nodes = nodes
         self.ids = [id(node) for node in nodes]
         self.kinds = kinds
         self.children = children
         self.heights = heights
+        self.parent = parent
         self.scope_vars = np.array([v for node in nodes for v in node.scope], dtype=np.intp)
-        self.scope_owner = np.repeat(np.arange(len(nodes)), [len(node.scope) for node in nodes])
-        self.root = len(nodes) - 1
+        self.scope_owner = np.repeat(np.arange(n), [len(node.scope) for node in nodes])
+        self.root = n - 1
         self.leaf_tables = self._leaf_tables()
         self.levels = self._levels()
+        # leaves numbered in postorder: their nodes and variables, and the
+        # numbers lo .. hi - 1 of the leaves under each node
+        self.leaf_nodes = np.flatnonzero(is_leaf)
+        self.leaf_vars = np.array([nodes[i].variable for i in self.leaf_nodes], dtype=np.intp)
+        self.subtree_leaves = (leaves_before[first], leaves_before[1:])
+        self.edges = self._edges()
+        product_idx = np.flatnonzero(np.array(kinds) == _PRODUCT)
+        self.products = (product_idx,
+                         _padded([children[i] for i in product_idx], n).astype(np.intp).T
+                         if product_idx.size else np.zeros((0, 0), dtype=np.intp))
+        # (node, free variable) -> _SettleTable, built on first use by mpe
+        self.settle_tables: dict[tuple[int, int], _SettleTable] = {}
 
     def _leaf_tables(self) -> list:
         groups: dict[tuple, list[int]] = {}
@@ -284,10 +365,11 @@ class _Plan:
         """Per height above the leaves: sum groups by child count, then products.
 
         A sum group of G nodes with C children each is (node indices, child
-        indices, weights), the last two (C, G): one row per child position,
-        as ``weighted_logsumexp`` takes them. The products of a height share
-        one child matrix, also one row per child position, padded with the
-        index of a constant 0.0 slot past the last node.
+        indices, weights, log weights), the last three (C, G): one row per
+        child position, as ``weighted_logsumexp`` takes them. The products
+        of a height share one child matrix, also one row per child
+        position, padded with the index of a constant 0.0 slot past the
+        last node.
         """
         sums: dict[tuple[int, int], list[int]] = {}
         products: dict[int, list[int]] = {}
@@ -298,16 +380,32 @@ class _Plan:
                 products.setdefault(self.heights[i], []).append(i)
         levels = [([], None) for _ in range(max(self.heights))]
         for (h, _), idx in sorted(sums.items()):
-            levels[h - 1][0].append((
-                np.array(idx, dtype=np.intp),
-                np.stack([self.children[i] for i in idx], axis=1),
-                np.stack([self.nodes[i].weights for i in idx], axis=1),
-            ))
+            weights = np.stack([self.nodes[i].weights for i in idx], axis=1)
+            with np.errstate(divide="ignore"):
+                log_w = np.log(weights)
+            levels[h - 1][0].append((np.array(idx, dtype=np.intp),
+                                     np.stack([self.children[i] for i in idx], axis=1),
+                                     weights, log_w))
         for h, idx in products.items():
             kids = _padded([self.children[i] for i in idx], len(self.nodes))
             levels[h - 1] = (levels[h - 1][0],
                              (np.array(idx, dtype=np.intp), kids.astype(np.intp).T))
         return levels
+
+    def _edges(self) -> _Edges:
+        n = len(self.nodes)
+        parent = np.repeat(np.arange(n), [kids.size for kids in self.children])
+        child = np.concatenate(self.children)
+        with np.errstate(divide="ignore"):
+            log_w = np.concatenate([
+                np.log(node.weights) if kind == _SUM else np.full(kids.size, np.nan)
+                for node, kind, kids in zip(self.nodes, self.kinds, self.children)])
+        height = np.array(self.heights)[parent]
+        order = np.argsort(height, kind="stable")
+        parent, child = parent[order], child[order]
+        lo, hi = self.subtree_leaves
+        return _Edges(parent, child, height[order], np.array(self.kinds)[parent] == _SUM,
+                      log_w[order], lo[child], (hi - lo)[child])
 
     def evaluate_row(self, values: np.ndarray, observed: np.ndarray,
                      counter=None) -> np.ndarray:
@@ -326,7 +424,7 @@ class _Plan:
                 if observed[var]:
                     vals[table.index] = np.log(table.density(values[var]))
             for groups, prods in self.levels:
-                for idx, kids, weights in groups:
+                for idx, kids, weights, _ in groups:
                     vals[idx] = weighted_logsumexp(vals[kids], weights)
                 if prods is not None:
                     idx, kids = prods
@@ -417,6 +515,144 @@ class _Plan:
             out = out + k
         return out
 
+    def max_product(self, vals: np.ndarray, observed: np.ndarray, counter=None) -> list:
+        """MPE's max-product pass: [(variable, value), ...] for the free variables.
+
+        ``vals`` is ``evaluate_row`` under the evidence. A node with one
+        free variable is a 1-d mixture of its leaves of that variable; it
+        is maximized where a node with two or more free variables consumes
+        it, or at the root (its settle point). The mixtures' log
+        coefficients come from ``_coefficients``, their grids and leaf
+        densities from ``settle_table``. The nodes with two or more free
+        variables then take their maxima level by level, and a walk down
+        the chosen nodes collects the settle points' maximizers.
+        """
+        n = len(self.nodes)
+        entries = np.flatnonzero(~observed[self.scope_vars])
+        owners = self.scope_owner[entries]
+        n_free = np.bincount(owners, minlength=n + 1)  # slot n: 0, the root's parent
+        if counter is not None:
+            counter.update([self.ids[i] for i in np.flatnonzero(n_free).tolist()])
+        if not n_free[self.root]:
+            return []
+        free_var = np.zeros(n, dtype=np.intp)
+        free_var[owners] = self.scope_vars[entries]  # the one free variable of 1-free nodes
+        best = vals.copy()  # per node: its log maximum under the evidence
+        at: dict[int, float] = {}  # settle point -> maximizer of its free variable
+        settle = np.flatnonzero((n_free[:n] == 1) & (n_free[self.parent] != 1))
+        if settle.size:
+            coef = self._coefficients(vals, n_free)
+            for s, var in zip(settle.tolist(), free_var[settle].tolist()):
+                table = self.settle_table(s, var)
+                terms = coef[table.ranks].repeat(table.sizes) + table.log_density
+                total = table.unset.copy()
+                for a, b, o, p in table.spans:
+                    total[a:b] = np.logaddexp(total[a:b], terms[o:p])
+                k = int(total.argmax())  # ties to the smallest value
+                best[s] = total[k]
+                at[s] = float(table.grid[k])
+        choice = self._max_levels(best, n_free >= 2)
+
+        out = []
+        stack = [self.root]
+        while stack:
+            i = stack.pop()
+            if i in at:
+                out.append((int(free_var[i]), at[i]))
+            elif self.kinds[i] == _SUM:
+                stack.append(int(choice[i]))
+            else:
+                stack.extend(c for c in self.children[i].tolist() if n_free[c])
+        return out
+
+    def _coefficients(self, vals: np.ndarray, n_free: np.ndarray) -> np.ndarray:
+        """Per leaf, its log coefficient in the mixture its settle point maximizes.
+
+        Every edge below a node with one free variable scales the leaves
+        under it: a sum edge by its weight, the free child of a product by
+        the product's fully observed children (``0.0 + v0 + v1 + ...`` in
+        child order). Adding each edge's log value to a per-leaf
+        accumulator, parents in ascending height, gives each leaf
+        ``x_top + (... + (x_parent + 0.0))``, nested from the leaf up.
+        """
+        # a free child adds 0.0 instead of being skipped: a sum that starts
+        # at 0.0 is never -0.0, so adding 0.0 leaves its bits alone
+        observed_vals = np.where(n_free > 0, 0.0, vals)
+        idx, kids = self.products
+        offset = np.zeros(idx.size)
+        for column in kids:
+            offset = offset + observed_vals[column]
+        offsets = np.zeros(len(self.nodes))
+        offsets[idx] = offset
+        e = self.edges
+        sel = np.flatnonzero((n_free[e.parent] == 1) & (n_free[e.child] > 0))
+        value = np.where(e.is_sum[sel], e.log_w[sel], offsets[e.parent[sel]])
+        lo, size = e.lo[sel], e.size[sel]
+        acc = np.zeros(self.leaf_nodes.size)
+        # one step per parent height; the subtrees of one height are disjoint
+        bounds = np.flatnonzero(np.diff(e.height[sel], prepend=-1, append=-1)).tolist()
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            stop = np.cumsum(size[a:b])
+            leaves = np.arange(stop[-1]) + np.repeat(lo[a:b] - stop + size[a:b], size[a:b])
+            acc[leaves] = np.repeat(value[a:b], size[a:b]) + acc[leaves]
+        return acc
+
+    def settle_table(self, i: int, var: int) -> _SettleTable:
+        """Node ``i``'s ``_SettleTable`` in ``var``, built on first use and kept."""
+        table = self.settle_tables.get((i, var))
+        if table is not None:
+            return table
+        lo, hi = self.subtree_leaves[0][i], self.subtree_leaves[1][i]
+        ranks = lo + np.flatnonzero(self.leaf_vars[lo:hi] == var)
+        leaves = [self.nodes[j] for j in self.leaf_nodes[ranks].tolist()]
+        grid = _free_candidates([(0.0, leaf) for leaf in leaves])
+        spans, parts, o = [], [], 0
+        for leaf in leaves:
+            if leaf.domain == CATEGORICAL:
+                a, b = 0, grid.size
+            else:
+                first, last = leaf_support(leaf)
+                a = int(np.searchsorted(grid, first, side="left"))
+                b = int(np.searchsorted(grid, last, side="right"))
+            with np.errstate(divide="ignore"):
+                parts.append(np.log(leaf_density_batch(leaf, grid[a:b])))
+            spans.append((a, b, o, o + b - a))
+            o += b - a
+        sizes = np.array([b - a for a, b, _, _ in spans])
+        table = _SettleTable(grid, np.full(grid.size, -np.inf), ranks, sizes, spans,
+                             np.concatenate(parts))
+        self.settle_tables[i, var] = table
+        return table
+
+    def _max_levels(self, best: np.ndarray, multi: np.ndarray) -> np.ndarray:
+        """Log maxima of the ``multi`` nodes, written into ``best`` level by level.
+
+        A sum takes its first best weighted child (``np.argmax``), whose
+        index it keeps as the returned back-pointer; a product adds its
+        children's maxima to 0.0 in child order.
+        """
+        choice = np.zeros(len(self.nodes), dtype=np.intp)
+        for groups, prods in self.levels:
+            for idx, kids, _, log_w in groups:
+                live = multi[idx]
+                if not live.any():
+                    continue
+                idx, kids = idx[live], kids[:, live]
+                scored = log_w[:, live] + best[kids]
+                pick = scored.argmax(axis=0)
+                cols = np.arange(idx.size)
+                best[idx] = scored[pick, cols]
+                choice[idx] = kids[pick, cols]
+            if prods is not None:
+                idx, kids = prods
+                live = multi[idx]
+                if live.any():
+                    acc = np.zeros(int(live.sum()))
+                    for column in kids[:, live]:
+                        acc = acc + best[column]
+                    best[idx[live]] = acc
+        return choice
+
 
 def evaluation_plan(mspn: Mspn) -> _Plan:
     """The model's evaluation plan, compiled on first use and kept on the model."""
@@ -431,16 +667,15 @@ def log_evaluate_batch(mspn: Mspn, values: np.ndarray, observed: np.ndarray) -> 
     """Log value of many queries sharing one observation mask.
 
     ``values`` is (rows, n_vars); ``observed`` is a single (n_vars,) bool
-    mask applied to every row. An observed value that is not finite raises
-    :class:`QueryError`; the rest of the per-row validation of ``Evidence``
-    queries (integer codes and counts) is the caller's. Each row gets the
-    value ``log_evaluate`` gives it alone, bit for bit, whatever the other
-    rows are.
+    mask applied to every row. Observed values are checked as
+    ``log_evaluate`` checks them: one that is not finite, a discrete count
+    or category code that is not an integer, or a negative code raises
+    :class:`QueryError`. Each row gets the value ``log_evaluate`` gives it
+    alone, bit for bit, whatever the other rows are.
     """
     values = np.asarray(values, dtype=np.float64)
     observed = np.asarray(observed, dtype=bool)
-    if not np.isfinite(values[:, observed]).all():
-        raise QueryError("an observed value is not finite")
+    _check_values(mspn.schema, values, observed)
     return evaluation_plan(mspn).evaluate_rows(values, observed)
 
 
@@ -496,38 +731,27 @@ def _free_candidates(terms) -> np.ndarray:
     return np.unique(np.concatenate(parts))
 
 
-def _maximize_mixture(terms) -> tuple[float, list]:
-    """Log maximum and maximizer of a 1-d mixture of (log coefficient, leaf) terms."""
-    candidates = _free_candidates(terms)
-    total = np.full(candidates.shape, -np.inf)
-    for log_w, leaf in terms:
-        with np.errstate(divide="ignore"):
-            total = np.logaddexp(total, log_w + np.log(leaf_density_batch(leaf, candidates)))
-    best = int(np.argmax(total))
-    return float(total[best]), [(terms[0][1].variable, float(candidates[best]))]
-
-
 def mpe(mspn: Mspn, evidence: Evidence, counter=None) -> tuple[np.ndarray, float]:
     """Most probable completion of the evidence.
 
-    Two passes over the evaluation plan. The first evaluates every node
-    under the evidence, which gives each fully observed subtree its exact
-    mixture value. The second, a max-product pass, runs up the postorder
-    over the nodes with free (unobserved) variables in scope, each parent
-    consuming its children's results:
+    Two passes over the evaluation plan. The first, ``evaluate_row``,
+    evaluates every node under the evidence, which gives each fully
+    observed subtree its exact value. The second, ``_Plan.max_product``,
+    runs over the nodes with free (unobserved) variables in scope:
 
     * a node with one free variable is, under the evidence, a 1-d mixture
-      of its leaves; it passes up those leaves with their log
-      coefficients, which absorb sum weights and the values of fully
-      observed product siblings. Where a node with two or more free
-      variables consumes it, or at the root, the mixture is maximized
-      exactly: its density is piecewise linear (or a finite table), so
-      the true maximizer lies on the union of the leaves' knots, bin
-      midpoints, integers or category codes (ties to the smallest value);
-    * a node with two or more free variables passes up its log maximum
-      and the partial assignment that reaches it: a sum follows its best
-      weighted child (ties to the lowest index), a product adds its
-      children's maxima and joins their assignments.
+      of its leaves of that variable, with log coefficients that absorb sum
+      weights and the values of fully observed product siblings. Where a
+      node with two or more free variables consumes it, or at the root,
+      the mixture is maximized exactly: its density is piecewise linear
+      (or a finite table), so the true maximizer lies on the union of the
+      leaves' knots, bin midpoints, integers or category codes (ties to
+      the smallest value). The grid and the leaf densities on it are kept
+      on the plan per (node, variable), so repeated masks reuse them;
+    * a node with two or more free variables takes its log maximum: a sum
+      its best weighted child (ties to the lowest index), a product the
+      sum of its children's maxima. A walk down the chosen children joins
+      the maximizers into one assignment.
 
     The returned log value scores the completed assignment with a
     standard evaluation query, so for fully observed evidence it equals
@@ -535,54 +759,9 @@ def mpe(mspn: Mspn, evidence: Evidence, counter=None) -> tuple[np.ndarray, float
     """
     _check_evidence(mspn, evidence)
     plan = evaluation_plan(mspn)
-    vals = plan.evaluate_row(evidence.values, evidence.observed, counter).tolist()
-    free = np.bincount(plan.scope_owner, ~evidence.observed[plan.scope_vars], len(plan.nodes))
-    n_free = free.tolist()
-
-    # per live node: its mixture terms (one free variable), or its log
-    # maximum and partial assignment as [(variable, value), ...]
-    results: dict[int, object] = {}
-
-    def settle(c: int) -> tuple[float, list]:
-        if not n_free[c]:
-            return vals[c], []
-        if n_free[c] == 1:
-            return _maximize_mixture(results.pop(c))
-        return results.pop(c)
-
-    for i in np.flatnonzero(free).tolist():
-        node, kind, kids = plan.nodes[i], plan.kinds[i], plan.children[i].tolist()
-        _bump(counter, node)
-        if n_free[i] == 1:
-            if kind == _LEAF:
-                results[i] = [(0.0, node)]
-            elif kind == _SUM:
-                with np.errstate(divide="ignore"):
-                    log_w = np.log(node.weights)
-                results[i] = [(float(lw) + t, leaf)
-                              for lw, c in zip(log_w, kids) for t, leaf in results.pop(c)]
-            else:
-                offset = 0.0
-                for c in kids:
-                    if n_free[c]:
-                        spine = c
-                    else:  # fully observed factor: a scalar under this evidence
-                        offset += vals[c]
-                results[i] = [(offset + t, leaf) for t, leaf in results.pop(spine)]
-        elif kind == _SUM:
-            with np.errstate(divide="ignore"):
-                scored = [(float(np.log(w)) + s, part)
-                          for w, (s, part) in zip(node.weights, map(settle, kids))]
-            results[i] = scored[int(np.argmax([s for s, _ in scored]))]
-        else:
-            total, assignment = 0, []
-            for s, part in map(settle, kids):
-                total += s
-                assignment += part
-            results[i] = (total, assignment)
-
+    vals = plan.evaluate_row(evidence.values, evidence.observed, counter)
     assignment = evidence.values.copy()
-    for var, x in settle(plan.root)[1]:
+    for var, x in plan.max_product(vals, evidence.observed, counter):
         assignment[var] = x
     value = log_evaluate(mspn, Evidence(assignment, np.ones(mspn.n_vars, dtype=bool)))
     return assignment, value

@@ -41,7 +41,10 @@ class HistogramLeaf:
 
     For ``domain == "categorical"`` the bins are unit intervals over the
     codes ``0..arity``, ``masses[c]`` is the smoothed probability of code
-    ``c``, and ``unseen_mass`` is returned for any out-of-vocabulary code.
+    ``c``, and ``unseen_mass`` is returned for any out-of-vocabulary code
+    (``c >= arity``). That is a convention, not part of the pmf: the
+    masses of the vocabulary alone sum to 1, and the unseen mass is scored
+    on top of them, not taken from them.
     """
 
     variable: int

@@ -161,6 +161,26 @@ class TestLogEvaluateModels:
         seen = log_evaluate(hybrid6_model, Evidence(np.array([0, 0, 0.0, 0, 0, 0]), mask))
         assert np.isfinite(unseen) and unseen < seen
 
+    def test_out_of_vocabulary_codes_score_unseen_mass_outside_the_pmf(self, hybrid6_model):
+        # the vocabulary's masses sum to 1; any code past it scores the
+        # leaf's unseen mass on top of them
+        leaf = HistogramLeaf(0, CATEGORICAL, np.arange(4.0), np.array([0.2, 0.3, 0.5]),
+                             1.0, 0.04)
+        data = make_dataset([("c", CATEGORICAL, ("a", "b", "c"))], [[0.0]])
+        single_leaf = Mspn(leaf, data.schema, LearnConfig())
+        grade = np.array([False, False, True, False, False, False])
+        for model, var, mask in ((single_leaf, 0, np.array([True])),
+                                 (hybrid6_model, 2, grade)):
+            arity = model.schema.stat_type(var).arity
+            rows = np.zeros((arity + 4, model.n_vars))
+            rows[:, var] = np.arange(arity + 4)
+            single = np.array([log_evaluate(model, Evidence(row, mask)) for row in rows])
+            assert np.array_equal(log_evaluate_batch(model, rows, mask), single)
+            assert abs(np.exp(single[:arity]).sum() - 1.0) <= 1e-12
+            unseen = single[arity:]
+            assert np.all(unseen == unseen[0]) and np.isfinite(unseen[0])
+        assert log_evaluate(single_leaf, Evidence(np.array([5.0]), np.array([True]))) == np.log(0.04)
+
     def test_marginal_density_integrates_to_one(self, cont_indep_model):
         grid = np.linspace(-0.5, 1.5, 4001)
         lls = log_evaluate_batch(

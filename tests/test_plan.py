@@ -16,6 +16,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import mspn.inference
 from mspn import (
     CATEGORICAL,
     CONTINUOUS,
@@ -23,6 +24,7 @@ from mspn import (
     LearnConfig,
     ProductNode,
     SumNode,
+    deserialize,
     load_model,
     log_conditional,
     log_evaluate,
@@ -354,6 +356,98 @@ def test_mpe_breaks_exact_ties_like_the_recursive_pass():
     assert np.array_equal(assignment, [0.0, 0.0, 0.0])
 
 
+def test_mpe_with_one_variable_observed_matches_the_recursive_pass(fixture_models):
+    # one observed variable leaves many nodes with exactly one free
+    # variable, so most of the answer comes from the 1-d mixtures; one free
+    # variable makes the root itself such a mixture
+    for name, (data, model) in fixture_models.items():
+        rng = np.random.default_rng(18)
+        pools = value_pools(model, data)
+        for var in range(model.n_vars):
+            for observed in (np.arange(model.n_vars) == var, np.arange(model.n_vars) != var):
+                for _ in range(4):
+                    ev = Evidence(np.array([rng.choice(pool) for pool in pools]), observed)
+                    want_assignment, want_value = oracle_mpe(model, ev)
+                    assignment, value = mpe(model, ev)
+                    assert np.array_equal(assignment, want_assignment), (name, var)
+                    assert value == want_value, (name, var)
+
+
+def recursive_mixture_terms(node, var, values, observed):
+    """(log coefficient, leaf) terms of a subtree with one free variable, as ``oracle_mpe`` builds them."""
+    if isinstance(node, SumNode):
+        with np.errstate(divide="ignore"):
+            log_w = np.log(node.weights)
+        return [(float(lw) + t, leaf) for lw, child in zip(log_w, node.children)
+                for t, leaf in recursive_mixture_terms(child, var, values, observed)]
+    if isinstance(node, ProductNode):
+        offset = 0.0
+        for child in node.children:
+            if var in child.scope:
+                spine = child
+            else:
+                offset += float(oracle_eval(child, values[None, :], observed)[0])
+        return [(offset + t, leaf)
+                for t, leaf in recursive_mixture_terms(spine, var, values, observed)]
+    return [(0.0, node)]
+
+
+def test_mixture_coefficients_nest_like_the_recursive_pass(fixture_models):
+    # the coefficients only steer argmax decisions, so a change in how they
+    # are nested rarely shows in an assignment; compare them directly.
+    # A 150-deep chain with x observed nests 151 log weights under its root.
+    node = ProductNode((0, 1), (unit_leaf(0, 150), unit_leaf(1, 150)))
+    for k in reversed(range(150)):
+        part = ProductNode((0, 1), (unit_leaf(0, k), unit_leaf(1, k)))
+        node = SumNode((0, 1), np.array([1.0 - STAY, STAY]), (part, node))
+    chain = Mspn(node, make_dataset([("x", CONTINUOUS, None), ("y", CONTINUOUS, None)],
+                                    [[0.5, 0.5]]).schema, LearnConfig())
+    x_observed = np.array([True, False])
+    cases = [("chain", chain, [Evidence(np.array([k + 0.5, 0.0]), x_observed)
+                               for k in (0, 77, 150)])]
+    for name, (data, model) in fixture_models.items():
+        rng = np.random.default_rng(19)
+        cases.append((name, model, random_evidences(model, data, rng, 40)))
+    settled = 0
+    for name, model, evidences in cases:
+        plan = evaluation_plan(model)
+        for ev in evidences:
+            n_free = np.bincount(plan.scope_owner, ~ev.observed[plan.scope_vars],
+                                 len(plan.nodes) + 1).astype(int)
+            coef = plan._coefficients(plan.evaluate_row(ev.values, ev.observed), n_free)
+            for s in np.flatnonzero((n_free[:-1] == 1) & (n_free[plan.parent] != 1)).tolist():
+                var = next(v for v in plan.nodes[s].scope if not ev.observed[v])
+                terms = recursive_mixture_terms(plan.nodes[s], var, ev.values, ev.observed)
+                table = plan.settle_table(s, var)
+                assert [id(leaf) for _, leaf in terms] == [plan.ids[i] for i in
+                                                           plan.leaf_nodes[table.ranks]], name
+                assert np.array_equal(coef[table.ranks], [t for t, _ in terms]), name
+                settled += 1
+    assert settled > 500
+
+
+def test_repeated_masks_reuse_the_settle_tables(fixture_models, monkeypatch):
+    calls = []
+    density = mspn.inference.leaf_density_batch
+
+    def counted(leaf, values):
+        calls.append(leaf)
+        return density(leaf, values)
+
+    monkeypatch.setattr(mspn.inference, "leaf_density_batch", counted)
+    for name, (data, model) in fixture_models.items():
+        model = deserialize(serialize(model))  # a fresh plan
+        mask = np.arange(model.n_vars) == 0
+        first = mpe(model, Evidence(data.values[0], mask))
+        built = len(calls)
+        assert built > 0, name
+        second = mpe(model, Evidence(data.values[1], mask))
+        assert len(calls) == built, name
+        for got, row in ((first, data.values[0]), (second, data.values[1])):
+            want = oracle_mpe(model, Evidence(row, mask))
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1], name
+
+
 # ---------------------------------------------------------------------------
 # batch invariance: a row's value does not depend on the rest of its batch
 # ---------------------------------------------------------------------------
@@ -442,6 +536,29 @@ def test_batch_rejects_non_finite_observed_values(hybrid_small_model):
     want = log_evaluate(hybrid_small_model, Evidence(np.array([0.1, 2.0, 0.0]), mask))
     got = log_evaluate_batch(hybrid_small_model, np.array([[0.1, 2.0, np.nan]]), mask)
     assert np.array_equal(got, [want])
+
+
+def test_batch_rejects_what_single_row_queries_reject(hybrid_small_model):
+    # columns: score (continuous), count (discrete), state (categorical)
+    model, mask = hybrid_small_model, np.ones(3, dtype=bool)
+    for bad, message in (([0.1, 2.4, 1.0], "'count' must be an integer"),
+                         ([0.1, 2.0, 0.6], "'state' must be an integer"),
+                         ([0.1, 2.0, -1.0], "negative category code for 'state'")):
+        rows = np.array([[0.1, 2.0, 0.0], bad])
+        with pytest.raises(QueryError, match=message):
+            log_evaluate_batch(model, rows, mask)
+        with pytest.raises(QueryError, match=message):
+            log_evaluate(model, Evidence(rows[1], mask))
+    # a code past the vocabulary, as `mspn loglik` writes for an unseen
+    # label, is legal and scores the unseen mass
+    arity = model.schema.stat_type(2).arity
+    rows = np.array([[0.1, 2.0, float(arity)], [0.1, 2.0, arity + 3.0]])
+    want = [log_evaluate(model, Evidence(row, mask)) for row in rows]
+    assert np.array_equal(log_evaluate_batch(model, rows, mask), want)
+    assert np.isfinite(want).all()
+    # unobserved columns are not checked
+    got = log_evaluate_batch(model, np.array([[0.1, 2.5, -1.5]]), np.array([True, False, False]))
+    assert np.isfinite(got).all()
 
 
 def test_sample_rows_share_one_plan_pass(fixture_models):
@@ -616,6 +733,22 @@ def test_deep_chain_mpe_is_exact(chain_model):
         assignment, value = mpe(chain_model, given)
         assert assignment[0] == k + 0.5 and k <= assignment[1] <= k + 1
         np.testing.assert_allclose(value, log_weight(k), rtol=1e-9)
+
+
+def test_deep_chain_settle_table_is_linear_in_its_leaves(chain_model):
+    # with x observed every node has one free variable, so the root
+    # maximizes one mixture of all CHAIN + 1 y leaves on about 2 * CHAIN
+    # candidates; each leaf's densities cover only its own support
+    given = Evidence(np.array([2500.5, 0.0]), np.array([True, False]))
+    mpe(chain_model, given)
+    plan = evaluation_plan(chain_model)
+    table = plan.settle_tables[plan.root, 1]
+    leaves = CHAIN + 1
+    assert table.ranks.size == leaves
+    held = sum(a.size for a in (table.grid, table.unset, table.ranks, table.sizes,
+                                table.log_density)) + 4 * len(table.spans)
+    assert held <= 16 * leaves
+    assert leaves * table.grid.size > 100 * held
 
 
 def test_deep_chain_validates_and_counts_its_nodes(chain_model):

@@ -1,10 +1,14 @@
 """Canonical serialization round trips and the command-line interface."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mspn.cli
 from mspn import (
@@ -20,6 +24,7 @@ from mspn import (
     sample,
     save_model,
     serialize,
+    validate,
 )
 from mspn.cli import main
 from mspn.errors import FormatError, VersionError
@@ -576,3 +581,90 @@ class TestCliParsing:
     def test_unknown_flag_is_a_usage_error(self, cli_files, capsys):
         assert main(["validate", "--model", str(cli_files["model"]),
                      "--fancy"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzzed model files: each loads and validates, or exits 2 from the CLI
+# ---------------------------------------------------------------------------
+
+
+def _unit_leaf(variable, k):
+    return HistogramLeaf(variable, CONTINUOUS, np.array([k, k + 1.0]), np.array([1.0]))
+
+
+def _chain_model(depth):
+    """``depth`` nested sums over x and y, each mixing in one more box."""
+    schema = Schema((Column("x", StatType(CONTINUOUS)), Column("y", StatType(CONTINUOUS))))
+    node = ProductNode((0, 1), (_unit_leaf(0, depth), _unit_leaf(1, depth)))
+    for k in reversed(range(depth)):
+        part = ProductNode((0, 1), (_unit_leaf(0, k), _unit_leaf(1, k)))
+        node = SumNode((0, 1), np.array([0.25, 0.75]), (part, node))
+    return Mspn(node, schema, LearnConfig())
+
+
+def _wide_model(width, product):
+    """A product over ``width`` columns, or a sum of ``width`` boxes over one."""
+    if product:
+        schema = Schema(tuple(Column(f"v{j}", StatType(CONTINUOUS)) for j in range(width)))
+        root = ProductNode(tuple(range(width)), [_unit_leaf(j, 0) for j in range(width)])
+    else:
+        schema = Schema((Column("x", StatType(CONTINUOUS)),))
+        root = SumNode((0,), np.full(width, 1.0 / width), [_unit_leaf(0, k) for k in range(width)])
+    return Mspn(root, schema, LearnConfig())
+
+
+_WRONG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**20), st.text(max_size=4),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.one_of(st.integers(-2, 9), st.floats(-2.0, 9.0)), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def fuzzed_model_files(draw):
+    shape = draw(st.sampled_from(["deep", "wide product", "wide sum"]))
+    if shape == "deep":
+        model = _chain_model(draw(st.integers(1, 300)))
+    else:
+        model = _wide_model(draw(st.integers(1, 200)), shape == "wide product")
+    blob = serialize(model)
+    obj = json.loads(blob)
+    damage = draw(st.sampled_from(["none", "truncate", "retype", "drop", "nest"]))
+    if damage == "truncate":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    if damage == "none":
+        return blob
+    # a field of a node, or of the file itself
+    target = draw(st.sampled_from([obj] + obj["nodes"]))
+    key = draw(st.sampled_from(sorted(target)))
+    if damage == "drop":
+        del target[key]
+    elif damage == "retype":
+        target[key] = draw(_WRONG_VALUES)
+    else:  # a JSON array nested deeper than the parser goes
+        depth = draw(st.integers(10, 20000))
+        return json.dumps(obj).replace(json.dumps(key) + ":",
+                                       json.dumps(key) + ":" + "[" * depth + "]" * depth + ",",
+                                       1).encode()
+    return json.dumps(obj).encode()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(blob=fuzzed_model_files())
+def test_fuzzed_model_files_load_and_validate_or_exit_two(blob, tmp_path_factory):
+    try:
+        model = deserialize(blob)
+    except FormatError:
+        model = None
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_bytes(blob)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        codes = [main([command, "--model", str(path)]) for command in ("validate", "query")]
+    if model is None:
+        assert codes == [2, 2]
+        assert err.getvalue().count("data error") == 2
+    else:
+        assert validate(model).ok
+        assert codes == [0, 0] and err.getvalue() == ""
