@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DomainError, QueryError
 from .leaves import HistogramLeaf, PiecewiseLinearLeaf, leaf_support
 from .inference import evaluation_plan
+from .numerics import is_integer
 from .structure import Mspn
 
 DEFAULT_GRID_SIZE = 256
@@ -142,12 +143,12 @@ def mutual_information(mspn: Mspn, i: int, j: int,
     computation. Marginals are read off the gridded joint itself, so a
     pair separated by a Product node scores exactly zero.
     """
+    if not all(is_integer(v) and 0 <= v < mspn.n_vars for v in (i, j)):
+        raise DomainError("variable indices must be integers in range")
     if i == j:
         raise DomainError("mutual information needs two distinct variables")
-    if not (0 <= i < mspn.n_vars and 0 <= j < mspn.n_vars):
-        raise DomainError("variable index out of range")
-    if grid_size < 2:
-        raise DomainError("grid_size must be at least 2")
+    if not is_integer(grid_size) or grid_size < 2:
+        raise DomainError("grid_size must be an integer >= 2")
     grids = _variable_grids(mspn, grid_size, (i, j))
     return _mi_pair(mspn, i, j, grids, _GridTables(mspn, grids))
 
@@ -228,8 +229,8 @@ def mi_graph(mspn: Mspn, grid_size: int = DEFAULT_GRID_SIZE,
     n = mspn.n_vars
     if n < 2:
         raise DomainError("need at least two variables for a dependency graph")
-    if grid_size < 2:
-        raise DomainError("grid_size must be at least 2")
+    if not is_integer(grid_size) or grid_size < 2:
+        raise DomainError("grid_size must be an integer >= 2")
     grids = _variable_grids(mspn, grid_size, range(n))
     tables = _GridTables(mspn, grids)
     mi = np.zeros((n, n))

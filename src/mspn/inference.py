@@ -692,12 +692,11 @@ def log_evaluate(mspn: Mspn, evidence: Evidence, counter=None) -> float:
 
 def log_conditional(mspn: Mspn, query: Evidence, given: Evidence, counter=None) -> float:
     """log p(query | given) as a difference of two evaluations."""
-    if np.any(query.observed & given.observed):
-        raise QueryError("query and given evidence must observe disjoint variables")
+    joint = query.merged(given)  # a QueryError unless both cover the same, disjoint variables
     denom = log_evaluate(mspn, given, counter)
     if denom == -np.inf:
         raise ConditioningError("conditioning evidence has zero probability")
-    num = log_evaluate(mspn, query.merged(given), counter)
+    num = log_evaluate(mspn, joint, counter)
     return num - denom
 
 

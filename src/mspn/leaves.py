@@ -57,18 +57,24 @@ class HistogramLeaf:
     def __post_init__(self):
         object.__setattr__(self, "edges", _readonly(self.edges))
         object.__setattr__(self, "masses", _readonly(self.masses))
+        self.check()
+
+    def check(self) -> None:
+        """Raise :class:`DomainError` unless this is a normalized leaf; NaN fails every test."""
         if self.domain not in (CONTINUOUS, DISCRETE, CATEGORICAL):
             raise DomainError(f"unknown leaf domain {self.domain!r}")
         if self.edges.ndim != 1 or self.masses.ndim != 1:
             raise DomainError("edges and masses must be 1-d")
         if self.edges.size != self.masses.size + 1 or self.masses.size < 1:
             raise DomainError("need B+1 edges for B >= 1 masses")
-        if np.any(np.diff(self.edges) <= 0):
-            raise DomainError("bin edges must be strictly increasing")
-        if np.any(self.masses < 0) or abs(float(self.masses.sum()) - 1.0) > 1e-12:
+        # increasing edges between finite ends are all finite
+        e = self.edges
+        if not (math.isfinite(e[0]) and math.isfinite(e[-1]) and np.all(np.diff(e) > 0)):
+            raise DomainError("bin edges must be finite and strictly increasing")
+        if not (self.masses.min() >= 0 and abs(float(self.masses.sum()) - 1.0) <= 1e-12):
             raise DomainError("masses must be a probability vector")
-        if self.smoothing < 0 or self.unseen_mass < 0:
-            raise DomainError("smoothing and unseen mass must be nonnegative")
+        if not (0 <= self.smoothing < math.inf and 0 <= self.unseen_mass < math.inf):
+            raise DomainError("smoothing and unseen mass must be finite and nonnegative")
 
     @property
     def scope(self) -> tuple[int, ...]:
@@ -99,21 +105,26 @@ class PiecewiseLinearLeaf:
     def __post_init__(self):
         object.__setattr__(self, "knots_x", _readonly(self.knots_x))
         object.__setattr__(self, "knots_y", _readonly(self.knots_y))
+        self.check()
+
+    def check(self) -> None:
+        """Raise :class:`DomainError` unless this is a normalized leaf; NaN fails every test."""
         if self.domain not in (CONTINUOUS, DISCRETE):
             raise DomainError("piecewise-linear leaves are continuous or discrete only")
         x, y = self.knots_x, self.knots_y
         if x.ndim != 1 or x.shape != y.shape or x.size < 2:
             raise DomainError("need matching 1-d knot vectors with >= 2 knots")
-        if np.any(np.diff(x) <= 0):
-            raise DomainError("knots_x must be strictly increasing")
-        if np.any(y < 0):
+        # increasing knots between finite ends are all finite
+        if not (math.isfinite(x[0]) and math.isfinite(x[-1]) and np.all(np.diff(x) > 0)):
+            raise DomainError("knots_x must be finite and strictly increasing")
+        if not y.min() >= 0:
             raise DomainError("knot densities must be nonnegative")
         m = self.mode_index
         if not 0 <= m < x.size:
             raise DomainError("mode_index out of range")
         if np.any(np.diff(y[: m + 1]) < 0) or np.any(np.diff(y[m:]) > 0):
             raise DomainError("knot densities must be unimodal around mode_index")
-        if abs(trapezoid(y, x) - 1.0) > 1e-9:
+        if not abs(trapezoid(y, x) - 1.0) <= 1e-9:
             raise DomainError("piecewise-linear density must integrate to 1")
 
     @property

@@ -325,3 +325,8 @@ def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     return float(np.sum(0.5 * (y[1:] + y[:-1]) * (x[1:] - x[:-1])))
+
+
+def is_integer(x) -> bool:
+    """True for a Python or numpy integer; False for a bool or a float like 20.0."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)

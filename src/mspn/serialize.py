@@ -20,10 +20,12 @@ import json
 
 import numpy as np
 
-from .data import CATEGORICAL, Schema
+from .data import Schema
 from .errors import FormatError, MspnError, VersionError
 from .leaves import HistogramLeaf, PiecewiseLinearLeaf
-from .structure import LearnConfig, Mspn, ProductNode, SumNode, postorder
+from .structure import (
+    LearnConfig, Mspn, ProductNode, SumNode, node_problems, postorder, root_problems,
+)
 
 FORMAT_VERSION = 2
 
@@ -175,40 +177,6 @@ def _node_from_record(obj, built: list, used: list) -> tuple[object, list]:
     raise FormatError(f"unknown node kind {kind!r}")
 
 
-def _checked_scope(node, child_scopes: list, schema: Schema) -> frozenset:
-    """The node's scope as a set, once the node fits its children and the schema.
-
-    Together with the leaves' own checks and the loader's tree checks this
-    covers everything ``validate`` checks, node by node as they are built.
-    """
-    if not isinstance(node, (SumNode, ProductNode)):
-        var = node.variable
-        if not 0 <= var < len(schema):
-            raise FormatError(f"leaf variable {var} is outside the schema")
-        st = schema.stat_type(var)
-        if node.domain != st.kind:
-            raise FormatError(f"leaf domain {node.domain} does not match column kind {st.kind}")
-        # only histogram leaves can be categorical
-        if st.kind == CATEGORICAL and node.n_bins != st.arity:
-            raise FormatError(f"categorical leaf has {node.n_bins} bins for {st.arity} categories")
-        return frozenset((var,))
-    scope = frozenset(node.scope)
-    if len(scope) != len(node.scope):
-        raise FormatError(f"scope {list(node.scope)} repeats a variable")
-    if isinstance(node, SumNode):
-        if node.weights.shape != (len(child_scopes),):
-            raise FormatError(f"sum node has {node.weights.size} weights "
-                              f"for {len(child_scopes)} children")
-        w = node.weights.tolist()  # a few Python floats check faster than numpy calls
-        if not min(w) > 0.0 or not abs(sum(w) - 1.0) <= 1e-12:
-            raise FormatError("sum weights must be positive and sum to 1")
-        if child_scopes.count(scope) != len(child_scopes):
-            raise FormatError("sum child scope differs from the sum's scope")
-    elif sum(map(len, child_scopes)) != len(scope) or frozenset().union(*child_scopes) != scope:
-        raise FormatError("product children overlap or do not cover the product's scope")
-    return scope
-
-
 def serialize(mspn: Mspn) -> bytes:
     """Canonical JSON bytes for a model."""
     nodes, children = postorder(mspn.root)
@@ -229,8 +197,9 @@ def deserialize(data: bytes | str) -> Mspn:
     and :class:`FormatError` for anything else wrong with the payload:
     non-finite numbers, reconstructed nodes that fail their own validation,
     node lists that do not form one tree rooted at their last node, and
-    nodes that do not fit their children or the schema (see
-    ``_checked_scope``). So a model that loads passes ``validate``.
+    the first problem ``structure.node_problems`` or ``root_problems`` finds,
+    the same rules ``validate`` applies. So a model that loads passes
+    ``validate``.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
@@ -251,7 +220,7 @@ def deserialize(data: bytes | str) -> Mspn:
         schema = Schema.from_json_dict(obj["schema"])
         config = LearnConfig.from_dict(obj["config"])
         records = obj["nodes"]
-        declared_seed = int(obj["seed"])
+        declared_seed = obj["seed"]
     except (MspnError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed model file: {exc}") from exc
     if declared_seed != config.seed:
@@ -264,12 +233,14 @@ def deserialize(data: bytes | str) -> Mspn:
     used = [False] * len(records)
     for record in records:
         node, kids = _node_from_record(record, built, used)
-        scopes.append(_checked_scope(node, [scopes[c] for c in kids], schema))
+        for _, message in node_problems(node, [scopes[c] for c in kids], schema):
+            raise FormatError(message)
+        scopes.append(frozenset(node.scope))
         built.append(node)
     if not all(used[:-1]):
         raise FormatError(f"node {used.index(False)} is not the child of any node")
-    if scopes[-1] != frozenset(range(len(schema))):
-        raise FormatError("root scope does not cover every variable")
+    for message in root_problems(scopes[-1], schema):
+        raise FormatError(message)
     return Mspn(built[-1], schema, config)
 
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import Dataset, Schema
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .leaves import HistogramLeaf, PiecewiseLinearLeaf, fit_histogram, fit_isotonic_pwl
-from .numerics import SeedScope, trapezoid
+from .numerics import SeedScope, is_integer
 from .rdc import cluster_samples, split_features
 
 LEAF_KINDS = ("isotonic", "histogram")
@@ -57,7 +57,7 @@ class LearnConfig:
     seed: int = 7
 
     def __post_init__(self):
-        if int(self.min_instances) != self.min_instances or self.min_instances < 2:
+        if not is_integer(self.min_instances) or self.min_instances < 2:
             raise ConfigError("min_instances must be an integer >= 2")
         # written as ranges that NaN fails, since NaN fails every comparison
         if not 0 <= self.smoothing < math.inf:
@@ -66,11 +66,13 @@ class LearnConfig:
             raise ConfigError("dependence_threshold must lie strictly inside (0, 1)")
         if self.leaf_kind not in LEAF_KINDS:
             raise ConfigError(f"leaf_kind must be one of {LEAF_KINDS}")
-        if self.proj_features < 1 or not 0 < self.proj_scale < math.inf:
-            raise ConfigError("projection settings must be positive and finite")
-        if self.kmeans_max_iter < 1 or not self.kmeans_tol >= 0:
-            raise ConfigError("bad kmeans settings")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not (is_integer(self.proj_features) and self.proj_features >= 1
+                and 0 < self.proj_scale < math.inf):
+            raise ConfigError("need an integer proj_features >= 1 and a finite proj_scale > 0")
+        if not (is_integer(self.kmeans_max_iter) and self.kmeans_max_iter >= 1
+                and self.kmeans_tol >= 0):
+            raise ConfigError("need an integer kmeans_max_iter >= 1 and kmeans_tol >= 0")
+        if not is_integer(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
 
     def to_dict(self) -> dict:
@@ -251,6 +253,61 @@ def learn_mspn(dataset: Dataset, config: LearnConfig | None = None) -> Mspn:
     return Mspn(root, dataset.schema, config)
 
 
+def node_problems(node, child_scopes: list, schema: Schema):
+    """Each way ``node`` fails to fit its children's scopes (frozensets) or the schema.
+
+    The one definition of a valid node, shared by ``validate`` and the
+    model loader; a leaf checks its own parameters when it is built.
+    Yields ``(child, message)``: the index of the child at fault, or None.
+    """
+    if isinstance(node, (HistogramLeaf, PiecewiseLinearLeaf)):
+        if not 0 <= node.variable < len(schema):
+            yield None, f"leaf variable {node.variable} is outside the schema"
+            return
+        st = schema.stat_type(node.variable)
+        if node.domain != st.kind:
+            yield None, f"leaf domain {node.domain} does not match column kind {st.kind}"
+        # only histogram leaves can be categorical
+        elif st.is_categorical and node.n_bins != st.arity:
+            yield None, f"categorical leaf has {node.n_bins} bins for {st.arity} categories"
+        return
+    if not isinstance(node, (SumNode, ProductNode)):
+        yield None, f"unknown node type {type(node).__name__}"
+        return
+    if not child_scopes:
+        yield None, f"{type(node).__name__} has no children"
+        return
+    scope = frozenset(node.scope)
+    if len(scope) != len(node.scope):
+        yield None, f"scope {list(node.scope)} repeats a variable"
+    if isinstance(node, ProductNode):
+        union = frozenset().union(*child_scopes)
+        if sum(map(len, child_scopes)) != len(union):
+            yield None, "product children have overlapping scopes"
+        if union != scope:
+            yield None, "product children do not cover the product's scope"
+        return
+    if node.weights.shape != (len(child_scopes),):
+        yield None, (f"weight/child count mismatch: {node.weights.size} weights "
+                     f"for {len(child_scopes)} children")
+    else:
+        # a few Python floats check faster than numpy calls; NaN fails both tests
+        w = node.weights.tolist()
+        if not min(w) > 0.0:
+            yield None, "sum weights must be positive"
+        if not abs(sum(w) - 1.0) <= 1e-12:
+            yield None, "sum weights do not sum to 1"
+    for i, child_scope in enumerate(child_scopes):
+        if child_scope != scope:
+            yield i, "sum child scope differs from the sum's scope"
+
+
+def root_problems(root_scope: frozenset, schema: Schema):
+    """Each way a root with this scope fails to head a model over ``schema``."""
+    if root_scope != frozenset(range(len(schema))):
+        yield "root scope does not cover every variable"
+
+
 @dataclass
 class ValidityReport:
     """Structural check results; ``violations`` is empty for a valid model."""
@@ -273,77 +330,30 @@ class ValidityReport:
 def validate(mspn: Mspn) -> ValidityReport:
     """Check completeness, decomposability, normalization, and tree shape.
 
-    Violations are reported with the preorder path of the offending node;
-    nothing raises, so hand-built networks can be inspected too.
+    Each node gets the loader's checks (``node_problems``) and each leaf
+    its own constructor's checks, so a hand-built model that validates
+    also saves and loads. Violations are reported with the preorder path
+    of the offending node; nothing raises, so hand-built networks can be
+    inspected too.
     """
     problems: list[tuple[str, str]] = []
     seen_ids: set[int] = set()
     count = 0
-    n_vars = len(mspn.schema)
-
     for path, node in iter_nodes(mspn.root):
         count += 1
         if id(node) in seen_ids:
             problems.append((path, "node is shared; the network must be a tree"))
             continue
         seen_ids.add(id(node))
+        child_scopes = [frozenset(getattr(c, "scope", ())) for c in getattr(node, "children", ())]
+        for child, message in node_problems(node, child_scopes, mspn.schema):
+            problems.append((path if child is None else f"{path}.{child}", message))
+        if isinstance(node, (HistogramLeaf, PiecewiseLinearLeaf)):
+            try:
+                node.check()
+            except DomainError as exc:
+                problems.append((path, str(exc)))
 
-        if isinstance(node, SumNode):
-            if len(node.children) < 1:
-                problems.append((path, "sum node has no children"))
-                continue
-            if node.weights.size != len(node.children):
-                problems.append((path, "weight/child count mismatch"))
-            else:
-                if np.any(node.weights <= 0):
-                    problems.append((path, "sum weights must be positive"))
-                if abs(float(node.weights.sum()) - 1.0) > 1e-12:
-                    problems.append((path, "sum weights do not sum to 1"))
-            scope = set(node.scope)
-            for i, child in enumerate(node.children):
-                if set(child.scope) != scope:
-                    problems.append(
-                        (f"{path}.{i}", "sum child scope differs from parent scope")
-                    )
-        elif isinstance(node, ProductNode):
-            if len(node.children) < 1:
-                problems.append((path, "product node has no children"))
-                continue
-            union: set[int] = set()
-            overlap = False
-            for child in node.children:
-                child_scope = set(child.scope)
-                if union & child_scope:
-                    overlap = True
-                union |= child_scope
-            if overlap:
-                problems.append((path, "product children have overlapping scopes"))
-            if union != set(node.scope):
-                problems.append((path, "product children do not cover the scope"))
-        elif isinstance(node, (HistogramLeaf, PiecewiseLinearLeaf)):
-            var = node.variable
-            if not 0 <= var < n_vars:
-                problems.append((path, f"leaf variable {var} outside the schema"))
-            else:
-                st = mspn.schema.stat_type(var)
-                if node.domain != st.kind:
-                    problems.append(
-                        (path, f"leaf domain {node.domain} != column kind {st.kind}")
-                    )
-                if (isinstance(node, HistogramLeaf) and st.is_categorical
-                        and node.n_bins != st.arity):
-                    problems.append((path, "categorical leaf arity mismatch"))
-            if isinstance(node, HistogramLeaf):
-                if abs(float(node.masses.sum()) - 1.0) > 1e-12:
-                    problems.append((path, "histogram masses do not sum to 1"))
-            else:
-                if abs(trapezoid(node.knots_y, node.knots_x) - 1.0) > 1e-9:
-                    problems.append((path, "piecewise-linear leaf does not integrate to 1"))
-        else:
-            problems.append((path, f"unknown node type {type(node).__name__}"))
-
-    root_scope = set(mspn.root.scope) if hasattr(mspn.root, "scope") else set()
-    if root_scope != set(range(n_vars)):
-        problems.append(("root", "root scope does not cover all variables"))
-
+    root_scope = frozenset(getattr(mspn.root, "scope", ()))
+    problems += [("root", message) for message in root_problems(root_scope, mspn.schema)]
     return ValidityReport(problems, count)

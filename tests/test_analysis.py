@@ -88,6 +88,16 @@ class TestMutualInformation:
         with pytest.raises(DomainError):
             mutual_information(blobs2d_model, 0, 1, grid_size=1)
 
+    @pytest.mark.parametrize("call", [
+        lambda model: mutual_information(model, 0, 1, grid_size=2.5),
+        lambda model: mutual_information(model, 0, 1.0),
+        lambda model: mutual_information(model, True, 0),
+        lambda model: mi_graph(model, grid_size=2.5),
+    ], ids=["grid 2.5", "variable 1.0", "variable True", "graph grid 2.5"])
+    def test_non_integer_arguments_rejected(self, blobs2d_model, call):
+        with pytest.raises(DomainError):
+            call(blobs2d_model)
+
 
 class TestMiGraph:
     def test_matrices_are_symmetric_with_zero_diagonal(self, hybrid6_model):

@@ -217,6 +217,11 @@ class TestLogConditional:
         with pytest.raises(QueryError):
             log_conditional(hybrid6_model, ev, ev)
 
+    def test_evidence_of_different_lengths_rejected(self, hybrid6_model):
+        query = Evidence(np.zeros(6), np.array([True] + [False] * 5))
+        with pytest.raises(QueryError):
+            log_conditional(hybrid6_model, query, Evidence.marginalized(5))
+
     def test_zero_probability_given_rejected(self, hybrid6_model):
         given = Evidence(np.array([100.0, 0, 0, 0, 0, 0]),
                          np.array([True] + [False] * 5))

@@ -48,6 +48,20 @@ class TestHistogramLeafConstruction:
         assert leaf.scope == (3,)
         assert leaf.n_bins == 1
 
+    @pytest.mark.parametrize("edges, masses, smoothing, unseen", [
+        ([0.0, 1.0, 2.0], [0.5, np.nan], 0.0, 0.0),
+        ([np.nan, 1.0, 2.0], [0.5, 0.5], 0.0, 0.0),
+        ([0.0, 1.0, np.inf], [0.5, 0.5], 0.0, 0.0),
+        ([-np.inf, 1.0, 2.0], [0.5, 0.5], 0.0, 0.0),
+        ([0.0, 1.0, 2.0], [0.5, 0.5], np.nan, 0.0),
+        ([0.0, 1.0, 2.0], [0.5, 0.5], np.inf, 0.0),
+        ([0.0, 1.0, 2.0], [0.5, 0.5], 0.0, np.nan),
+        ([0.0, 1.0, 2.0], [0.5, 0.5], 0.0, np.inf),
+    ])
+    def test_non_finite_parameters_rejected(self, edges, masses, smoothing, unseen):
+        with pytest.raises(DomainError):
+            HistogramLeaf(0, CONTINUOUS, np.array(edges), np.array(masses), smoothing, unseen)
+
 
 class TestPiecewiseLinearLeafConstruction:
     def test_must_integrate_to_one(self):
@@ -71,6 +85,18 @@ class TestPiecewiseLinearLeafConstruction:
             PiecewiseLinearLeaf(
                 0, CATEGORICAL, np.array([0.0, 2.0]), np.array([0.5, 0.5]), 0
             )
+
+    @pytest.mark.parametrize("knots_x, knots_y", [
+        ([0.0, 1.0, 2.0], [0.0, np.nan, 0.0]),
+        ([0.0, 1.0, 2.0], [np.nan, 1.0, 0.0]),
+        ([0.0, np.nan, 2.0], [0.0, 1.0, 0.0]),
+        ([0.0, 1.0, np.inf], [0.0, 1.0, 0.0]),
+        ([-np.inf, 1.0, 2.0], [0.0, 1.0, 0.0]),
+        ([0.0, 1.0, 2.0], [0.0, np.inf, 0.0]),
+    ])
+    def test_non_finite_knots_rejected(self, knots_x, knots_y):
+        with pytest.raises(DomainError):
+            PiecewiseLinearLeaf(0, CONTINUOUS, np.array(knots_x), np.array(knots_y), 1)
 
 
 class TestFitHistogramCategorical:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import mspn.cli
@@ -236,6 +236,7 @@ MISFIT_FILES = {
     "sum scope of floats": _set(6, scope=[0.0, 1.0]),
     "product scope of floats": _set(5, scope=[0.0, 1.0]),
     "product scope a string": _set(5, scope="01"),
+    "config proj_features a float": lambda obj: obj["config"].update(proj_features=2.5),
 }
 
 
@@ -273,6 +274,52 @@ class TestLoadChecksEveryNode:
     def test_fixture_models_load(self, fixture_models):
         for _, model in fixture_models.values():
             assert serialize(deserialize(serialize(model))) == serialize(model)
+
+
+# json.dumps writes an infinite float as Infinity, which the loader rejects
+# by name; a literal past the largest double, such as 1e400, is what json
+# reads back as an infinity
+_HUGE = "HUGE"
+
+
+def _with_huge(obj, literal: str) -> bytes:
+    return json.dumps(obj).replace(json.dumps(_HUGE), literal).encode()
+
+
+def _huge_at(node, key, index=None):
+    def damage(obj):
+        target = obj if node is None else obj["nodes"][node]
+        if index is None:
+            target[key] = _HUGE
+        else:
+            target[key][index] = _HUGE
+    return damage
+
+
+OVERFLOW_FILES = {
+    "last edge": (_huge_at(0, "edges", -1), "1e400"),
+    "first edge": (_huge_at(0, "edges", 0), "-1e400"),
+    "smoothing": (_huge_at(3, "smoothing"), "1e400"),
+    "unseen mass": (_huge_at(4, "unseen_mass"), "1e400"),
+    "file seed": (_huge_at(None, "seed"), "1e400"),
+    "config min_instances": (lambda obj: obj["config"].update(min_instances=_HUGE), "1e400"),
+}
+
+
+class TestOverflowingNumbers:
+    @pytest.mark.parametrize("case", sorted(OVERFLOW_FILES))
+    def test_overflowing_literals_are_format_errors(self, case, tmp_path, capsys):
+        damage, literal = OVERFLOW_FILES[case]
+        obj = json.loads(serialize(two_component_model()))
+        damage(obj)
+        blob = _with_huge(obj, literal)
+        with pytest.raises(FormatError):
+            deserialize(blob)
+        path = tmp_path / "overflow.json"
+        path.write_bytes(blob)
+        for command in ("query", "mpe", "validate"):
+            assert main([command, "--model", str(path)]) == 2, command
+            assert "data error" in capsys.readouterr().err
 
 
 class TestSaveModel:
@@ -630,7 +677,7 @@ def fuzzed_model_files(draw):
         model = _wide_model(draw(st.integers(1, 200)), shape == "wide product")
     blob = serialize(model)
     obj = json.loads(blob)
-    damage = draw(st.sampled_from(["none", "truncate", "retype", "drop", "nest"]))
+    damage = draw(st.sampled_from(["none", "truncate", "retype", "drop", "nest", "overflow"]))
     if damage == "truncate":
         return blob[:draw(st.integers(0, len(blob) - 1))]
     if damage == "none":
@@ -642,6 +689,12 @@ def fuzzed_model_files(draw):
         del target[key]
     elif damage == "retype":
         target[key] = draw(_WRONG_VALUES)
+    elif damage == "overflow":
+        if isinstance(target[key], list) and target[key]:
+            target[key][draw(st.integers(0, len(target[key]) - 1))] = _HUGE
+        else:
+            target[key] = _HUGE
+        return _with_huge(obj, draw(st.sampled_from(["1e400", "-1e400"])))
     else:  # a JSON array nested deeper than the parser goes
         depth = draw(st.integers(10, 20000))
         return json.dumps(obj).replace(json.dumps(key) + ":",
@@ -650,8 +703,15 @@ def fuzzed_model_files(draw):
     return json.dumps(obj).encode()
 
 
+def _chain_with_huge_last_edge() -> bytes:
+    obj = json.loads(serialize(_chain_model(2)))
+    _huge_at(0, "edges", -1)(obj)
+    return _with_huge(obj, "1e400")
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(blob=fuzzed_model_files())
+@example(blob=_chain_with_huge_last_edge())
 def test_fuzzed_model_files_load_and_validate_or_exit_two(blob, tmp_path_factory):
     try:
         model = deserialize(blob)
@@ -667,4 +727,5 @@ def test_fuzzed_model_files_load_and_validate_or_exit_two(blob, tmp_path_factory
         assert err.getvalue().count("data error") == 2
     else:
         assert validate(model).ok
+        assert serialize(deserialize(serialize(model))) == serialize(model)
         assert codes == [0, 0] and err.getvalue() == ""

@@ -4,19 +4,26 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mspn import (
     CATEGORICAL,
     CONTINUOUS,
+    Column,
     LearnConfig,
     ProductNode,
+    Schema,
+    StatType,
     SumNode,
+    deserialize,
     iter_nodes,
     learn_mspn,
     serialize,
     validate,
 )
-from mspn.errors import ConfigError
+from mspn.data import DISCRETE
+from mspn.errors import ConfigError, FormatError
 from mspn.leaves import HistogramLeaf, PiecewiseLinearLeaf
 from mspn.structure import Mspn
 from conftest import make_dataset
@@ -51,6 +58,12 @@ class TestLearnConfig:
     ])
     def test_non_finite_settings_rejected(self, field, value):
         # NaN fails no plain < or <= bound, so each check is a range it must lie in
+        with pytest.raises(ConfigError):
+            LearnConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["proj_features", "kmeans_max_iter"])
+    @pytest.mark.parametrize("value", [2.5, 20.0, True])
+    def test_non_integer_counts_rejected(self, field, value):
         with pytest.raises(ConfigError):
             LearnConfig(**{field: value})
 
@@ -274,3 +287,126 @@ class TestValidate:
         report = validate(two_var_schema_model(unit_leaf(0)))
         text = str(report)
         assert "violation" in text and "root" in text
+
+    def test_nan_weight_is_reported(self):
+        bad = SumNode((0, 1), np.array([0.5, np.nan]), (
+            ProductNode((0, 1), (unit_leaf(0), unit_leaf(1))),
+            ProductNode((0, 1), (unit_leaf(0), unit_leaf(1))),
+        ))
+        report = validate(two_var_schema_model(bad))
+        assert any(path == "root" and "sum to 1" in msg for path, msg in report.violations)
+
+    def test_repeated_scope_variable_is_reported(self):
+        bad = ProductNode((0, 0, 1), (unit_leaf(0), unit_leaf(1)))
+        report = validate(two_var_schema_model(bad))
+        assert report.violations == [("root", "scope [0, 0, 1] repeats a variable")]
+
+    def test_leaf_constructor_checks_run_again(self):
+        leaf = unit_leaf(1)
+        object.__setattr__(leaf, "edges", np.array([1.0, 0.0]))  # past the constructor
+        report = validate(two_var_schema_model(ProductNode((0, 1), (unit_leaf(0), leaf))))
+        assert report.violations == [("root.1", "bin edges must be finite and strictly increasing")]
+
+
+def _sum_of_two(weights, second=None):
+    return SumNode((0, 1), np.array(weights), (
+        ProductNode((0, 1), (unit_leaf(0), unit_leaf(1))),
+        second if second is not None else ProductNode((0, 1), (unit_leaf(0), unit_leaf(1))),
+    ))
+
+
+def _categorical_b_model(root):
+    data = make_dataset([("a", CONTINUOUS, None), ("b", CATEGORICAL, ("x", "y"))], [[0.5, 0.0]])
+    return Mspn(root, data.schema, LearnConfig())
+
+
+def _shared_leaf_model():
+    shared = unit_leaf(0)
+    data = make_dataset([("a", CONTINUOUS, None)], [[0.5]])
+    return Mspn(SumNode((0,), np.array([0.5, 0.5]), (shared, shared)), data.schema, LearnConfig())
+
+
+# hand-built models: the TestValidate cases, each valid or broken in one way
+HAND_BUILT = {
+    "valid sum": lambda: two_var_schema_model(_sum_of_two([0.25, 0.75])),
+    "valid categorical leaf": lambda: _categorical_b_model(ProductNode((0, 1), (
+        unit_leaf(0), HistogramLeaf(1, CATEGORICAL, np.arange(3.0), np.array([0.5, 0.5]))))),
+    "weight count mismatch": lambda: two_var_schema_model(_sum_of_two([1.0])),
+    "unnormalized weights": lambda: two_var_schema_model(_sum_of_two([0.6, 0.6])),
+    "NaN weight": lambda: two_var_schema_model(_sum_of_two([np.nan, 0.5])),
+    "sum child scope mismatch": lambda: two_var_schema_model(_sum_of_two([0.5, 0.5], unit_leaf(0))),
+    "product overlap": lambda: two_var_schema_model(ProductNode((0, 1), (unit_leaf(0), unit_leaf(0)))),
+    "product gap": lambda: two_var_schema_model(ProductNode((0, 1), (unit_leaf(0),))),
+    "repeated scope": lambda: two_var_schema_model(
+        ProductNode((0, 0, 1), (unit_leaf(0), unit_leaf(1)))),
+    "leaf domain mismatch": lambda: _categorical_b_model(ProductNode((0, 1), (
+        unit_leaf(0), HistogramLeaf(1, CONTINUOUS, np.array([0.0, 1.0]), np.array([1.0]))))),
+    "incomplete root scope": lambda: two_var_schema_model(unit_leaf(0)),
+    "shared subtree": _shared_leaf_model,
+}
+
+
+def _round_trips(model) -> bool:
+    try:
+        deserialize(serialize(model))
+    except FormatError:
+        return False
+    return True
+
+
+_KINDS = (CONTINUOUS, DISCRETE, CATEGORICAL)
+
+
+@st.composite
+def small_models(draw):
+    """Trees over one to three columns; each node is built right, or wrong in one way."""
+    kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=3))
+    schema = Schema(tuple(Column(f"v{j}", StatType(kind, ("a", "b") if kind == CATEGORICAL
+                                                   else None))
+                          for j, kind in enumerate(kinds)))
+
+    def right_or(right, *wrong):
+        # the right choice nine times in ten
+        return draw(st.sampled_from([right] * 9 * len(wrong) + list(wrong))) if wrong else right
+
+    def leaf(var):
+        var = right_or(var, -1, len(kinds))
+        kind = right_or(kinds[var] if 0 <= var < len(kinds) else CONTINUOUS, *_KINDS)
+        if kind == CATEGORICAL:
+            bins = right_or(2, 3)
+            return HistogramLeaf(var, kind, np.arange(bins + 1.0), np.full(bins, 1.0 / bins))
+        if draw(st.booleans()):
+            return PiecewiseLinearLeaf(var, kind, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        return HistogramLeaf(var, kind, np.array([-0.5, 0.5, 1.5]), np.array([0.5, 0.5]))
+
+    def node(scope, depth):
+        if len(scope) == 1 and (depth >= 2 or draw(st.booleans())):
+            return leaf(scope[0])
+        declared = right_or(scope, scope + scope[:1], scope[1:])
+        if len(scope) > 1 and (depth >= 2 or draw(st.booleans())):
+            cut = draw(st.integers(1, len(scope) - 1))
+            parts = right_or([scope[:cut], scope[cut:]], [scope, scope[cut:]], [scope[:cut]], [])
+            return ProductNode(declared, [node(p, depth + 1) for p in parts])
+        n_children = right_or(draw(st.integers(1, 2)), 0)
+        children = [node(scope, depth + 1) for _ in range(n_children)]
+        even = [1.0 / n_children] * n_children if n_children else []
+        weights = right_or(even, even[1:], even + [0.5], [0.6] * n_children,
+                           [np.nan] + even[1:], [-1.0, 2.0][:n_children])
+        return SumNode(declared, np.array(weights, dtype=np.float64), children)
+
+    return Mspn(node(tuple(range(len(kinds))), 0), schema, LearnConfig())
+
+
+class TestValidateMatchesTheLoader:
+    """A hand-built model validates exactly when it saves and loads."""
+
+    @pytest.mark.parametrize("case", sorted(HAND_BUILT))
+    def test_hand_built_cases(self, case):
+        model = HAND_BUILT[case]()
+        assert validate(model).ok == _round_trips(model)
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=small_models())
+    def test_small_random_trees(self, model):
+        report = validate(model)
+        assert report.ok == _round_trips(model), str(report)
