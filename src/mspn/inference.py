@@ -25,10 +25,16 @@ executors on the plan:
   reproduce ``leaf_density_batch``, each group of sum nodes with the same
   height and child count is one ``weighted_logsumexp`` call, and products
   add ``0.0 + c0 + c1 + ...`` in child order.
-* ``_Plan.evaluate_rows`` answers many rows (``log_evaluate_batch``): a
-  stack machine that applies each node's own arithmetic through
-  ``leaf_density_batch`` and ``weighted_logsumexp`` and holds only the
-  live frontier of row arrays.
+* ``_Plan.evaluate_rows`` answers many rows (``log_evaluate_batch``) and
+  evaluates each node once per distinct value of its key, the observed
+  variables in its scope. Each observed variable's values get dense ids
+  once per batch; a key of several variables combines them by mixed radix.
+  A key with more than a quarter as many distinct values as rows is
+  dense: its nodes run on every row. A node with no observed variable
+  has one value. Leaves run ``leaf_density_batch``, sums
+  ``weighted_logsumexp`` and products ``0.0 + c0 + c1 + ...``; a parent
+  reads each child's values at its own key's entries, and the root's
+  values go back to the rows.
 * ``_Plan.variable_tables`` and ``_Plan.pair_table`` evaluate the nodes
   on grids of one or two observed variables (``mutual_information``,
   ``mi_graph``), each node as a table shaped by its scope's share of the
@@ -62,6 +68,7 @@ at-most-two-traversals contract is asserted in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -145,37 +152,32 @@ class Evidence:
 
 
 def _check_evidence(mspn: Mspn, evidence: Evidence) -> None:
+    """Reject evidence that no query may hold, naming the first bad column."""
     if evidence.n_vars != mspn.n_vars:
         raise QueryError(
             f"evidence covers {evidence.n_vars} variables, model has {mspn.n_vars}"
         )
-    _check_values(mspn.schema, evidence.values[None, :], evidence.observed)
+    v = evidence.values
+    finite, whole, nonnegative = (np.isfinite(v).tolist(), (v == np.rint(v)).tolist(),
+                                  (v >= 0).tolist())
+    for j in np.flatnonzero(evidence.observed).tolist():
+        _check_column(mspn.schema.columns[j], finite[j], whole[j], nonnegative[j])
 
 
-def _check_values(schema: Schema, values: np.ndarray, observed: np.ndarray) -> None:
-    """Reject observed values that no query may hold, naming the first such column.
+def _check_column(column, finite: bool, whole: bool, nonnegative: bool) -> None:
+    """Raise :class:`QueryError` for the first rule an observed column breaks.
 
-    ``values`` is (rows, n_vars). Observed values must be finite, discrete
-    and categorical ones integers, and category codes nonnegative. Codes
-    at or past the end of the vocabulary are legal: they score the leaves'
-    unseen mass.
+    Observed values must be finite, discrete and categorical ones integers,
+    and category codes nonnegative. Codes at or past the end of the
+    vocabulary are legal: they score the leaves' unseen mass.
     """
-    cols = np.flatnonzero(observed)
-    if not cols.size:
-        return
-    block = values[:, cols]
-    finite = np.isfinite(block).all(axis=0).tolist()
-    whole = (block == np.rint(block)).all(axis=0).tolist()
-    signed = (block >= 0).all(axis=0).tolist()
-    for j, is_finite, is_whole, is_signed in zip(cols.tolist(), finite, whole, signed):
-        column = schema.columns[j]
-        kind = column.stat_type.kind
-        if not is_finite:
-            raise QueryError(f"observed value for {column.name!r} is not finite")
-        if kind != CONTINUOUS and not is_whole:
-            raise QueryError(f"observed value for {column.name!r} must be an integer")
-        if kind == CATEGORICAL and not is_signed:
-            raise QueryError(f"negative category code for {column.name!r}")
+    kind = column.stat_type.kind
+    if not finite:
+        raise QueryError(f"observed value for {column.name!r} is not finite")
+    if kind != CONTINUOUS and not whole:
+        raise QueryError(f"observed value for {column.name!r} must be an integer")
+    if kind == CATEGORICAL and not nonnegative:
+        raise QueryError(f"negative category code for {column.name!r}")
 
 
 def _bump(counter, node) -> None:
@@ -297,6 +299,121 @@ class _Edges(NamedTuple):
     log_w: np.ndarray
     lo: np.ndarray
     size: np.ndarray
+
+
+def _densify(codes: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids of the nonnegative integer ``codes`` below ``span``, and the distinct codes.
+
+    Ids follow the order of the codes. A span of at most four codes per row
+    takes a presence table, which needs no sort; a wider one ``np.unique``.
+    """
+    if span > 4 * codes.size:
+        distinct, ids = np.unique(codes, return_inverse=True)
+        return ids, distinct
+    present = np.zeros(span, dtype=bool)
+    present[codes] = True
+    rank = np.cumsum(present, dtype=np.intp) - 1
+    return rank[codes], np.flatnonzero(present)
+
+
+class _Key(NamedTuple):
+    """The distinct values a set of observed variables takes across a batch.
+
+    ``ids[r]`` numbers row r's values of the variables densely, from 0 to
+    ``size - 1``. A dense key has an entry per row and ``ids`` None, and so
+    does the key of no variable, whose one entry broadcasts.
+    """
+
+    ids: np.ndarray | None
+    size: int
+
+
+class _Batch:
+    """The rows of one ``log_evaluate_batch`` call, checked and keyed.
+
+    A node's key is the set of observed variables in its scope, held as a
+    bit mask. Checking the batch gives each observed variable a dense id
+    per row: from a presence table for a discrete or categorical column
+    whose range is under four values per row, from ``np.unique`` for the
+    others. A set of variables combines the ids of its parts by mixed radix
+    and re-densifies. A key with more than a quarter as many distinct
+    entries as rows is dense: one entry per row.
+    """
+
+    def __init__(self, schema: Schema, values: np.ndarray, observed: np.ndarray):
+        self.n_rows = n = values.shape[0]
+        self.keys = {0: _Key(None, 1)}
+        self.points: dict[int, np.ndarray] = {}  # variable -> where its leaves are evaluated
+        self.indexes: dict[tuple[int, int], np.ndarray | None] = {}
+        self.reps: dict[int, np.ndarray] = {}
+        # an empty batch has no values to check or key
+        for var in np.flatnonzero(observed).tolist() if n else ():
+            # one contiguous copy: the passes below run several times faster on it
+            column, col = schema.columns[var], np.ascontiguousarray(values[:, var])
+            lo, hi = float(col.min()), float(col.max())
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                _check_column(column, False, False, False)
+            if column.stat_type.kind != CONTINUOUS and hi - lo < 4 * n:
+                # the codes truncate fractions, so test the rows, not the codes
+                _check_column(column, True, bool((col == np.rint(col)).all()), lo >= 0)
+                ids, codes = _densify((col - lo).astype(np.intp), int(hi - lo) + 1)
+                points = lo + codes
+            else:
+                points, ids = np.unique(col, return_inverse=True)
+                _check_column(column, True, bool((points == np.rint(points)).all()), lo >= 0)
+            if 4 * points.size > n:
+                ids, points = None, col
+            self.keys[1 << var] = _Key(ids, points.size)
+            self.points[var] = points
+
+    def union(self, masks: list) -> int:
+        """The union of the keys ``masks``; its key is built on first use."""
+        mask = 0
+        for m in masks:
+            mask |= m
+        if mask not in self.keys:
+            self.keys[mask] = self._combine([self.keys[m] for m in masks if m])
+        return mask
+
+    def _combine(self, keys: list) -> _Key:
+        dense = _Key(None, self.n_rows)
+        ids, size = keys[0]
+        for part in keys[1:]:
+            if ids is None or part.ids is None:
+                return dense
+            ids, codes = _densify(ids * part.size + part.ids, size * part.size)
+            size = codes.size
+            if 4 * size > self.n_rows:
+                return dense
+        return _Key(ids, size)
+
+    def gather(self, child: int, table: np.ndarray, parent: int) -> np.ndarray:
+        """``table``, on the key ``child``, at each entry of the key ``parent`` that covers it."""
+        if child == parent or not child:
+            return table  # the key of no variable broadcasts
+        pair = child, parent
+        if pair not in self.indexes:
+            ids, parent_ids = self.keys[child].ids, self.keys[parent].ids
+            # a dense child has a dense parent: both index the rows
+            self.indexes[pair] = ids if parent_ids is None else ids[self._rep(parent)]
+        index = self.indexes[pair]
+        return table if index is None else table[index]
+
+    def _rep(self, mask: int) -> np.ndarray:
+        """One row per entry of the key ``mask``, holding that entry's values."""
+        rep = self.reps.get(mask)
+        if rep is None:
+            key = self.keys[mask]
+            rep = self.reps[mask] = np.empty(key.size, dtype=np.intp)
+            rep[key.ids] = np.arange(self.n_rows)
+        return rep
+
+    def rows(self, mask: int, table: np.ndarray) -> np.ndarray:
+        """``table``, on the key ``mask``, read back at every row."""
+        ids = self.keys[mask].ids
+        if ids is not None:
+            return table[ids]
+        return table if mask else np.full(self.n_rows, table[0])
 
 
 class _Plan:
@@ -434,33 +551,40 @@ class _Plan:
                     vals[idx] = acc
         return vals
 
-    def evaluate_rows(self, values: np.ndarray, observed: np.ndarray) -> np.ndarray:
-        """Per-row log values of the root for many rows sharing one mask.
+    def evaluate_rows(self, batch: _Batch) -> np.ndarray:
+        """Per-row log values of the root, each node evaluated once per entry of its key.
 
-        A stack machine over the postorder: each node pops its children's
-        arrays and pushes its own, so only the live frontier is held.
+        Nodes run in postorder, each holding a (key, table) pair until its
+        parent takes it. A leaf of an observed variable evaluates at that
+        variable's points; a parent reads each child's table at its own
+        key's entries and applies its arithmetic to them.
         """
-        n_rows = values.shape[0]
-        stack: list[np.ndarray] = []
+        pending: list[tuple[int, np.ndarray]] = []
         with np.errstate(divide="ignore"):
             for node, kind, children in zip(self.nodes, self.kinds, self.children):
                 if kind == _LEAF:
-                    if observed[node.variable]:
-                        out = np.log(leaf_density_batch(node, values[:, node.variable]))
+                    points = batch.points.get(node.variable)
+                    if points is None:
+                        pending.append((0, np.zeros(1)))
                     else:
-                        out = np.zeros(n_rows)
+                        pending.append((1 << node.variable,
+                                        np.log(leaf_density_batch(node, points))))
+                    continue
+                kids = pending[len(pending) - len(children):]
+                del pending[len(pending) - len(children):]
+                masks = [m for m, _ in kids]
+                mask = batch.union(masks)
+                tables = [batch.gather(m, t, mask) for m, t in kids]
+                if kind == _SUM:
+                    if any(m != mask for m in masks):  # an incomplete sum
+                        tables = np.broadcast_arrays(*tables)
+                    table = weighted_logsumexp(np.stack(tables), node.weights)
                 else:
-                    k = len(children)
-                    kids = stack[len(stack) - k:]
-                    del stack[len(stack) - k:]
-                    if kind == _SUM:
-                        out = weighted_logsumexp(np.stack(kids), node.weights)
-                    else:
-                        out = np.zeros(n_rows)
-                        for c in kids:
-                            out = out + c
-                stack.append(out)
-        return stack[-1]
+                    table = np.zeros(batch.keys[mask].size)
+                    for t in tables:
+                        table = table + t
+                pending.append((mask, table))
+        return batch.rows(*pending[-1])
 
     def variable_tables(self, var: int, points: np.ndarray, base: np.ndarray) -> dict:
         """Log tables of the nodes with ``var`` in scope, ``var`` observed at ``points``.
@@ -670,13 +794,14 @@ def log_evaluate_batch(mspn: Mspn, values: np.ndarray, observed: np.ndarray) -> 
     mask applied to every row. Observed values are checked as
     ``log_evaluate`` checks them: one that is not finite, a discrete count
     or category code that is not an integer, or a negative code raises
-    :class:`QueryError`. Each row gets the value ``log_evaluate`` gives it
-    alone, bit for bit, whatever the other rows are.
+    :class:`QueryError`. Each node is evaluated once per distinct value of
+    the observed variables in its scope, so the cost falls with repeated
+    values. Each row gets the value ``log_evaluate`` gives it alone, bit
+    for bit, whatever the other rows are.
     """
     values = np.asarray(values, dtype=np.float64)
     observed = np.asarray(observed, dtype=bool)
-    _check_values(mspn.schema, values, observed)
-    return evaluation_plan(mspn).evaluate_rows(values, observed)
+    return evaluation_plan(mspn).evaluate_rows(_Batch(mspn.schema, values, observed))
 
 
 def log_evaluate(mspn: Mspn, evidence: Evidence, counter=None) -> float:

@@ -67,9 +67,10 @@ class HistogramLeaf:
             raise DomainError("edges and masses must be 1-d")
         if self.edges.size != self.masses.size + 1 or self.masses.size < 1:
             raise DomainError("need B+1 edges for B >= 1 masses")
-        # increasing edges between finite ends are all finite
+        # increasing edges between finite ends are all finite; compared, not
+        # subtracted, because inf - inf would warn before this could reject it
         e = self.edges
-        if not (math.isfinite(e[0]) and math.isfinite(e[-1]) and np.all(np.diff(e) > 0)):
+        if not (math.isfinite(e[0]) and math.isfinite(e[-1]) and np.all(e[1:] > e[:-1])):
             raise DomainError("bin edges must be finite and strictly increasing")
         if not (self.masses.min() >= 0 and abs(float(self.masses.sum()) - 1.0) <= 1e-12):
             raise DomainError("masses must be a probability vector")
@@ -114,15 +115,16 @@ class PiecewiseLinearLeaf:
         x, y = self.knots_x, self.knots_y
         if x.ndim != 1 or x.shape != y.shape or x.size < 2:
             raise DomainError("need matching 1-d knot vectors with >= 2 knots")
-        # increasing knots between finite ends are all finite
-        if not (math.isfinite(x[0]) and math.isfinite(x[-1]) and np.all(np.diff(x) > 0)):
+        # increasing knots between finite ends are all finite; knots and
+        # densities are compared, not subtracted, because inf - inf would warn
+        if not (math.isfinite(x[0]) and math.isfinite(x[-1]) and np.all(x[1:] > x[:-1])):
             raise DomainError("knots_x must be finite and strictly increasing")
         if not y.min() >= 0:
             raise DomainError("knot densities must be nonnegative")
         m = self.mode_index
         if not 0 <= m < x.size:
             raise DomainError("mode_index out of range")
-        if np.any(np.diff(y[: m + 1]) < 0) or np.any(np.diff(y[m:]) > 0):
+        if np.any(y[1 : m + 1] < y[:m]) or np.any(y[m + 1 :] > y[m:-1]):
             raise DomainError("knot densities must be unimodal around mode_index")
         if not abs(trapezoid(y, x) - 1.0) <= 1e-9:
             raise DomainError("piecewise-linear density must integrate to 1")

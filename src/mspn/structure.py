@@ -70,8 +70,8 @@ class LearnConfig:
                 and 0 < self.proj_scale < math.inf):
             raise ConfigError("need an integer proj_features >= 1 and a finite proj_scale > 0")
         if not (is_integer(self.kmeans_max_iter) and self.kmeans_max_iter >= 1
-                and self.kmeans_tol >= 0):
-            raise ConfigError("need an integer kmeans_max_iter >= 1 and kmeans_tol >= 0")
+                and 0 <= self.kmeans_tol < math.inf):
+            raise ConfigError("need an integer kmeans_max_iter >= 1 and a finite kmeans_tol >= 0")
         if not is_integer(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
 

@@ -1,5 +1,7 @@
 """Histogram and unimodal piecewise-linear leaf distributions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,22 @@ class TestPiecewiseLinearLeafConstruction:
     def test_non_finite_knots_rejected(self, knots_x, knots_y):
         with pytest.raises(DomainError):
             PiecewiseLinearLeaf(0, CONTINUOUS, np.array(knots_x), np.array(knots_y), 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HistogramLeaf(0, CONTINUOUS, np.array([0.0, np.inf, np.inf, 1.0]),
+                          np.array([0.3, 0.3, 0.4])),
+    lambda: PiecewiseLinearLeaf(0, CONTINUOUS, np.array([0.0, np.inf, np.inf, 1.0]),
+                                np.array([0.0, 1.0, 1.0, 0.0]), 1),
+    lambda: PiecewiseLinearLeaf(0, CONTINUOUS, np.array([0.0, 1.0, 2.0, 3.0]),
+                                np.array([0.0, np.inf, np.inf, 0.0]), 1),
+], ids=["histogram edges", "knots_x", "knots_y"])
+def test_adjacent_interior_infinities_raise_only_the_domain_error(make):
+    # inf - inf would make numpy warn before the check could reject the leaf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            make()
 
 
 class TestFitHistogramCategorical:

@@ -38,6 +38,7 @@ from mspn import (
     validate,
 )
 from mspn.analysis import _GridTables, _variable_grids
+from mspn.data import DISCRETE
 from mspn.errors import ConditioningError, QueryError
 from mspn.inference import _free_candidates, evaluation_plan, sample_rows
 from mspn.leaves import (
@@ -559,6 +560,100 @@ def test_batch_rejects_what_single_row_queries_reject(hybrid_small_model):
     # unobserved columns are not checked
     got = log_evaluate_batch(model, np.array([[0.1, 2.5, -1.5]]), np.array([True, False, False]))
     assert np.isfinite(got).all()
+
+
+# ---------------------------------------------------------------------------
+# the batch executor's keys: each node evaluated once per distinct observed value
+# ---------------------------------------------------------------------------
+
+KEYED_BASE = 50
+KEYED_TILE = 40
+FAR = 1e6  # an integer past four values per row of any discrete range below
+
+
+def duplicate_heavy_rows(model, data, rng):
+    """KEYED_BASE rows, tiled KEYED_TILE times and shuffled, and each row's base row.
+
+    The base rows are training rows with about a third of their values
+    swapped for knots, bin edges, off-support values and unseen codes, and
+    some for 0.0 or -0.0. The first discrete variable, if any, holds FAR in
+    one base row, so its distinct values span more than four per row. With
+    at most KEYED_BASE distinct rows, every key of two or more variables
+    stays below the dense cutoff.
+    """
+    base = data.values[rng.integers(data.n_rows, size=KEYED_BASE)].copy()
+    drawn = np.column_stack([rng.choice(pool, size=KEYED_BASE)
+                             for pool in value_pools(model, data)])
+    swap = rng.random(base.shape) < 0.3
+    base[swap] = drawn[swap]
+    zero = rng.random(base.shape) < 0.1
+    base[zero] = np.where(rng.random(base.shape) < 0.5, 0.0, -0.0)[zero]
+    discrete = [v for v in range(model.n_vars) if model.schema.stat_type(v).is_discrete]
+    if discrete:
+        base[0, discrete[0]] = FAR
+    order = rng.permutation(KEYED_BASE * KEYED_TILE)
+    return np.tile(base, (KEYED_TILE, 1))[order], base, order % KEYED_BASE
+
+
+def test_keyed_batches_match_the_recursive_pass_and_single_rows(fixture_models):
+    keyed, dead, signed_zeros = 0, 0, 0
+    for name, (data, model) in fixture_models.items():
+        rng = np.random.default_rng(18)
+        rows, base, of_row = duplicate_heavy_rows(model, data, rng)
+        signed_zeros += int(np.any(np.signbit(rows) & (rows == 0))
+                            and np.any(~np.signbit(rows) & (rows == 0)))
+        masks = [np.ones(model.n_vars, dtype=bool)]
+        masks += [rng.random(model.n_vars) < 0.6 for _ in range(3)]
+        for mask in masks:
+            single = np.array([log_evaluate(model, Evidence(row, mask)) for row in base])
+            got = log_evaluate_batch(model, rows, mask)
+            assert np.array_equal(got, oracle_eval(model.root, rows, mask)), name
+            assert np.array_equal(got, single[of_row]), name
+            # no rows, and one and two rows, where every key is dense
+            assert log_evaluate_batch(model, rows[:0], mask).shape == (0,)
+            for size in (1, 2):
+                assert np.array_equal(log_evaluate_batch(model, rows[:size], mask),
+                                      single[of_row[:size]]), (name, size)
+            batch = mspn.inference._Batch(model.schema, rows, mask)
+            evaluation_plan(model).evaluate_rows(batch)
+            keyed += sum(m & (m - 1) != 0 and key.ids is not None
+                         for m, key in batch.keys.items())
+            dead += int(np.sum(got == -np.inf))
+    assert keyed >= 10  # multi-variable keys below the cutoff are compared
+    assert dead >= 10  # and so are -inf rows
+    assert signed_zeros >= 4
+
+
+def test_batch_keys_number_the_distinct_values():
+    # one column per way to key a variable, and one with too many values
+    n = 400
+    rng = np.random.default_rng(19)
+    data = make_dataset([("small", DISCRETE, None), ("wide", DISCRETE, None),
+                         ("code", CATEGORICAL, ("a", "b", "c")), ("x", CONTINUOUS, None),
+                         ("many", CONTINUOUS, None)], [[0.0, 0.0, 0.0, 0.0, 0.0]])
+    values = np.column_stack([
+        rng.integers(-3, 5, n),
+        rng.choice([-2.0 * n, 0.0, 7.0, 3.0 * n], n),  # a range past four values per row
+        rng.integers(0, 5, n),  # codes past the vocabulary too
+        rng.choice([-0.0, 0.0, 0.25, 1.5], n),
+        rng.uniform(0.0, 1.0, n),  # more than a quarter as many values as rows
+    ]).astype(float)
+    batch = mspn.inference._Batch(data.schema, values, np.ones(5, dtype=bool))
+    for var in range(4):
+        key, points = batch.keys[1 << var], batch.points[var]
+        assert key.ids is not None and key.size == points.size
+        assert np.array_equal(points[key.ids], values[:, var])
+        assert np.unique(points).size == points.size
+    many = batch.keys[1 << 4]
+    assert many.ids is None and many.size == n
+    assert np.array_equal(batch.points[4], values[:, 4])
+    # a set of variables: equal ids exactly where the rows agree on every variable
+    pair = batch.keys[batch.union([0b0001, 0b0100])]
+    both = values[:, [0, 2]]
+    same_ids = pair.ids[:, None] == pair.ids[None, :]
+    same_rows = (both[:, None, :] == both[None, :, :]).all(axis=2)
+    assert np.array_equal(same_ids, same_rows) and pair.size == np.unique(pair.ids).size
+    assert batch.keys[batch.union([0b0101, 0b10000])].ids is None  # holds a dense variable
 
 
 def test_sample_rows_share_one_plan_pass(fixture_models):

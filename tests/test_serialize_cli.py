@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from mspn import (
     Schema,
     StatType,
     deserialize,
+    load_dataset,
     load_model,
     log_evaluate,
     sample,
@@ -303,6 +305,7 @@ OVERFLOW_FILES = {
     "unseen mass": (_huge_at(4, "unseen_mass"), "1e400"),
     "file seed": (_huge_at(None, "seed"), "1e400"),
     "config min_instances": (lambda obj: obj["config"].update(min_instances=_HUGE), "1e400"),
+    "config kmeans_tol": (lambda obj: obj["config"].update(kmeans_tol=_HUGE), "1e400"),
 }
 
 
@@ -320,6 +323,25 @@ class TestOverflowingNumbers:
         for command in ("query", "mpe", "validate"):
             assert main([command, "--model", str(path)]) == 2, command
             assert "data error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("kind", ["histogram", "piecewise_linear"])
+    def test_adjacent_interior_infinities_give_no_numpy_warning(self, kind, tmp_path, capsys):
+        obj = json.loads(serialize(two_component_model()))
+        if kind == "histogram":
+            obj["nodes"][0].update(edges=[0.0, _HUGE, _HUGE, 1.0], masses=[0.3, 0.3, 0.4])
+        else:
+            obj["nodes"][0] = _pwl_record(1)
+            obj["nodes"][0].update(knots_x=[0.0, _HUGE, _HUGE, 1.0], knots_y=[0.0, 1.0, 1.0, 0.0])
+        blob = _with_huge(obj, "1e400")
+        path = tmp_path / "interior.json"
+        path.write_bytes(blob)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError):
+                deserialize(blob)
+            assert main(["validate", "--model", str(path)]) == 2
+        assert "data error" in capsys.readouterr().err
 
 
 class TestSaveModel:
@@ -442,6 +464,22 @@ class TestCliLoglik:
         captured = capsys.readouterr()
         assert code == 0
         assert np.isfinite(float(captured.out.strip().split("\n")[0]))
+
+    def test_tiled_rows_print_their_single_row_values(self, cli_files, tmp_path, capsys):
+        # many copies of few rows, one with a label unseen in training
+        header, *rows = cli_files["test"].read_text().splitlines()
+        rows.append(rows[0].split(",")[0] + ",purple")
+        order = np.random.default_rng(21).permutation(np.tile(np.arange(len(rows)), 40))
+        data = tmp_path / "tiled.csv"
+        data.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
+        assert main(["loglik", "--model", str(cli_files["model"]), "--data", str(data)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        model = load_model(cli_files["model"])
+        full = np.ones(model.n_vars, dtype=bool)
+        values = load_dataset(data, model.schema, unseen_to_sentinel=True).values
+        want = [format(log_evaluate(model, Evidence(row, full)), ".17g") for row in values]
+        assert printed[:-1] == want
+        assert values[:, 1].max() == 2.0  # the unseen label's code is scored
 
 
 class TestCliQuery:

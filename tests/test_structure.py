@@ -54,7 +54,7 @@ class TestLearnConfig:
     @pytest.mark.parametrize("field, value", [
         ("smoothing", float("nan")), ("smoothing", float("inf")),
         ("proj_scale", float("nan")), ("proj_scale", float("inf")),
-        ("kmeans_tol", float("nan")),
+        ("kmeans_tol", float("nan")), ("kmeans_tol", float("inf")),
     ])
     def test_non_finite_settings_rejected(self, field, value):
         # NaN fails no plain < or <= bound, so each check is a range it must lie in
