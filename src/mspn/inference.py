@@ -25,16 +25,16 @@ executors on the plan:
   reproduce ``leaf_density_batch``, each group of sum nodes with the same
   height and child count is one ``weighted_logsumexp`` call, and products
   add ``0.0 + c0 + c1 + ...`` in child order.
-* ``_Plan.evaluate_rows`` answers many rows (``log_evaluate_batch``) and
-  evaluates each node once per distinct value of its key, the observed
-  variables in its scope. Each observed variable's values get dense ids
-  once per batch; a key of several variables combines them by mixed radix.
-  A key with more than a quarter as many distinct values as rows is
-  dense: its nodes run on every row. A node with no observed variable
-  has one value. Leaves run ``leaf_density_batch``, sums
-  ``weighted_logsumexp`` and products ``0.0 + c0 + c1 + ...``; a parent
-  reads each child's values at its own key's entries, and the root's
-  values go back to the rows.
+* ``_Plan.evaluate_rows`` answers many rows (``log_evaluate_batch``).
+  A node's key is the set of observed variables in its scope. Each
+  observed variable gets its distinct values and a dense id per row once
+  per batch, and a node keyed by one variable runs once per distinct
+  value. A variable with more than a quarter as many distinct values as
+  rows is dense, and a node with it, or with several observed variables,
+  runs on every row. A node with no observed variable has one value.
+  Leaves run ``leaf_density_batch``; a parent reads each child's values
+  at its own key's entries and combines them in ``_Plan._combine``, as
+  the MI tables below do. The root's values go back to the rows.
 * ``_Plan.variable_tables`` and ``_Plan.pair_table`` evaluate the nodes
   on grids of one or two observed variables (``mutual_information``,
   ``mi_graph``), each node as a table shaped by its scope's share of the
@@ -187,6 +187,14 @@ def _bump(counter, node) -> None:
 
 _LEAF, _SUM, _PRODUCT = 0, 1, 2
 
+# Batch keys (``_Batch``): a discrete or categorical column whose values
+# span at most this many codes per row is numbered with a presence table,
+# a wider one with ``np.unique``.
+_CODES_PER_ROW = 4
+# A variable with more than one distinct value per this many rows is
+# dense: the nodes keyed by it run on every row.
+_ROWS_PER_ENTRY = 4
+
 
 def _padded(rows, fill) -> np.ndarray:
     """Stack 1-d arrays of unequal length into a matrix, padding with ``fill``."""
@@ -301,51 +309,26 @@ class _Edges(NamedTuple):
     size: np.ndarray
 
 
-def _densify(codes: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ids of the nonnegative integer ``codes`` below ``span``, and the distinct codes.
-
-    Ids follow the order of the codes. A span of at most four codes per row
-    takes a presence table, which needs no sort; a wider one ``np.unique``.
-    """
-    if span > 4 * codes.size:
-        distinct, ids = np.unique(codes, return_inverse=True)
-        return ids, distinct
-    present = np.zeros(span, dtype=bool)
-    present[codes] = True
-    rank = np.cumsum(present, dtype=np.intp) - 1
-    return rank[codes], np.flatnonzero(present)
-
-
-class _Key(NamedTuple):
-    """The distinct values a set of observed variables takes across a batch.
-
-    ``ids[r]`` numbers row r's values of the variables densely, from 0 to
-    ``size - 1``. A dense key has an entry per row and ``ids`` None, and so
-    does the key of no variable, whose one entry broadcasts.
-    """
-
-    ids: np.ndarray | None
-    size: int
-
-
 class _Batch:
     """The rows of one ``log_evaluate_batch`` call, checked and keyed.
 
     A node's key is the set of observed variables in its scope, held as a
-    bit mask. Checking the batch gives each observed variable a dense id
-    per row: from a presence table for a discrete or categorical column
-    whose range is under four values per row, from ``np.unique`` for the
-    others. A set of variables combines the ids of its parts by mixed radix
-    and re-densifies. A key with more than a quarter as many distinct
-    entries as rows is dense: one entry per row.
+    bit mask; its table has one entry per distinct value of the key.
+    Checking the batch gives each observed variable its distinct values
+    (``points``) and a dense id per row: from a presence table for a
+    discrete or categorical column whose range spans at most
+    ``_CODES_PER_ROW`` codes per row, which needs no sort, and from
+    ``np.unique`` for the others. A variable with more than one distinct
+    value per ``_ROWS_PER_ENTRY`` rows is dense: its points are its rows
+    and it has no ids. So the key of no variable has one entry, which
+    broadcasts, the key of one variable with ids an entry per id, and
+    every other key, each of several variables included, an entry per row.
     """
 
     def __init__(self, schema: Schema, values: np.ndarray, observed: np.ndarray):
         self.n_rows = n = values.shape[0]
-        self.keys = {0: _Key(None, 1)}
         self.points: dict[int, np.ndarray] = {}  # variable -> where its leaves are evaluated
-        self.indexes: dict[tuple[int, int], np.ndarray | None] = {}
-        self.reps: dict[int, np.ndarray] = {}
+        self.ids: dict[int, np.ndarray] = {}  # key of one variable -> its id per row
         # an empty batch has no values to check or key
         for var in np.flatnonzero(observed).tolist() if n else ():
             # one contiguous copy: the passes below run several times faster on it
@@ -353,66 +336,33 @@ class _Batch:
             lo, hi = float(col.min()), float(col.max())
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 _check_column(column, False, False, False)
-            if column.stat_type.kind != CONTINUOUS and hi - lo < 4 * n:
+            if column.stat_type.kind != CONTINUOUS and hi - lo < _CODES_PER_ROW * n:
                 # the codes truncate fractions, so test the rows, not the codes
                 _check_column(column, True, bool((col == np.rint(col)).all()), lo >= 0)
-                ids, codes = _densify((col - lo).astype(np.intp), int(hi - lo) + 1)
-                points = lo + codes
+                codes = (col - lo).astype(np.intp)
+                present = np.zeros(int(hi - lo) + 1, dtype=bool)
+                present[codes] = True
+                ids = (np.cumsum(present, dtype=np.intp) - 1)[codes]
+                points = lo + np.flatnonzero(present)
             else:
                 points, ids = np.unique(col, return_inverse=True)
                 _check_column(column, True, bool((points == np.rint(points)).all()), lo >= 0)
-            if 4 * points.size > n:
-                ids, points = None, col
-            self.keys[1 << var] = _Key(ids, points.size)
+            if _ROWS_PER_ENTRY * points.size > n:
+                points = col
+            else:
+                self.ids[1 << var] = ids
             self.points[var] = points
-
-    def union(self, masks: list) -> int:
-        """The union of the keys ``masks``; its key is built on first use."""
-        mask = 0
-        for m in masks:
-            mask |= m
-        if mask not in self.keys:
-            self.keys[mask] = self._combine([self.keys[m] for m in masks if m])
-        return mask
-
-    def _combine(self, keys: list) -> _Key:
-        dense = _Key(None, self.n_rows)
-        ids, size = keys[0]
-        for part in keys[1:]:
-            if ids is None or part.ids is None:
-                return dense
-            ids, codes = _densify(ids * part.size + part.ids, size * part.size)
-            size = codes.size
-            if 4 * size > self.n_rows:
-                return dense
-        return _Key(ids, size)
 
     def gather(self, child: int, table: np.ndarray, parent: int) -> np.ndarray:
         """``table``, on the key ``child``, at each entry of the key ``parent`` that covers it."""
-        if child == parent or not child:
-            return table  # the key of no variable broadcasts
-        pair = child, parent
-        if pair not in self.indexes:
-            ids, parent_ids = self.keys[child].ids, self.keys[parent].ids
-            # a dense child has a dense parent: both index the rows
-            self.indexes[pair] = ids if parent_ids is None else ids[self._rep(parent)]
-        index = self.indexes[pair]
-        return table if index is None else table[index]
-
-    def _rep(self, mask: int) -> np.ndarray:
-        """One row per entry of the key ``mask``, holding that entry's values."""
-        rep = self.reps.get(mask)
-        if rep is None:
-            key = self.keys[mask]
-            rep = self.reps[mask] = np.empty(key.size, dtype=np.intp)
-            rep[key.ids] = np.arange(self.n_rows)
-        return rep
+        if child == parent or child not in self.ids:
+            return table  # the same key, the one entry of no variable, or the rows
+        return table[self.ids[child]]  # a parent of several variables runs per row
 
     def rows(self, mask: int, table: np.ndarray) -> np.ndarray:
         """``table``, on the key ``mask``, read back at every row."""
-        ids = self.keys[mask].ids
-        if ids is not None:
-            return table[ids]
+        if mask in self.ids:
+            return table[self.ids[mask]]
         return table if mask else np.full(self.n_rows, table[0])
 
 
@@ -557,11 +507,13 @@ class _Plan:
         Nodes run in postorder, each holding a (key, table) pair until its
         parent takes it. A leaf of an observed variable evaluates at that
         variable's points; a parent reads each child's table at its own
-        key's entries and applies its arithmetic to them.
+        key's entries and combines them with ``_combine``, where a child of
+        no observed variable broadcasts its one entry.
         """
         pending: list[tuple[int, np.ndarray]] = []
         with np.errstate(divide="ignore"):
-            for node, kind, children in zip(self.nodes, self.kinds, self.children):
+            for i, (node, kind, children) in enumerate(zip(self.nodes, self.kinds,
+                                                           self.children)):
                 if kind == _LEAF:
                     points = batch.points.get(node.variable)
                     if points is None:
@@ -572,18 +524,11 @@ class _Plan:
                     continue
                 kids = pending[len(pending) - len(children):]
                 del pending[len(pending) - len(children):]
-                masks = [m for m, _ in kids]
-                mask = batch.union(masks)
-                tables = [batch.gather(m, t, mask) for m, t in kids]
-                if kind == _SUM:
-                    if any(m != mask for m in masks):  # an incomplete sum
-                        tables = np.broadcast_arrays(*tables)
-                    table = weighted_logsumexp(np.stack(tables), node.weights)
-                else:
-                    table = np.zeros(batch.keys[mask].size)
-                    for t in tables:
-                        table = table + t
-                pending.append((mask, table))
+                mask = 0
+                for m, _ in kids:
+                    mask |= m
+                pending.append((mask, self._combine(i, [batch.gather(m, t, mask)
+                                                        for m, t in kids])))
         return batch.rows(*pending[-1])
 
     def variable_tables(self, var: int, points: np.ndarray, base: np.ndarray) -> dict:
@@ -630,7 +575,9 @@ class _Plan:
     def _combine(self, i: int, kids: list) -> np.ndarray:
         """Node ``i``'s table from its children's, broadcast against each other.
 
-        The arithmetic of ``evaluate_rows``, cell by cell.
+        The one sum and product arithmetic of every table executor, cell by
+        cell: ``weighted_logsumexp`` for a sum, ``0.0 + c0 + c1 + ...`` in
+        child order for a product.
         """
         if self.kinds[i] == _SUM:
             return weighted_logsumexp(np.stack(np.broadcast_arrays(*kids)), self.nodes[i].weights)
@@ -794,9 +741,10 @@ def log_evaluate_batch(mspn: Mspn, values: np.ndarray, observed: np.ndarray) -> 
     mask applied to every row. Observed values are checked as
     ``log_evaluate`` checks them: one that is not finite, a discrete count
     or category code that is not an integer, or a negative code raises
-    :class:`QueryError`. Each node is evaluated once per distinct value of
-    the observed variables in its scope, so the cost falls with repeated
-    values. Each row gets the value ``log_evaluate`` gives it alone, bit
+    :class:`QueryError`. A node with one observed variable in its scope
+    is evaluated once per distinct value of that variable, so the cost
+    falls with repeated values; nodes with several run on every row. Each
+    row gets the value ``log_evaluate`` gives it alone, bit
     for bit, whatever the other rows are.
     """
     values = np.asarray(values, dtype=np.float64)

@@ -578,8 +578,8 @@ def duplicate_heavy_rows(model, data, rng):
     swapped for knots, bin edges, off-support values and unseen codes, and
     some for 0.0 or -0.0. The first discrete variable, if any, holds FAR in
     one base row, so its distinct values span more than four per row. With
-    at most KEYED_BASE distinct rows, every key of two or more variables
-    stays below the dense cutoff.
+    at most KEYED_BASE distinct rows, every variable stays below the dense
+    cutoff and keys the nodes of its one-variable subtrees.
     """
     base = data.values[rng.integers(data.n_rows, size=KEYED_BASE)].copy()
     drawn = np.column_stack([rng.choice(pool, size=KEYED_BASE)
@@ -614,12 +614,9 @@ def test_keyed_batches_match_the_recursive_pass_and_single_rows(fixture_models):
             for size in (1, 2):
                 assert np.array_equal(log_evaluate_batch(model, rows[:size], mask),
                                       single[of_row[:size]]), (name, size)
-            batch = mspn.inference._Batch(model.schema, rows, mask)
-            evaluation_plan(model).evaluate_rows(batch)
-            keyed += sum(m & (m - 1) != 0 and key.ids is not None
-                         for m, key in batch.keys.items())
+            keyed += len(mspn.inference._Batch(model.schema, rows, mask).ids)
             dead += int(np.sum(got == -np.inf))
-    assert keyed >= 10  # multi-variable keys below the cutoff are compared
+    assert keyed >= 10  # variables below the dense cutoff are compared
     assert dead >= 10  # and so are -inf rows
     assert signed_zeros >= 4
 
@@ -640,20 +637,11 @@ def test_batch_keys_number_the_distinct_values():
     ]).astype(float)
     batch = mspn.inference._Batch(data.schema, values, np.ones(5, dtype=bool))
     for var in range(4):
-        key, points = batch.keys[1 << var], batch.points[var]
-        assert key.ids is not None and key.size == points.size
-        assert np.array_equal(points[key.ids], values[:, var])
-        assert np.unique(points).size == points.size
-    many = batch.keys[1 << 4]
-    assert many.ids is None and many.size == n
+        ids, points = batch.ids[1 << var], batch.points[var]
+        assert np.array_equal(points[ids], values[:, var])
+        assert np.unique(points).size == points.size == ids.max() + 1
+    assert 1 << 4 not in batch.ids  # dense: evaluated on its rows
     assert np.array_equal(batch.points[4], values[:, 4])
-    # a set of variables: equal ids exactly where the rows agree on every variable
-    pair = batch.keys[batch.union([0b0001, 0b0100])]
-    both = values[:, [0, 2]]
-    same_ids = pair.ids[:, None] == pair.ids[None, :]
-    same_rows = (both[:, None, :] == both[None, :, :]).all(axis=2)
-    assert np.array_equal(same_ids, same_rows) and pair.size == np.unique(pair.ids).size
-    assert batch.keys[batch.union([0b0101, 0b10000])].ids is None  # holds a dense variable
 
 
 def test_sample_rows_share_one_plan_pass(fixture_models):
