@@ -2,9 +2,12 @@
 
 The binning DP is loop-free numpy within each bin count (one masked
 argmax fills a whole DP column) and K-means is vectorised over points,
-one centroid at a time; PAVA is a short Python loop. The tests check
-``dp_fill`` bit for bit against a triple-loop oracle and ``lloyd``
-against a loop and a broadcast implementation.
+one centroid at a time; PAVA is a short Python loop. K-means clusters
+rows that are given as distinct points plus a row-to-point inverse:
+distances run once per point, centroid sums over the member rows in row
+order, so the labels are those of clustering the rows themselves. The
+tests check ``dp_fill`` bit for bit against a triple-loop oracle and
+``lloyd`` against a loop and a broadcast implementation.
 """
 
 from __future__ import annotations
@@ -68,21 +71,24 @@ def dp_fill(seg_ll):
     return f, back
 
 
-def lloyd(points, centroids, max_iter, tol):
+def lloyd(points, centroids, max_iter, tol, inverse=None):
+    # the rows are points[inverse], or the points themselves; each centroid
+    # sums its member rows in row order, as clustering the rows would
+    rows = np.arange(points.shape[0]) if inverse is None else inverse
     cent = centroids.copy()
     for _ in range(max_iter):
-        labels = np.argmin(_sq_dists(points, cent), axis=1)
+        labels = np.argmin(_sq_dists(points, cent), axis=1)[rows]
         new_cent = cent.copy()
         shift = 0.0
         for c in range(cent.shape[0]):
-            member = labels == c
-            if member.any():
-                new_cent[c] = points[member].sum(axis=0) / member.sum()
+            member = np.flatnonzero(labels == c)
+            if member.size:
+                new_cent[c] = points[rows[member]].sum(axis=0) / member.size
                 shift = max(shift, float(((new_cent[c] - cent[c]) ** 2).sum()))
         cent = new_cent
         if np.sqrt(shift) < tol:
             break
-    return np.argmin(_sq_dists(points, cent), axis=1)
+    return np.argmin(_sq_dists(points, cent), axis=1)[rows]
 
 
 def _sq_dists(points, cent):

@@ -327,17 +327,26 @@ def _dataset_with_sentinels(schema: Schema, values: np.ndarray) -> Dataset:
     return ds
 
 
-def copula_transform(column: np.ndarray) -> np.ndarray:
+def copula_transform(column: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
     """Empirical cumulative rank of each entry within its own column.
 
     Entry ``m`` maps to ``|{r : x_r <= x_m}| / M``, so ties share their
-    maximal rank and the output lives in ``(0, 1]``.
+    maximal rank and the output lives in ``(0, 1]``. With ``counts``, entry
+    ``m`` stands for ``counts[m]`` rows of a column of ``M = counts.sum()``
+    rows and gets their rank: the same integer over the same ``M``, so the
+    same bits as ranking every row.
     """
     col = np.asarray(column, dtype=np.float64).ravel()
     if col.size == 0:
         raise EmptyInputError("cannot rank an empty column")
-    order = np.sort(col)
-    return np.searchsorted(order, col, side="right") / col.size
+    if counts is None:
+        counts = np.ones(col.size, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64).ravel()
+    if counts.shape != col.shape:
+        raise DomainError("need one count per entry")
+    order = np.argsort(col, kind="stable")
+    at_most = np.cumsum(counts[order])
+    return at_most[np.searchsorted(col[order], col, side="right") - 1] / at_most[-1]
 
 
 def one_hot(column: np.ndarray, arity: int) -> np.ndarray:

@@ -194,6 +194,9 @@ _CODES_PER_ROW = 4
 # A variable with more than one distinct value per this many rows is
 # dense: the nodes keyed by it run on every row.
 _ROWS_PER_ENTRY = 4
+# A column numbered with ``np.unique`` is first judged on a strided sample
+# of about this many rows, and is not sorted if the sample is dense.
+_SAMPLE_ROWS = 256
 
 
 def _padded(rows, fill) -> np.ndarray:
@@ -320,7 +323,9 @@ class _Batch:
     ``_CODES_PER_ROW`` codes per row, which needs no sort, and from
     ``np.unique`` for the others. A variable with more than one distinct
     value per ``_ROWS_PER_ENTRY`` rows is dense: its points are its rows
-    and it has no ids. So the key of no variable has one entry, which
+    and it has no ids; a column sorted by ``np.unique`` is taken as dense
+    unsorted when a strided sample of it is. Which variables are keyed
+    changes only speed. So the key of no variable has one entry, which
     broadcasts, the key of one variable with ids an entry per id, and
     every other key, each of several variables included, an entry per row.
     """
@@ -345,7 +350,11 @@ class _Batch:
                 ids = (np.cumsum(present, dtype=np.intp) - 1)[codes]
                 points = lo + np.flatnonzero(present)
             else:
-                points, ids = np.unique(col, return_inverse=True)
+                sample = col[:: max(1, n // _SAMPLE_ROWS)]
+                if _ROWS_PER_ENTRY * np.unique(sample).size > sample.size:
+                    points = col
+                else:
+                    points, ids = np.unique(col, return_inverse=True)
                 _check_column(column, True, bool((points == np.rint(points)).all()), lo >= 0)
             if _ROWS_PER_ENTRY * points.size > n:
                 points = col

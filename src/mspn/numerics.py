@@ -150,17 +150,24 @@ def _pair_correlation(a: _Whitened, b: _Whitened) -> float:
 
 
 def kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator,
-           max_iter: int = 100, tol: float = 1e-4) -> np.ndarray:
-    """Cluster rows of ``points`` by Lloyd iteration with ++-style seeding.
+           max_iter: int = 100, tol: float = 1e-4,
+           inverse: np.ndarray | None = None) -> np.ndarray:
+    """Cluster the rows ``points[inverse]`` by Lloyd iteration with ++-style seeding.
 
-    Returns integer labels in [0, k). Requesting more clusters than rows
-    caps k at the row count; clusters can come back empty, in which case
-    their label simply never appears.
+    ``points`` holds each distinct row once and ``inverse`` maps every row
+    to its point; by default every row is its own point. Seeding draws
+    rows, distances and assignments are computed once per point, and each
+    centroid is the mean of its member rows, so the labels, one per row,
+    are those of clustering ``points[inverse]`` itself. Returns integer
+    labels in [0, k). Requesting more clusters than rows caps k at the row
+    count; clusters can come back empty, in which case their label simply
+    never appears.
     """
     pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if pts.ndim == 1:
         pts = pts[:, None]
-    m = pts.shape[0]
+    rows = np.arange(pts.shape[0]) if inverse is None else np.asarray(inverse, dtype=np.intp)
+    m = rows.shape[0]
     if m == 0:
         raise EmptyInputError("cannot cluster zero rows")
     if n_clusters < 1:
@@ -169,20 +176,22 @@ def kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator,
 
     cent = np.empty((k, pts.shape[1]))
     first = int(rng.integers(m))
-    cent[0] = pts[first]
+    cent[0] = pts[rows[first]]
     d2 = ((pts - cent[0]) ** 2).sum(axis=1)
     for c in range(1, k):
-        total = float(d2.sum())
+        # the draw weighs every row, so the sums run over rows, not points
+        row_d2 = d2[rows]
+        total = float(row_d2.sum())
         if total > 0.0:
             u = rng.random() * total
-            j = int(np.searchsorted(np.cumsum(d2), u, side="right"))
+            j = int(np.searchsorted(np.cumsum(row_d2), u, side="right"))
             j = min(j, m - 1)
         else:
             j = int(rng.integers(m))
-        cent[c] = pts[j]
-        d2 = np.minimum(d2, ((pts - pts[j]) ** 2).sum(axis=1))
+        cent[c] = pts[rows[j]]
+        d2 = np.minimum(d2, ((pts - cent[c]) ** 2).sum(axis=1))
 
-    return lloyd(pts, cent, max_iter, tol)
+    return lloyd(pts, cent, max_iter, tol, rows)
 
 
 def fit_monotone(

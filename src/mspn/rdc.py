@@ -8,6 +8,11 @@ learner: splitting variables into independent groups (connected components
 of the thresholded dependency graph) and conditioning rows into clusters
 (k-means on the concatenated features).
 
+Equal values carry equal features, so the work runs on distinct values:
+each variable is ranked and projected once per distinct value and its
+features gathered to the rows, and row clustering embeds each distinct
+data row once, with ids taken from the data, never from the features.
+
 All randomness flows through :class:`~mspn.numerics.SeedScope`, keyed by
 (seed, recursion path, purpose, variable), so results are reproducible
 and symmetric in the variable pair.
@@ -82,26 +87,36 @@ class SamplePartition:
     proportions: np.ndarray
 
 
-def _variable_features(dataset: Dataset, v: int, config, seeds: SeedScope,
-                       tag: int) -> np.ndarray:
-    """Rank-transform variable ``v`` and project it through sine features.
+def _distinct_features(dataset: Dataset, v: int, config, seeds: SeedScope,
+                       tag: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sine features of variable ``v``'s distinct values, and each row's value id.
 
-    Categorical variables are one-hot expanded first and each indicator
-    column is rank-transformed on its own, giving a multivariate block.
+    Each distinct value is ranked once from the counts of the values at or
+    below it, and categorical codes are one-hot expanded with each
+    indicator column ranked on its own, giving a multivariate block. Row
+    ``r``'s features are ``features[ids[r]]``, so equal values share one
+    computed feature row.
     """
     st = dataset.schema.stat_type(v)
-    col = dataset.column(v)
+    values, ids, counts = np.unique(dataset.column(v), return_inverse=True, return_counts=True)
     if st.is_categorical:
-        indicators = one_hot(col, st.arity)
+        indicators = one_hot(values, st.arity)
         ranks = np.column_stack(
-            [copula_transform(indicators[:, c]) for c in range(indicators.shape[1])]
+            [copula_transform(indicators[:, c], counts) for c in range(st.arity)]
         )
     else:
-        ranks = copula_transform(col)[:, None]
+        ranks = copula_transform(values, counts)[:, None]
     proj = SineProjection.draw(
         seeds.rng(tag, v), ranks.shape[1], config.proj_features, config.proj_scale
     )
-    return proj.transform(ranks)
+    return proj.transform(ranks), ids
+
+
+def _variable_features(dataset: Dataset, v: int, config, seeds: SeedScope,
+                       tag: int) -> np.ndarray:
+    """Rank-transform variable ``v`` and project it through sine features, per row."""
+    features, ids = _distinct_features(dataset, v, config, seeds, tag)
+    return features[ids]
 
 
 def _is_constant(dataset: Dataset, v: int) -> bool:
@@ -172,18 +187,29 @@ def cluster_samples(dataset: Dataset, config, seeds: SeedScope | None = None) ->
 
     Every variable is rank-transformed and projected with its own feature
     map, the blocks are concatenated, and k-means with k=2 runs on the
-    result. Empty clusters are dropped, so degenerate data (for example
+    result. The embedding is built once per distinct data row: each row's
+    id combines its per-variable value ids, so equal rows share one point.
+    Empty clusters are dropped, so degenerate data (for example
     all-identical rows) comes back as a single cluster.
     """
     if seeds is None:
         seeds = SeedScope(config.seed)
-    blocks = [
-        _variable_features(dataset, v, config, seeds, _CLUSTER_TAG)
-        for v in range(dataset.n_cols)
-    ]
-    embedded = np.hstack(blocks)
+    blocks = []
+    key = None
+    for v in range(dataset.n_cols):
+        features, ids = _distinct_features(dataset, v, config, seeds, _CLUSTER_TAG)
+        blocks.append((features, ids))
+        # mixed radix of the value ids, made dense again after every
+        # variable so that it stays below rows**2 and fits in int64
+        key = ids if key is None else np.unique(
+            key * features.shape[0] + ids, return_inverse=True
+        )[1]
+    # any row of a key stands for it: its rows share every value id
+    row_of = np.empty(int(key.max()) + 1, dtype=np.intp)
+    row_of[key] = np.arange(dataset.n_rows)
+    embedded = np.hstack([features[ids[row_of]] for features, ids in blocks])
     labels = kmeans(
-        embedded, 2, seeds.rng(_KMEANS_TAG), config.kmeans_max_iter, config.kmeans_tol
+        embedded, 2, seeds.rng(_KMEANS_TAG), config.kmeans_max_iter, config.kmeans_tol, key
     )
     clusters = []
     for label in range(int(labels.max()) + 1):

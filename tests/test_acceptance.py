@@ -33,7 +33,6 @@ from mspn import (
     validate,
 )
 from mspn.cli import main
-from mspn.data import DISCRETE
 from mspn.leaves import (
     HistogramLeaf,
     PiecewiseLinearLeaf,
@@ -43,8 +42,10 @@ from mspn.leaves import (
 )
 from mspn.structure import Mspn
 from conftest import (
+    H14_COLS,
     HYBRID6_COLS,
     make_dataset,
+    make_hybrid14,
     make_hybrid6,
     record_criterion,
 )
@@ -52,48 +53,6 @@ from conftest import (
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-def make_hybrid14(seed: int, m: int) -> np.ndarray:
-    """Fourteen-variable hybrid sampler: 6 continuous, 4 discrete, 4 categorical.
-
-    Plants a curved continuous pair (0, 1), a linear continuous pair
-    (2, 3), a discrete pair (6, 7), and two noisy categorical couplings
-    so the learner has real structure to find at this width.
-    """
-    r = np.random.default_rng(seed)
-    x0 = r.uniform(-1.0, 1.0, m)
-    x1 = 2.0 * x0**2 + 0.2 * r.uniform(-1.0, 1.0, m)
-    x2 = r.normal(0.0, 1.0, m)
-    x3 = 0.5 * x2 + r.normal(0.0, 0.5, m)
-    x4 = r.uniform(0.0, 1.0, m)
-    x5 = r.exponential(1.0, m)
-    d0 = r.integers(0, 8, m).astype(float)
-    d1 = (d0 + r.integers(0, 3, m)).astype(float)
-    d2 = r.binomial(10, 0.3, m).astype(float)
-    d3 = r.integers(0, 5, m).astype(float)
-    c0 = (d0 % 3).astype(float)
-    relabel = r.random(m) < 0.3
-    c0 = np.where(relabel, r.integers(0, 3, m), c0).astype(float)
-    c1 = r.choice(2, m, p=[0.7, 0.3]).astype(float)
-    c2 = r.choice(4, m).astype(float)
-    c3 = np.where(x0 > 0, 1.0, 0.0)
-    flip = r.random(m) < 0.2
-    c3 = np.where(flip, 1.0 - c3, c3)
-    return np.column_stack([x0, x1, x2, x3, x4, x5, d0, d1, d2, d3, c0, c1, c2, c3])
-
-
-H14_COLS = [
-    ("u0", CONTINUOUS, None), ("u1", CONTINUOUS, None),
-    ("n0", CONTINUOUS, None), ("n1", CONTINUOUS, None),
-    ("v0", CONTINUOUS, None), ("e0", CONTINUOUS, None),
-    ("k0", DISCRETE, None), ("k1", DISCRETE, None),
-    ("k2", DISCRETE, None), ("k3", DISCRETE, None),
-    ("g0", CATEGORICAL, ("a", "b", "c")),
-    ("g1", CATEGORICAL, ("f", "t")),
-    ("g2", CATEGORICAL, ("p", "q", "r", "s")),
-    ("g3", CATEGORICAL, ("neg", "pos")),
-]
 
 
 def anchored_evidence(data, model) -> Evidence:

@@ -225,6 +225,20 @@ class TestCopulaTransform:
         x = r.uniform(0.0, 1.0, 300)
         np.testing.assert_array_equal(copula_transform(x), copula_transform(np.exp(x)))
 
+    def test_counted_entries_rank_like_their_rows(self):
+        # unsorted entries with repeats, as the indicator columns of distinct
+        # categorical codes are
+        entries = np.array([4.0, 0.0, 6.0, 4.0, 2.0, 1.0, 5.0, 3.0, 0.0])
+        counts = np.random.default_rng(6).integers(1, 400, entries.size)
+        rows = np.repeat(entries, counts)
+        by_rows = np.searchsorted(np.sort(rows), rows, side="right") / rows.size
+        np.testing.assert_array_equal(copula_transform(rows), by_rows)
+        np.testing.assert_array_equal(
+            copula_transform(entries, counts), by_rows[np.cumsum(counts) - 1]
+        )
+        with pytest.raises(DomainError):
+            copula_transform(entries, counts[:-1])
+
 
 class TestOneHot:
     def test_basic_encoding(self):

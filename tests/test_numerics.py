@@ -186,6 +186,31 @@ class TestKmeans:
         labels = kmeans(pts, 4, np.random.default_rng(5))
         assert labels.min() >= 0 and labels.max() < 4
 
+    @pytest.mark.parametrize("case", ["ties", "fewer points than clusters", "one point",
+                                      "blobs"])
+    def test_distinct_points_cluster_like_their_rows(self, case):
+        r = np.random.default_rng(6)
+        if case == "ties":
+            # the middle point is as far from either outer point, and the
+            # rows repeat each point many times
+            points = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+            inverse = r.integers(0, 3, 400)
+        elif case == "fewer points than clusters":
+            points = np.array([[0.0], [5.0]])
+            inverse = r.integers(0, 2, 30)
+        elif case == "one point":
+            # every row identical: the seeding's total distance is 0
+            points = np.array([[4.2, -1.0]])
+            inverse = np.zeros(25, dtype=np.intp)
+        else:
+            points = np.vstack([r.normal(0, 0.3, (40, 3)), r.normal(2, 0.3, (30, 3))])
+            inverse = r.integers(0, 70, 5000)
+        for k in (2, 3, 4):
+            for seed in range(8):
+                got = kmeans(points, k, np.random.default_rng(seed), inverse=inverse)
+                want = kmeans(points[inverse], k, np.random.default_rng(seed))
+                np.testing.assert_array_equal(got, want)
+
 
 class TestFitMonotone:
     def test_increasing_violation_pools(self):

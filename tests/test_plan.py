@@ -486,6 +486,26 @@ def test_batch_rows_equal_single_row_queries(fixture_models):
     assert dead >= 10  # -inf rows are compared too
 
 
+def test_columns_judged_dense_by_a_sample_keep_their_bits(hybrid6_train, hybrid6_model):
+    # column 0 has few enough distinct values to be keyed, but its strided
+    # sample is all distinct, so it runs per row; column 1 is dense, but its
+    # sample is one repeated value, so it is sorted and then runs per row
+    rng = np.random.default_rng(18)
+    n = 2560
+    rows = hybrid6_train.values[rng.integers(hybrid6_train.n_rows, size=n)].copy()
+    sampled = np.arange(n) % (n // mspn.inference._SAMPLE_ROWS) == 0
+    pos, energy = hybrid6_train.column(0), hybrid6_train.column(1)
+    rows[:, 0] = rng.choice(pos[:50], size=n)
+    rows[sampled, 0] = pos[50:50 + sampled.sum()]
+    rows[:, 1] = energy[:n]
+    rows[sampled, 1] = energy[0]
+    mask = np.ones(6, dtype=bool)
+    batch = mspn.inference._Batch(hybrid6_model.schema, rows, mask)
+    assert np.unique(rows[:, 0]).size * 4 <= n and (1 << 0) not in batch.ids
+    assert (1 << 1) not in batch.ids and (1 << 2) in batch.ids
+    assert_batches_match_single_rows(hybrid6_model, rows, mask, rng, (n,))
+
+
 def test_wide_sums_are_batch_invariant():
     # sums of 9 and 12 children: from 8 terms on, a numpy reduction would
     # add them pairwise, grouped by position; the combine adds in child order

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from mspn import CONTINUOUS, LearnConfig, rdc
+from mspn import CATEGORICAL, CONTINUOUS, LearnConfig, rdc
 from mspn.errors import DomainError
+from mspn.data import DISCRETE
 from mspn.rdc import (
+    _CLUSTER_TAG,
+    _KMEANS_TAG,
     _SPLIT_TAG,
     _variable_features,
     cluster_samples,
@@ -13,7 +16,7 @@ from mspn.rdc import (
     split_features,
 )
 
-from mspn.numerics import SeedScope
+from mspn.numerics import SeedScope, kmeans
 from conftest import HYBRID6_COLS, make_dataset, per_pair_cca_max_correlation
 
 
@@ -145,6 +148,29 @@ class TestDependencyGraph:
         assert len(varying) == (n - 1 if table == "constant_column" else n)
 
 
+class TestVariableFeatures:
+    def test_equal_rows_give_bit_equal_features(self):
+        # k-means on distinct rows relies on it; the blocks are thousands of
+        # rows tall, where a matrix product could round by position
+        r = np.random.default_rng(23)
+        m = 6000
+        data = make_dataset(
+            [("g4", CATEGORICAL, tuple("pqrs")), ("g5", CATEGORICAL, tuple("vwxyz")),
+             ("k", DISCRETE, None), ("x", CONTINUOUS, None)],
+            np.column_stack([r.integers(0, 4, m), r.integers(0, 5, m),
+                             r.binomial(12, 0.4, m), np.round(r.normal(size=m), 1)]),
+        )
+        cfg = LearnConfig(seed=24)
+        for v in range(data.n_cols):
+            for tag in (_SPLIT_TAG, _CLUSTER_TAG):
+                feats = _variable_features(data, v, cfg, SeedScope(cfg.seed, (1,)), tag)
+                values, first, ids = np.unique(
+                    data.column(v), return_index=True, return_inverse=True
+                )
+                assert feats.shape[0] == m and values.size < m / 10
+                assert np.array_equal(feats, feats[first][ids]), (v, tag)
+
+
 class TestSplitFeatures:
     def test_independent_columns_become_singletons(self, cont_indep_data):
         part = split_features(cont_indep_data, 0.3, LearnConfig(seed=13))
@@ -215,3 +241,31 @@ class TestClusterSamples:
         part = cluster_samples(hybrid6_train, LearnConfig(seed=22))
         for rows, w in zip(part.clusters, part.proportions):
             assert w == len(rows) / hybrid6_train.n_rows
+
+    @pytest.mark.parametrize("table", ["wide distinct", "hybrid6", "hybrid6 discrete"])
+    def test_rows_cluster_as_k_means_on_every_row(self, table, hybrid6_train):
+        cfg = LearnConfig(seed=26)
+        if table == "wide distinct":
+            # rows 2i and 2i + 1 differ in column 0 only; the 13 other columns
+            # hold 20 000 distinct values each, and 20 000**13 is a multiple
+            # of 2**64, so a mixed-radix key not made dense after each
+            # variable would overflow and lose column 0
+            r = np.random.default_rng(25)
+            m = 40000
+            values = np.column_stack([r.permutation(m)] + [
+                np.repeat(r.permutation(m // 2), 2) + 0.5 for _ in range(13)
+            ])
+            data = make_dataset([(f"x{v}", CONTINUOUS, None) for v in range(14)], values)
+            cfg = LearnConfig(seed=26, proj_features=4)
+        else:
+            # the categorical and discrete columns alone repeat most rows
+            data = hybrid6_train if table == "hybrid6" else hybrid6_train.select(cols=[2, 3, 5])
+        seeds = SeedScope(cfg.seed, (0,))
+        embedded = np.hstack([
+            _variable_features(data, v, cfg, seeds, _CLUSTER_TAG) for v in range(data.n_cols)
+        ])
+        labels = kmeans(embedded, 2, seeds.rng(_KMEANS_TAG), cfg.kmeans_max_iter, cfg.kmeans_tol)
+        part = cluster_samples(data, cfg, seeds)
+        assert len(part.clusters) == 2
+        for rows in part.clusters:
+            assert np.array_equal(rows, np.flatnonzero(labels == labels[rows[0]]))

@@ -26,7 +26,26 @@ from mspn.data import DISCRETE
 from mspn.errors import ConfigError, FormatError
 from mspn.leaves import HistogramLeaf, PiecewiseLinearLeaf
 from mspn.structure import Mspn
-from conftest import make_dataset
+from conftest import H14_COLS, make_dataset, make_hybrid14
+
+# the build the pinned model bytes below come from
+PINNED_BUILD = "numpy 2.4.6 with scipy-openblas 0.3.31.188.0"
+
+
+def assert_pinned_bytes(models, pinned):
+    """sha256 prefixes of ``serialize(model)``, file format 2, equal ``pinned``.
+
+    Another numpy or BLAS build may round the CCA's matrix products
+    differently, so a failure names the build the pins came from.
+    """
+    got = {name: hashlib.sha256(serialize(model)).hexdigest()[:16]
+           for name, model in models.items()}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    build = f"numpy {np.__version__} with {blas['name']} {blas['version']}"
+    assert got == pinned, (
+        f"model bytes changed; pinned under {PINNED_BUILD}, run under "
+        f"{build}: on another build, repin rather than blame the learner"
+    )
 
 
 class TestLearnConfig:
@@ -145,13 +164,9 @@ class TestDeterminism:
         assert serialize(a) == serialize(b)
 
     def test_fixture_models_keep_their_bytes(self, fixture_models):
-        # sha256 prefixes of serialize(model), file format 2: a learner
-        # change meant to run faster without changing what it computes must
-        # leave them alone.
-        # Another numpy or BLAS build may round the CCA's matrix products
-        # differently, so a failure names the build the pins came from
-        pinned_build = "numpy 2.4.6 with scipy-openblas 0.3.31.188.0"
-        pinned = {
+        # a learner change meant to run faster without changing what it
+        # computes must leave them alone
+        assert_pinned_bytes({name: model for name, (_, model) in fixture_models.items()}, {
             "blobs2d": "bc520d3f98b32285",
             "cont_indep": "169382436652d777",
             "cat_pair": "f33ae67e3969ab64",
@@ -160,17 +175,15 @@ class TestDeterminism:
             "hybrid_small": "7f2987aa3c4fa84b",
             "uni1d": "24ff62426105a23a",
             "mix2": "444bd40ca0a650de",
-        }
-        got = {
-            name: hashlib.sha256(serialize(model)).hexdigest()[:16]
-            for name, (_, model) in fixture_models.items()
-        }
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        build = f"numpy {np.__version__} with {blas['name']} {blas['version']}"
-        assert got == pinned, (
-            f"model bytes changed; pinned under {pinned_build}, run under "
-            f"{build}: on another build, repin rather than blame the learner"
-        )
+        })
+
+    def test_gate_model_keeps_its_bytes(self):
+        # the 14-variable, 5000-row gate table of criterion 1: at this size
+        # BLAS may round equal feature rows differently by position, which
+        # the small fixtures do not show
+        data = make_dataset(H14_COLS, make_hybrid14(2024, 5000))
+        assert_pinned_bytes({"hybrid14": learn_mspn(data, LearnConfig())},
+                            {"hybrid14": "ff6eb48732ec8018"})
 
     def test_different_seeds_may_differ_but_stay_valid(self, blobs2d_data):
         for seed in (11, 12, 13):
