@@ -1,13 +1,15 @@
 """Hot numeric kernels, in plain numpy.
 
 The binning DP is loop-free numpy within each bin count (one masked
-argmax fills a whole DP column) and K-means is vectorised over points,
-one centroid at a time; PAVA is a short Python loop. K-means clusters
-rows that are given as distinct points plus a row-to-point inverse:
-distances run once per point, centroid sums over the member rows in row
-order, so the labels are those of clustering the rows themselves. The
-tests check ``dp_fill`` bit for bit against a triple-loop oracle and
-``lloyd`` against a loop and a broadcast implementation.
+argmax fills a whole DP column) and fills only the bin counts its caller
+asks for: the binning search passes the last count that can still beat
+one bin. K-means is vectorised over points, one centroid at a time;
+PAVA is a short Python loop. K-means clusters rows that are given as
+distinct points plus a row-to-point inverse: distances run once per
+point, centroid sums over the member rows in row order, so the labels
+are those of clustering the rows themselves. The tests check ``dp_fill``
+bit for bit against a triple-loop oracle and ``lloyd`` against a loop
+and a broadcast implementation.
 """
 
 from __future__ import annotations
@@ -48,20 +50,27 @@ def pava_nondecreasing(values, weights):
     return out
 
 
-def dp_fill(seg_ll):
-    # seg_ll[q, p-1] holds the log-likelihood of one bin spanning boundary q
-    # to boundary p; fill f[p, j] = best score splitting boundaries 0..p into
-    # j bins, with back[p, j] the start boundary of the last bin. Column j is
-    # one argmax over the table cand[q, p] = f[q, j-1] + seg_ll[q, p-1] for
-    # q >= j-1, p >= j, with the cells q >= p masked out; argmax keeps the
-    # first maximum, so ties go to the earliest start boundary.
+def dp_fill(seg_ll, n_bins=None):
+    """Fill the binning DP's score and back-pointer tables.
+
+    ``seg_ll[q, p-1]`` holds the log-likelihood of one bin spanning
+    boundary q to boundary p; ``f[p, j]`` is the best score splitting
+    boundaries 0..p into j bins and ``back[p, j]`` the start boundary of
+    its last bin. Column j is one argmax over the table
+    ``cand[q, p] = f[q, j-1] + seg_ll[q, p-1]`` for q >= j-1, p >= j,
+    with the cells q >= p masked out; argmax keeps the first maximum, so
+    ties go to the earliest start boundary. Column j reads only column
+    j-1, so filling columns 1..n_bins (all by default) gives them the bits
+    of the full table; later columns stay -inf and 0. The binning search
+    passes the last bin count that can still beat one bin.
+    """
     n_bounds = seg_ll.shape[0]
     f = np.full((n_bounds + 1, n_bounds + 1), -np.inf)
     back = np.zeros((n_bounds + 1, n_bounds + 1), dtype=np.int64)
     f[0, 0] = 0.0
     below = np.tri(n_bounds, n_bounds, -1, dtype=bool)
     cols = np.arange(n_bounds)
-    for j in range(1, n_bounds + 1):
+    for j in range(1, (n_bounds if n_bins is None else n_bins) + 1):
         m = n_bounds - j + 1
         cand = f[j - 1 : n_bounds, j - 1, None] + seg_ll[j - 1 :, j - 1 :]
         np.copyto(cand, -np.inf, where=below[:m, :m])

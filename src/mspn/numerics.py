@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,6 +17,10 @@ from ._kernels import dp_fill, lloyd, pava_nondecreasing
 from .errors import DomainError, EmptyInputError
 
 MAX_CANDIDATE_CUTS = 100
+# binned values must lie within +-MAX_BIN_MAGNITUDE: beyond it a
+# piecewise-linear leaf's slopes, about 1 / (rows * width**2), underflow to
+# zero, and near 1e308 midpoints, widths and cluster means overflow
+MAX_BIN_MAGNITUDE = 1e100
 CCA_RIDGE = 1e-6
 
 
@@ -256,15 +261,26 @@ def _segment_loglik(sorted_vals: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return seg
 
 
-def _partition_penalty(n_bins: int, n_cuts: int) -> float:
-    # model cost of choosing n_bins-1 interior cuts out of n_cuts candidates,
-    # plus a superlinear term that keeps bin counts modest
-    comb = (
-        math.lgamma(n_cuts + 1)
-        - math.lgamma(n_bins)
-        - math.lgamma(n_cuts - n_bins + 2)
-    )
-    return comb + (n_bins - 1) + math.log(n_bins) ** 2.5
+def check_binnable(lo: float, hi: float, what: str = "values") -> None:
+    """Raise :class:`DomainError` unless [lo, hi] lies within ``MAX_BIN_MAGNITUDE``."""
+    if not (-MAX_BIN_MAGNITUDE <= lo and hi <= MAX_BIN_MAGNITUDE):
+        raise DomainError(
+            f"{what} range [{lo:g}, {hi:g}] is too wide to bin: values must lie "
+            f"within [-{MAX_BIN_MAGNITUDE:g}, {MAX_BIN_MAGNITUDE:g}]"
+        )
+
+
+@lru_cache(maxsize=MAX_CANDIDATE_CUTS)
+def _partition_penalties(n_cuts: int) -> np.ndarray:
+    # pen[j-1] is the model cost of j bins: choosing j-1 interior cuts out of
+    # n_cuts candidates, plus a superlinear term that keeps bin counts modest
+    pen = np.array([
+        math.lgamma(n_cuts + 1) - math.lgamma(j) - math.lgamma(n_cuts - j + 2)
+        + (j - 1) + math.log(j) ** 2.5
+        for j in range(1, n_cuts + 2)
+    ])
+    pen.setflags(write=False)
+    return pen
 
 
 def adaptive_bin_edges(values: np.ndarray) -> np.ndarray:
@@ -274,7 +290,27 @@ def adaptive_bin_edges(values: np.ndarray) -> np.ndarray:
     (subsampled evenly by index down to ``MAX_CANDIDATE_CUTS`` when there
     are more), plus the sample extremes. A dynamic program scores every
     (cut subset, bin count) pair by the histogram log-likelihood minus a
-    complexity penalty and returns the winning edge vector.
+    complexity penalty and returns the winning edge vector; ties go to the
+    fewest bins. Values beyond ``MAX_BIN_MAGNITUDE`` raise
+    :class:`DomainError`.
+
+    The DP fills only the bin counts that can still win. Refining a
+    histogram never lowers its maximum log-likelihood (the log-sum
+    inequality), so no j-bin score exceeds U, the log-likelihood of the
+    finest partition, and j bins can beat one bin only if
+    ``U - pen[j-1] + margin >= seg[0, -1] - pen[0]``; the DP stops at the
+    largest j that passes. The margin covers rounding: each of the m
+    points enters one bin term n (log n - log m - log width), whose logs
+    sum in magnitude to less than L = 2 log m + max|log width| + 3, so a
+    term is off by a few ulp of n L and a sum of at most 101 terms (the
+    DP's f, and U) by at most 110 u m L, with u = 2**-53. With the
+    subtraction of the penalty and the test's own rounding, a capped
+    count's score falls short of the one-bin score once the margin
+    exceeds 250 u (m L + max pen); ``1e-12 (m L + max pen)`` is over
+    thirty times that. So a capped count scores strictly below one bin,
+    could never have been chosen, and the edges keep their bits. When U
+    is not finite (two candidate bounds coincide) the bound says nothing
+    and every count is filled.
     """
     vals = np.sort(np.asarray(values, dtype=np.float64).ravel())
     if vals.size == 0:
@@ -282,20 +318,23 @@ def adaptive_bin_edges(values: np.ndarray) -> np.ndarray:
     uniq = np.unique(vals)
     if uniq.size < 2:
         raise DomainError("need at least two distinct values to place cuts")
+    check_binnable(uniq[0], uniq[-1])
 
     bounds = _candidate_boundaries(uniq)
     seg = _segment_loglik(vals, bounds)
-    f, back = dp_fill(seg)
-
     n_segments = bounds.shape[0] - 1
-    n_cuts = bounds.shape[0] - 2
-    best_j = 1
-    best_score = -np.inf
-    for j in range(1, n_segments + 1):
-        score = f[n_segments, j] - _partition_penalty(j, n_cuts)
-        if score > best_score:
-            best_score = score
-            best_j = j
+    pen = _partition_penalties(n_segments - 1)
+    finest = float(seg.diagonal().sum())
+    n_bins = n_segments
+    if math.isfinite(finest):
+        m = vals.shape[0]
+        # widths run from the narrowest finest bin to the whole range
+        log_width = max(abs(math.log(np.diff(bounds).min())),
+                        abs(math.log(bounds[-1] - bounds[0])))
+        margin = 1e-12 * (m * (2 * math.log(m) + log_width + 3) + pen.max())
+        n_bins = 1 + int(np.flatnonzero(finest - pen + margin >= seg[0, -1] - pen[0])[-1])
+    f, back = dp_fill(seg, n_bins)
+    best_j = 1 + int(np.argmax(f[n_segments, 1 : n_bins + 1] - pen[:n_bins]))
 
     cut_idx = [n_segments]
     p, j = n_segments, best_j

@@ -22,7 +22,7 @@ import numpy as np
 from .data import Dataset, Schema
 from .errors import ConfigError, DomainError
 from .leaves import HistogramLeaf, PiecewiseLinearLeaf, fit_histogram, fit_isotonic_pwl
-from .numerics import SeedScope, is_integer
+from .numerics import SeedScope, check_binnable, is_integer
 from .rdc import cluster_samples, split_features
 
 LEAF_KINDS = ("isotonic", "histogram")
@@ -244,10 +244,16 @@ def learn_mspn(dataset: Dataset, config: LearnConfig | None = None) -> Mspn:
 
     Deterministic given (dataset, config): every random draw is keyed by
     ``config.seed`` and the recursion path, so repeated runs build
-    identical models.
+    identical models. A continuous or discrete column with a value beyond
+    ``numerics.MAX_BIN_MAGNITUDE`` raises :class:`DomainError` before any
+    learning.
     """
     if config is None:
         config = LearnConfig()
+    for j, name in enumerate(dataset.schema.names):
+        if not dataset.schema.stat_type(j).is_categorical:
+            col = dataset.column(j)
+            check_binnable(col.min(), col.max(), f"column {name!r}")
     scope = tuple(range(dataset.n_cols))
     root = _learn(dataset, scope, config, SeedScope(config.seed))
     return Mspn(root, dataset.schema, config)

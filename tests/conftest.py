@@ -6,6 +6,8 @@ session-scoped: learning is deterministic, so sharing them between tests
 cannot leak state (all model objects are frozen/read-only).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from mspn import (
     StatType,
     learn_mspn,
 )
+from mspn._kernels import dp_fill
 from mspn.data import DISCRETE
+from mspn.numerics import _candidate_boundaries, _segment_loglik
 
 # ---------------------------------------------------------------------------
 # acceptance reporting: one printed line per acceptance criterion
@@ -75,6 +79,30 @@ def per_pair_cca_max_correlation(a, b, ridge=1e-6):
     mid = 0.5 * (mid + mid.T)
     lam = np.linalg.eigvalsh(mid)
     return float(np.sqrt(np.clip(lam[-1], 0.0, 1.0)))
+
+
+def uncapped_adaptive_bin_edges(values):
+    """Binning-search edges from the full DP: every bin-count column filled
+    and every count scored, its penalty computed on the spot. The search
+    that stops at the last count able to win must return them bit for bit."""
+    vals = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    bounds = _candidate_boundaries(np.unique(vals))
+    f, back = dp_fill(_segment_loglik(vals, bounds))
+    n_segments = bounds.shape[0] - 1
+    n_cuts = n_segments - 1
+    best_j, best_score = 1, -np.inf
+    for j in range(1, n_segments + 1):
+        comb = math.lgamma(n_cuts + 1) - math.lgamma(j) - math.lgamma(n_cuts - j + 2)
+        score = f[n_segments, j] - (comb + (j - 1) + math.log(j) ** 2.5)
+        if score > best_score:
+            best_score, best_j = score, j
+    cut_idx = [n_segments]
+    p, j = n_segments, best_j
+    while j > 0:
+        p = int(back[p, j])
+        j -= 1
+        cut_idx.append(p)
+    return bounds[np.asarray(cut_idx[::-1], dtype=np.intp)]
 
 
 # ---------------------------------------------------------------------------

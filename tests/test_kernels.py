@@ -1,9 +1,10 @@
 """Hot-loop kernels against loop oracles and reference solvers.
 
 ``dp_fill`` must match the triple-loop dynamic program below bit for
-bit, ``lloyd`` must give the labels of the loop K-means below (and of
-the broadcast K-means below for points too wide for loop sums), and
-``pava_nondecreasing`` must agree with scipy's isotonic regression.
+bit on the bin-count columns it is asked to fill, ``lloyd`` must give
+the labels of the loop K-means below (and of the broadcast K-means below
+for points too wide for loop sums), and ``pava_nondecreasing`` must
+agree with scipy's isotonic regression.
 """
 
 import sys
@@ -189,6 +190,20 @@ class TestDpFillKernel:
         f, back = dp_fill(seg)
         assert f[1, 1] == 2.5
         assert back[1, 1] == 0
+
+    def test_capped_fill_matches_the_oracle_up_to_its_cap(self):
+        # columns 1..n_bins keep the full table's bits; later ones stay unfilled
+        r = np.random.default_rng(25)
+        for n in (1, 5, 12, 30, 101):
+            seg = r.normal(size=(n, n))
+            seg[r.random((n, n)) < 0.1] = -np.inf
+            f_ref, back_ref = loop_dp_fill(seg)
+            for n_bins in sorted({1, max(1, n // 3), n}):
+                f, back = dp_fill(seg, n_bins)
+                np.testing.assert_array_equal(f[:, : n_bins + 1], f_ref[:, : n_bins + 1])
+                np.testing.assert_array_equal(back[:, : n_bins + 1], back_ref[:, : n_bins + 1])
+                assert np.all(f[:, n_bins + 1 :] == -np.inf)
+                assert np.all(back[:, n_bins + 1 :] == 0)
 
     def test_optimal_two_bin_split_found(self):
         # boundaries 0..2; one bin over [0,2) scores 0, splitting at 1 scores 3+4

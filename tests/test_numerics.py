@@ -6,9 +6,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mspn.leaves
+import mspn.numerics
+from mspn import LearnConfig, learn_mspn
+from mspn._kernels import dp_fill
 from mspn.errors import DomainError, EmptyInputError
 from mspn.numerics import (
+    MAX_BIN_MAGNITUDE,
+    MAX_CANDIDATE_CUTS,
     SeedScope,
     SineProjection,
     _whiten,
@@ -19,7 +27,13 @@ from mspn.numerics import (
     trapezoid,
     weighted_logsumexp,
 )
-from conftest import per_pair_cca_max_correlation
+from conftest import (
+    H14_COLS,
+    make_dataset,
+    make_hybrid14,
+    per_pair_cca_max_correlation,
+    uncapped_adaptive_bin_edges,
+)
 
 
 class TestSeedScope:
@@ -285,6 +299,35 @@ class TestIntegratePiecewiseLinear:
         assert abs(base - split) <= 1e-12
 
 
+@st.composite
+def binning_samples(draw):
+    """Samples at scales 1e-300, 1 and 1e12: few values under heavy ties,
+    exactly two values, runs of adjacent doubles (whose candidate bounds
+    coincide), and continuous draws with more distinct values than
+    candidate cuts."""
+    scale = draw(st.sampled_from([1e-300, 1.0, 1e12]))
+    kind = draw(st.sampled_from(["ties", "two", "adjacent", "wide"]))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 400))
+    if kind == "ties":
+        pool = np.unique(np.round(r.normal(size=draw(st.integers(2, 8))), 1)) * scale
+        if pool.size < 2:
+            pool = np.array([0.0, scale])
+        return np.concatenate([pool, r.choice(pool, n)])
+    if kind == "two":
+        a, b = np.sort(r.normal(size=2)) * scale
+        return np.where(np.arange(n) < draw(st.integers(1, n - 1)), a, b)
+    if kind == "adjacent":
+        run = [r.normal() * scale]
+        for _ in range(draw(st.integers(1, 5))):
+            run.append(np.nextafter(run[-1], np.inf))
+        extra = r.normal(size=draw(st.integers(0, 20))) * scale
+        return np.concatenate([run, r.choice(run, n), extra])
+    spread = draw(st.sampled_from([0.01, 1.0, 100.0]))
+    wide = np.concatenate([r.normal(size=n), r.exponential(spread, MAX_CANDIDATE_CUTS + 1)])
+    return wide * scale
+
+
 class TestAdaptiveBinEdges:
     def test_uniform_data_keeps_few_bins(self):
         r = np.random.default_rng(10)
@@ -316,6 +359,57 @@ class TestAdaptiveBinEdges:
         r = np.random.default_rng(13)
         x = r.normal(size=2000)
         np.testing.assert_array_equal(adaptive_bin_edges(x), adaptive_bin_edges(x))
+
+    @settings(max_examples=400, deadline=None)
+    @given(binning_samples())
+    def test_edges_equal_the_full_dp_bit_for_bit(self, values):
+        assert adaptive_bin_edges(values).tobytes() == uncapped_adaptive_bin_edges(values).tobytes()
+
+    def test_gate_table_leaf_columns_get_the_full_dp_edges(self, monkeypatch):
+        binned = []
+
+        def recording(values):
+            edges = adaptive_bin_edges(values)
+            binned.append((np.array(values), edges))
+            return edges
+
+        monkeypatch.setattr(mspn.leaves, "adaptive_bin_edges", recording)
+        learn_mspn(make_dataset(H14_COLS, make_hybrid14(2024, 5000)), LearnConfig())
+        assert len(binned) > 100
+        for values, edges in binned:
+            assert edges.tobytes() == uncapped_adaptive_bin_edges(values).tobytes()
+
+    def test_dp_stops_at_the_last_count_that_can_win(self, monkeypatch):
+        fills = []
+
+        def recording(seg_ll, n_bins=None):
+            fills.append((seg_ll.shape[0], n_bins))
+            return dp_fill(seg_ll, n_bins)
+
+        monkeypatch.setattr(mspn.numerics, "dp_fill", recording)
+        adaptive_bin_edges(np.random.default_rng(14).uniform(0.0, 1.0, 5000))
+        # two candidate bounds coincide between adjacent doubles: the finest
+        # partition has an empty-width bin, bounds nothing, and every count runs
+        adaptive_bin_edges(np.array([1.0, np.nextafter(1.0, 2.0), 1.5, 2.0]))
+        (n_uniform, cap_uniform), (n_adjacent, cap_adjacent) = fills
+        assert n_uniform == MAX_CANDIDATE_CUTS + 1 and cap_uniform < n_uniform / 5
+        assert cap_adjacent == n_adjacent
+
+    @pytest.mark.parametrize("bad", [-1.5e100, 1e308, np.inf])
+    def test_values_beyond_the_limit_rejected_without_warnings(self, bad):
+        x = np.array([0.0, 1.0, 2.0, bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="too wide to bin"):
+                adaptive_bin_edges(x)
+
+    def test_values_at_the_limit_are_binned(self):
+        x = np.linspace(-MAX_BIN_MAGNITUDE, MAX_BIN_MAGNITUDE, 301)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges = adaptive_bin_edges(x)
+        assert edges[0] == -MAX_BIN_MAGNITUDE and edges[-1] == MAX_BIN_MAGNITUDE
+        assert edges.tobytes() == uncapped_adaptive_bin_edges(x).tobytes()
 
 
 class TestWeightedLogsumexp:

@@ -31,8 +31,9 @@ from mspn import (
 from mspn.cli import main
 from mspn.errors import FormatError, VersionError
 from mspn.leaves import HistogramLeaf
+from mspn.numerics import MAX_BIN_MAGNITUDE
 from mspn.serialize import canonical_json
-from mspn.structure import Mspn, ProductNode, SumNode
+from mspn.structure import LEAF_KINDS, Mspn, ProductNode, SumNode
 
 
 class TestCanonicalJson:
@@ -365,6 +366,16 @@ class TestSaveModel:
 # ---------------------------------------------------------------------------
 
 
+def _one_column_table(root, limit):
+    """A 300-row continuous column reaching -limit and +limit; returns the
+    learn arguments that write ``m.json`` next to it."""
+    values = np.concatenate([[-limit, limit], np.linspace(-0.9, 0.8, 298) ** 3 * limit])
+    (root / "wide.json").write_text('{"columns":[{"name":"x","type":"continuous"}]}')
+    (root / "wide.csv").write_text("x\n" + "".join(f"{float(v)!r}\n" for v in values))
+    return ["--data", str(root / "wide.csv"), "--schema", str(root / "wide.json"),
+            "--out", str(root / "m.json")]
+
+
 @pytest.fixture(scope="module")
 def cli_files(tmp_path_factory):
     """CSV data, schema json, and a learned model file for CLI runs."""
@@ -435,6 +446,32 @@ class TestCliLearn:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("leaf", LEAF_KINDS)
+    def test_column_too_wide_to_bin_is_a_data_error(self, tmp_path, capsys, leaf):
+        # 0.5 * (a + b), widths and cluster means of such values overflow
+        files = _one_column_table(tmp_path, 1e308)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["learn", *files, "--leaf", leaf])
+        assert code == 2
+        assert "too wide to bin" in capsys.readouterr().err
+        assert not caught
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("leaf", LEAF_KINDS)
+    def test_column_at_the_binning_limit_learns(self, tmp_path, capsys, leaf):
+        files = _one_column_table(tmp_path, MAX_BIN_MAGNITUDE)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["learn", *files, "--leaf", leaf]) == 0
+            assert main(["validate", "--model", str(tmp_path / "m.json")]) == 0
+            capsys.readouterr()
+            assert main(["loglik", "--model", str(tmp_path / "m.json"),
+                         "--data", files[1]]) == 0
+        assert not caught
+        rows = capsys.readouterr().out.strip().split("\n")[:-1]
+        assert len(rows) == 300 and np.all(np.isfinite([float(v) for v in rows]))
 
     def test_missing_data_file_is_a_data_error(self, cli_files, tmp_path, capsys):
         code = main(["learn", "--data", str(tmp_path / "absent.csv"),

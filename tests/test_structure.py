@@ -185,6 +185,13 @@ class TestDeterminism:
         assert_pinned_bytes({"hybrid14": learn_mspn(data, LearnConfig())},
                             {"hybrid14": "ff6eb48732ec8018"})
 
+    def test_histogram_gate_model_keeps_its_bytes(self):
+        # the gate table with histogram leaves: the only pinned model whose
+        # continuous leaves store the binning search's edges as they come
+        data = make_dataset(H14_COLS, make_hybrid14(2024, 5000))
+        assert_pinned_bytes({"hybrid14": learn_mspn(data, LearnConfig(leaf_kind="histogram"))},
+                            {"hybrid14": "430c31c376deda05"})
+
     def test_different_seeds_may_differ_but_stay_valid(self, blobs2d_data):
         for seed in (11, 12, 13):
             model = learn_mspn(blobs2d_data, LearnConfig(seed=seed))
