@@ -33,6 +33,8 @@ from .structure import Mspn
 
 DEFAULT_GRID_SIZE = 256
 DEFAULT_EDGE_THRESHOLD = 0.01
+# how a pair's table reads its first and its second variable's tables
+_ROWS, _COLUMNS = np.s_[:, None], np.s_[None, :]
 
 
 def _variable_grids(mspn: Mspn, grid_size: int, variables) -> dict:
@@ -74,23 +76,25 @@ def _variable_grids(mspn: Mspn, grid_size: int, variables) -> dict:
 class _GridTables:
     """Log tables of the model's nodes on the variable grids, shared by all pairs.
 
-    One pass per gridded variable over the nodes with it in scope
-    (``_Plan.variable_tables``); a pair then combines only the nodes with
-    both variables in scope (``_Plan.pair_table``).
+    One ``_Plan.evaluate_tables`` call per gridded variable keeps the
+    tables of the nodes with it in scope; a pair's call then runs only the
+    nodes with both variables in scope, the two variables' tables entering
+    as (ga, 1) and (1, gb) views.
     """
 
     def __init__(self, mspn: Mspn, grids: dict):
         self.plan = evaluation_plan(mspn)
-        n = mspn.n_vars
-        self.base = self.plan.evaluate_row(np.zeros(n), np.zeros(n, dtype=bool))
-        self.single = {var: self.plan.variable_tables(var, points, self.base)
-                       for var, (points, _) in grids.items()}
+        self.points = {var: points for var, (points, _) in grids.items()}
+        self.known: dict = {}
+        for var in grids:
+            self.plan.evaluate_tables((var,), self.points, {}, self.known)
 
     def marginal(self, var: int) -> np.ndarray:
-        return self.single[var][self.plan.root]
+        return self.known[var][self.plan.root]
 
     def joint(self, a: int, b: int) -> np.ndarray:
-        return self.plan.pair_table(self.single[a], self.single[b], self.base)
+        return self.plan.evaluate_tables((a, b), self.points,
+                                         {a: _ROWS, b: _COLUMNS}, self.known)
 
 
 def _grid_joint(tables: _GridTables, a: int, b: int, grids: dict):

@@ -231,6 +231,10 @@ def _parse_cell(text: str, st: StatType, vocab: dict, row: int, col: int, strict
             raise IngestError(
                 f"row {row}, column {col}: {text!r} is not an integer", row=row, column=col
             ) from None
+        except OverflowError:
+            raise IngestError(
+                f"row {row}, column {col}: integer too large for a float", row=row, column=col
+            ) from None
     # categorical: map the label through the (possibly growing) vocabulary
     if text in vocab:
         return float(vocab[text])

@@ -25,24 +25,19 @@ executors on the plan:
   reproduce ``leaf_density_batch``, each group of sum nodes with the same
   height and child count is one ``weighted_logsumexp`` call, and products
   add ``0.0 + c0 + c1 + ...`` in child order.
-* ``_Plan.evaluate_rows`` answers many rows (``log_evaluate_batch``).
-  A node's key is the set of observed variables in its scope. Each
-  observed variable gets its distinct values and a dense id per row once
-  per batch, and a node keyed by one variable runs once per distinct
-  value. A variable with more than a quarter as many distinct values as
-  rows is dense, and a node with it, or with several observed variables,
-  runs on every row. A node with no observed variable has one value.
-  Leaves run ``leaf_density_batch``; a parent reads each child's values
-  at its own key's entries and combines them in ``_Plan._combine``, as
-  the MI tables below do. The root's values go back to the rows.
-* ``_Plan.variable_tables`` and ``_Plan.pair_table`` evaluate the nodes
-  on grids of one or two observed variables (``mutual_information``,
-  ``mi_graph``), each node as a table shaped by its scope's share of the
-  pair: a scalar from the all-marginalized row where it holds neither
-  variable, a (g,) vector where it holds one, cached per variable, and a
-  (ga, gb) table only where it holds both. The same arithmetic on
-  broadcast tables gives each cell the bits of that grid cell in a full
-  batch, while a pair costs only the nodes with both variables in scope.
+* ``_Plan.evaluate_tables`` evaluates the nodes on tables of observed
+  values: many rows (``log_evaluate_batch``, on the distinct values
+  ``_Batch`` gives each observed variable) or the grids of one or two
+  variables (``mutual_information``, ``mi_graph``). Only the nodes with an
+  observed variable in scope run; the others enter their parents as their
+  all-marginalized value, ``_Plan.base``. A node with one observed
+  variable runs on that variable's points, a grid or a batch column's
+  distinct values. A node with several combines its children's tables by
+  broadcasting, reading them per row in a batch and as (ga, 1) and
+  (1, gb) tables on a pair's grid. Sums and products go through
+  ``_Plan._combine``, so each cell gets the bits its row gets alone. MI
+  keeps each variable's tables and shares them among pairs, so a pair
+  runs only the nodes with both variables in scope.
 * ``_Plan.max_product`` is MPE's second pass, in three vectorized steps.
   The leaves' log coefficients in their 1-d mixtures accumulate per leaf,
   one step per height. Each mixture is maximized on a candidate grid
@@ -69,7 +64,9 @@ at-most-two-traversals contract is asserted in the tests.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -192,7 +189,7 @@ _LEAF, _SUM, _PRODUCT = 0, 1, 2
 # a wider one with ``np.unique``.
 _CODES_PER_ROW = 4
 # A variable with more than one distinct value per this many rows is
-# dense: the nodes keyed by it run on every row.
+# dense: the nodes with only it observed run on every row.
 _ROWS_PER_ENTRY = 4
 # A column numbered with ``np.unique`` is first judged on a strided sample
 # of about this many rows, and is not sorted if the sample is dense.
@@ -315,25 +312,21 @@ class _Edges(NamedTuple):
 class _Batch:
     """The rows of one ``log_evaluate_batch`` call, checked and keyed.
 
-    A node's key is the set of observed variables in its scope, held as a
-    bit mask; its table has one entry per distinct value of the key.
     Checking the batch gives each observed variable its distinct values
-    (``points``) and a dense id per row: from a presence table for a
-    discrete or categorical column whose range spans at most
+    (``points``) and a dense id per row (``ids``): from a presence table for
+    a discrete or categorical column whose range spans at most
     ``_CODES_PER_ROW`` codes per row, which needs no sort, and from
     ``np.unique`` for the others. A variable with more than one distinct
-    value per ``_ROWS_PER_ENTRY`` rows is dense: its points are its rows
-    and it has no ids; a column sorted by ``np.unique`` is taken as dense
+    value per ``_ROWS_PER_ENTRY`` rows is dense: its points are its rows and
+    it has no ids; a column sorted by ``np.unique`` is taken as dense
     unsorted when a strided sample of it is. Which variables are keyed
-    changes only speed. So the key of no variable has one entry, which
-    broadcasts, the key of one variable with ids an entry per id, and
-    every other key, each of several variables included, an entry per row.
+    changes only speed.
     """
 
     def __init__(self, schema: Schema, values: np.ndarray, observed: np.ndarray):
         self.n_rows = n = values.shape[0]
         self.points: dict[int, np.ndarray] = {}  # variable -> where its leaves are evaluated
-        self.ids: dict[int, np.ndarray] = {}  # key of one variable -> its id per row
+        self.ids: dict[int, np.ndarray] = {}  # keyed variable -> its id per row
         # an empty batch has no values to check or key
         for var in np.flatnonzero(observed).tolist() if n else ():
             # one contiguous copy: the passes below run several times faster on it
@@ -359,20 +352,8 @@ class _Batch:
             if _ROWS_PER_ENTRY * points.size > n:
                 points = col
             else:
-                self.ids[1 << var] = ids
+                self.ids[var] = ids
             self.points[var] = points
-
-    def gather(self, child: int, table: np.ndarray, parent: int) -> np.ndarray:
-        """``table``, on the key ``child``, at each entry of the key ``parent`` that covers it."""
-        if child == parent or child not in self.ids:
-            return table  # the same key, the one entry of no variable, or the rows
-        return table[self.ids[child]]  # a parent of several variables runs per row
-
-    def rows(self, mask: int, table: np.ndarray) -> np.ndarray:
-        """``table``, on the key ``mask``, read back at every row."""
-        if mask in self.ids:
-            return table[self.ids[mask]]
-        return table if mask else np.full(self.n_rows, table[0])
 
 
 class _Plan:
@@ -510,81 +491,84 @@ class _Plan:
                     vals[idx] = acc
         return vals
 
-    def evaluate_rows(self, batch: _Batch) -> np.ndarray:
-        """Per-row log values of the root, each node evaluated once per entry of its key.
+    @cached_property
+    def base(self) -> np.ndarray:
+        """Every node's log value with nothing observed (``evaluate_row``)."""
+        nothing = np.zeros(int(self.leaf_vars.max()) + 1)
+        return self.evaluate_row(nothing, nothing.astype(bool))
 
-        Nodes run in postorder, each holding a (key, table) pair until its
-        parent takes it. A leaf of an observed variable evaluates at that
-        variable's points; a parent reads each child's table at its own
-        key's entries and combines them with ``_combine``, where a child of
-        no observed variable broadcasts its one entry.
+    @cached_property
+    def var_nodes(self) -> list:
+        """Per variable, the set of nodes with it in scope."""
+        nodes: list[set] = [set() for _ in range(int(self.scope_vars.max()) + 1)]
+        for i, var in zip(self.scope_owner.tolist(), self.scope_vars.tolist()):
+            nodes[var].add(i)
+        return nodes
+
+    def evaluate_tables(self, variables, points: dict, ids: dict, known: dict | None):
+        """The root's log table with ``variables`` observed at ``points``.
+
+        Only the nodes with some of ``variables`` in scope run; a child with
+        none enters its parent as its ``base`` value. A node with one of
+        them, ``v``, has a table on ``points[v]``. ``known``, if given, maps
+        variables to such tables (node -> table): the tables of a variable
+        it holds are read from it, and those the call computes are added to
+        it. A node with several variables combines its children's tables by
+        broadcasting, a one-variable child entering as ``table[ids[v]]``, or
+        as is when ``v`` has no ids; the root's table comes back the same
+        way. Every other table is dropped once its parent has read it, so a
+        call without ``known`` holds only the tables still waiting for
+        their parent.
         """
-        pending: list[tuple[int, np.ndarray]] = []
-        with np.errstate(divide="ignore"):
-            for i, (node, kind, children) in enumerate(zip(self.nodes, self.kinds,
-                                                           self.children)):
-                if kind == _LEAF:
-                    points = batch.points.get(node.variable)
-                    if points is None:
-                        pending.append((0, np.zeros(1)))
-                    else:
-                        pending.append((1 << node.variable,
-                                        np.log(leaf_density_batch(node, points))))
-                    continue
-                kids = pending[len(pending) - len(children):]
-                del pending[len(pending) - len(children):]
-                mask = 0
-                for m, _ in kids:
-                    mask |= m
-                pending.append((mask, self._combine(i, [batch.gather(m, t, mask)
-                                                        for m, t in kids])))
-        return batch.rows(*pending[-1])
+        fresh = [v for v in variables if known is None or v not in known]
+        stored = [(v, known[v]) for v in variables if v not in fresh]
+        run, seen = {}, set()  # node -> its one variable, or -1 for several
+        for v in variables:
+            run.update(dict.fromkeys(seen & self.var_nodes[v], -1))
+            seen |= self.var_nodes[v]
+        for v in fresh:
+            run.update(dict.fromkeys(self.var_nodes[v] - run.keys(), v))
+        adding = {v: known.setdefault(v, {}) for v in fresh} if known is not None else {}
+        tables = {}  # node -> (its one variable or -1, table)
 
-    def variable_tables(self, var: int, points: np.ndarray, base: np.ndarray) -> dict:
-        """Log tables of the nodes with ``var`` in scope, ``var`` observed at ``points``.
+        def gathered(nodes, var):
+            """The tables of ``nodes`` as their parent reads them.
 
-        Maps node index to its (g,) table, in postorder, so the root's table
-        is ``var``'s log marginal on ``points``. ``base`` holds every node's
-        all-marginalized log value (``evaluate_row`` with nothing observed);
-        a child without ``var`` in scope enters as that scalar.
-        """
-        tables: dict[int, np.ndarray] = {}
-        for i in self.scope_owner[self.scope_vars == var].tolist():
-            if self.kinds[i] == _LEAF:
-                with np.errstate(divide="ignore"):
-                    tables[i] = np.log(leaf_density_batch(self.nodes[i], points))
-            else:
-                kids = [tables.get(c, base[c]) for c in self.children[i].tolist()]
-                tables[i] = self._combine(i, kids)
-        return tables
-
-    def pair_table(self, tables_a: dict, tables_b: dict, base: np.ndarray) -> np.ndarray:
-        """(ga, gb) log table of the root with variables a and b observed on their grids.
-
-        ``tables_a`` and ``tables_b`` are the two variables'
-        ``variable_tables``. Only the nodes with both variables in scope are
-        combined here; their other children enter as a's tables (ga, 1), b's
-        tables (1, gb) or ``base`` scalars.
-        """
-        tables: dict[int, np.ndarray] = {}
-        for i in (i for i in tables_a if i in tables_b):
-            kids = []
-            for c in self.children[i].tolist():
+            ``var`` is the parent's one observed variable, or -1 for several;
+            a table of another single variable is read at that one's ids.
+            """
+            out = []
+            for c in nodes:
                 if c in tables:
-                    kids.append(tables[c])
-                elif c in tables_a:
-                    kids.append(tables_a[c][:, None])
-                elif c in tables_b:
-                    kids.append(tables_b[c][None, :])
+                    v, table = tables.pop(c)
                 else:
-                    kids.append(base[c])
-            tables[i] = self._combine(i, kids)
-        return tables[self.root]
+                    for v, held in stored:
+                        if c in held:
+                            table = held[c]
+                            break
+                    else:
+                        out.append(self.base[c])
+                        continue
+                out.append(table[ids[v]] if v != var and v in ids else table)
+            return out
+
+        # only leaves take logs, and only the leaves of fresh variables run
+        with np.errstate(divide="ignore") if fresh else nullcontext():
+            for i in sorted(run):
+                v = run[i]
+                if self.kinds[i] == _LEAF:
+                    table = np.log(leaf_density_batch(self.nodes[i], points[v]))
+                else:
+                    table = self._combine(i, gathered(self.children[i].tolist(), v))
+                tables[i] = v, table
+                if v in adding:
+                    adding[v][i] = table
+        return gathered([self.root], -1)[0]
 
     def _combine(self, i: int, kids: list) -> np.ndarray:
         """Node ``i``'s table from its children's, broadcast against each other.
 
-        The one sum and product arithmetic of every table executor, cell by
+        The one sum and product arithmetic of the table executor, cell by
         cell: ``weighted_logsumexp`` for a sum, ``0.0 + c0 + c1 + ...`` in
         child order for a product.
         """
@@ -752,13 +736,15 @@ def log_evaluate_batch(mspn: Mspn, values: np.ndarray, observed: np.ndarray) -> 
     or category code that is not an integer, or a negative code raises
     :class:`QueryError`. A node with one observed variable in its scope
     is evaluated once per distinct value of that variable, so the cost
-    falls with repeated values; nodes with several run on every row. Each
-    row gets the value ``log_evaluate`` gives it alone, bit
-    for bit, whatever the other rows are.
+    falls with repeated values; nodes with several run on every row, and
+    nodes with none do not run. Each row gets the value ``log_evaluate``
+    gives it alone, bit for bit, whatever the other rows are.
     """
     values = np.asarray(values, dtype=np.float64)
     observed = np.asarray(observed, dtype=bool)
-    return evaluation_plan(mspn).evaluate_rows(_Batch(mspn.schema, values, observed))
+    batch = _Batch(mspn.schema, values, observed)
+    out = evaluation_plan(mspn).evaluate_tables(list(batch.points), batch.points, batch.ids, None)
+    return out if np.ndim(out) else np.full(batch.n_rows, out)
 
 
 def log_evaluate(mspn: Mspn, evidence: Evidence, counter=None) -> float:

@@ -145,7 +145,9 @@ def _unit_bin_edges(lo: int, hi: int) -> np.ndarray:
 def _continuous_edges(values: np.ndarray, smoothing: float) -> np.ndarray:
     uniq = np.unique(values)
     if uniq.size == 1:
-        edges = np.array([uniq[0] - 0.5, uniq[0] + 0.5])
+        # at least one float step, which 0.5 is not from 2**53 on
+        half = max(0.5, float(np.spacing(abs(uniq[0]))))
+        edges = np.array([uniq[0] - half, uniq[0] + half])
     else:
         edges = adaptive_bin_edges(values)
     if smoothing > 0:

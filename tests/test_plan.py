@@ -10,6 +10,7 @@ observation masks, so that whole sub-mixtures evaluate to -inf.
 """
 
 import itertools
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -501,8 +502,8 @@ def test_columns_judged_dense_by_a_sample_keep_their_bits(hybrid6_train, hybrid6
     rows[sampled, 1] = energy[0]
     mask = np.ones(6, dtype=bool)
     batch = mspn.inference._Batch(hybrid6_model.schema, rows, mask)
-    assert np.unique(rows[:, 0]).size * 4 <= n and (1 << 0) not in batch.ids
-    assert (1 << 1) not in batch.ids and (1 << 2) in batch.ids
+    assert np.unique(rows[:, 0]).size * 4 <= n and 0 not in batch.ids
+    assert 1 not in batch.ids and 2 in batch.ids
     assert_batches_match_single_rows(hybrid6_model, rows, mask, rng, (n,))
 
 
@@ -657,11 +658,60 @@ def test_batch_keys_number_the_distinct_values():
     ]).astype(float)
     batch = mspn.inference._Batch(data.schema, values, np.ones(5, dtype=bool))
     for var in range(4):
-        ids, points = batch.ids[1 << var], batch.points[var]
+        ids, points = batch.ids[var], batch.points[var]
         assert np.array_equal(points[ids], values[:, var])
         assert np.unique(points).size == points.size == ids.max() + 1
-    assert 1 << 4 not in batch.ids  # dense: evaluated on its rows
+    assert 4 not in batch.ids  # dense: evaluated on its rows
     assert np.array_equal(batch.points[4], values[:, 4])
+
+
+def test_partial_mask_batches_skip_subtrees_with_nothing_observed(fixture_models, monkeypatch):
+    # a sum with no observed variable in scope enters its parent as its
+    # all-marginalized value, so the batch runs only the other sums
+    lse, calls = mspn.inference.weighted_logsumexp, []
+
+    def counted(log_values, weights):
+        calls.append(weights)
+        return lse(log_values, weights)
+
+    skipped = 0
+    for name, (data, model) in fixture_models.items():
+        first = np.arange(model.n_vars) == 0
+        rows = data.values[:300]
+        sums = [node for node in evaluation_plan(model).nodes if isinstance(node, SumNode)]
+        for mask in (first, ~first):
+            if not mask.any():
+                continue
+            want = log_evaluate_batch(model, rows, mask)  # builds the plan and its base
+            monkeypatch.setattr(mspn.inference, "weighted_logsumexp", counted)
+            calls.clear()
+            got = log_evaluate_batch(model, rows, mask)
+            monkeypatch.undo()
+            live = sum(any(mask[v] for v in node.scope) for node in sums)
+            assert len(calls) == live, (name, mask)
+            assert np.array_equal(got, want), name
+            skipped += len(sums) - live
+    assert skipped >= 10
+
+
+def test_deep_chain_batch_drops_each_table_once_its_parent_has_read_it(chain_model):
+    # each chain level's product waits for the deeper sum beside it, so
+    # about one row-sized table per level is alive at the deepest point;
+    # keeping every node's table would hold four per level
+    rng = np.random.default_rng(23)
+    n = 256
+    ks = rng.integers(0, CHAIN + 1, n)
+    rows = np.column_stack([ks + rng.uniform(0.1, 0.9, n), ks + rng.uniform(0.1, 0.9, n)])
+    both = np.array([True, True])
+    want = log_evaluate_batch(chain_model, rows, both)  # compiles the plan first
+    tracemalloc.start()
+    try:
+        got = log_evaluate_batch(chain_model, rows, both)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 2 * CHAIN * rows[:, 0].nbytes
 
 
 def test_sample_rows_share_one_plan_pass(fixture_models):

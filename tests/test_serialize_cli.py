@@ -473,6 +473,31 @@ class TestCliLearn:
         rows = capsys.readouterr().out.strip().split("\n")[:-1]
         assert len(rows) == 300 and np.all(np.isfinite([float(v) for v in rows]))
 
+    @pytest.mark.parametrize("leaf", LEAF_KINDS)
+    def test_constant_column_past_two_to_the_53_learns(self, tmp_path, capsys, leaf):
+        # 1e20 +- 0.5 == 1e20, so the one bin of a constant column is at
+        # least one float step wide
+        (tmp_path / "c.json").write_text('{"columns":[{"name":"x","type":"continuous"}]}')
+        (tmp_path / "c.csv").write_text("x\n" + "1e20\n" * 50)
+        model = str(tmp_path / "m.json")
+        assert main(["learn", "--data", str(tmp_path / "c.csv"), "--schema",
+                     str(tmp_path / "c.json"), "--out", model, "--leaf", leaf]) == 0
+        assert main(["validate", "--model", model]) == 0
+        capsys.readouterr()
+        assert main(["loglik", "--model", model, "--data", str(tmp_path / "c.csv")]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[:-1]
+        assert len(rows) == 50 and np.all(np.isfinite([float(v) for v in rows]))
+
+    def test_discrete_integer_too_large_for_a_float_is_a_data_error(self, tmp_path, capsys):
+        (tmp_path / "d.json").write_text('{"columns":[{"name":"n","type":"discrete"}]}')
+        (tmp_path / "d.csv").write_text("n\n1\n2\n" + "9" * 400 + "\n")
+        code = main(["learn", "--data", str(tmp_path / "d.csv"), "--schema",
+                     str(tmp_path / "d.json"), "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "row 2, column 0" in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_data_file_is_a_data_error(self, cli_files, tmp_path, capsys):
         code = main(["learn", "--data", str(tmp_path / "absent.csv"),
                      "--schema", str(cli_files["schema"]),
