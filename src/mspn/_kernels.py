@@ -7,9 +7,15 @@ one bin. K-means is vectorised over points, one centroid at a time;
 PAVA is a short Python loop. K-means clusters rows that are given as
 distinct points plus a row-to-point inverse: distances run once per
 point, centroid sums over the member rows in row order, so the labels
-are those of clustering the rows themselves. The tests check ``dp_fill``
-bit for bit against a triple-loop oracle and ``lloyd`` against a loop
-and a broadcast implementation.
+are those of clustering the rows themselves. Its memory stays
+proportional to the points: the distances reuse one points-sized buffer,
+and a centroid sum gathers its member rows at most ``_CHUNK`` at a time,
+carrying the running sum from chunk to chunk, which gives the bits of
+one sum over every member row (see ``_row_sum``). Lloyd stops as soon as
+an iteration's labels equal the previous ones: equal labels give
+bit-equal centroids, so every later pass would give those labels again.
+The tests check ``dp_fill`` bit for bit against a triple-loop oracle and
+``lloyd`` against a loop and a broadcast implementation.
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ import numpy as np
 
 # read by the benchmark's environment record; there is no JIT path
 NUMBA_ENABLED = False
+
+# member rows gathered at a time by a centroid sum
+_CHUNK = 512
 
 
 def pava_nondecreasing(values, weights):
@@ -85,27 +94,55 @@ def lloyd(points, centroids, max_iter, tol, inverse=None):
     # sums its member rows in row order, as clustering the rows would
     rows = np.arange(points.shape[0]) if inverse is None else inverse
     cent = centroids.copy()
+    diff = np.empty_like(points)
+    chunk = np.empty((_CHUNK + 1, points.shape[1]))
+    labels = np.argmin(_sq_dists(points, cent, diff), axis=1)
     for _ in range(max_iter):
-        labels = np.argmin(_sq_dists(points, cent), axis=1)[rows]
+        row_labels = labels[rows]
         new_cent = cent.copy()
         shift = 0.0
         for c in range(cent.shape[0]):
-            member = np.flatnonzero(labels == c)
+            member = rows[row_labels == c]
             if member.size:
-                new_cent[c] = points[rows[member]].sum(axis=0) / member.size
+                new_cent[c] = _row_sum(points, member, chunk) / member.size
                 shift = max(shift, float(((new_cent[c] - cent[c]) ** 2).sum()))
         cent = new_cent
-        if np.sqrt(shift) < tol:
+        previous = labels
+        labels = np.argmin(_sq_dists(points, cent, diff), axis=1)
+        # equal labels give bit-equal centroids, so no later pass could
+        # move a label again
+        if np.sqrt(shift) < tol or np.array_equal(labels, previous):
             break
-    return np.argmin(_sq_dists(points, cent), axis=1)[rows]
+    return labels[rows]
 
 
-def _sq_dists(points, cent):
-    # (rows, k) squared distances, one centroid at a time: no (rows, k, D)
-    # temporary, and each row's sum runs over the same contiguous D values
+def _row_sum(points, idx, buf):
+    # points[idx].sum(axis=0) with at most _CHUNK member rows gathered at a
+    # time: each chunk lands in buf[1:] and, after the first, the running sum
+    # in buf[0]. Over two or more columns numpy's axis-0 sum adds one row at
+    # a time from +0.0, and a sum started from +0.0 is never -0.0, so going
+    # on from the carried sum changes no bit. Over one column numpy sums
+    # pairwise, so that case gathers every member row.
+    if points.shape[1] == 1:
+        return points[idx].sum(axis=0)
+    for start in range(0, idx.shape[0], _CHUNK):
+        part = idx[start : start + _CHUNK]
+        end = part.shape[0] + 1
+        # mode "raise" would gather into a temporary copy of ``out``
+        np.take(points, part, axis=0, out=buf[1:end], mode="clip")
+        if start:
+            buf[0] = total
+        total = buf[0 if start else 1 : end].sum(axis=0)
+    return total
+
+
+def _sq_dists(points, cent, diff):
+    # (rows, k) squared distances, one centroid at a time into the
+    # points-sized ``diff``: no (rows, k, D) temporary, and each row's sum
+    # runs over the same contiguous D values
     d2 = np.empty((points.shape[0], cent.shape[0]))
     for c in range(cent.shape[0]):
-        diff = points - cent[c]
+        np.subtract(points, cent[c], out=diff)
         diff *= diff
         diff.sum(axis=1, out=d2[:, c])
     return d2

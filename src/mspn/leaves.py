@@ -241,6 +241,16 @@ def fit_isotonic_pwl(column, stat_type: StatType, smoothing: float = 1.0,
     knots_x = np.concatenate(([edges[0]], centers, [edges[-1]]))
     knots_y = np.concatenate(([0.0], fitted, [0.0]))
     knots_y = knots_y / trapezoid(knots_y, knots_x)
+    # slopes grow like 1 / (rows * width**2): at tiny scales (values near
+    # 1e-300) they overflow, and evaluation would give inf or nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        slopes = np.diff(knots_y) / np.diff(knots_x)
+    if not np.all(np.isfinite(slopes)):
+        raise DomainError(
+            f"variable {variable}: values in [{edges[0]:g}, {edges[-1]:g}] are too "
+            "closely spaced for a piecewise-linear leaf, whose slopes overflow; "
+            "use histogram leaves (--leaf histogram)"
+        )
     return PiecewiseLinearLeaf(variable, stat_type.kind, knots_x, knots_y, mode_bin + 1)
 
 

@@ -8,7 +8,7 @@ used across the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -105,16 +105,38 @@ def cca_max_correlation(a: np.ndarray | _Whitened, b: np.ndarray | _Whitened,
 
 @dataclass(frozen=True)
 class _Whitened:
-    """One feature block prepared for canonical correlation with any other."""
+    """One feature block prepared for canonical correlation with any other.
 
-    block: np.ndarray  # standardized columns, (m, d)
-    cov: np.ndarray  # ridge-regularized covariance of ``block``, (d, d)
+    The block is ``table[ids]``, or ``table`` itself when ``ids`` is None,
+    so a block of few distinct rows is held once per distinct row. Its
+    standardization is elementwise, so each gathered row has the bits it
+    would have had standardized per row; the product with another block
+    runs on the gathered rows (``rows``), in row order, as on the block
+    itself.
+    """
+
+    table: np.ndarray  # standardized columns of each distinct row, (k, d)
+    cov: np.ndarray  # ridge-regularized covariance of the block, (d, d)
     inv_sqrt: np.ndarray  # cov ** -1/2, (d, d)
     ridge: float
+    ids: np.ndarray | None = None  # row -> table row
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.block.shape
+        if self.ids is None:
+            return self.table.shape
+        return self.ids.shape[0], self.table.shape[1]
+
+    def rows(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The block itself, (rows, d), gathered into ``out`` when given."""
+        if self.ids is None:
+            return self.table
+        # mode "raise" would gather into a temporary copy of ``out``
+        return np.take(self.table, self.ids, axis=0, out=out, mode="clip")
+
+    def gathered(self, out: np.ndarray | None = None) -> "_Whitened":
+        """The same block held once per row, gathered into ``out`` when given."""
+        return replace(self, table=self.rows(out), ids=None)
 
 
 def _whitened(x: np.ndarray | _Whitened, ridge: float) -> _Whitened:
@@ -125,29 +147,43 @@ def _whitened(x: np.ndarray | _Whitened, ridge: float) -> _Whitened:
     return x
 
 
-def _whiten(a: np.ndarray, ridge: float = CCA_RIDGE) -> _Whitened:
-    # everything here depends on one block only, so a caller scoring many
-    # pairs prepares each block once
+def _whiten(a: np.ndarray, ridge: float = CCA_RIDGE,
+            ids: np.ndarray | None = None) -> _Whitened:
+    """Standardize the block ``a[ids]`` (or ``a``) and whiten its covariance.
+
+    Everything here depends on one block only, so a caller scoring many
+    pairs prepares each block once. With ``ids`` the work stays on the
+    distinct rows ``a``, and the result is bit for bit that of
+    ``_whiten(a[ids])``: centering and scaling are elementwise, so each
+    table row gets the bits of every block row it stands for, and the
+    three steps that run in row order (the column mean, the sum of squares
+    and ``block.T @ block``) each run on the gathered block itself.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    m = a.shape[0]
+    m = a.shape[0] if ids is None else ids.shape[0]
     if m < 2:
         raise DomainError("canonical correlation needs at least two rows")
-    a = a - a.mean(axis=0)
+
+    def rows(table):
+        return table if ids is None else table[ids]
+
+    a = a - rows(a).mean(axis=0)
     # standardize columns (constant columns stay zero) so the ridge acts on
     # a correlation matrix: the result is then invariant under positive
     # per-column affine maps of either block, and every eigenvalue of the
     # regularized blocks is at least ``ridge``
-    sa = np.sqrt((a * a).sum(axis=0) / (m - 1))
+    sa = np.sqrt(rows(a * a).sum(axis=0) / (m - 1))
     a = a / np.where(sa > 0.0, sa, 1.0)
-    cov = a.T @ a / (m - 1) + ridge * np.eye(a.shape[1])
+    block = rows(a)
+    cov = block.T @ block / (m - 1) + ridge * np.eye(a.shape[1])
     evals, evecs = np.linalg.eigh(cov)
     inv_sqrt = evecs @ ((1.0 / np.sqrt(evals))[:, None] * evecs.T)
-    return _Whitened(a, cov, inv_sqrt, ridge)
+    return _Whitened(a, cov, inv_sqrt, ridge, ids)
 
 
 def _pair_correlation(a: _Whitened, b: _Whitened) -> float:
     # largest eigenvalue of Saa^-1/2 Sab Sbb^-1 Sba Saa^-1/2, symmetrized
-    sab = a.block.T @ b.block / (a.block.shape[0] - 1)
+    sab = a.rows().T @ b.rows() / (a.shape[0] - 1)
     mid = a.inv_sqrt @ sab @ np.linalg.solve(b.cov, sab.T) @ a.inv_sqrt
     mid = 0.5 * (mid + mid.T)
     lam = np.linalg.eigvalsh(mid)

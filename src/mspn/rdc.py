@@ -151,19 +151,26 @@ def dependency_graph(dataset: Dataset, threshold: float, config,
     if seeds is None:
         seeds = SeedScope(config.seed)
     n = dataset.n_cols
-    constant = [_is_constant(dataset, v) for v in range(n)]
-    # whitening depends on one variable only: once per variable, not per pair
-    white = [
-        None if constant[v]
-        else _whiten(_variable_features(dataset, v, config, seeds, _SPLIT_TAG))
-        for v in range(n)
-    ]
+    # whitening depends on one variable only: once per variable, not per
+    # pair, and on its distinct values; only the pair being scored is held
+    # per row, each block gathered into one of two buffers
+    white = []
+    for v in range(n):
+        if _is_constant(dataset, v):
+            white.append(None)
+        else:
+            features, ids = _distinct_features(dataset, v, config, seeds, _SPLIT_TAG)
+            white.append(_whiten(features, ids=ids))
+    blocks = np.empty((2, dataset.n_rows, config.proj_features))
     edges = []
     for i in range(n):
+        if white[i] is None:
+            continue
+        first = white[i].gathered(blocks[0])
         for j in range(i + 1, n):
-            if constant[i] or constant[j]:
+            if white[j] is None:
                 continue
-            score = cca_max_correlation(white[i], white[j])
+            score = cca_max_correlation(first, white[j].gathered(blocks[1]))
             if score > threshold:
                 edges.append((i, j, score))
     return DependencyGraph(n, threshold, tuple(edges))

@@ -8,13 +8,14 @@ agree with scipy's isotonic regression.
 """
 
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 from scipy.optimize import isotonic_regression
 
 import mspn
-from mspn._kernels import _sq_dists, dp_fill, lloyd, pava_nondecreasing
+from mspn._kernels import _CHUNK, _row_sum, _sq_dists, dp_fill, lloyd, pava_nondecreasing
 from conftest import make_dataset
 
 
@@ -255,7 +256,8 @@ class TestLloydKernel:
                 )
                 # labels rarely see a last-bit change; the distances do
                 np.testing.assert_array_equal(
-                    _sq_dists(pts, start), ((pts[:, None, :] - start[None]) ** 2).sum(axis=2)
+                    _sq_dists(pts, start, np.empty_like(pts)),
+                    ((pts[:, None, :] - start[None]) ** 2).sum(axis=2),
                 )
 
     def test_empty_cluster_keeps_its_centroid(self):
@@ -263,6 +265,64 @@ class TestLloydKernel:
         cent = np.array([[0.05], [99.0]])
         labels = lloyd(pts, cent, 10, 1e-6)
         np.testing.assert_array_equal(labels, [0, 0])
+
+    def test_chunked_centroid_sum_keeps_the_bits(self):
+        # magnitudes spread over many decades make the sum depend on its order
+        r = np.random.default_rng(13)
+        for dim in (1, 2, 20, 280):
+            points = r.normal(size=(40, dim)) * np.exp(r.normal(0.0, 8.0, size=(40, 1)))
+            points[3] = -0.0
+            buf = np.empty((_CHUNK + 1, dim))
+            for count in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7):
+                for idx in (r.integers(0, 40, count), np.full(count, 3)):
+                    got = _row_sum(points, idx, buf)
+                    assert got.tobytes() == points[idx].sum(axis=0).tobytes(), (dim, count)
+
+    def test_early_stop_matches_the_loop_oracle(self):
+        r = np.random.default_rng(14)
+        pts = np.vstack([r.normal(0.0, 1.0, (60, 3)), r.normal(1.5, 1.0, (60, 3))])
+        for k in (2, 3, 5):
+            cent = pts[r.choice(pts.shape[0], size=k, replace=False)]
+            for max_iter, tol in ((100, 0.0), (100, 1e-4), (1, 0.0), (1, 1e-4), (0, 0.0)):
+                np.testing.assert_array_equal(
+                    lloyd(pts, cent, max_iter, tol), loop_lloyd(pts, cent, max_iter, tol)
+                )
+
+    def test_early_stop_on_distinct_points_matches_the_rows(self):
+        # the middle point ties between the outer two, and the rows repeat
+        # each point across several chunks of the centroid sum
+        r = np.random.default_rng(15)
+        points = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.5, 3.0]])
+        inverse = r.integers(0, 4, 3 * _CHUNK + 7)
+        for cent in (points[[0, 2]], points[[1, 3]], points[[0, 1, 2]]):
+            for max_iter, tol in ((100, 0.0), (1, 0.0), (100, 1e-4)):
+                np.testing.assert_array_equal(
+                    lloyd(points, cent, max_iter, tol, inverse),
+                    broadcast_lloyd(points[inverse], cent, max_iter, tol),
+                )
+
+    def test_stops_once_the_labels_repeat(self, monkeypatch):
+        # with tol=0 only repeated labels can end the iteration early
+        calls = []
+        monkeypatch.setattr(mspn._kernels, "_sq_dists",
+                            lambda *args: calls.append(1) or _sq_dists(*args))
+        r = np.random.default_rng(16)
+        pts = np.vstack([r.normal(0.0, 0.3, (50, 2)), r.normal(5.0, 0.3, (60, 2))])
+        lloyd(pts, pts[[0, 1]], 100, 0.0)
+        assert 2 <= len(calls) <= 5
+
+    def test_memory_stays_far_below_the_rows(self):
+        # 20 000 rows of 160 dims would take 25.6 MB; only 50 are distinct
+        r = np.random.default_rng(17)
+        points = r.normal(size=(50, 160))
+        inverse = r.integers(0, 50, 20_000)
+        tracemalloc.start()
+        try:
+            lloyd(points, points[[0, 1]], 100, 1e-4, inverse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 def mixture_model():
@@ -305,6 +365,30 @@ class TestBenchmarkHooks:
         assert calls["leaf_density_batch"] == 2
         assert calls["weighted_logsumexp"] == 2
         assert calls["leaf_sample"] == 1
+
+    def test_pair_scores_go_through_the_rdc_namespace(self, monkeypatch):
+        # the tracer rebinds cca_max_correlation inside mspn.rdc and reads
+        # each call's rows and point dims from the shape of its first block
+        rdc = sys.modules["mspn.rdc"]
+        original = rdc.cca_max_correlation
+        shapes = []
+
+        def counted(*args):
+            shapes.append((np.shape(args[0]), np.shape(args[1])))
+            return original(*args)
+
+        monkeypatch.setattr(rdc, "cca_max_correlation", counted)
+        r = np.random.default_rng(18)
+        data = make_dataset(
+            [("x", mspn.CONTINUOUS, None), ("c", mspn.CONTINUOUS, None),
+             ("g", mspn.CATEGORICAL, ("a", "b", "c")), ("k", mspn.data.DISCRETE, None)],
+            np.column_stack([r.normal(size=300), np.full(300, 2.0),
+                             r.integers(0, 3, 300), r.integers(0, 5, 300)]),
+        )
+        cfg = mspn.LearnConfig()
+        rdc.dependency_graph(data, 0.0, cfg)
+        # three non-constant variables, so three pairs
+        assert shapes == [((300, cfg.proj_features),) * 2] * 3
 
     def test_loading_a_model_does_not_compile_its_plan(self, monkeypatch, tmp_path):
         # load_ms times load_model alone; the plan is compiled on the first query

@@ -227,6 +227,15 @@ class TestFitIsotonicPwl:
         assert leaf.domain == DISCRETE
         assert abs(leaf_cdf(leaf, leaf_support(leaf)[1]) - 1.0) < 1e-9
 
+    def test_slopes_that_overflow_are_a_domain_error(self):
+        # densities near 1/(rows * 1e-300) are finite, their slopes are not
+        values = np.linspace(-1.0, 1.0, 300) ** 3 * 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="--leaf histogram"):
+                fit_isotonic_pwl(values, StatType(CONTINUOUS), 1.0)
+            assert np.isfinite(fit_histogram(values, StatType(CONTINUOUS), 1.0).masses).all()
+
 
 class TestLeafDensity:
     def test_histogram_density_is_mass_over_width(self):

@@ -152,6 +152,27 @@ class TestCcaMaxCorrelation:
                     assert cca_max_correlation(wa, b, ridge) == expected
         assert cca_max_correlation(blocks[3], blocks[20]) > 0.1
 
+    @pytest.mark.parametrize("case", ["ties", "constant column", "one column", "two rows"])
+    def test_whitening_distinct_rows_keeps_the_bits(self, case):
+        # a block held once per distinct row whitens to the bits of the
+        # block itself, and scores the same against any other
+        r = np.random.default_rng(9)
+        table = np.sin(3.0 * r.normal(size=(7, 1 if case == "one column" else 20)))
+        ids = r.integers(0, 7, 3000)
+        if case == "constant column":
+            table[:, 4] = 0.3
+        elif case == "two rows":
+            ids = np.array([5, 2])
+        b = r.normal(size=(ids.size, 3))
+        for ridge in (1e-6, 0.05):
+            got, want = _whiten(table, ridge, ids=ids), _whiten(table[ids], ridge)
+            assert got.shape == want.shape == (ids.size, table.shape[1])
+            assert got.rows().tobytes() == want.table.tobytes()
+            assert got.gathered().table.tobytes() == want.table.tobytes()
+            assert got.cov.tobytes() == want.cov.tobytes()
+            assert got.inv_sqrt.tobytes() == want.inv_sqrt.tobytes()
+            assert cca_max_correlation(got, b, ridge) == cca_max_correlation(want, b, ridge)
+
     def test_single_row_rejected(self):
         with pytest.raises(DomainError):
             cca_max_correlation(np.ones((1, 2)), np.ones((1, 2)))

@@ -1,5 +1,7 @@
 """Dependence scoring, feature-group splitting, and row clustering."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,31 @@ class TestDependencyGraph:
         ]
         assert list(graph.edges) == expected
         assert len(varying) == (n - 1 if table == "constant_column" else n)
+
+
+    def test_memory_stays_below_three_row_blocks(self):
+        # 14 low-arity columns of 20 000 rows: each variable is whitened on
+        # its few distinct values, and only the pair being scored is held
+        # per row, where one block per variable would take 14 blocks
+        r = np.random.default_rng(30)
+        m = 20_000
+        arities = (2, 3, 4, 5, 2, 3, 4, 5)
+        segment = r.integers(0, 4, m)
+        data = make_dataset(
+            [(f"g{j}", CATEGORICAL, tuple("abcde"[:a])) for j, a in enumerate(arities)]
+            + [(f"k{j}", DISCRETE, None) for j in range(6)],
+            np.column_stack([(segment + r.integers(0, 2, m)) % a for a in arities]
+                            + [r.binomial(6, 0.15 + 0.2 * segment) for _ in range(6)]),
+        )
+        cfg = LearnConfig(seed=31)
+        tracemalloc.start()
+        try:
+            graph = dependency_graph(data, 0.3, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.edges
+        assert peak < 3 * m * cfg.proj_features * 8
 
 
 class TestVariableFeatures:

@@ -473,6 +473,25 @@ class TestCliLearn:
         rows = capsys.readouterr().out.strip().split("\n")[:-1]
         assert len(rows) == 300 and np.all(np.isfinite([float(v) for v in rows]))
 
+    def test_tiny_scale_column_needs_histogram_leaves(self, tmp_path, capsys):
+        # near 1e-300 a piecewise-linear leaf's slopes, about
+        # 1 / (rows * width**2), overflow; a histogram stores densities only
+        files = _one_column_table(tmp_path, 1e-300)
+        model = tmp_path / "m.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["learn", *files, "--leaf", "isotonic"]) == 2
+            err = capsys.readouterr().err
+            assert "data error" in err and "--leaf histogram" in err
+            assert not model.exists()
+            assert main(["learn", *files, "--leaf", "histogram"]) == 0
+            assert main(["validate", "--model", str(model)]) == 0
+            capsys.readouterr()
+            assert main(["loglik", "--model", str(model), "--data", files[1]]) == 0
+        assert not caught
+        rows = capsys.readouterr().out.strip().split("\n")[:-1]
+        assert len(rows) == 300 and np.all(np.isfinite([float(v) for v in rows]))
+
     @pytest.mark.parametrize("leaf", LEAF_KINDS)
     def test_constant_column_past_two_to_the_53_learns(self, tmp_path, capsys, leaf):
         # 1e20 +- 0.5 == 1e20, so the one bin of a constant column is at
