@@ -17,6 +17,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -27,6 +28,9 @@ DISCRETE = "discrete"
 CATEGORICAL = "categorical"
 
 _KINDS = (CONTINUOUS, DISCRETE, CATEGORICAL)
+
+# rows converted at a time by load_dataset; small blocks keep its peak memory low
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -246,6 +250,54 @@ def _parse_cell(text: str, st: StatType, vocab: dict, row: int, col: int, strict
     return float(vocab[text])
 
 
+def _parse_rows(records, start: int, schema: Schema, vocabs: list, strict: list) -> list:
+    """Parse ``records`` (rows ``start ..``) cell by cell, raising the first error."""
+    rows = []
+    for r, record in enumerate(records, start):
+        if len(record) != len(schema):
+            raise IngestError(
+                f"row {r} has {len(record)} fields, expected {len(schema)}", row=r
+            )
+        rows.append([_parse_cell(cell.strip(), col.stat_type, vocabs[j], r, j, strict[j])
+                     for j, (cell, col) in enumerate(zip(record, schema.columns))])
+    return rows
+
+
+def _convert_block(records, schema: Schema, vocabs: list):
+    """``records`` as a float64 block, one ``map`` per column, or None on any fault.
+
+    A ragged record, a cell a column's conversion rejects (an empty or bad
+    cell, an integer too large for a float, a label not yet in the
+    vocabulary) or a non-finite value gives None and leaves ``vocabs``
+    untouched, so the caller parses the block cell by cell and raises
+    there. Converted cells get the bits ``_parse_cell`` gives them:
+    ``float`` and ``int`` skip the whitespace ``str.strip`` removes or
+    reject the cell, and labels are looked up stripped.
+    """
+    n = len(schema)
+    if any(len(record) != n for record in records):
+        return None
+    block = np.empty((len(records), n))
+    try:
+        for j, (cells, col) in enumerate(zip(zip(*records), schema.columns)):
+            st = col.stat_type
+            if st.is_continuous:
+                converted = map(float, cells)
+            elif st.is_discrete:
+                converted = map(float, map(int, cells))
+            else:
+                labels = list(map(str.strip, cells))
+                if "" in vocabs[j] and "" in labels:
+                    return None  # a declared "" label is still a missing value
+                converted = map(vocabs[j].__getitem__, labels)
+            block[:, j] = np.fromiter(converted, np.float64, len(records))
+    except (ValueError, KeyError, OverflowError):
+        return None
+    if not np.isfinite(block).all():
+        return None
+    return block
+
+
 def load_dataset(path, schema: Schema, *, unseen_to_sentinel: bool = False) -> Dataset:
     """Load a headed CSV against ``schema``.
 
@@ -254,6 +306,10 @@ def load_dataset(path, schema: Schema, *, unseen_to_sentinel: bool = False) -> D
     to the out-of-vocabulary code ``arity`` (useful for scoring held-out
     rows). Undeclared vocabularies are frozen from the data in first-seen
     order; the returned dataset carries the completed schema.
+
+    Rows are read ``_BLOCK_ROWS`` at a time and converted column by
+    column; a block with any fault is parsed again cell by cell, which
+    raises the error of its first bad cell in row-major order.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -277,26 +333,19 @@ def load_dataset(path, schema: Schema, *, unseen_to_sentinel: bool = False) -> D
             else:
                 vocabs.append({})
                 declared.append(False)
+        strict = [known and not unseen_to_sentinel for known in declared]
 
-        rows = []
-        for r, record in enumerate(reader):
-            if len(record) != len(schema):
-                raise IngestError(
-                    f"row {r} has {len(record)} fields, expected {len(schema)}", row=r
-                )
-            parsed = []
-            for j, (cell, col) in enumerate(zip(record, schema.columns)):
-                st = col.stat_type
-                strict = st.is_categorical and declared[j] and not unseen_to_sentinel
-                value = _parse_cell(cell.strip(), st, vocabs[j], r, j, strict)
-                if st.is_categorical and declared[j] and not strict:
-                    # sentinel mode: every label outside the declared vocab
-                    # collapses to the single out-of-vocab code ``arity``
-                    value = min(value, float(len(st.categories)))
-                parsed.append(value)
-            rows.append(parsed)
+        blocks = []
+        start = 0
+        while records := list(islice(reader, _BLOCK_ROWS)):
+            block = _convert_block(records, schema, vocabs)
+            if block is None:
+                block = np.array(_parse_rows(records, start, schema, vocabs, strict),
+                                 dtype=np.float64)
+            blocks.append(block)
+            start += len(records)
 
-    if not rows:
+    if not blocks:
         raise IngestError("csv file has a header but no data rows")
 
     cols = []
@@ -313,8 +362,13 @@ def load_dataset(path, schema: Schema, *, unseen_to_sentinel: bool = False) -> D
             cols.append(c)
     frozen = Schema(tuple(cols))
 
-    values = np.asarray(rows, dtype=np.float64)
+    values = np.concatenate(blocks)
     if unseen_to_sentinel:
+        # every label outside a declared vocab collapses to the single
+        # out-of-vocab code ``arity``
+        for j, known in enumerate(declared):
+            if known:
+                np.minimum(values[:, j], len(frozen.stat_type(j).categories), out=values[:, j])
         # out-of-vocab codes equal arity; Dataset would reject them, so the
         # caller gets the raw matrix semantics via a relaxed construction
         return _dataset_with_sentinels(frozen, values)

@@ -505,6 +505,32 @@ class _Plan:
             nodes[var].add(i)
         return nodes
 
+    @cached_property
+    def visit_rank(self) -> list:
+        """Each node's place in a postorder that enters larger subtrees first.
+
+        ``evaluate_tables`` runs its nodes in this order (children still
+        combine in child order). Tables wait only at the nodes where the
+        walk is inside a child other than the first, whose subtree is at
+        most half its parent's, so with at most ``k`` children per node no
+        more than ``(k - 1) * log2(nodes)`` wait at once, whatever the
+        depth (Sethi and Ullman 1970). A preorder that pushes the children
+        largest first, and so pops them smallest first, is this postorder
+        reversed.
+        """
+        size = [1] * len(self.nodes)
+        for i, kids in enumerate(self.children):
+            size[i] += sum(size[c] for c in kids.tolist())
+        preorder, stack = [], [self.root]
+        while stack:
+            i = stack.pop()
+            preorder.append(i)
+            stack.extend(sorted(self.children[i].tolist(), key=lambda c: -size[c]))
+        rank = [0] * len(self.nodes)
+        for place, i in enumerate(reversed(preorder)):
+            rank[i] = place
+        return rank
+
     def evaluate_tables(self, variables, points: dict, ids: dict, known: dict | None):
         """The root's log table with ``variables`` observed at ``points``.
 
@@ -518,7 +544,8 @@ class _Plan:
         as is when ``v`` has no ids; the root's table comes back the same
         way. Every other table is dropped once its parent has read it, so a
         call without ``known`` holds only the tables still waiting for
-        their parent.
+        their parent, and running the nodes in ``visit_rank`` order keeps
+        those few on a deep tree.
         """
         fresh = [v for v in variables if known is None or v not in known]
         stored = [(v, known[v]) for v in variables if v not in fresh]
@@ -554,7 +581,7 @@ class _Plan:
 
         # only leaves take logs, and only the leaves of fresh variables run
         with np.errstate(divide="ignore") if fresh else nullcontext():
-            for i in sorted(run):
+            for i in sorted(run, key=self.visit_rank.__getitem__):
                 v = run[i]
                 if self.kinds[i] == _LEAF:
                     table = np.log(leaf_density_batch(self.nodes[i], points[v]))

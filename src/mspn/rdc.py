@@ -42,34 +42,16 @@ _KMEANS_TAG = 3
 
 @dataclass(frozen=True)
 class DependencyGraph:
-    """Thresholded pairwise-dependence graph over variable indices."""
+    """Thresholded dependence edges and the variable groups they connect.
+
+    Only the edges that joined two groups are kept, so they form a spanning
+    forest of the thresholded all-pairs graph, with the same components.
+    """
 
     n_vars: int
     threshold: float
-    edges: tuple[tuple[int, int, float], ...]  # (i, j, score) with i < j
-
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        adjacency: list[list[int]] = [[] for _ in range(self.n_vars)]
-        for i, j, _ in self.edges:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        seen = [False] * self.n_vars
-        groups = []
-        for start in range(self.n_vars):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adjacency[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            groups.append(tuple(sorted(comp)))
-        return tuple(groups)
+    edges: tuple[tuple[int, int, float], ...]  # (i, j, score) with i < j, in scoring order
+    groups: tuple[tuple[int, ...], ...]  # connected components, each ascending
 
 
 @dataclass(frozen=True)
@@ -147,7 +129,13 @@ def rdc(dataset: Dataset, i: int, j: int, config, seeds: SeedScope | None = None
 
 def dependency_graph(dataset: Dataset, threshold: float, config,
                      seeds: SeedScope | None = None) -> DependencyGraph:
-    """All-pairs dependence scores, keeping edges strictly above ``threshold``."""
+    """Connected components of the pairs scoring strictly above ``threshold``.
+
+    Pairs are scored in order (``i`` ascending, then ``j``), skipping a pair
+    whose two variables are already joined (union-find): its score could
+    not change the components, and every pair still scored joins the same
+    groups it joins when all pairs are scored.
+    """
     if seeds is None:
         seeds = SeedScope(config.seed)
     n = dataset.n_cols
@@ -163,17 +151,31 @@ def dependency_graph(dataset: Dataset, threshold: float, config,
             white.append(_whiten(features, ids=ids))
     blocks = np.empty((2, dataset.n_rows, config.proj_features))
     edges = []
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
     for i in range(n):
         if white[i] is None:
             continue
-        first = white[i].gathered(blocks[0])
+        first = None
         for j in range(i + 1, n):
-            if white[j] is None:
+            if white[j] is None or find(i) == find(j):
                 continue
+            if first is None:
+                first = white[i].gathered(blocks[0])
             score = cca_max_correlation(first, white[j].gathered(blocks[1]))
             if score > threshold:
                 edges.append((i, j, score))
-    return DependencyGraph(n, threshold, tuple(edges))
+                parent[find(j)] = find(i)
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    return DependencyGraph(n, threshold, tuple(edges), tuple(map(tuple, groups.values())))
 
 
 def split_features(dataset: Dataset, threshold: float, config,
@@ -185,8 +187,7 @@ def split_features(dataset: Dataset, threshold: float, config,
     """
     if dataset.n_cols < 2:
         raise DomainError("feature splitting needs at least two variables")
-    graph = dependency_graph(dataset, threshold, config, seeds)
-    return FeaturePartition(graph.components())
+    return FeaturePartition(dependency_graph(dataset, threshold, config, seeds).groups)
 
 
 def cluster_samples(dataset: Dataset, config, seeds: SeedScope | None = None) -> SamplePartition:

@@ -6,6 +6,7 @@ session-scoped: learning is deterministic, so sharing them between tests
 cannot leak state (all model objects are frozen/read-only).
 """
 
+import csv
 import math
 
 import numpy as np
@@ -22,7 +23,8 @@ from mspn import (
     learn_mspn,
 )
 from mspn._kernels import dp_fill
-from mspn.data import DISCRETE
+from mspn.data import DISCRETE, _dataset_with_sentinels, _parse_cell
+from mspn.errors import IngestError
 from mspn.numerics import _candidate_boundaries, _segment_loglik
 
 # ---------------------------------------------------------------------------
@@ -79,6 +81,59 @@ def per_pair_cca_max_correlation(a, b, ridge=1e-6):
     mid = 0.5 * (mid + mid.T)
     lam = np.linalg.eigvalsh(mid)
     return float(np.sqrt(np.clip(lam[-1], 0.0, 1.0)))
+
+
+def per_cell_load_dataset(path, schema, *, unseen_to_sentinel=False) -> Dataset:
+    """``load_dataset`` parsing one cell at a time, as before row blocks:
+    the block-wise loader must return the same bytes and schema and raise
+    the same first error."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError("csv file is empty") from None
+        header = [h.strip() for h in header]
+        if tuple(header) != schema.names:
+            raise IngestError(
+                f"csv header {header} does not match schema columns {list(schema.names)}"
+            )
+        vocabs, declared = [], []
+        for c in schema.columns:
+            st = c.stat_type
+            known = st.is_categorical and st.categories is not None
+            vocabs.append({label: i for i, label in enumerate(st.categories)} if known else {})
+            declared.append(known)
+        rows = []
+        for r, record in enumerate(reader):
+            if len(record) != len(schema):
+                raise IngestError(
+                    f"row {r} has {len(record)} fields, expected {len(schema)}", row=r
+                )
+            parsed = []
+            for j, (cell, col) in enumerate(zip(record, schema.columns)):
+                st = col.stat_type
+                strict = st.is_categorical and declared[j] and not unseen_to_sentinel
+                value = _parse_cell(cell.strip(), st, vocabs[j], r, j, strict)
+                if st.is_categorical and declared[j] and not strict:
+                    value = min(value, float(len(st.categories)))
+                parsed.append(value)
+            rows.append(parsed)
+    if not rows:
+        raise IngestError("csv file has a header but no data rows")
+    cols = []
+    for j, c in enumerate(schema.columns):
+        if c.stat_type.is_categorical and not declared[j]:
+            labels = tuple(vocabs[j].keys())
+            if len(labels) < 2:
+                raise IngestError(f"column {c.name!r} has fewer than 2 distinct categories")
+            cols.append(Column(c.name, StatType(CATEGORICAL, labels)))
+        else:
+            cols.append(c)
+    values = np.asarray(rows, dtype=np.float64)
+    if unseen_to_sentinel:
+        return _dataset_with_sentinels(Schema(tuple(cols)), values)
+    return Dataset(Schema(tuple(cols)), values)
 
 
 def uncapped_adaptive_bin_edges(values):

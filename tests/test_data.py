@@ -1,9 +1,14 @@
 """Schema, dataset, CSV ingestion, and rank-transform behavior."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mspn.data
 
 from mspn import (
     CATEGORICAL,
@@ -15,10 +20,10 @@ from mspn import (
     load_dataset,
     load_schema,
 )
-from mspn.data import DISCRETE, copula_transform, one_hot
+from mspn.data import _BLOCK_ROWS, DISCRETE, copula_transform, one_hot
 from mspn.errors import DomainError, EmptyInputError, IngestError, SchemaError
 
-from conftest import make_dataset
+from conftest import make_dataset, per_cell_load_dataset
 
 
 class TestStatType:
@@ -198,6 +203,159 @@ class TestLoadDataset:
         ds = load_dataset(p, schema)
         assert ds.schema.stat_type(1).categories == ("mid", "low")
         np.testing.assert_array_equal(ds.values[:, 1], [0.0, 1.0, 0.0])
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _assert_loads_like_per_cell(path, schema, **kwargs):
+    """load_dataset gives the per-cell loop's bytes and schema, or its error."""
+    try:
+        want = per_cell_load_dataset(path, schema, **kwargs)
+    except IngestError as exc:
+        with pytest.raises(IngestError) as got:
+            load_dataset(path, schema, **kwargs)
+        assert (str(got.value), got.value.row, got.value.column) == \
+            (str(exc), exc.row, exc.column)
+        return exc
+    got = load_dataset(path, schema, **kwargs)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.values.shape == want.values.shape
+    assert got.schema == want.schema
+    return got
+
+
+_BLOCK_SCHEMA = Schema((
+    Column("x", StatType(CONTINUOUS)),
+    Column("k", StatType(DISCRETE)),
+    Column("c", StatType(CATEGORICAL, ("a", "b"))),
+    Column("u", StatType(CATEGORICAL)),
+))
+
+
+def _block_rows(m, seed=0):
+    """``m`` clean rows of ``_BLOCK_SCHEMA``; after the first block, only
+    a block holding a fault goes through the per-cell loop."""
+    r = np.random.default_rng(seed)
+    return [[repr(float(x)), str(k), "ab"[c], "pq"[c]]
+            for x, k, c in zip(r.normal(size=m), r.integers(-9, 99, m), r.integers(0, 2, m))]
+
+
+@st.composite
+def _csv_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(["continuous", "discrete", "declared",
+                                           "undeclared"]), min_size=1, max_size=4))
+    m = draw(st.integers(_BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    # "\x1c" is whitespace to str.strip but not to float or int
+    pad = draw(st.sampled_from(["", " ", "\t", "\x1c"]))
+    unknown = draw(st.booleans())  # an unknown declared label in a later block
+    sentinel = draw(st.booleans())
+    return kinds, m, seed, pad, unknown, sentinel
+
+
+class TestBlockIngest:
+    @settings(max_examples=25, deadline=None)
+    @given(_csv_tables())
+    def test_blocks_load_like_the_per_cell_loop(self, tmp_path_factory, table):
+        kinds, m, seed, pad, unknown, sentinel = table
+        r = np.random.default_rng(seed)
+        cols, cells = [], []
+        for j, kind in enumerate(kinds):
+            if kind == "continuous":
+                x = r.normal(size=m) * 10.0 ** r.integers(-30, 30, m)
+                cols.append(Column(f"v{j}", StatType(CONTINUOUS)))
+                cells.append([repr(float(v)) for v in x])
+            elif kind == "discrete":
+                k = r.integers(-10**15, 10**15, m) * r.integers(0, 2, m) + r.integers(0, 9, m)
+                cols.append(Column(f"v{j}", StatType(DISCRETE)))
+                cells.append([str(int(v)) for v in k])
+            elif kind == "declared":
+                labels = ("lo", "mid", "hi")
+                cols.append(Column(f"v{j}", StatType(CATEGORICAL, labels)))
+                cells.append([labels[c] for c in r.integers(0, 3, m)])
+                if unknown:
+                    cells[-1][int(r.integers(m // 2, m))] = "zz"
+            else:
+                # the pool of labels grows with the row, so new labels
+                # first appear in later blocks
+                cols.append(Column(f"v{j}", StatType(CATEGORICAL)))
+                cells.append([f"l{r.integers(0, 2 + i // 300)}" for i in range(m)])
+        padded = r.random((len(kinds), m)) < 0.3
+        rows = [[f"{pad}{cell}{pad}" if padded[j, i] else cell
+                 for j, cell in enumerate(row)] for i, row in enumerate(zip(*cells))]
+        path = _write_rows(tmp_path_factory.mktemp("blocks") / "t.csv",
+                           [c.name for c in cols], rows)
+        _assert_loads_like_per_cell(path, Schema(tuple(cols)), unseen_to_sentinel=sentinel)
+
+    def test_clean_blocks_skip_the_per_cell_loop(self, tmp_path, monkeypatch):
+        parsed = []
+        per_cell = mspn.data._parse_rows
+        monkeypatch.setattr(mspn.data, "_parse_rows",
+                            lambda records, start, *rest: parsed.append(start)
+                            or per_cell(records, start, *rest))
+        rows = _block_rows(3 * _BLOCK_ROWS + 5)
+        rows[-1][3] = "w"
+        path = _write_rows(tmp_path / "t.csv", _BLOCK_SCHEMA.names, rows)
+        got = _assert_loads_like_per_cell(path, _BLOCK_SCHEMA)
+        # only the blocks where ``u`` meets a new label are parsed cell by cell
+        assert parsed == [0, 3 * _BLOCK_ROWS]
+        assert sorted(got.schema.stat_type(3).categories[:2]) == ["p", "q"]
+        assert got.schema.stat_type(3).categories[2] == "w"
+
+    @pytest.mark.parametrize("column, cell", [
+        (0, "oops"), (0, ""), (0, "  "), (0, "nan"), (0, "1e999"), (1, "2.5"),
+        (1, "9" * 400), (2, "z"), (2, ""), (3, ""), ("ragged", None),
+    ])
+    def test_an_error_in_a_later_block_is_the_per_cell_error(self, tmp_path, column, cell):
+        rows = _block_rows(3 * _BLOCK_ROWS)
+        bad = 2 * _BLOCK_ROWS + 77
+        if column == "ragged":
+            rows[bad] = rows[bad][:3]
+        else:
+            rows[bad][column] = cell
+        path = _write_rows(tmp_path / "t.csv", _BLOCK_SCHEMA.names, rows)
+        exc = _assert_loads_like_per_cell(path, _BLOCK_SCHEMA)
+        assert exc.row == bad
+        assert exc.column == (None if column == "ragged" else column)
+
+    @pytest.mark.parametrize("first, second", [
+        ((700, 2), (701, 0)),  # an earlier row wins over an earlier column
+        ((700, 0), (700, 2)),  # in one row, the earlier column wins
+        ((700, 3), (1023, 1)),
+    ])
+    def test_the_row_major_first_error_wins_within_a_block(self, tmp_path, first, second):
+        rows = _block_rows(3 * _BLOCK_ROWS)
+        for r, c in (first, second):
+            rows[r][c] = ""
+        path = _write_rows(tmp_path / "t.csv", _BLOCK_SCHEMA.names, rows)
+        exc = _assert_loads_like_per_cell(path, _BLOCK_SCHEMA)
+        assert (exc.row, exc.column) == first
+
+    def test_an_empty_cell_is_missing_even_when_a_label_is_empty(self, tmp_path):
+        schema = Schema((Column("c", StatType(CATEGORICAL, ("", "a"))),))
+        rows = [["a"]] * (2 * _BLOCK_ROWS)
+        rows[_BLOCK_ROWS + 3] = [""]
+        path = _write_rows(tmp_path / "t.csv", schema.names, rows)
+        exc = _assert_loads_like_per_cell(path, schema)
+        assert (exc.row, exc.column) == (_BLOCK_ROWS + 3, 0)
+        assert "missing value" in str(exc)
+
+    def test_sentinel_codes_hold_in_every_block(self, tmp_path):
+        # the first block meets two unknown labels; later blocks convert
+        # both at once, and the second one's code must come down to arity
+        rows = _block_rows(3 * _BLOCK_ROWS)
+        unseen = {3: "zz", 4: "yy", _BLOCK_ROWS + 9: "yy", 3 * _BLOCK_ROWS - 1: "zz"}
+        for r, label in unseen.items():
+            rows[r][2] = label
+        path = _write_rows(tmp_path / "t.csv", _BLOCK_SCHEMA.names, rows)
+        got = _assert_loads_like_per_cell(path, _BLOCK_SCHEMA, unseen_to_sentinel=True)
+        assert np.flatnonzero(got.values[:, 2] == 2.0).tolist() == list(unseen)
 
 
 class TestCopulaTransform:

@@ -386,8 +386,9 @@ class TestBenchmarkHooks:
                              r.integers(0, 3, 300), r.integers(0, 5, 300)]),
         )
         cfg = mspn.LearnConfig()
-        rdc.dependency_graph(data, 0.0, cfg)
-        # three non-constant variables, so three pairs
+        rdc.dependency_graph(data, 1.0, cfg)
+        # three non-constant variables and no score above 1.0 to join any
+        # two of them, so three pairs
         assert shapes == [((300, cfg.proj_features),) * 2] * 3
 
     def test_loading_a_model_does_not_compile_its_plan(self, monkeypatch, tmp_path):

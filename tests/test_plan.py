@@ -694,24 +694,35 @@ def test_partial_mask_batches_skip_subtrees_with_nothing_observed(fixture_models
     assert skipped >= 10
 
 
-def test_deep_chain_batch_drops_each_table_once_its_parent_has_read_it(chain_model):
-    # each chain level's product waits for the deeper sum beside it, so
-    # about one row-sized table per level is alive at the deepest point;
-    # keeping every node's table would hold four per level
+def batch_peak(model, depth, n=256):
+    """tracemalloc peak of a warm n-row batch with both variables observed on
+    a chain of ``depth`` levels, and the batch's row-sized table bytes."""
     rng = np.random.default_rng(23)
-    n = 256
-    ks = rng.integers(0, CHAIN + 1, n)
+    ks = rng.integers(0, depth + 1, n)
     rows = np.column_stack([ks + rng.uniform(0.1, 0.9, n), ks + rng.uniform(0.1, 0.9, n)])
     both = np.array([True, True])
-    want = log_evaluate_batch(chain_model, rows, both)  # compiles the plan first
+    want = log_evaluate_batch(model, rows, both)  # compiles the plan first
     tracemalloc.start()
     try:
-        got = log_evaluate_batch(chain_model, rows, both)
+        got = log_evaluate_batch(model, rows, both)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.array_equal(got, want)
-    assert peak < 2 * CHAIN * rows[:, 0].nbytes
+    return peak, rows[:, 0].nbytes
+
+
+def test_deep_chain_batch_drops_each_table_once_its_parent_has_read_it(chain_model):
+    # keeping every node's table would hold four row-sized tables per level.
+    # Each level's product runs after the deeper sum beside it, so no table
+    # waits for the rest of the chain and the peak does not grow with depth
+    # by tables: what grows is the per-node bookkeeping (the run and seen
+    # sets), about a quarter of a 256-row table per level, where 1.3 tables
+    # per level waited in plain postorder
+    peak, table = batch_peak(chain_model, CHAIN)
+    shallow, _ = batch_peak(build_chain(1000), 1000)
+    assert peak < 2 * CHAIN * table
+    assert peak - shallow < 0.5 * (CHAIN - 1000) * table
 
 
 def test_sample_rows_share_one_plan_pass(fixture_models):
@@ -819,20 +830,24 @@ def unit_leaf(variable, k):
     return HistogramLeaf(variable, CONTINUOUS, np.array([k, k + 1.0]), np.array([1.0]))
 
 
-@pytest.fixture(scope="module")
-def chain_model():
-    """CHAIN nested sums; the k-th mixes in U(x; k, k+1) * U(y; k, k+1).
+def build_chain(depth):
+    """``depth`` nested sums; the k-th mixes in U(x; k, k+1) * U(y; k, k+1).
 
-    Component k has weight (1 - STAY) * STAY**k (the last one STAY**CHAIN),
+    Component k has weight (1 - STAY) * STAY**k (the last one STAY**depth),
     and components have disjoint supports, so a point in component k has
     log density log(weight_k).
     """
-    node = ProductNode((0, 1), (unit_leaf(0, CHAIN), unit_leaf(1, CHAIN)))
-    for k in reversed(range(CHAIN)):
+    node = ProductNode((0, 1), (unit_leaf(0, depth), unit_leaf(1, depth)))
+    for k in reversed(range(depth)):
         part = ProductNode((0, 1), (unit_leaf(0, k), unit_leaf(1, k)))
         node = SumNode((0, 1), np.array([1.0 - STAY, STAY]), (part, node))
     data = make_dataset([("x", CONTINUOUS, None), ("y", CONTINUOUS, None)], [[0.5, 0.5]])
     return Mspn(node, data.schema, LearnConfig())
+
+
+@pytest.fixture(scope="module")
+def chain_model():
+    return build_chain(CHAIN)
 
 
 def log_weight(k):

@@ -1,5 +1,6 @@
 """Dependence scoring, feature-group splitting, and row clustering."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,47 @@ from conftest import HYBRID6_COLS, make_dataset, per_pair_cca_max_correlation
 
 def _cont2(values):
     return make_dataset([("a", CONTINUOUS, None), ("b", CONTINUOUS, None)], values)
+
+
+def _record_scores(monkeypatch) -> list:
+    """Record the score of every pair ``dependency_graph`` scores, in order."""
+    rdc_module = sys.modules["mspn.rdc"]
+    original = rdc_module.cca_max_correlation
+    scores = []
+
+    def recorded(a, b):
+        assert np.shape(a) == np.shape(b) == (np.shape(a)[0], LearnConfig().proj_features)
+        scores.append(original(a, b))
+        return scores[-1]
+
+    monkeypatch.setattr(rdc_module, "cca_max_correlation", recorded)
+    return scores
+
+
+def _all_pair_scores(data, cfg, seeds) -> dict:
+    """Every non-constant pair's score, whitened per pair, in scoring order."""
+    varying = [v for v in range(data.n_cols) if np.any(data.column(v) != data.column(v)[0])]
+    feats = {v: _variable_features(data, v, cfg, seeds, _SPLIT_TAG) for v in varying}
+    return {(i, j): per_pair_cca_max_correlation(feats[i], feats[j])
+            for i in varying for j in varying if i < j}
+
+
+def _union_find_groups(n, edges) -> list:
+    """Connected components of ``edges`` over ``n`` variables, by smallest member."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in edges:
+        parent[find(i)] = find(j)
+    groups = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(tuple(g) for g in groups.values())
 
 
 class TestRdcScore:
@@ -108,27 +150,11 @@ class TestDependencyGraph:
             ),
         )
         g = dependency_graph(ds, 0.3, LearnConfig(seed=12))
-
-        parent = list(range(4))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i, j, _ in g.edges:
-            parent[find(i)] = find(j)
-        oracle = {}
-        for v in range(4):
-            oracle.setdefault(find(v), []).append(v)
-        expected = sorted(tuple(sorted(grp)) for grp in oracle.values())
-        got = sorted(tuple(sorted(grp)) for grp in g.components())
-        assert got == expected
-        assert got == [(0, 1), (2, 3)]
+        assert list(g.groups) == _union_find_groups(4, [(i, j) for i, j, _ in g.edges])
+        assert list(g.groups) == [(0, 1), (2, 3)]
 
     @pytest.mark.parametrize("table", ["hybrid6_train", "cat_pair_data", "constant_column"])
-    def test_every_score_equals_the_per_pair_whitening(self, table, request):
+    def test_every_score_equals_the_per_pair_whitening(self, table, request, monkeypatch):
         if table == "constant_column":
             values = request.getfixturevalue("hybrid6_train").values[:1500].copy()
             values[:, 3] = 4.0
@@ -137,18 +163,55 @@ class TestDependencyGraph:
             data = request.getfixturevalue(table)
         cfg = LearnConfig(seed=21)
         seeds = SeedScope(cfg.seed, (0, 1))
-        # a threshold below every score keeps every non-constant pair as an edge
-        graph = dependency_graph(data, -1.0, cfg, seeds)
-        n = data.n_cols
-        varying = [v for v in range(n) if np.any(data.column(v) != data.column(v)[0])]
-        feats = {v: _variable_features(data, v, cfg, seeds, _SPLIT_TAG) for v in varying}
-        expected = [
-            (i, j, per_pair_cca_max_correlation(feats[i], feats[j]))
-            for i in varying for j in varying if i < j
-        ]
-        assert list(graph.edges) == expected
-        assert len(varying) == (n - 1 if table == "constant_column" else n)
+        scored = _record_scores(monkeypatch)
+        # no score exceeds 1.0, so nothing is joined and every non-constant
+        # pair is scored
+        graph = dependency_graph(data, 1.0, cfg, seeds)
+        oracle = _all_pair_scores(data, cfg, seeds)
+        assert scored == list(oracle.values())
+        assert graph.edges == ()
+        assert graph.groups == tuple((v,) for v in range(data.n_cols))
+        varying = data.n_cols - (table == "constant_column")
+        assert len(oracle) == varying * (varying - 1) // 2
 
+    @pytest.mark.parametrize("table", ["blobs2d_data", "cont_indep_data", "cat_pair_data",
+                                       "cat_indep_data", "hybrid6_train", "hybrid_small_data",
+                                       "mix2_data", "collider"])
+    def test_joined_pairs_are_never_scored(self, table, request, monkeypatch):
+        if table == "collider":
+            # a and b are independent and each joins c: c, already joined to
+            # a, joins b's group, so both groups must merge
+            r = np.random.default_rng(8)
+            a, b = r.uniform(-1, 1, 600), r.uniform(-1, 1, 600)
+            data = make_dataset([(n, CONTINUOUS, None) for n in "abc"],
+                                np.column_stack([a, b, a + b]))
+        else:
+            data = request.getfixturevalue(table)
+        cfg = LearnConfig(seed=22)
+        seeds = SeedScope(cfg.seed, (0,))
+        oracle = _all_pair_scores(data, cfg, seeds)
+        scored = _record_scores(monkeypatch)
+        for threshold in (0.0, 0.05, 0.3):
+            del scored[:]
+            graph = dependency_graph(data, threshold, cfg, seeds)
+            # scoring in pair order, a pair is skipped once its ends are joined
+            group = list(range(data.n_cols))
+            want_scored, want_edges = [], []
+            for (i, j), score in oracle.items():
+                if group[i] == group[j]:
+                    continue
+                want_scored.append(score)
+                if score > threshold:
+                    want_edges.append((i, j, score))
+                    group = [group[i] if g == group[j] else g for g in group]
+            assert scored == want_scored, (table, threshold)
+            assert list(graph.edges) == want_edges, (table, threshold)
+            assert list(graph.groups) == _union_find_groups(
+                data.n_cols, [(i, j) for (i, j), s in oracle.items() if s > threshold]
+            ), (table, threshold)
+            if threshold == 0.0 and len(oracle) > 1:
+                # every score is positive: all join, one pair per variable
+                assert len(scored) == data.n_cols - 1
 
     def test_memory_stays_below_three_row_blocks(self):
         # 14 low-arity columns of 20 000 rows: each variable is whitened on

@@ -22,18 +22,23 @@ from mspn import (
     deserialize,
     load_dataset,
     load_model,
+    load_schema,
     log_evaluate,
+    log_evaluate_batch,
     sample,
     save_model,
     serialize,
     validate,
 )
 from mspn.cli import main
-from mspn.errors import FormatError, VersionError
+from mspn.data import _BLOCK_ROWS
+from mspn.errors import FormatError, IngestError, VersionError
 from mspn.leaves import HistogramLeaf
 from mspn.numerics import MAX_BIN_MAGNITUDE
 from mspn.serialize import canonical_json
 from mspn.structure import LEAF_KINDS, Mspn, ProductNode, SumNode
+
+from conftest import per_cell_load_dataset
 
 
 class TestCanonicalJson:
@@ -410,6 +415,20 @@ def cli_files(tmp_path_factory):
             "test": test_path, "model": model_path}
 
 
+def long_csvs(cli_files, tmp_path):
+    """Three blocks of the CLI test rows: the last block holds a label unseen
+    in training, and in the second file also a bad cell before it."""
+    header, *rows = cli_files["test"].read_text().splitlines()
+    rows = [rows[i % len(rows)] for i in range(3 * _BLOCK_ROWS)]
+    rows[-5] = rows[-5].split(",")[0] + ",purple"
+    unseen = tmp_path / "unseen.csv"
+    unseen.write_text("\n".join([header] + rows) + "\n")
+    rows[-9] = "oops," + rows[-9].split(",")[1]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([header] + rows) + "\n")
+    return unseen, bad
+
+
 class TestCliLearn:
     def test_learn_reports_node_count(self, cli_files, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -524,6 +543,20 @@ class TestCliLearn:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_errors_past_the_first_block_are_the_per_cell_errors(self, cli_files, tmp_path,
+                                                                  capsys):
+        schema = load_schema(cli_files["schema"])
+        for data, where in zip(long_csvs(cli_files, tmp_path), ("row 1531, column 1",
+                                                                 "row 1527, column 0")):
+            with pytest.raises(IngestError) as want:
+                per_cell_load_dataset(data, schema)
+            code = main(["learn", "--data", str(data), "--schema", str(cli_files["schema"]),
+                         "--out", str(tmp_path / "m.json")])
+            assert code == 2
+            assert capsys.readouterr().err == f"data error: {want.value}\n"
+            assert where in str(want.value)
+            assert not (tmp_path / "m.json").exists()
+
 
 class TestCliLoglik:
     def test_rows_and_mean_match_the_library(self, cli_files, capsys):
@@ -561,6 +594,21 @@ class TestCliLoglik:
         want = [format(log_evaluate(model, Evidence(row, full)), ".17g") for row in values]
         assert printed[:-1] == want
         assert values[:, 1].max() == 2.0  # the unseen label's code is scored
+
+    def test_csv_longer_than_one_block_scores_like_the_per_cell_loop(self, cli_files,
+                                                                      tmp_path, capsys):
+        unseen, bad = long_csvs(cli_files, tmp_path)
+        model = load_model(cli_files["model"])
+        assert main(["loglik", "--model", str(cli_files["model"]), "--data", str(unseen)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        values = per_cell_load_dataset(unseen, model.schema, unseen_to_sentinel=True).values
+        want = log_evaluate_batch(model, values, np.ones(model.n_vars, dtype=bool))
+        assert printed[:-1] == [format(float(v), ".17g") for v in want]
+        assert values[-5, 1] == 2.0  # the unseen label's sentinel code
+        assert main(["loglik", "--model", str(cli_files["model"]), "--data", str(bad)]) == 2
+        with pytest.raises(IngestError) as err:
+            per_cell_load_dataset(bad, model.schema, unseen_to_sentinel=True)
+        assert capsys.readouterr().err == f"data error: {err.value}\n"
 
 
 class TestCliQuery:
