@@ -31,6 +31,8 @@ _KINDS = (CONTINUOUS, DISCRETE, CATEGORICAL)
 
 # rows converted at a time by load_dataset; small blocks keep its peak memory low
 _BLOCK_ROWS = 512
+# what reading a csv raises for a record it rejects or bytes that are not UTF-8
+_READ_FAULTS = (csv.Error, UnicodeDecodeError)
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,7 @@ def load_schema(path) -> Schema:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"schema file is not valid json: {exc}") from exc
     return Schema.from_json_dict(obj)
 
@@ -309,7 +311,10 @@ def load_dataset(path, schema: Schema, *, unseen_to_sentinel: bool = False) -> D
 
     Rows are read ``_BLOCK_ROWS`` at a time and converted column by
     column; a block with any fault is parsed again cell by cell, which
-    raises the error of its first bad cell in row-major order.
+    raises the error of its first bad cell in row-major order. A record
+    the csv module rejects, or bytes that are not UTF-8, end the rows read
+    so far and raise after them; the decoder reads ahead, so such bytes
+    may lie past the row named.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -317,6 +322,8 @@ def load_dataset(path, schema: Schema, *, unseen_to_sentinel: bool = False) -> D
             header = next(reader)
         except StopIteration:
             raise IngestError("csv file is empty") from None
+        except _READ_FAULTS as exc:
+            raise IngestError(f"cannot read the csv header: {exc}") from exc
         header = [h.strip() for h in header]
         if tuple(header) != schema.names:
             raise IngestError(
@@ -337,13 +344,24 @@ def load_dataset(path, schema: Schema, *, unseen_to_sentinel: bool = False) -> D
 
         blocks = []
         start = 0
-        while records := list(islice(reader, _BLOCK_ROWS)):
+        fault = None
+        while fault is None:
+            records = []
+            try:
+                records.extend(islice(reader, _BLOCK_ROWS))
+            except _READ_FAULTS as exc:
+                fault = exc
+            if not records:
+                break
             block = _convert_block(records, schema, vocabs)
             if block is None:
                 block = np.array(_parse_rows(records, start, schema, vocabs, strict),
                                  dtype=np.float64)
             blocks.append(block)
             start += len(records)
+        if fault is not None:
+            raise IngestError(f"cannot read row {start} of the csv: {fault}",
+                              row=start) from fault
 
     if not blocks:
         raise IngestError("csv file has a header but no data rows")

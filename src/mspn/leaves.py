@@ -279,10 +279,6 @@ def leaf_density_batch(leaf: Leaf, values: np.ndarray) -> np.ndarray:
     return np.where(inside, dens, 0.0)
 
 
-def leaf_density(leaf: Leaf, value: float) -> float:
-    return float(leaf_density_batch(leaf, np.asarray([value]))[0])
-
-
 def leaf_support(leaf: Leaf) -> tuple[float, float]:
     if isinstance(leaf, PiecewiseLinearLeaf):
         return float(leaf.knots_x[0]), float(leaf.knots_x[-1])

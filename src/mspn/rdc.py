@@ -14,7 +14,7 @@ features gathered to the rows, and row clustering embeds each distinct
 data row once, with ids taken from the data, never from the features.
 
 All randomness flows through :class:`~mspn.numerics.SeedScope`, keyed by
-(seed, recursion path, purpose, variable), so results are reproducible
+(seed, node path, purpose, variable), so results are reproducible
 and symmetric in the variable pair.
 """
 
@@ -52,13 +52,6 @@ class DependencyGraph:
     threshold: float
     edges: tuple[tuple[int, int, float], ...]  # (i, j, score) with i < j, in scoring order
     groups: tuple[tuple[int, ...], ...]  # connected components, each ascending
-
-
-@dataclass(frozen=True)
-class FeaturePartition:
-    """Disjoint variable groups covering the whole scope."""
-
-    groups: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -179,15 +172,15 @@ def dependency_graph(dataset: Dataset, threshold: float, config,
 
 
 def split_features(dataset: Dataset, threshold: float, config,
-                   seeds: SeedScope | None = None) -> FeaturePartition:
-    """Partition variables into the connected components of the dependency graph.
+                   seeds: SeedScope | None = None) -> DependencyGraph:
+    """The dependency graph whose ``groups`` partition the variables.
 
-    A single returned group means no independence split exists at this
-    threshold; the caller decides what to do with that.
+    A single group means no independence split exists at this threshold;
+    the caller decides what to do with that.
     """
     if dataset.n_cols < 2:
         raise DomainError("feature splitting needs at least two variables")
-    return FeaturePartition(dependency_graph(dataset, threshold, config, seeds).groups)
+    return dependency_graph(dataset, threshold, config, seeds)
 
 
 def cluster_samples(dataset: Dataset, config, seeds: SeedScope | None = None) -> SamplePartition:

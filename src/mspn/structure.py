@@ -1,15 +1,15 @@
 """Tree-structured network learning and structural validation.
 
-The learner recursively partitions the data: variables that test as
+The learner partitions the data node by node: variables that test as
 independent split into a Product node, rows that cluster split into a
-Sum node weighted by cluster proportions, and the recursion bottoms out
-in univariate leaves. The result is a rooted tree satisfying
+Sum node weighted by cluster proportions, and the partitioning bottoms
+out in univariate leaves. The result is a rooted tree satisfying
 completeness (Sum children share their parent's scope) and
 decomposability (Product children own disjoint scopes), which is what
 makes every later query a linear-time traversal.
 
-All randomness is derived from ``config.seed`` and the recursion path,
-so learning is bit-deterministic for a given dataset and config.
+All randomness is derived from ``config.seed`` and each node's path from
+the root, so learning is bit-deterministic for a given dataset and config.
 """
 
 from __future__ import annotations
@@ -184,69 +184,45 @@ def _fit_leaf(data: Dataset, variable: int, config: LearnConfig):
     return fit_isotonic_pwl(col, st, config.smoothing, variable)
 
 
-def _learn_univariate(data: Dataset, variable: int, config: LearnConfig,
-                      seeds: SeedScope):
-    m = data.n_rows
-    if m >= config.min_instances:
-        part = cluster_samples(data, config, seeds)
-        if len(part.clusters) == 2:
-            sizes = [c.size for c in part.clusters]
-            col = data.column(0)
-            means = [float(col[c].mean()) for c in part.clusters]
-            if (min(sizes) >= _MIN_CLUSTER_FRACTION * config.min_instances
-                    and abs(means[0] - means[1]) > _MEAN_DISTINCT_TOL):
-                children = [
-                    _learn(data.select(rows=c), (variable,), config, seeds.child(ci))
-                    for ci, c in enumerate(part.clusters)
-                ]
-                return SumNode((variable,), part.proportions, children)
-    return _fit_leaf(data, variable, config)
+def _decide(data: Dataset, scope: tuple[int, ...], config: LearnConfig, seeds: SeedScope):
+    """One node's decision: its fitted leaf, or how its children split it.
 
-
-def _factorize(data: Dataset, scope: tuple[int, ...], config: LearnConfig,
-               seeds: SeedScope):
-    children = [
-        _learn(data.select(cols=[j]), (scope[j],), config, seeds.child(j))
-        for j in range(len(scope))
-    ]
-    return ProductNode(scope, children)
-
-
-def _learn(data: Dataset, scope: tuple[int, ...], config: LearnConfig,
-           seeds: SeedScope):
-    if len(scope) == 1:
-        return _learn_univariate(data, scope[0], config, seeds)
+    ``(column groups, None)`` makes a product and ``(row clusters,
+    proportions)`` a sum.
+    """
+    if data.n_cols == 1:
+        if data.n_rows >= config.min_instances:
+            part = cluster_samples(data, config, seeds)
+            if len(part.clusters) == 2:
+                sizes = [c.size for c in part.clusters]
+                col = data.column(0)
+                means = [float(col[c].mean()) for c in part.clusters]
+                if (min(sizes) >= _MIN_CLUSTER_FRACTION * config.min_instances
+                        and abs(means[0] - means[1]) > _MEAN_DISTINCT_TOL):
+                    return part.clusters, part.proportions
+        return _fit_leaf(data, scope[0], config)
+    singletons = [(j,) for j in range(data.n_cols)]
     if data.n_rows < config.min_instances:
-        return _factorize(data, scope, config, seeds)
-
-    part = split_features(data, config.dependence_threshold, config, seeds)
-    if len(part.groups) > 1:
-        children = []
-        for gi, group in enumerate(part.groups):
-            sub = data.select(cols=group)
-            sub_scope = tuple(scope[g] for g in group)
-            children.append(_learn(sub, sub_scope, config, seeds.child(gi)))
-        return ProductNode(scope, children)
-
-    clusters = cluster_samples(data, config, seeds)
-    if len(clusters.clusters) > 1:
-        children = [
-            _learn(data.select(rows=c), scope, config, seeds.child(ci))
-            for ci, c in enumerate(clusters.clusters)
-        ]
-        return SumNode(scope, clusters.proportions, children)
+        return singletons, None
+    groups = split_features(data, config.dependence_threshold, config, seeds).groups
+    if len(groups) > 1:
+        return groups, None
+    part = cluster_samples(data, config, seeds)
+    if len(part.clusters) > 1:
+        return part.clusters, part.proportions
     # conditioning failed to separate anything: factorize instead of looping
-    return _factorize(data, scope, config, seeds)
+    return singletons, None
 
 
 def learn_mspn(dataset: Dataset, config: LearnConfig | None = None) -> Mspn:
     """Learn a tree-structured network from a dataset.
 
-    Deterministic given (dataset, config): every random draw is keyed by
-    ``config.seed`` and the recursion path, so repeated runs build
-    identical models. A continuous or discrete column with a value beyond
-    ``numerics.MAX_BIN_MAGNITUDE`` raises :class:`DomainError` before any
-    learning.
+    Each node is one ``_decide`` on a task popped from a stack and is built
+    after its children, so depth is bounded by memory, not by Python's
+    recursion limit. Every random draw is keyed by ``config.seed`` and the
+    node's path, so repeated runs build identical models. A continuous or
+    discrete column with a value beyond ``numerics.MAX_BIN_MAGNITUDE``
+    raises :class:`DomainError` before any learning.
     """
     if config is None:
         config = LearnConfig()
@@ -254,9 +230,36 @@ def learn_mspn(dataset: Dataset, config: LearnConfig | None = None) -> Mspn:
         if not dataset.schema.stat_type(j).is_categorical:
             col = dataset.column(j)
             check_binnable(col.min(), col.max(), f"column {name!r}")
-    scope = tuple(range(dataset.n_cols))
-    root = _learn(dataset, scope, config, SeedScope(config.seed))
-    return Mspn(root, dataset.schema, config)
+    built: list = []  # finished nodes; a parent takes its children from the end
+    # (False, (parent data, rows, cols, scope, seeds)) copies its slice only
+    # when popped; (True, (scope, sum weights or None, child count)) builds
+    stack: list = [(False, (dataset, None, None, tuple(range(dataset.n_cols)),
+                            SeedScope(config.seed)))]
+    while stack:
+        expanded, task = stack.pop()
+        if expanded:
+            scope, weights, n = task
+            children = built[-n:]
+            del built[-n:]
+            built.append(ProductNode(scope, children) if weights is None
+                         else SumNode(scope, weights, children))
+            continue
+        data, rows, cols, scope, seeds = task
+        if rows is not None or cols is not None:
+            data = data.select(rows=rows, cols=cols)
+        decision = _decide(data, scope, config, seeds)
+        if not isinstance(decision, tuple):
+            built.append(decision)
+            continue
+        parts, weights = decision
+        stack.append((True, (scope, weights, len(parts))))
+        for i, part in reversed(list(enumerate(parts))):
+            if weights is None:
+                child = (data, None, part, tuple(scope[g] for g in part), seeds.child(i))
+            else:
+                child = (data, part, None, scope, seeds.child(i))
+            stack.append((False, child))
+    return Mspn(built[0], dataset.schema, config)
 
 
 def node_problems(node, child_scopes: list, schema: Schema):

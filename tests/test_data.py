@@ -337,6 +337,23 @@ class TestBlockIngest:
         exc = _assert_loads_like_per_cell(path, _BLOCK_SCHEMA)
         assert (exc.row, exc.column) == first
 
+    @pytest.mark.parametrize("bad_cell", [None, 700])
+    def test_a_reader_fault_raises_after_the_rows_before_it(self, tmp_path, bad_cell):
+        # the csv module rejects a field past its limit at row 1000; a bad
+        # cell earlier in the same block still raises first
+        rows = _block_rows(3 * _BLOCK_ROWS)
+        rows[1000][3] = "w" * 200_000
+        if bad_cell is not None:
+            rows[bad_cell][0] = "oops"
+        path = _write_rows(tmp_path / "t.csv", _BLOCK_SCHEMA.names, rows)
+        with pytest.raises(IngestError) as exc:
+            load_dataset(path, _BLOCK_SCHEMA)
+        if bad_cell is None:
+            assert (exc.value.row, exc.value.column) == (1000, None)
+            assert "field larger than field limit" in str(exc.value)
+        else:
+            assert (exc.value.row, exc.value.column) == (bad_cell, 0)
+
     def test_an_empty_cell_is_missing_even_when_a_label_is_empty(self, tmp_path):
         schema = Schema((Column("c", StatType(CATEGORICAL, ("", "a"))),))
         rows = [["a"]] * (2 * _BLOCK_ROWS)

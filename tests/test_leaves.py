@@ -14,7 +14,6 @@ from mspn.leaves import (
     fit_histogram,
     fit_isotonic_pwl,
     leaf_cdf,
-    leaf_density,
     leaf_density_batch,
     leaf_sample,
     leaf_support,
@@ -242,16 +241,17 @@ class TestLeafDensity:
         leaf = HistogramLeaf(
             0, CONTINUOUS, np.array([0.0, 1.0, 3.0]), np.array([0.4, 0.6])
         )
-        assert leaf_density(leaf, 0.5) == 0.4
-        assert leaf_density(leaf, 2.0) == 0.3
-        assert leaf_density(leaf, 5.0) == 0.0
+        np.testing.assert_array_equal(
+            leaf_density_batch(leaf, np.array([0.5, 2.0, 5.0])), [0.4, 0.3, 0.0]
+        )
 
     def test_discrete_histogram_is_a_pmf(self):
         leaf = HistogramLeaf(
             0, DISCRETE, np.array([-0.5, 0.5, 1.5]), np.array([0.25, 0.75])
         )
-        assert leaf_density(leaf, 0.0) == 0.25
-        assert leaf_density(leaf, 1.0) == 0.75
+        np.testing.assert_array_equal(
+            leaf_density_batch(leaf, np.array([0.0, 1.0])), [0.25, 0.75]
+        )
 
     def test_categorical_unknown_code_gets_unseen_mass(self):
         leaf = HistogramLeaf(
@@ -262,20 +262,22 @@ class TestLeafDensity:
             smoothing=1.0,
             unseen_mass=0.05,
         )
-        assert leaf_density(leaf, 0.0) == 0.7
-        assert leaf_density(leaf, 5.0) == 0.05
+        np.testing.assert_array_equal(
+            leaf_density_batch(leaf, np.array([0.0, 5.0])), [0.7, 0.05]
+        )
 
     def test_tent_interpolates_linearly(self):
         leaf = tent_leaf()
-        assert leaf_density(leaf, 0.5) == 0.5
-        assert leaf_density(leaf, 1.0) == 1.0
-        assert leaf_density(leaf, 2.5) == 0.0
+        np.testing.assert_array_equal(
+            leaf_density_batch(leaf, np.array([0.5, 1.0, 2.5])), [0.5, 1.0, 0.0]
+        )
 
     def test_batch_matches_scalar(self):
         leaf = tent_leaf()
         xs = np.array([-1.0, 0.25, 1.0, 1.75, 9.0])
         np.testing.assert_array_equal(
-            leaf_density_batch(leaf, xs), [leaf_density(leaf, float(v)) for v in xs]
+            leaf_density_batch(leaf, xs), [leaf_density_batch(leaf, xs[i:i + 1])[0]
+                                           for i in range(xs.size)]
         )
 
 

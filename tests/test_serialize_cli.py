@@ -557,6 +557,25 @@ class TestCliLearn:
             assert where in str(want.value)
             assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("bad_file, content", [
+        ("data", b"temp,mode\n0.5,low\n" + b"1" * 200_000 + b",low\n2.5,high\n"),
+        ("data", b"temp,mode\n0.5,low\n0.7,\xff\n2.5,high\n"),
+        ("schema", b'{"columns":[{"name":"temp","type":"continuous\xff"}]}'),
+    ], ids=["long-field", "non-utf8-data", "non-utf8-schema"])
+    def test_unreadable_files_are_data_errors(self, cli_files, tmp_path, capsys,
+                                              bad_file, content):
+        # a field past the csv module's limit and bytes that are not UTF-8
+        files = {"data": cli_files["test"], "schema": cli_files["schema"]}
+        files[bad_file] = tmp_path / "bad"
+        files[bad_file].write_bytes(content)
+        runs = [["learn", "--schema", str(files["schema"]), "--out", str(tmp_path / "m.json")]]
+        if bad_file == "data":
+            runs.append(["loglik", "--model", str(cli_files["model"])])
+        for args in runs:
+            assert main(args + ["--data", str(files["data"])]) == 2
+            assert capsys.readouterr().err.startswith("data error: ")
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestCliLoglik:
     def test_rows_and_mean_match_the_library(self, cli_files, capsys):

@@ -1,12 +1,14 @@
 """Structure learning, traversal, and structural validation."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mspn.structure
 from mspn import (
     CATEGORICAL,
     CONTINUOUS,
@@ -25,6 +27,7 @@ from mspn import (
 from mspn.data import DISCRETE
 from mspn.errors import ConfigError, FormatError
 from mspn.leaves import HistogramLeaf, PiecewiseLinearLeaf
+from mspn.rdc import SamplePartition
 from mspn.structure import Mspn
 from conftest import H14_COLS, make_dataset, make_hybrid14
 
@@ -148,6 +151,22 @@ class TestLearnedShapes:
         model = learn_mspn(hybrid6_train, cfg)
         for _, node in iter_nodes(model.root):
             assert not isinstance(node, PiecewiseLinearLeaf)
+
+    def test_a_tree_deeper_than_the_recursion_limit_learns(self, monkeypatch):
+        # every row clustering peels off the first row, so each sum node
+        # sits one level below the last
+        def peel(data, config, seeds):
+            m = data.n_rows
+            return SamplePartition((np.arange(1), np.arange(1, m)), np.array([1, m - 1]) / m)
+
+        monkeypatch.setattr(mspn.structure, "cluster_samples", peel)
+        rows = sys.getrecursionlimit() + 200
+        data = make_dataset([("x", CONTINUOUS, None)], np.arange(rows, dtype=np.float64)[:, None])
+        model = learn_mspn(data, LearnConfig(min_instances=4))
+        assert model.node_count == 2 * (rows - 3) + 1
+        assert validate(model).ok
+        text = serialize(model)
+        assert serialize(deserialize(text)) == text
 
     def test_model_properties(self, hybrid6_model):
         assert hybrid6_model.n_vars == 6
