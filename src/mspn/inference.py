@@ -11,20 +11,20 @@ Lebesgue measure (continuous coordinates) and counting measure (the rest).
 
 The first query compiles the model into an evaluation plan, kept on the
 model: the nodes in iterative postorder with their child indices, parents
-and heights, per-variable leaf tables (padded knots, densities and slopes
-of the piecewise-linear leaves, edges and bin densities of the
-histograms, categorical ones included), the sum nodes grouped by height
-and child count, and every edge with the range of leaves below it.
+and heights, one flat leaf table (every leaf's knots, densities and
+slopes laid end to end, a histogram's edges and bin densities with slope
+0, categorical ones included), the sum nodes grouped by height and child
+count, and every edge with the range of leaves below it.
 Neither compiling nor running a plan recurses, so the depth of the trees
 they handle is bounded by memory, not by Python's recursion limit. The
 executors on the plan:
 
 * ``_Plan.evaluate_row`` answers one validated row (``log_evaluate``,
-  ``log_conditional``, ``mpe``, ``sample``). It walks the heights once: each
-  variable's leaves get their densities from a few vectorized ops that
-  reproduce ``leaf_density_batch``, each group of sum nodes with the same
-  height and child count is one ``weighted_logsumexp`` call, and products
-  add ``0.0 + c0 + c1 + ...`` in child order.
+  ``log_conditional``, ``mpe``, ``sample``). It walks the heights once:
+  the observed leaves get their densities from one pass over the leaf
+  table that reproduces ``leaf_density_batch``, each group of sum nodes
+  with the same height and child count is one ``weighted_logsumexp``
+  call, and products add ``0.0 + c0 + c1 + ...`` in child order.
 * ``_Plan.evaluate_tables`` evaluates the nodes on tables of observed
   values: many rows (``log_evaluate_batch``, on the distinct values
   ``_Batch`` gives each observed variable) or the grids of one or two
@@ -204,72 +204,54 @@ def _padded(rows, fill) -> np.ndarray:
     return out
 
 
-class _PwlTable:
-    """All piecewise-linear leaves of one variable, knots padded to one width.
+class _LeafTable:
+    """Every leaf of a plan as one piecewise-linear density, knots laid end to end.
 
-    Reproduces ``np.interp(x, knots_x, knots_y, left=0, right=0)`` for one
-    value: the segment is the last knot <= x, a value on a knot (the last
-    one included) takes that knot's density, and otherwise the density is
-    ``slope * (x - x_j) + y_j`` with the slope computed as ``np.interp``
-    computes it.
+    Leaf k owns ``x``, ``y`` and ``slope`` at ``start[k] .. start[k] +
+    count[k] - 1``. A piecewise-linear leaf keeps its knots, and each
+    slope is computed as ``np.interp`` computes it (0 at the last knot). A
+    histogram is piecewise constant: its knots are its edges, its
+    densities each bin's as ``leaf_density_batch`` divides it out (the top
+    bin's repeated at the last edge) and its slopes 0. ``density``
+    reproduces ``leaf_density_batch`` for one value per leaf: the segment
+    is the last knot <= x, a value on a knot takes that knot's density,
+    and otherwise the density is ``slope * (x - x_j) + y_j``. Outside
+    ``first .. last`` it is ``outside``: 0, or for a categorical leaf,
+    whose range is the codes 0 .. arity - 1 (x is a validated integer),
+    its unseen mass.
     """
 
-    def __init__(self, index, leaves):
-        self.index = np.asarray(index, dtype=np.intp)
-        self.x = _padded([leaf.knots_x for leaf in leaves], np.inf)
-        self.y = _padded([leaf.knots_y for leaf in leaves], 0.0)
-        n_knots = np.array([leaf.knots_x.size for leaf in leaves])
-        # slope of the segment that starts at each knot (0 past the last one)
-        with np.errstate(invalid="ignore"):  # inf - inf in the padding
-            slope = (self.y[:, 1:] - self.y[:, :-1]) / (self.x[:, 1:] - self.x[:, :-1])
-        inner = np.arange(self.x.shape[1] - 1) < n_knots[:, None] - 1
-        self.slope = np.zeros_like(self.x)
-        self.slope[:, :-1] = np.where(inner, slope, 0.0)
-        self.rows = np.arange(len(leaves))
-        self.first = self.x[:, 0].copy()
-        self.last = self.x[self.rows, n_knots - 1]
-
-    def density(self, x: float) -> np.ndarray:
-        j = np.maximum((self.x <= x).sum(axis=1) - 1, 0)
-        xj = self.x[self.rows, j]
-        yj = self.y[self.rows, j]
-        d = np.where(x == xj, yj, self.slope[self.rows, j] * (x - xj) + yj)
-        return np.where((x < self.first) | (x > self.last), 0.0, d)
-
-
-class _HistogramTable:
-    """All histogram leaves of one variable, edges padded to one width.
-
-    Holds each bin's density as ``leaf_density_batch`` divides it out; the
-    bin of x is the last edge <= x, clipped to the leaf's bins. Outside
-    the leaf's range x gets density 0, or for a categorical leaf, whose
-    range is the codes 0 .. arity - 1 (x is a validated integer), its
-    unseen mass.
-    """
-
-    def __init__(self, index, leaves):
-        self.index = np.asarray(index, dtype=np.intp)
-        self.edges = _padded([leaf.edges for leaf in leaves], np.inf)
-        dens, last, outside = [], [], []
+    def __init__(self, leaves):
+        xs, ys, slopes, last, outside = [], [], [], [], []
         for leaf in leaves:
-            widths = np.diff(leaf.edges)
-            if leaf.domain == DISCRETE:
-                widths = np.maximum(np.rint(widths), 1.0)
-            dens.append(leaf.masses / widths)
+            if isinstance(leaf, PiecewiseLinearLeaf):
+                x, y = leaf.knots_x, leaf.knots_y
+                slopes.append(np.append(np.diff(y) / np.diff(x), 0.0))
+            else:
+                x, widths = leaf.edges, np.diff(leaf.edges)
+                if leaf.domain == DISCRETE:
+                    widths = np.maximum(np.rint(widths), 1.0)
+                dens = leaf.masses / widths
+                y = np.append(dens, dens[-1])
+                slopes.append(np.zeros(x.size))
             categorical = leaf.domain == CATEGORICAL
-            last.append(leaf.edges[-1] - 1.0 if categorical else leaf.edges[-1])
+            last.append(x[-1] - 1.0 if categorical else x[-1])
             outside.append(leaf.unseen_mass if categorical else 0.0)
-        self.dens = _padded(dens, 0.0)
+            xs.append(x)
+            ys.append(y)
+        self.count = np.array([x.size for x in xs])
+        self.start = np.concatenate(([0], np.cumsum(self.count[:-1])))
+        self.x, self.y, self.slope = (np.concatenate(a) for a in (xs, ys, slopes))
+        self.first = self.x[self.start]
         self.last = np.array(last)
         self.outside = np.array(outside)
-        self.top_bin = np.array([leaf.n_bins - 1 for leaf in leaves])
-        self.first = self.edges[:, 0].copy()
-        self.rows = np.arange(len(leaves))
 
-    def density(self, x: float) -> np.ndarray:
-        b = np.clip((self.edges <= x).sum(axis=1) - 1, 0, self.top_bin)
-        inside = (x >= self.first) & (x <= self.last)
-        return np.where(inside, self.dens[self.rows, b], self.outside)
+    def density(self, x: np.ndarray) -> np.ndarray:
+        below = np.add.reduceat(self.x <= np.repeat(x, self.count), self.start, dtype=np.intp)
+        j = self.start + np.maximum(below - 1, 0)
+        xj, yj = self.x[j], self.y[j]
+        d = np.where(x == xj, yj, self.slope[j] * (x - xj) + yj)
+        return np.where((x < self.first) | (x > self.last), self.outside, d)
 
 
 class _SettleTable(NamedTuple):
@@ -391,12 +373,12 @@ class _Plan:
         self.scope_vars = np.array([v for node in nodes for v in node.scope], dtype=np.intp)
         self.scope_owner = np.repeat(np.arange(n), [len(node.scope) for node in nodes])
         self.root = n - 1
-        self.leaf_tables = self._leaf_tables()
         self.levels = self._levels()
-        # leaves numbered in postorder: their nodes and variables, and the
-        # numbers lo .. hi - 1 of the leaves under each node
+        # leaves numbered in postorder: their nodes, variables and table,
+        # and the numbers lo .. hi - 1 of the leaves under each node
         self.leaf_nodes = np.flatnonzero(is_leaf)
         self.leaf_vars = np.array([nodes[i].variable for i in self.leaf_nodes], dtype=np.intp)
+        self.leaf_table = _LeafTable([nodes[i] for i in self.leaf_nodes.tolist()])
         self.subtree_leaves = (leaves_before[first], leaves_before[1:])
         self.edges = self._edges()
         product_idx = np.flatnonzero(np.array(kinds) == _PRODUCT)
@@ -405,18 +387,6 @@ class _Plan:
                          if product_idx.size else np.zeros((0, 0), dtype=np.intp))
         # (node, free variable) -> _SettleTable, built on first use by mpe
         self.settle_tables: dict[tuple[int, int], _SettleTable] = {}
-
-    def _leaf_tables(self) -> list:
-        groups: dict[tuple, list[int]] = {}
-        for i, node in enumerate(self.nodes):
-            if self.kinds[i] != _LEAF:
-                continue
-            family = _PwlTable if isinstance(node, PiecewiseLinearLeaf) else _HistogramTable
-            groups.setdefault((node.variable, family), []).append(i)
-        return [
-            (var, family(idx, [self.nodes[i] for i in idx]))
-            for (var, family), idx in groups.items()
-        ]
 
     def _levels(self) -> list:
         """Per height above the leaves: sum groups by child count, then products.
@@ -476,10 +446,12 @@ class _Plan:
         if counter is not None:
             counter.update(self.ids)
         vals = np.zeros(len(self.nodes) + 1)
+        seen = observed[self.leaf_vars]
+        x = np.where(seen, values[self.leaf_vars], 0.0)  # unobserved values are never read
+        # far outside a leaf, slope * (x - x_j) may overflow; the range mask drops it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals[self.leaf_nodes] = np.where(seen, np.log(self.leaf_table.density(x)), 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for var, table in self.leaf_tables:
-                if observed[var]:
-                    vals[table.index] = np.log(table.density(values[var]))
             for groups, prods in self.levels:
                 for idx, kids, weights, _ in groups:
                     vals[idx] = weighted_logsumexp(vals[kids], weights)

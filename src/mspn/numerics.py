@@ -240,22 +240,15 @@ def fit_monotone(
     weights: np.ndarray,
     direction: str = "increasing",
 ) -> np.ndarray:
-    """Weighted least-squares monotone fit of ``values``.
+    """Weighted least-squares monotone fit of ``values`` (pool adjacent violators).
 
     ``direction`` is ``"increasing"`` (nondecreasing output) or
     ``"decreasing"``; the decreasing fit is the negated increasing fit of
     the negated input, which is exact in floating point because negation
     never rounds.
     """
-    if direction == "increasing":
-        return fit_nondecreasing(values, weights)
-    if direction == "decreasing":
-        return -fit_nondecreasing(-np.asarray(values, dtype=np.float64), weights)
-    raise DomainError(f"direction must be 'increasing' or 'decreasing', got {direction!r}")
-
-
-def fit_nondecreasing(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted least-squares nondecreasing fit (pool adjacent violators)."""
+    if direction not in ("increasing", "decreasing"):
+        raise DomainError(f"direction must be 'increasing' or 'decreasing', got {direction!r}")
     v = np.ascontiguousarray(values, dtype=np.float64)
     w = np.ascontiguousarray(weights, dtype=np.float64)
     if v.shape != w.shape or v.ndim != 1:
@@ -264,7 +257,9 @@ def fit_nondecreasing(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise EmptyInputError("nothing to fit")
     if np.any(w <= 0):
         raise DomainError("weights must be positive")
-    return pava_nondecreasing(v, w)
+    if direction == "increasing":
+        return pava_nondecreasing(v, w)
+    return -pava_nondecreasing(-v, w)
 
 
 def _candidate_boundaries(sorted_unique: np.ndarray) -> np.ndarray:

@@ -300,7 +300,15 @@ def test_some_evidence_reaches_minus_infinity_inside_the_tree(fixture_models):
     assert finite_root_dead_child >= 10
 
 
-def test_values_on_knots_and_edges_match_the_leaves():
+def every_leaf_shape_model():
+    """A product of one sum per variable, each mixing every leaf shape of its domain.
+
+    Variable 0 is continuous (piecewise-linear and histogram leaves), 1
+    categorical (unseen masses 0.05, 0.01 and 0) and 2 discrete (a unit-bin
+    histogram, one with bins wider than one integer as ``MAX_UNIT_BINS``
+    falls back to, and a piecewise-linear leaf). Also returns probe values
+    per variable: every knot and edge, midpoints and values out of range.
+    """
     pwl = PiecewiseLinearLeaf(0, CONTINUOUS, np.array([0.0, 0.5, 1.5, 2.0]),
                               np.array([0.0, 0.8, 0.4, 0.0]) / 0.9, 1)
     falling = PiecewiseLinearLeaf(0, CONTINUOUS, np.array([0.0, 1.0]),
@@ -313,18 +321,55 @@ def test_values_on_knots_and_edges_match_the_leaves():
                          1.0, 0.05)
     triple = HistogramLeaf(1, CATEGORICAL, np.arange(4.0), np.array([0.2, 0.3, 0.5]),
                            1.0, 0.01)
+    no_unseen = HistogramLeaf(1, CATEGORICAL, np.arange(4.0), np.array([0.5, 0.0, 0.5]))
+    unit = HistogramLeaf(2, DISCRETE, np.arange(-1.0, 4.0) - 0.5,
+                         np.array([0.1, 0.2, 0.3, 0.4]))
+    wide = HistogramLeaf(2, DISCRETE, np.array([0.0, 2.5, 7.0]), np.array([0.6, 0.4]))
+    steps = PiecewiseLinearLeaf(2, DISCRETE, np.array([0.0, 1.0, 2.0, 3.0]),
+                                np.array([0.2, 0.4, 0.4, 0.2]), 1)
     continuous = SumNode((0,), np.full(4, 0.25), (pwl, falling, rising, hist))
-    categorical = SumNode((1,), np.array([0.5, 0.5]), (pair, triple))
-    root = ProductNode((0, 1), (continuous, categorical))
-    data = make_dataset([("x", CONTINUOUS, None), ("c", CATEGORICAL, ("a", "b", "c"))],
-                        [[0.5, 0.0]])
-    model = Mspn(root, data.schema, LearnConfig())
-    both = np.array([True, True])
-    for x in [-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 1.75, 2.0, 2.5, 3.0, 3.5]:
-        for code in range(6):
-            ev = Evidence(np.array([x, code]), both)
-            want = oracle_eval(root, ev.values[None, :], ev.observed)
-            assert np.array_equal([log_evaluate(model, ev)], want), (x, code)
+    categorical = SumNode((1,), np.full(3, 1.0 / 3.0), (pair, triple, no_unseen))
+    discrete = SumNode((2,), np.full(3, 1.0 / 3.0), (unit, wide, steps))
+    root = ProductNode((0, 1, 2), (continuous, categorical, discrete))
+    data = make_dataset([("x", CONTINUOUS, None), ("c", CATEGORICAL, ("a", "b", "c")),
+                         ("n", DISCRETE, None)], [[0.5, 0.0, 1.0]])
+    probes = ([-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 1.75, 2.0, 2.5, 3.0, 3.5],
+              [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+              [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0])
+    return Mspn(root, data.schema, LearnConfig()), probes
+
+
+def test_values_on_knots_and_edges_match_the_leaves():
+    model, probes = every_leaf_shape_model()
+    for var, pool in enumerate(probes):
+        alone = np.arange(3) == var
+        for v in pool:
+            ev = Evidence(np.where(alone, v, 0.0), alone)
+            want = oracle_eval(model.root, ev.values[None, :], ev.observed)
+            assert np.array_equal([log_evaluate(model, ev)], want), (var, v)
+    every = np.ones(3, dtype=bool)
+    for values in itertools.product(*probes):
+        ev = Evidence(np.array(values), every)
+        want = oracle_eval(model.root, ev.values[None, :], ev.observed)
+        assert np.array_equal([log_evaluate(model, ev)], want), values
+
+
+def test_far_values_neither_warn_nor_leak_from_unobserved_slots():
+    # slope * (x - x_0) overflows far below a steep leaf's first knot, and
+    # the range mask drops it; unobserved values are never read
+    model, _ = every_leaf_shape_model()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = Evidence(np.array([-1e308, 0.0, 0.0]), np.array([True, False, False]))
+        assert log_evaluate(model, far) == -np.inf
+        assignment, value = mpe(model, far)
+        assert assignment[0] == -1e308 and value == -np.inf
+        for observed in itertools.product((False, True), repeat=3):
+            observed = np.array(observed)
+            want = log_evaluate(model, Evidence(np.where(observed, 1.0, 0.0), observed))
+            for junk in (np.nan, np.inf, -np.inf, 1e308, -1e308):
+                ev = Evidence(np.where(observed, 1.0, junk), observed)
+                assert np.array_equal(log_evaluate(model, ev), want), (observed, junk)
 
 
 def test_mpe_breaks_exact_ties_like_the_recursive_pass():
@@ -917,6 +962,24 @@ def test_deep_chain_settle_table_is_linear_in_its_leaves(chain_model):
                                 table.log_density)) + 4 * len(table.spans)
     assert held <= 16 * leaves
     assert leaves * table.grid.size > 100 * held
+
+
+def test_the_leaf_table_holds_each_leaf_knots_once():
+    # the table lays the leaves end to end: a 1500-category leaf among
+    # two-edge leaves takes its own 1501 edges and widens no other leaf
+    wide = HistogramLeaf(0, CATEGORICAL, np.arange(1501.0), np.full(1500, 1.0 / 1500))
+    narrow = SumNode((1,), np.full(50, 1.0 / 50), tuple(unit_leaf(1, k) for k in range(50)))
+    data = make_dataset([("c", CATEGORICAL, tuple(map(str, range(1500)))),
+                         ("y", CONTINUOUS, None)], [[0.0, 0.5]])
+    model = Mspn(ProductNode((0, 1), (wide, narrow)), data.schema, LearnConfig())
+    table = evaluation_plan(model).leaf_table
+    knots = 1501 + 50 * 2
+    assert [a.size for a in (table.x, table.y, table.slope)] == [knots] * 3
+    both = np.array([True, True])
+    for values in ([7.0, 3.5], [1499.0, 49.0], [1500.0, 50.0], [0.0, -1.0]):
+        ev = Evidence(np.array(values), both)
+        want = oracle_eval(model.root, ev.values[None, :], ev.observed)
+        assert np.array_equal([log_evaluate(model, ev)], want), values
 
 
 def test_deep_chain_validates_and_counts_its_nodes(chain_model):
