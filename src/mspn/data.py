@@ -31,8 +31,6 @@ _KINDS = (CONTINUOUS, DISCRETE, CATEGORICAL)
 
 # rows converted at a time by load_dataset; small blocks keep its peak memory low
 _BLOCK_ROWS = 512
-# what reading a csv raises for a record it rejects or bytes that are not UTF-8
-_READ_FAULTS = (csv.Error, UnicodeDecodeError)
 
 
 @dataclass(frozen=True)
@@ -215,7 +213,21 @@ class Dataset:
         return Dataset(schema, v)
 
 
+def _escapes_bytes(text: str) -> bool:
+    """Whether ``text`` holds bytes that were not UTF-8 (``surrogateescape``'s lone surrogates)."""
+    if text.isascii():
+        return False
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def _parse_cell(text: str, st: StatType, vocab: dict, row: int, col: int, strict_vocab: bool):
+    if _escapes_bytes(text):
+        raise IngestError(f"row {row}, column {col}: bytes that are not UTF-8",
+                          row=row, column=col)
     if text == "":
         raise IngestError(f"missing value at row {row}, column {col}", row=row, column=col)
     if st.is_continuous:
@@ -311,19 +323,24 @@ def load_dataset(path, schema: Schema, *, unseen_to_sentinel: bool = False) -> D
 
     Rows are read ``_BLOCK_ROWS`` at a time and converted column by
     column; a block with any fault is parsed again cell by cell, which
-    raises the error of its first bad cell in row-major order. A record
-    the csv module rejects, or bytes that are not UTF-8, end the rows read
-    so far and raise after them; the decoder reads ahead, so such bytes
-    may lie past the row named.
+    raises the error of its first bad cell in row-major order. Bytes that
+    are not UTF-8 are such a fault: the file is decoded with
+    ``surrogateescape``, so they reach their cell as lone surrogates, which
+    no number parses and no vocabulary holds, and the cell-by-cell parse
+    names their row and column (a header holding them is rejected as a
+    whole). A record the csv module rejects ends the rows read so far and
+    raises after them.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise IngestError("csv file is empty") from None
-        except _READ_FAULTS as exc:
+        except csv.Error as exc:
             raise IngestError(f"cannot read the csv header: {exc}") from exc
+        if any(map(_escapes_bytes, header)):
+            raise IngestError("the csv header holds bytes that are not UTF-8")
         header = [h.strip() for h in header]
         if tuple(header) != schema.names:
             raise IngestError(
@@ -335,7 +352,9 @@ def load_dataset(path, schema: Schema, *, unseen_to_sentinel: bool = False) -> D
         for c in schema.columns:
             st = c.stat_type
             if st.is_categorical and st.categories is not None:
-                vocabs.append({label: i for i, label in enumerate(st.categories)})
+                # a declared label made of escaped bytes must not match those bytes
+                vocabs.append({label: i for i, label in enumerate(st.categories)
+                               if not _escapes_bytes(label)})
                 declared.append(True)
             else:
                 vocabs.append({})
@@ -349,7 +368,7 @@ def load_dataset(path, schema: Schema, *, unseen_to_sentinel: bool = False) -> D
             records = []
             try:
                 records.extend(islice(reader, _BLOCK_ROWS))
-            except _READ_FAULTS as exc:
+            except csv.Error as exc:
                 fault = exc
             if not records:
                 break

@@ -40,11 +40,14 @@ executors on the plan:
   runs only the nodes with both variables in scope.
 * ``_Plan.max_product`` is MPE's second pass, in three vectorized steps.
   The leaves' log coefficients in their 1-d mixtures accumulate per leaf,
-  one step per height. Each mixture is maximized on a candidate grid
-  whose leaf densities are cached on the plan per (node, variable). The
-  nodes with two or more free variables then take their maxima level by
-  level, sums keeping a back-pointer to their best child, and a walk down
-  those pointers collects the assignment.
+  one step per height. Every mixture of the query is then maximized at
+  once on its candidate grid: the cached per-(node, variable) tables,
+  which hold each grid cell's leaf densities cell by cell, are laid end
+  to end, and one segmented ``logaddexp`` fold gives every cell its
+  mixture value, so a query costs a fixed number of numpy calls however
+  many mixtures it has. The nodes with two or more free variables then
+  take their maxima level by level, sums keeping a back-pointer to their
+  best child, and a walk down those pointers collects the assignment.
 
 So ``weighted_logsumexp`` is the one place a sum node combines its
 children. It is elementwise and uses no BLAS, so its bits do not depend
@@ -259,20 +262,22 @@ class _SettleTable(NamedTuple):
 
     The mixture's terms are the node's leaves of that variable, in
     postorder; ``ranks`` are their positions among all the plan's leaves.
-    Term j has log density ``log_density[o:p]`` on ``grid[a:b]``, where
-    ``(a, b, o, p) = spans[j]`` and ``sizes[j] = b - a``: the part of the
-    candidate grid inside the leaf's support (all of it for categorical
-    leaves, which give unseen codes their unseen mass). Outside it the
-    density is 0, so the term adds nothing there. ``unset`` is -inf on the
-    whole grid, the start of each fold.
+    The entries hold each term's log density on the cells of the candidate
+    ``grid`` inside the leaf's support (every cell for categorical leaves,
+    which give unseen codes their unseen mass), laid out cell by cell:
+    within a cell the terms keep their order, ``entry_ranks`` names each
+    entry's leaf and ``first`` marks the first entry of each cell. Outside
+    a support the density is 0, so the term adds nothing there. A cell no
+    support covers holds one entry of log density 0 whose rank is the
+    plan's leaf count, past the last leaf: ``_Plan._settle`` gives it a
+    -inf coefficient.
     """
 
     grid: np.ndarray
-    unset: np.ndarray
     ranks: np.ndarray
-    sizes: np.ndarray
-    spans: list
+    entry_ranks: np.ndarray
     log_density: np.ndarray
+    first: np.ndarray
 
 
 class _Edges(NamedTuple):
@@ -586,9 +591,10 @@ class _Plan:
         is maximized where a node with two or more free variables consumes
         it, or at the root (its settle point). The mixtures' log
         coefficients come from ``_coefficients``, their grids and leaf
-        densities from ``settle_table``. The nodes with two or more free
-        variables then take their maxima level by level, and a walk down
-        the chosen nodes collects the settle points' maximizers.
+        densities from ``settle_table``, and ``_settle`` maximizes them all
+        in one fold. The nodes with two or more free variables then take
+        their maxima level by level, and a walk down the chosen nodes
+        collects the settle points' maximizers.
         """
         n = len(self.nodes)
         entries = np.flatnonzero(~observed[self.scope_vars])
@@ -604,16 +610,9 @@ class _Plan:
         at: dict[int, float] = {}  # settle point -> maximizer of its free variable
         settle = np.flatnonzero((n_free[:n] == 1) & (n_free[self.parent] != 1))
         if settle.size:
-            coef = self._coefficients(vals, n_free)
-            for s, var in zip(settle.tolist(), free_var[settle].tolist()):
-                table = self.settle_table(s, var)
-                terms = coef[table.ranks].repeat(table.sizes) + table.log_density
-                total = table.unset.copy()
-                for a, b, o, p in table.spans:
-                    total[a:b] = np.logaddexp(total[a:b], terms[o:p])
-                k = int(total.argmax())  # ties to the smallest value
-                best[s] = total[k]
-                at[s] = float(table.grid[k])
+            best[settle], x = self._settle(self._coefficients(vals, n_free), settle,
+                                           free_var[settle])
+            at = dict(zip(settle.tolist(), x.tolist()))
         choice = self._max_levels(best, n_free >= 2)
 
         out = []
@@ -627,6 +626,31 @@ class _Plan:
             else:
                 stack.extend(c for c in self.children[i].tolist() if n_free[c])
         return out
+
+    def _settle(self, coef: np.ndarray, settle: np.ndarray, variables: np.ndarray):
+        """Each settle point's log maximum and its maximizer, from one fold.
+
+        ``coef`` is ``_coefficients``' per-leaf coefficients. The settle
+        points' tables are laid end to end and each cell's mixture value is
+        one left ``logaddexp`` fold over its entries. That is the running
+        total over the terms in postorder, started at -inf, that the
+        recursive pass folds, bit for bit: ``logaddexp`` with -inf is
+        exact, and no term is NaN or +inf. The sentinel entries of cells no
+        support covers get the -inf appended past the last coefficient.
+        Each settle point's maximizer is its first cell holding its
+        maximum, so ties go to the smallest value, as ``argmax`` picks them.
+        """
+        grids, _, ranks, log_density, first = zip(
+            *map(self.settle_table, settle.tolist(), variables.tolist()))
+        grid = np.concatenate(grids)
+        total = np.logaddexp.reduceat(
+            np.append(coef, -np.inf)[np.concatenate(ranks)] + np.concatenate(log_density),
+            np.flatnonzero(np.concatenate(first)))
+        sizes = np.fromiter(map(len, grids), np.intp, len(grids))
+        starts = np.cumsum(sizes) - sizes
+        top = np.flatnonzero(total == np.repeat(np.maximum.reduceat(total, starts), sizes))
+        k = top[np.searchsorted(top, starts)]
+        return total[k], grid[k]
 
     def _coefficients(self, vals: np.ndarray, n_free: np.ndarray) -> np.ndarray:
         """Per leaf, its log coefficient in the mixture its settle point maximizes.
@@ -669,21 +693,30 @@ class _Plan:
         ranks = lo + np.flatnonzero(self.leaf_vars[lo:hi] == var)
         leaves = [self.nodes[j] for j in self.leaf_nodes[ranks].tolist()]
         grid = _free_candidates([(0.0, leaf) for leaf in leaves])
-        spans, parts, o = [], [], 0
-        for leaf in leaves:
-            if leaf.domain == CATEGORICAL:
-                a, b = 0, grid.size
-            else:
-                first, last = leaf_support(leaf)
-                a = int(np.searchsorted(grid, first, side="left"))
-                b = int(np.searchsorted(grid, last, side="right"))
-            with np.errstate(divide="ignore"):
-                parts.append(np.log(leaf_density_batch(leaf, grid[a:b])))
-            spans.append((a, b, o, o + b - a))
-            o += b - a
-        sizes = np.array([b - a for a, b, _, _ in spans])
-        table = _SettleTable(grid, np.full(grid.size, -np.inf), ranks, sizes, spans,
-                             np.concatenate(parts))
+        if leaves[0].domain == CATEGORICAL:
+            spans = [(0, grid.size)] * len(leaves)
+        else:
+            start, stop = np.array([leaf_support(leaf) for leaf in leaves]).T
+            spans = zip(np.searchsorted(grid, start, "left").tolist(),
+                        np.searchsorted(grid, stop, "right").tolist())
+        covered = np.zeros(grid.size, dtype=bool)
+        cells, densities = [], []
+        for leaf, (a, b) in zip(leaves, spans):
+            covered[a:b] = True
+            cells.append(np.arange(a, b))
+            densities.append(leaf_density_batch(leaf, grid[a:b]))
+        # a cell no support covers holds one sentinel entry, of density 1
+        bare = np.flatnonzero(~covered)
+        cells.append(bare)
+        densities.append(np.ones(bare.size))
+        cell = np.concatenate(cells)
+        order = np.argsort(cell, kind="stable")  # cell by cell, terms in postorder
+        entry_ranks = np.repeat(np.append(ranks, self.leaf_nodes.size), list(map(len, cells)))
+        with np.errstate(divide="ignore"):
+            log_density = np.log(np.concatenate(densities))
+        cell = cell[order]
+        table = _SettleTable(grid, ranks, entry_ranks[order], log_density[order],
+                             np.concatenate(([True], cell[1:] != cell[:-1])))
         self.settle_tables[i, var] = table
         return table
 
@@ -813,7 +846,9 @@ def mpe(mspn: Mspn, evidence: Evidence, counter=None) -> tuple[np.ndarray, float
       (or a finite table), so the true maximizer lies on the union of the
       leaves' knots, bin midpoints, integers or category codes (ties to
       the smallest value). The grid and the leaf densities on it are kept
-      on the plan per (node, variable), so repeated masks reuse them;
+      on the plan per (node, variable), so repeated masks reuse them, and
+      the mixtures of one query are maximized together in one segmented
+      ``logaddexp`` fold over their grid cells;
     * a node with two or more free variables takes its log maximum: a sum
       its best weighted child (ties to the lowest index), a product the
       sum of its children's maxima. A walk down the chosen children joins

@@ -354,6 +354,20 @@ class TestBlockIngest:
         else:
             assert (exc.value.row, exc.value.column) == (bad_cell, 0)
 
+    @pytest.mark.parametrize("unseen_to_sentinel", [False, True])
+    def test_bytes_that_are_not_utf8_are_reported_at_their_cell(self, tmp_path,
+                                                                unseen_to_sentinel):
+        # a declared label spelled with the escape of those bytes matches nothing
+        schema = Schema((Column("c", StatType(CATEGORICAL, ("\udcff", "a"))),))
+        lines = [b"c"] + [b"a"] * (2 * _BLOCK_ROWS)
+        lines[1 + _BLOCK_ROWS + 3] = b"\xff"
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(IngestError) as exc:
+            load_dataset(path, schema, unseen_to_sentinel=unseen_to_sentinel)
+        assert (exc.value.row, exc.value.column) == (_BLOCK_ROWS + 3, 0)
+        assert "not UTF-8" in str(exc.value)
+
     def test_an_empty_cell_is_missing_even_when_a_label_is_empty(self, tmp_path):
         schema = Schema((Column("c", StatType(CATEGORICAL, ("", "a"))),))
         rows = [["a"]] * (2 * _BLOCK_ROWS)

@@ -16,6 +16,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mspn.inference
 from mspn import (
@@ -48,7 +50,7 @@ from mspn.leaves import (
     leaf_density_batch,
     leaf_sample,
 )
-from mspn.numerics import weighted_logsumexp
+from mspn.numerics import trapezoid, weighted_logsumexp
 from mspn.structure import Mspn, iter_nodes
 from conftest import make_dataset
 
@@ -420,6 +422,187 @@ def test_mpe_with_one_variable_observed_matches_the_recursive_pass(fixture_model
                     assert value == want_value, (name, var)
 
 
+def assert_mpe_matches_the_recursive_pass(model, ev):
+    # the oracle's sums take a log of 0 where only a zero-weight child lives
+    with np.errstate(divide="ignore"):
+        want_assignment, want_value = oracle_mpe(model, ev)
+    assignment, value = mpe(model, ev)
+    assert np.array_equal(assignment, want_assignment), (ev.values, ev.observed)
+    assert np.array_equal(value, want_value), (ev.values, ev.observed)
+
+
+def every_evidence(probes):
+    """Every mask over ``len(probes)`` variables with every probe of each observed one."""
+    for observed in itertools.product((False, True), repeat=len(probes)):
+        pools = [pool if seen else [0.0] for pool, seen in zip(probes, observed)]
+        for values in itertools.product(*pools):
+            yield Evidence(np.array(values), np.array(observed))
+
+
+def test_mpe_over_cells_no_leaf_covers_matches_the_recursive_pass():
+    # disjoint supports under one sum: the midpoint x = 1.5 of the merged
+    # edges and the integers 2, 3 and 4 of n lie in gaps between the leaves,
+    # so their cells hold only a sentinel entry
+    def x_leaf(lo, masses):
+        return HistogramLeaf(0, CONTINUOUS, lo + np.linspace(0.0, 1.0, len(masses) + 1),
+                             np.array(masses))
+
+    def n_leaf(lo, masses):
+        return HistogramLeaf(1, DISCRETE, lo - 0.5 + np.arange(len(masses) + 1.0),
+                             np.array(masses))
+
+    x = SumNode((0,), np.array([0.3, 0.7]), (x_leaf(0.0, [1.0]), x_leaf(2.0, [0.4, 0.6])))
+    n = SumNode((1,), np.array([0.5, 0.5]), (n_leaf(0.0, [0.5, 0.5]),
+                                             n_leaf(5.0, [0.2, 0.3, 0.5])))
+    root = SumNode((0, 1), np.array([0.2, 0.3, 0.5]), (
+        ProductNode((0, 1), (x_leaf(0.0, [0.9, 0.1]), n_leaf(5.0, [0.6, 0.4]))),
+        ProductNode((0, 1), (x_leaf(2.0, [1.0]), n_leaf(0.0, [1.0]))),
+        ProductNode((0, 1), (x, n)),
+    ))
+    data = make_dataset([("x", CONTINUOUS, None), ("n", DISCRETE, None)], [[0.5, 0.0]])
+    model = Mspn(root, data.schema, LearnConfig())
+    probes = ([-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0],
+              [-1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    for ev in every_evidence(probes):
+        assert_mpe_matches_the_recursive_pass(model, ev)
+    plan = evaluation_plan(model)
+    sentinel = plan.leaf_nodes.size
+    gaps = {var: table.grid[table.entry_ranks[table.first] == sentinel].tolist()
+            for (i, var), table in plan.settle_tables.items() if i == plan.root}
+    assert gaps == {0: [1.5], 1: [2.0, 3.0, 4.0]}
+
+
+def test_mpe_with_a_zero_weight_child_matches_the_recursive_pass():
+    # a zero weight gives the leaves below it a -inf log coefficient; the
+    # tall component would win every maximum if its weight counted
+    def component(x_lo, n_masses, height):
+        return ProductNode((0, 1), (
+            HistogramLeaf(0, CONTINUOUS, np.array([x_lo, x_lo + 1.0 / height]), np.array([1.0])),
+            HistogramLeaf(1, DISCRETE, np.arange(4.0) - 0.5, np.array(n_masses)),
+        ))
+
+    one_free = SumNode((0,), np.array([0.0, 1.0]), (
+        HistogramLeaf(0, CONTINUOUS, np.array([4.0, 4.01]), np.array([1.0])),
+        HistogramLeaf(0, CONTINUOUS, np.array([4.0, 6.0]), np.array([1.0])),
+    ))
+    root = SumNode((0, 1), np.array([0.0, 0.5, 0.5]), (
+        component(0.0, [0.8, 0.1, 0.1], 100.0),
+        component(2.0, [0.1, 0.1, 0.8], 1.0),
+        ProductNode((0, 1), (one_free, HistogramLeaf(1, DISCRETE, np.arange(4.0) - 0.5,
+                                                     np.array([0.2, 0.6, 0.2])))),
+    ))
+    data = make_dataset([("x", CONTINUOUS, None), ("n", DISCRETE, None)], [[0.5, 0.0]])
+    model = Mspn(root, data.schema, LearnConfig())
+    probes = ([-1.0, 0.0, 0.005, 2.5, 4.005, 5.0, 7.0], [-1.0, 0.0, 1.0, 2.0, 3.0])
+    for ev in every_evidence(probes):
+        assert_mpe_matches_the_recursive_pass(model, ev)
+    plan = evaluation_plan(model)
+    n_observed = Evidence(np.array([0.0, 1.0]), np.array([False, True]))
+    n_free = np.bincount(plan.scope_owner, ~n_observed.observed[plan.scope_vars],
+                         len(plan.nodes) + 1)
+    coef = plan._coefficients(plan.evaluate_row(n_observed.values, n_observed.observed), n_free)
+    # the x leaves in postorder: the tall box, component 2's, the zero-weight and the wide child
+    assert np.isneginf(coef[plan.leaf_vars == 0]).tolist() == [True, False, True, False]
+    # the wide child's density 0.5 ties over [4, 6]: the smallest value wins
+    assignment, value = mpe(model, n_observed)
+    assert assignment[0] == 4.0
+    np.testing.assert_allclose(value, np.log(0.5 * 0.5 * 0.6), rtol=1e-12)
+
+
+def test_one_reduction_settles_every_domain_at_once(monkeypatch):
+    # with at most one variable observed, the root product consumes a
+    # continuous, a categorical and a discrete mixture, so one query folds
+    # settle tables of all three domains in a single reduction
+    model, probes = every_leaf_shape_model()
+    for ev in every_evidence(probes):
+        if ev.observed.sum() <= 1:
+            assert_mpe_matches_the_recursive_pass(model, ev)
+    plan = evaluation_plan(model)
+    settled = []
+    settle_table = plan.settle_table
+    monkeypatch.setattr(plan, "settle_table",
+                        lambda i, var: settled.append(var) or settle_table(i, var))
+    mpe(model, Evidence.marginalized(3))
+    assert [model.schema.stat_type(v).kind for v in settled] == [CONTINUOUS, CATEGORICAL,
+                                                                DISCRETE]
+
+
+@st.composite
+def small_mixed_models(draw):
+    """A random sum/product tree over 1-3 variables of mixed kinds, with probe values.
+
+    Leaves of each kind mix histograms (some bins of mass 0) and, for
+    continuous and discrete variables, unimodal piecewise-linear
+    densities. Knots and edges sit on a half-integer lattice, so leaves
+    share knots, touch and leave gaps, and sums may have zero weights.
+    """
+    kinds = draw(st.lists(st.sampled_from([CONTINUOUS, DISCRETE, CATEGORICAL]),
+                          min_size=1, max_size=3))
+    arity = 3
+    masses = st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any)
+
+    def normalized(counts):
+        counts = np.array(counts, dtype=np.float64)
+        return counts / counts.sum()
+
+    def leaf(var):
+        kind = kinds[var]
+        if kind == CATEGORICAL:
+            m = draw(st.lists(st.integers(0, 3), min_size=arity, max_size=arity).filter(any))
+            return HistogramLeaf(var, CATEGORICAL, np.arange(arity + 1.0), normalized(m),
+                                 1.0, draw(st.sampled_from([0.0, 0.05])))
+        lo = draw(st.integers(-8, 8)) / 2.0
+        if draw(st.booleans()):
+            m = draw(masses)
+            if kind == DISCRETE:
+                return HistogramLeaf(var, DISCRETE, np.rint(lo) - 0.5 + np.arange(len(m) + 1.0),
+                                     normalized(m))
+            widths = draw(st.lists(st.integers(1, 3), min_size=len(m), max_size=len(m)))
+            return HistogramLeaf(var, CONTINUOUS, lo + np.cumsum([0] + widths) / 2.0,
+                                 normalized(m))
+        heights = draw(st.lists(st.integers(0, 4), min_size=2, max_size=5).filter(any))
+        mode = draw(st.integers(0, len(heights) - 1))
+        y = np.array(sorted(heights[:mode]) + [max(heights)]
+                     + sorted(heights[mode + 1:], reverse=True), dtype=np.float64)
+        if kind == DISCRETE:
+            x = np.rint(lo) + np.arange(y.size, dtype=np.float64)
+        else:
+            widths = draw(st.lists(st.integers(1, 3), min_size=y.size - 1, max_size=y.size - 1))
+            x = lo + np.cumsum([0] + widths) / 2.0
+        return PiecewiseLinearLeaf(var, kind, x, y / trapezoid(y, x), mode)
+
+    def node(scope, depth):
+        if len(scope) == 1 and (depth >= 3 or draw(st.booleans())):
+            return leaf(scope[0])
+        if len(scope) > 1 and (depth >= 3 or draw(st.booleans())):
+            order = draw(st.permutations(scope))
+            cut = draw(st.integers(1, len(order) - 1))
+            parts = [tuple(sorted(order[:cut])), tuple(sorted(order[cut:]))]
+            return ProductNode(scope, [node(part, depth + 1) for part in parts])
+        weights = draw(st.lists(st.integers(0, 3), min_size=2, max_size=3).filter(any))
+        return SumNode(scope, normalized(weights),
+                       [node(scope, depth + 1) for _ in weights])
+
+    scope = tuple(range(len(kinds)))
+    data = make_dataset([(f"v{j}", kind, tuple("abc") if kind == CATEGORICAL else None)
+                         for j, kind in enumerate(kinds)], [[0.0] * len(kinds)])
+    model = Mspn(node(scope, 0), data.schema, LearnConfig())
+    probe = {CONTINUOUS: st.integers(-24, 24).map(lambda k: k / 4.0),
+             DISCRETE: st.integers(-6, 9).map(float),
+             CATEGORICAL: st.integers(0, arity + 1).map(float)}
+    values = [draw(probe[kind]) for kind in kinds]
+    observed = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
+    return model, Evidence(np.array(values), np.array(observed))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow,
+                                                                   HealthCheck.filter_too_much])
+@given(case=small_mixed_models())
+def test_random_small_trees_mpe_matches_the_recursive_pass(case):
+    model, ev = case
+    assert_mpe_matches_the_recursive_pass(model, ev)
+
+
 def recursive_mixture_terms(node, var, values, observed):
     """(log coefficient, leaf) terms of a subtree with one free variable, as ``oracle_mpe`` builds them."""
     if isinstance(node, SumNode):
@@ -470,6 +653,47 @@ def test_mixture_coefficients_nest_like_the_recursive_pass(fixture_models):
                                                            plan.leaf_nodes[table.ranks]], name
                 assert np.array_equal(coef[table.ranks], [t for t, _ in terms]), name
                 settled += 1
+    assert settled > 500
+
+
+def recursive_settle(terms):
+    """The maximum of a term list's mixture and its maximizer, folded as ``oracle_mpe`` folds them."""
+    candidates = _free_candidates(terms)
+    total = np.full(candidates.shape, -np.inf)
+    for log_w, leaf in terms:
+        with np.errstate(divide="ignore"):
+            total = np.logaddexp(total, log_w + np.log(leaf_density_batch(leaf, candidates)))
+    best = int(np.argmax(total))
+    return total[best], candidates[best]
+
+
+def test_settle_maxima_fold_like_the_recursive_pass(fixture_models):
+    # like the coefficients, a settle point's maximum only steers argmax
+    # decisions, and the fold's order within a cell shows only in its last
+    # bits; compare every maximum and maximizer with the recursive fold
+    cases = [(name, model, random_evidences(model, data, np.random.default_rng(20), 40))
+             for name, (data, model) in fixture_models.items()]
+    model, probes = every_leaf_shape_model()
+    cases.append(("every leaf shape", model, list(every_evidence(probes))))
+    settled = 0
+    for name, model, evidences in cases:
+        plan = evaluation_plan(model)
+        for ev in evidences:
+            n_free = np.bincount(plan.scope_owner, ~ev.observed[plan.scope_vars],
+                                 len(plan.nodes) + 1)
+            settle = np.flatnonzero((n_free[:-1] == 1) & (n_free[plan.parent] != 1))
+            if not settle.size:
+                continue
+            var = [next(v for v in plan.nodes[s].scope if not ev.observed[v])
+                   for s in settle.tolist()]
+            coef = plan._coefficients(plan.evaluate_row(ev.values, ev.observed), n_free)
+            maxima, at = plan._settle(coef, settle, np.array(var))
+            want = [recursive_settle(recursive_mixture_terms(plan.nodes[s], v, ev.values,
+                                                             ev.observed))
+                    for s, v in zip(settle.tolist(), var)]
+            assert np.array_equal(maxima, [m for m, _ in want]), name
+            assert np.array_equal(at, [x for _, x in want]), name
+            settled += settle.size
     assert settled > 500
 
 
@@ -958,8 +1182,7 @@ def test_deep_chain_settle_table_is_linear_in_its_leaves(chain_model):
     table = plan.settle_tables[plan.root, 1]
     leaves = CHAIN + 1
     assert table.ranks.size == leaves
-    held = sum(a.size for a in (table.grid, table.unset, table.ranks, table.sizes,
-                                table.log_density)) + 4 * len(table.spans)
+    held = sum(a.size for a in table)
     assert held <= 16 * leaves
     assert leaves * table.grid.size > 100 * held
 

@@ -577,6 +577,34 @@ class TestCliLearn:
         assert not (tmp_path / "m.json").exists()
 
 
+    @pytest.mark.parametrize("edits, error", [
+        ({700: b"0.5,hi\xffgh"}, "row 700, column 1: bytes that are not UTF-8"),
+        ({1300: b"1.\xe2\x28,low", 1400: b"oops,low"},
+         "row 1300, column 0: bytes that are not UTF-8"),
+        ({650: b"oops,low", 700: b"0.5,hi\xffgh"}, "row 650, column 0: 'oops' is not a number"),
+        ({1: b"0.7,\xff"}, "row 1, column 1: bytes that are not UTF-8"),
+        ({-1: b"te\xffmp,mode"}, "the csv header holds bytes that are not UTF-8"),
+    ], ids=["label", "number", "bad-cell-first", "second-row", "header"])
+    def test_bytes_that_are_not_utf8_are_reported_at_their_cell(self, cli_files, tmp_path,
+                                                               capsys, edits, error):
+        # the decoder reads kilobytes ahead of the row being converted; the
+        # error names the cell that holds the bytes, or an earlier bad cell
+        header, *rows = cli_files["test"].read_bytes().splitlines()
+        lines = [header] + [rows[i % len(rows)] for i in range(3 * _BLOCK_ROWS)]
+        for row, line in edits.items():
+            lines[row + 1] = line
+        data = tmp_path / "bytes.csv"
+        data.write_bytes(b"\n".join(lines) + b"\n")
+        for args in (["learn", "--schema", str(cli_files["schema"]),
+                      "--out", str(tmp_path / "m.json")],
+                     ["loglik", "--model", str(cli_files["model"])]):
+            assert main(args + ["--data", str(data)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"data error: {error}\n"
+            assert captured.out == ""
+        assert not (tmp_path / "m.json").exists()
+
+
 class TestCliLoglik:
     def test_rows_and_mean_match_the_library(self, cli_files, capsys):
         code = main(["loglik", "--model", str(cli_files["model"]),
