@@ -1,8 +1,8 @@
 """Query answering on a learned network.
 
 Every query is a bottom-up pass over the tree, plus for MPE a max-product
-pass over the nodes with free variables and for sampling one top-down
-pass, so query cost is linear in the node count. All computation happens
+pass over the nodes with free variables and for sampling a top-down walk
+per draw, so query cost is linear in the node count. All computation happens
 in log space: observed continuous variables contribute log-densities,
 observed discrete/categorical variables contribute log-masses, and
 marginalized variables contribute log 1 = 0 at their leaves. The value of
@@ -48,6 +48,12 @@ executors on the plan:
   many mixtures it has. The nodes with two or more free variables then
   take their maxima level by level, sums keeping a back-pointer to their
   best child, and a walk down those pointers collects the assignment.
+* ``sample_rows`` draws by walking down from the root. Before the walk,
+  ``_Plan.choice_table`` gives every sum its cumulative weighted child
+  values, one vectorized pass per child count, laid end to end in one
+  list of floats, and each free leaf draws from an inverse-CDF table kept
+  on the leaf. So a visited sum costs one ``rng.random()`` and one bisect,
+  a free leaf one table lookup, and the walk makes no numpy call.
 
 So ``weighted_logsumexp`` is the one place a sum node combines its
 children. It is elementwise and uses no BLAS, so its bits do not depend
@@ -67,6 +73,7 @@ at-most-two-traversals contract is asserted in the tests.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -180,11 +187,6 @@ def _check_column(column, finite: bool, whole: bool, nonnegative: bool) -> None:
         raise QueryError(f"negative category code for {column.name!r}")
 
 
-def _bump(counter, node) -> None:
-    if counter is not None:
-        counter[id(node)] += 1
-
-
 _LEAF, _SUM, _PRODUCT = 0, 1, 2
 
 # Batch keys (``_Batch``): a discrete or categorical column whose values
@@ -294,6 +296,23 @@ class _Edges(NamedTuple):
     log_w: np.ndarray
     lo: np.ndarray
     size: np.ndarray
+
+
+class _Descent(NamedTuple):
+    """What ``sample_rows``' top-down walk reads, built once per plan.
+
+    ``blocks`` holds the sum nodes grouped by child count, whatever their
+    height: a group of G nodes with C children each is (child indices,
+    weights), both (C, G), one row per child position. ``steps[i]`` is
+    node i's (kind, lo, hi, children, variable): a sum's cumulative weights
+    are ``lo .. hi - 1`` of ``_Plan.choice_table``, which lays the blocks
+    end to end, each node's C entries together; a product's children are
+    reversed, so that a stack pops them in child order; ``variable`` is a
+    leaf's, -1 elsewhere.
+    """
+
+    blocks: list
+    steps: list
 
 
 class _Batch:
@@ -438,6 +457,43 @@ class _Plan:
         lo, hi = self.subtree_leaves
         return _Edges(parent, child, height[order], np.array(self.kinds)[parent] == _SUM,
                       log_w[order], lo[child], (hi - lo)[child])
+
+    @cached_property
+    def descent(self) -> _Descent:
+        """What the sampler's walk reads, built once per plan; see ``_Descent``."""
+        by_count: dict[int, list[int]] = {}
+        for i, kind in enumerate(self.kinds):
+            if kind == _SUM:
+                by_count.setdefault(len(self.children[i]), []).append(i)
+        blocks, lo, at = [], [0] * len(self.nodes), 0
+        for count, idx in sorted(by_count.items()):
+            blocks.append((np.stack([self.children[i] for i in idx], axis=1),
+                           np.stack([self.nodes[i].weights for i in idx], axis=1)))
+            for i in idx:
+                lo[i], at = at, at + count
+        steps = []
+        for i, (node, kind, kids) in enumerate(zip(self.nodes, self.kinds, self.children)):
+            kids = kids.tolist()
+            steps.append((kind, lo[i], lo[i] + len(kids), kids[::-1] if kind == _PRODUCT else kids,
+                          node.variable if kind == _LEAF else -1))
+        return _Descent(blocks, steps)
+
+    def choice_table(self, vals: np.ndarray) -> list:
+        """Every sum's cumulative weighted child values, laid end to end.
+
+        ``vals`` is ``evaluate_row`` under the evidence. Each block of
+        ``descent`` is one pass: per node, ``weights * exp(v - max v)`` over
+        its children and their running sum, the arithmetic each node would
+        do alone. A dead sum, all of whose children are -inf, gets NaNs; the
+        walk never enters it.
+        """
+        cums = []
+        with np.errstate(invalid="ignore"):
+            for kids, weights in self.descent.blocks:
+                logits = vals[kids]
+                probs = weights * np.exp(logits - logits.max(axis=0))
+                cums.append(np.cumsum(probs, axis=0).T.ravel())
+        return np.concatenate(cums).tolist() if cums else []
 
     def evaluate_row(self, values: np.ndarray, observed: np.ndarray,
                      counter=None) -> np.ndarray:
@@ -884,8 +940,12 @@ def sample_rows(mspn: Mspn, evidence: Evidence, rng: np.random.Generator, n: int
                 counter=None) -> np.ndarray:
     """``n`` draws, one per row, from one plan pass under the evidence.
 
-    The evidence fixes every node's value, so only the descent repeats;
-    the rows equal ``n`` successive ``sample`` calls with the same ``rng``.
+    The evidence fixes every node's value, and with it each sum's choice
+    table (``_Plan.choice_table``), so only the descent repeats: a sum
+    picks the first child whose cumulative weight exceeds ``rng.random()``
+    times its total, by bisection, and a free leaf draws with
+    ``leaf_sample`` from the table kept on the leaf. The rows equal ``n``
+    successive ``sample`` calls with the same ``rng``.
     """
     _check_evidence(mspn, evidence)
     plan = evaluation_plan(mspn)
@@ -894,23 +954,20 @@ def sample_rows(mspn: Mspn, evidence: Evidence, rng: np.random.Generator, n: int
         raise ConditioningError("evidence has zero probability; cannot sample")
 
     rows = np.tile(evidence.values, (n, 1))
+    steps, cum = plan.descent.steps, plan.choice_table(vals)
+    observed = evidence.observed.tolist()
     for assignment in rows:
         stack = [plan.root]
         while stack:
             i = stack.pop()
-            node, kind, kids = plan.nodes[i], plan.kinds[i], plan.children[i]
-            _bump(counter, node)
+            if counter is not None:
+                counter[plan.ids[i]] += 1
+            kind, lo, hi, kids, var = steps[i]
             if kind == _SUM:
-                logits = vals[kids]
-                top = logits.max()
-                probs = node.weights * np.exp(logits - top)
-                cum = np.cumsum(probs)
-                pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-                stack.append(int(kids[min(pick, kids.size - 1)]))
+                pick = bisect_right(cum, rng.random() * cum[hi - 1], lo, hi)
+                stack.append(kids[min(pick, hi - 1) - lo])
             elif kind == _PRODUCT:
-                # reversed so children are visited (and consume randomness)
-                # in their natural left-to-right order
-                stack.extend(kids[::-1].tolist())
-            elif not evidence.observed[node.variable]:
-                assignment[node.variable] = leaf_sample(node, rng)
+                stack.extend(kids)
+            elif not observed[var]:
+                assignment[var] = leaf_sample(plan.nodes[i], rng)
     return rows

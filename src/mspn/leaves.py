@@ -10,13 +10,16 @@ Two nonparametric families cover all column kinds:
   continuous and discrete columns.
 
 Leaves are immutable after fitting; evaluation and sampling never
-mutate them.
+mutate them. A leaf's first draw builds its inverse-CDF table, which is
+derived from its fields and kept on the leaf.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +88,11 @@ class HistogramLeaf:
     def n_bins(self) -> int:
         return self.masses.size
 
+    @cached_property
+    def inverse_cdf(self) -> tuple[list, list]:
+        """``leaf_sample``'s table, built on first use: cumulative masses and edges."""
+        return np.cumsum(self.masses).tolist(), self.edges.tolist()
+
 
 @dataclass(frozen=True)
 class PiecewiseLinearLeaf:
@@ -132,6 +140,20 @@ class PiecewiseLinearLeaf:
     @property
     def scope(self) -> tuple[int, ...]:
         return (self.variable,)
+
+    @cached_property
+    def inverse_cdf(self) -> tuple[list, ...]:
+        """``leaf_sample``'s table, built on first use.
+
+        Discrete: the cumulative masses on the integer support and that
+        support. Continuous: the cumulative segment areas, knots and knot
+        densities.
+        """
+        x, y = self.knots_x, self.knots_y
+        if self.domain == DISCRETE:
+            support = _discrete_support_values(self)
+            return np.cumsum(np.interp(support, x, y)).tolist(), support.tolist()
+        return np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x)).tolist(), x.tolist(), y.tolist()
 
 
 Leaf = HistogramLeaf | PiecewiseLinearLeaf
@@ -323,39 +345,25 @@ def leaf_cdf(leaf: Leaf, value: float) -> float:
     return acc + float(masses[b]) * frac
 
 
-def _sample_integer_in_bin(leaf: HistogramLeaf, b: int, rng: np.random.Generator) -> float:
-    lo = math.ceil(leaf.edges[b])
-    hi = math.floor(leaf.edges[b + 1])
-    if hi <= lo:
-        return float(lo)
-    return float(rng.integers(lo, hi + 1))
-
-
 def leaf_sample(leaf: Leaf, rng: np.random.Generator) -> float:
-    """One inverse-CDF draw from the leaf."""
+    """One inverse-CDF draw from the leaf, read from the leaf's ``inverse_cdf`` table."""
     if isinstance(leaf, HistogramLeaf):
-        cum = np.cumsum(leaf.masses)
-        b = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        b = min(b, leaf.masses.size - 1)
+        cum, edges = leaf.inverse_cdf
+        b = min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
         if leaf.domain == CATEGORICAL:
             return float(b)
         if leaf.domain == DISCRETE:
-            return _sample_integer_in_bin(leaf, b, rng)
-        return float(leaf.edges[b] + rng.random() * (leaf.edges[b + 1] - leaf.edges[b]))
+            lo, hi = math.ceil(edges[b]), math.floor(edges[b + 1])
+            return float(lo) if hi <= lo else float(rng.integers(lo, hi + 1))
+        return edges[b] + rng.random() * (edges[b + 1] - edges[b])
 
     if leaf.domain == DISCRETE:
-        support = _discrete_support_values(leaf)
-        pmf = np.interp(support, leaf.knots_x, leaf.knots_y)
-        cum = np.cumsum(pmf)
-        i = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        return float(support[min(i, support.size - 1)])
+        cum, support = leaf.inverse_cdf
+        return support[min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)]
 
-    x, y = leaf.knots_x, leaf.knots_y
-    areas = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
-    cum = np.cumsum(areas)
+    cum, x, y = leaf.inverse_cdf
     u = rng.random() * cum[-1]
-    seg = int(np.searchsorted(cum, u, side="right"))
-    seg = min(seg, areas.size - 1)
+    seg = min(bisect_right(cum, u), len(cum) - 1)
     rem = u - (cum[seg - 1] if seg > 0 else 0.0)
     width = x[seg + 1] - x[seg]
     slope = (y[seg + 1] - y[seg]) / width
@@ -366,4 +374,4 @@ def leaf_sample(leaf: Leaf, rng: np.random.Generator) -> float:
         disc = max(y0 * y0 + 2.0 * slope * rem, 0.0)
         t = (math.sqrt(disc) - y0) / slope
     t = min(max(t, 0.0), width)
-    return float(x[seg] + t)
+    return x[seg] + t

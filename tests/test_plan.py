@@ -2,7 +2,8 @@
 
 ``oracle_eval``, ``oracle_sample`` and ``oracle_mpe`` evaluate, sample
 and maximize by plain recursion over the tree, one node at a time, with
-each node's own arithmetic. Every query must reproduce them bit for bit:
+each node's own arithmetic; ``oracle_leaf_sample`` draws from a leaf
+with its cumulative sums recomputed on every call. Every query must reproduce them bit for bit:
 the README's printed values and the determinism gate depend on it. The
 evidence mixes training rows with values exactly on knots and bin edges,
 values outside every support, unseen category codes and random
@@ -10,6 +11,7 @@ observation masks, so that whole sub-mixtures evaluate to -inf.
 """
 
 import itertools
+import math
 import tracemalloc
 import warnings
 from collections import Counter
@@ -99,8 +101,51 @@ def oracle_sample(model, evidence, rng):
         elif isinstance(node, ProductNode):
             stack.extend(reversed(node.children))
         elif not evidence.observed[node.variable]:
-            assignment[node.variable] = leaf_sample(node, rng)
+            assignment[node.variable] = oracle_leaf_sample(node, rng)
     return assignment
+
+
+def oracle_leaf_sample(leaf, rng):
+    """One inverse-CDF draw, the leaf's cumulative sums recomputed on every call."""
+    if isinstance(leaf, HistogramLeaf):
+        cum = np.cumsum(leaf.masses)
+        b = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        b = min(b, leaf.masses.size - 1)
+        if leaf.domain == CATEGORICAL:
+            return float(b)
+        if leaf.domain == DISCRETE:
+            lo = math.ceil(leaf.edges[b])
+            hi = math.floor(leaf.edges[b + 1])
+            if hi <= lo:
+                return float(lo)
+            return float(rng.integers(lo, hi + 1))
+        return float(leaf.edges[b] + rng.random() * (leaf.edges[b + 1] - leaf.edges[b]))
+
+    if leaf.domain == DISCRETE:
+        lo, hi = float(leaf.knots_x[0]), float(leaf.knots_x[-1])
+        support = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.float64)
+        pmf = np.interp(support, leaf.knots_x, leaf.knots_y)
+        cum = np.cumsum(pmf)
+        i = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        return float(support[min(i, support.size - 1)])
+
+    x, y = leaf.knots_x, leaf.knots_y
+    areas = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
+    cum = np.cumsum(areas)
+    u = rng.random() * cum[-1]
+    seg = int(np.searchsorted(cum, u, side="right"))
+    seg = min(seg, areas.size - 1)
+    rem = u - (cum[seg - 1] if seg > 0 else 0.0)
+    width = x[seg + 1] - x[seg]
+    slope = (y[seg + 1] - y[seg]) / width
+    y0 = y[seg]
+    if abs(slope) < 1e-300:
+        t = rem / y0 if y0 > 0 else 0.0
+    else:
+        disc = max(y0 * y0 + 2.0 * slope * rem, 0.0)
+        t = (math.sqrt(disc) - y0) / slope
+    t = min(max(t, 0.0), width)
+    return float(x[seg] + t)
 
 
 def oracle_mpe(model, evidence):
@@ -276,6 +321,57 @@ def test_sample_draws_match_the_recursive_sampler(fixture_models):
             assert want_rng.random() == got_rng.random(), name
 
 
+def test_choice_tables_hold_each_sums_own_cumulative_weights(fixture_models):
+    # a changed bit in the table rarely flips a draw, so compare the tables
+    for name, (data, model) in fixture_models.items():
+        plan = evaluation_plan(model)
+        rng = np.random.default_rng(16)
+        for ev in random_evidences(model, data, rng, 20):
+            vals = plan.evaluate_row(ev.values, ev.observed)
+            cum = plan.choice_table(vals)
+            for i, (node, kids) in enumerate(zip(plan.nodes, plan.children)):
+                _, lo, hi, _, _ = plan.descent.steps[i]
+                if isinstance(node, SumNode) and vals[i] > -np.inf:
+                    logits = vals[kids]
+                    want = np.cumsum(node.weights * np.exp(logits - logits.max()))
+                    assert list(map(float.hex, cum[lo:hi])) == list(map(float.hex, want)), name
+
+
+def test_dead_sums_and_zero_weights_are_never_sampled():
+    # x = 0.5 lies outside both children of the second component's x-sum, so
+    # that sum is dead (all children -inf) while the root stays finite; the
+    # third component and the first y child are alive but weigh 0
+    def box(var, lo, hi):
+        return HistogramLeaf(var, CONTINUOUS, np.array([lo, hi]), np.array([1.0]))
+
+    live_y = SumNode((1,), np.array([0.0, 1.0]), (box(1, 20.0, 21.0), box(1, 0.0, 1.0)))
+    dead_x = SumNode((0,), np.array([0.5, 0.5]), (box(0, 2.0, 3.0), box(0, 2.0, 4.0)))
+    root = SumNode((0, 1), np.array([0.6, 0.4, 0.0]), (
+        ProductNode((0, 1), (box(0, 0.0, 1.0), live_y)),
+        ProductNode((0, 1), (dead_x, box(1, 5.0, 6.0))),
+        ProductNode((0, 1), (box(0, 0.0, 1.0), box(1, 10.0, 11.0))),
+    ))
+    data = make_dataset([("x", CONTINUOUS, None), ("y", CONTINUOUS, None)], [[0.5, 0.5]])
+    model = Mspn(root, data.schema, LearnConfig())
+    ev = Evidence(np.array([0.5, 0.0]), np.array([True, False]))
+    plan = evaluation_plan(model)
+    vals = plan.evaluate_row(ev.values, ev.observed)
+    dead = plan.ids.index(id(dead_x))
+    _, lo, hi, _, _ = plan.descent.steps[dead]
+    assert vals[dead] == -np.inf and np.isfinite(vals[plan.root])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(plan.choice_table(vals)[lo:hi]).all()
+        rng, visits = np.random.default_rng(21), Counter()
+        draws = np.stack([sample(model, ev, rng, visits) for _ in range(1000)])
+    assert (draws[:, 0] == 0.5).all()
+    assert ((draws[:, 1] >= 0.0) & (draws[:, 1] <= 1.0)).all()
+    # each sample's plan pass visits every node once; the walks add the rest
+    never = [dead_x, *dead_x.children, root.children[1], root.children[2], live_y.children[0]]
+    assert [visits[id(node)] for node in never] == [1000] * len(never)
+    assert visits[id(live_y.children[1])] == 2000
+
+
 def test_mpe_matches_the_recursive_max_product_pass(fixture_models):
     for name, (data, model) in fixture_models.items():
         rng = np.random.default_rng(15)
@@ -354,6 +450,21 @@ def test_values_on_knots_and_edges_match_the_leaves():
         ev = Evidence(np.array(values), every)
         want = oracle_eval(model.root, ev.values[None, :], ev.observed)
         assert np.array_equal([log_evaluate(model, ev)], want), values
+
+
+def test_every_leaf_shape_draws_like_the_oracle():
+    # the wide discrete histogram draws through rng.integers, and the
+    # categorical leaf without unseen mass has a bin of mass 0
+    model, _ = every_leaf_shape_model()
+    leaves = [n for _, n in iter_nodes(model.root) if isinstance(n, (HistogramLeaf,
+                                                                      PiecewiseLinearLeaf))]
+    assert len(leaves) == 10
+    for k, leaf in enumerate(leaves):
+        want_rng, got_rng = np.random.default_rng(k), np.random.default_rng(k)
+        want = [oracle_leaf_sample(leaf, want_rng) for _ in range(2000)]
+        got = [leaf_sample(leaf, got_rng) for _ in range(2000)]
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), leaf
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, leaf
 
 
 def test_far_values_neither_warn_nor_leak_from_unobserved_slots():
@@ -601,6 +712,24 @@ def small_mixed_models(draw):
 def test_random_small_trees_mpe_matches_the_recursive_pass(case):
     model, ev = case
     assert_mpe_matches_the_recursive_pass(model, ev)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow,
+                                                                   HealthCheck.filter_too_much])
+@given(case=small_mixed_models(), seed=st.integers(0, 2**32 - 1))
+def test_random_small_trees_sample_matches_the_recursive_sampler(case, seed):
+    model, ev = case
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        # the oracle's weighted_logsumexp takes log 0 at zero weights
+        with np.errstate(divide="ignore"):
+            want = np.stack([oracle_sample(model, ev, want_rng) for _ in range(3)])
+    except ConditioningError:
+        with pytest.raises(ConditioningError):
+            sample_rows(model, ev, got_rng, 3)
+        return
+    assert np.array_equal(sample_rows(model, ev, got_rng, 3), want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def recursive_mixture_terms(node, var, values, observed):
