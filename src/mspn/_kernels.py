@@ -3,19 +3,21 @@
 The binning DP is loop-free numpy within each bin count (one masked
 argmax fills a whole DP column) and fills only the bin counts its caller
 asks for: the binning search passes the last count that can still beat
-one bin. K-means is vectorised over points, one centroid at a time;
-PAVA is a short Python loop. K-means clusters rows that are given as
-distinct points plus a row-to-point inverse: distances run once per
+one bin. K-means is vectorised over chunks of points, one centroid at a
+time; PAVA is a short Python loop. K-means clusters rows that are given
+as distinct points plus a row-to-point inverse: distances run once per
 point, centroid sums over the member rows in row order, so the labels
-are those of clustering the rows themselves. Its memory stays
-proportional to the points: the distances reuse one points-sized buffer,
-and a centroid sum gathers its member rows at most ``_CHUNK`` at a time,
-carrying the running sum from chunk to chunk, which gives the bits of
-one sum over every member row (see ``_row_sum``). Lloyd stops as soon as
-an iteration's labels equal the previous ones: equal labels give
-bit-equal centroids, so every later pass would give those labels again.
-The tests check ``dp_fill`` bit for bit against a triple-loop oracle and
-``lloyd`` against a loop and a broadcast implementation.
+are those of clustering the rows themselves. Beyond the points, their
+(points, k) distances and the per-row labels, its memory is bounded by
+``_CHUNK`` rows of D values: the distances run over ``_CHUNK`` points at
+a time in one reused buffer, and a centroid sum gathers its member rows
+at most ``_CHUNK`` at a time, carrying the running sum from chunk to
+chunk, which gives the bits of one sum over every member row (see
+``_row_sum``). Lloyd stops as soon as an iteration's labels equal the
+previous ones: equal labels give bit-equal centroids, so every later
+pass would give those labels again. The tests check ``dp_fill`` bit for
+bit against a triple-loop oracle and ``lloyd`` against a loop and a
+broadcast implementation.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 # read by the benchmark's environment record; there is no JIT path
 NUMBA_ENABLED = False
 
-# member rows gathered at a time by a centroid sum
+# rows per chunk: points per distance pass, member rows per centroid-sum gather
 _CHUNK = 512
 
 
@@ -94,7 +96,7 @@ def lloyd(points, centroids, max_iter, tol, inverse=None):
     # sums its member rows in row order, as clustering the rows would
     rows = np.arange(points.shape[0]) if inverse is None else inverse
     cent = centroids.copy()
-    diff = np.empty_like(points)
+    diff = np.empty((min(_CHUNK, points.shape[0]), points.shape[1]))
     chunk = np.empty((_CHUNK + 1, points.shape[1]))
     labels = np.argmin(_sq_dists(points, cent, diff), axis=1)
     for _ in range(max_iter):
@@ -137,12 +139,16 @@ def _row_sum(points, idx, buf):
 
 
 def _sq_dists(points, cent, diff):
-    # (rows, k) squared distances, one centroid at a time into the
-    # points-sized ``diff``: no (rows, k, D) temporary, and each row's sum
-    # runs over the same contiguous D values
+    # (points, k) squared distances, _CHUNK points and one centroid at a time
+    # into ``diff``, of shape (min(_CHUNK, points), D): no (points, k, D) or
+    # points-sized temporary, and each row's sum runs over the same
+    # contiguous D values as over all points at once
     d2 = np.empty((points.shape[0], cent.shape[0]))
-    for c in range(cent.shape[0]):
-        np.subtract(points, cent[c], out=diff)
-        diff *= diff
-        diff.sum(axis=1, out=d2[:, c])
+    for start in range(0, points.shape[0], _CHUNK):
+        part = points[start : start + _CHUNK]
+        buf = diff[: part.shape[0]]
+        for c in range(cent.shape[0]):
+            np.subtract(part, cent[c], out=buf)
+            buf *= buf
+            buf.sum(axis=1, out=d2[start : start + part.shape[0], c])
     return d2

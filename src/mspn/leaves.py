@@ -38,6 +38,13 @@ def _readonly(a) -> np.ndarray:
     return out
 
 
+def _check_discrete_support(domain: str, lo: float, hi: float) -> None:
+    # a discrete leaf puts its mass on the integers of [lo, hi]; with none
+    # there it would sample outside its support or have nothing to sample
+    if domain == DISCRETE and math.ceil(lo) > math.floor(hi):
+        raise DomainError(f"discrete leaf support [{lo:g}, {hi:g}] holds no integer")
+
+
 @dataclass(frozen=True)
 class HistogramLeaf:
     """Binned density/mass function over one variable.
@@ -75,6 +82,7 @@ class HistogramLeaf:
         e = self.edges
         if not (math.isfinite(e[0]) and math.isfinite(e[-1]) and np.all(e[1:] > e[:-1])):
             raise DomainError("bin edges must be finite and strictly increasing")
+        _check_discrete_support(self.domain, e[0], e[-1])
         if not (self.masses.min() >= 0 and abs(float(self.masses.sum()) - 1.0) <= 1e-12):
             raise DomainError("masses must be a probability vector")
         if not (0 <= self.smoothing < math.inf and 0 <= self.unseen_mass < math.inf):
@@ -127,6 +135,7 @@ class PiecewiseLinearLeaf:
         # densities are compared, not subtracted, because inf - inf would warn
         if not (math.isfinite(x[0]) and math.isfinite(x[-1]) and np.all(x[1:] > x[:-1])):
             raise DomainError("knots_x must be finite and strictly increasing")
+        _check_discrete_support(self.domain, x[0], x[-1])
         if not y.min() >= 0:
             raise DomainError("knot densities must be nonnegative")
         m = self.mode_index

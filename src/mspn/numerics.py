@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import dp_fill, lloyd, pava_nondecreasing
+from ._kernels import _CHUNK, _sq_dists, dp_fill, lloyd, pava_nondecreasing
 from .errors import DomainError, EmptyInputError
 
 MAX_CANDIDATE_CUTS = 100
@@ -216,9 +216,10 @@ def kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator,
     k = min(n_clusters, m)
 
     cent = np.empty((k, pts.shape[1]))
+    diff = np.empty((min(_CHUNK, pts.shape[0]), pts.shape[1]))
     first = int(rng.integers(m))
     cent[0] = pts[rows[first]]
-    d2 = ((pts - cent[0]) ** 2).sum(axis=1)
+    d2 = _sq_dists(pts, cent[:1], diff)[:, 0]
     for c in range(1, k):
         # the draw weighs every row, so the sums run over rows, not points
         row_d2 = d2[rows]
@@ -230,7 +231,7 @@ def kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator,
         else:
             j = int(rng.integers(m))
         cent[c] = pts[rows[j]]
-        d2 = np.minimum(d2, ((pts - cent[c]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dists(pts, cent[c : c + 1], diff)[:, 0])
 
     return lloyd(pts, cent, max_iter, tol, rows)
 

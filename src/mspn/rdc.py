@@ -208,7 +208,14 @@ def cluster_samples(dataset: Dataset, config, seeds: SeedScope | None = None) ->
     # any row of a key stands for it: its rows share every value id
     row_of = np.empty(int(key.max()) + 1, dtype=np.intp)
     row_of[key] = np.arange(dataset.n_rows)
-    embedded = np.hstack([features[ids[row_of]] for features, ids in blocks])
+    # one block at a time into the embedding: no gathered block outlives
+    # its copy
+    embedded = np.empty((row_of.shape[0], sum(f.shape[1] for f, _ in blocks)))
+    start = 0
+    for features, ids in blocks:
+        stop = start + features.shape[1]
+        embedded[:, start:stop] = features[ids[row_of]]
+        start = stop
     labels = kmeans(
         embedded, 2, seeds.rng(_KMEANS_TAG), config.kmeans_max_iter, config.kmeans_tol, key
     )

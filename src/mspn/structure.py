@@ -191,11 +191,12 @@ def _decide(data: Dataset, scope: tuple[int, ...], config: LearnConfig, seeds: S
     proportions)`` a sum.
     """
     if data.n_cols == 1:
-        if data.n_rows >= config.min_instances:
+        col = data.column(0)
+        # a constant column clusters into one cluster, which makes this leaf
+        if data.n_rows >= config.min_instances and np.any(col != col[0]):
             part = cluster_samples(data, config, seeds)
             if len(part.clusters) == 2:
                 sizes = [c.size for c in part.clusters]
-                col = data.column(0)
                 means = [float(col[c].mean()) for c in part.clusters]
                 if (min(sizes) >= _MIN_CLUSTER_FRACTION * config.min_instances
                         and abs(means[0] - means[1]) > _MEAN_DISTINCT_TOL):

@@ -256,7 +256,7 @@ class TestLloydKernel:
                 )
                 # labels rarely see a last-bit change; the distances do
                 np.testing.assert_array_equal(
-                    _sq_dists(pts, start, np.empty_like(pts)),
+                    _sq_dists(pts, start, np.empty((min(_CHUNK, pts.shape[0]), dim))),
                     ((pts[:, None, :] - start[None]) ** 2).sum(axis=2),
                 )
 
@@ -323,6 +323,79 @@ class TestLloydKernel:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+def whole_array_kmeans(points, n_clusters, rng, max_iter, tol, inverse=None):
+    # kmeans as it was before its seeding shared the chunked distances: ++
+    # seeding on distances to all points at once, then the broadcast K-means
+    # on every row
+    rows = np.arange(points.shape[0]) if inverse is None else inverse
+    m = rows.shape[0]
+    k = min(n_clusters, m)
+    cent = np.empty((k, points.shape[1]))
+    first = int(rng.integers(m))
+    cent[0] = points[rows[first]]
+    d2 = ((points - cent[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        row_d2 = d2[rows]
+        total = float(row_d2.sum())
+        if total > 0.0:
+            u = rng.random() * total
+            j = int(np.searchsorted(np.cumsum(row_d2), u, side="right"))
+            j = min(j, m - 1)
+        else:
+            j = int(rng.integers(m))
+        cent[c] = points[rows[j]]
+        d2 = np.minimum(d2, ((points - cent[c]) ** 2).sum(axis=1))
+    return broadcast_lloyd(points[rows], cent, max_iter, tol)
+
+
+class TestChunkedDistances:
+    def test_distances_keep_the_bits_of_the_broadcast_form(self):
+        # point counts on either side of the chunk edges; magnitudes spread
+        # over many decades make each row's sum depend on its order
+        r = np.random.default_rng(18)
+        for dim in (1, 7, 160):
+            cent = r.normal(size=(3, dim))
+            for count in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
+                pts = r.normal(size=(count, dim)) * np.exp(r.normal(0.0, 8.0, size=(count, dim)))
+                got = _sq_dists(pts, cent, np.empty((min(_CHUNK, count), dim)))
+                want = ((pts[:, None, :] - cent[None]) ** 2).sum(axis=2)
+                assert got.tobytes() == want.tobytes(), (dim, count)
+
+    def test_kmeans_matches_the_whole_array_seeding(self):
+        r = np.random.default_rng(19)
+        n = 2 * _CHUNK + 3
+        v = r.normal(size=20)
+        points = np.vstack([v + r.normal(0.0, 0.8, (n // 2, 20)),
+                            -v + r.normal(0.0, 0.8, (n - n // 2, 20))])
+        for inverse in (None, r.integers(0, n, 3000)):
+            for k in (2, 3):
+                for seed in range(4):
+                    got = mspn.numerics.kmeans(points, k, np.random.default_rng(seed),
+                                               100, 1e-4, inverse)
+                    want = whole_array_kmeans(points, k, np.random.default_rng(seed),
+                                              100, 1e-4, inverse)
+                    np.testing.assert_array_equal(got, want)
+
+    def test_kmeans_memory_stays_far_below_the_points(self):
+        # 6000 points of 160 dims take 7.7 MB. Whole-array distances peaked
+        # at 1.14 times that; chunked, the peak is 0.31 times, most of it the
+        # two fixed chunk buffers (tracemalloc, numpy 2), so 0.6 leaves margin
+        # either way
+        points = np.random.default_rng(20).normal(size=(6000, 160))
+
+        def run():
+            return mspn.numerics.kmeans(points, 2, np.random.default_rng(1), 100, 1e-4)
+
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * points.nbytes
 
 
 def mixture_model():

@@ -101,6 +101,26 @@ class TestPiecewiseLinearLeafConstruction:
 
 
 @pytest.mark.parametrize("make", [
+    lambda: HistogramLeaf(0, DISCRETE, np.array([0.1, 0.9]), np.array([1.0])),
+    lambda: HistogramLeaf(0, DISCRETE, np.array([-2.9, -2.6, -2.1]), np.array([0.5, 0.5])),
+    lambda: PiecewiseLinearLeaf(0, DISCRETE, np.array([0.1, 0.9]), np.array([1.25, 1.25]), 0),
+], ids=["histogram", "histogram of two bins", "piecewise linear"])
+def test_discrete_leaf_without_an_integer_is_rejected(make):
+    # the sampler and MPE would find no integer to put the mass on
+    with pytest.raises(DomainError, match="holds no integer"):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HistogramLeaf(0, DISCRETE, np.array([0.1, 1.0]), np.array([1.0])),
+    lambda: PiecewiseLinearLeaf(0, DISCRETE, np.array([-1.0, -0.5]), np.array([2.0, 2.0]), 0),
+    lambda: HistogramLeaf(0, CONTINUOUS, np.array([0.1, 0.9]), np.array([1.0])),
+], ids=["histogram touching 1", "piecewise linear touching -1", "continuous"])
+def test_a_support_holding_one_integer_is_enough(make):
+    make()
+
+
+@pytest.mark.parametrize("make", [
     lambda: HistogramLeaf(0, CONTINUOUS, np.array([0.0, np.inf, np.inf, 1.0]),
                           np.array([0.3, 0.3, 0.4])),
     lambda: PiecewiseLinearLeaf(0, CONTINUOUS, np.array([0.0, np.inf, np.inf, 1.0]),

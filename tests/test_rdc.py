@@ -332,6 +332,25 @@ class TestClusterSamples:
         for rows, w in zip(part.clusters, part.proportions):
             assert w == len(rows) / hybrid6_train.n_rows
 
+    def test_memory_stays_near_the_embedding(self):
+        # 6000 rows of 8 five-valued columns hold 5946 distinct rows, whose
+        # 160-dim embedding takes 7.6 MB. Stacked from gathered blocks and
+        # clustered with whole-array distances, the call peaked at 2.2 times
+        # that; filled in place and clustered by chunks, at 1.37 times
+        # (tracemalloc, numpy 2), so 1.7 leaves margin either way
+        values = np.random.default_rng(27).integers(0, 5, (6000, 8))
+        data = make_dataset([(f"d{v}", DISCRETE, None) for v in range(8)], values)
+        cfg = LearnConfig(seed=28)
+        embedded_bytes = np.unique(values, axis=0).shape[0] * 8 * cfg.proj_features * 8
+        cluster_samples(data, cfg)
+        tracemalloc.start()
+        try:
+            cluster_samples(data, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.7 * embedded_bytes
+
     @pytest.mark.parametrize("table", ["wide distinct", "hybrid6", "hybrid6 discrete"])
     def test_rows_cluster_as_k_means_on_every_row(self, table, hybrid6_train):
         cfg = LearnConfig(seed=26)

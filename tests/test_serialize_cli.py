@@ -31,9 +31,9 @@ from mspn import (
     validate,
 )
 from mspn.cli import main
-from mspn.data import _BLOCK_ROWS
+from mspn.data import DISCRETE, _BLOCK_ROWS
 from mspn.errors import FormatError, IngestError, VersionError
-from mspn.leaves import HistogramLeaf
+from mspn.leaves import HistogramLeaf, PiecewiseLinearLeaf
 from mspn.numerics import MAX_BIN_MAGNITUDE
 from mspn.serialize import canonical_json
 from mspn.structure import LEAF_KINDS, Mspn, ProductNode, SumNode
@@ -267,6 +267,29 @@ class TestLoadChecksEveryNode:
         for command in (["query"], ["mpe"], ["validate"]):
             assert main(command + ["--model", str(path)]) == 2, command
             assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["histogram", "piecewise_linear"])
+    def test_discrete_leaf_without_an_integer_is_a_data_error(self, kind, tmp_path, capsys):
+        # a one-leaf model over a discrete column whose support [0.1, 0.9]
+        # holds no integer: sampling and MPE would have nothing to draw
+        schema = Schema((Column("x", StatType(DISCRETE)),))
+        if kind == "histogram":
+            leaf = HistogramLeaf(0, DISCRETE, np.array([0.5, 1.5]), np.array([1.0]))
+            damage = {"edges": [0.1, 0.9]}
+        else:
+            leaf = PiecewiseLinearLeaf(0, DISCRETE, np.array([0.5, 1.5]), np.array([1.0, 1.0]))
+            damage = {"knots_x": [0.1, 0.9], "knots_y": [1.25, 1.25]}
+        obj = json.loads(serialize(Mspn(leaf, schema, LearnConfig())))
+        obj["nodes"][0].update(damage)
+        blob = json.dumps(obj).encode()
+        with pytest.raises(FormatError, match="holds no integer"):
+            deserialize(blob)
+        path = tmp_path / "no_integer.json"
+        path.write_bytes(blob)
+        for command in ("sample", "mpe", "query"):
+            assert main([command, "--model", str(path)]) == 2, command
+            err = capsys.readouterr().err
+            assert "data error" in err and "Traceback" not in err, command
 
     def test_categorical_case_fits_with_the_right_arity(self):
         obj = json.loads(serialize(two_component_model()))

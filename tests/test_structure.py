@@ -137,6 +137,34 @@ class TestLearnedShapes:
         assert isinstance(model.root, (HistogramLeaf, PiecewiseLinearLeaf))
         assert model.root.scope == (0,)
 
+    def test_constant_column_slices_skip_row_clustering(self, monkeypatch):
+        # a constant column clusters into one cluster, which makes it a leaf:
+        # its slice goes to that leaf without clustering its rows
+        original = mspn.structure.cluster_samples
+        clustered = []
+
+        def counted(data, config, seeds):
+            clustered.append(data)
+            return original(data, config, seeds)
+
+        monkeypatch.setattr(mspn.structure, "cluster_samples", counted)
+        r = np.random.default_rng(41)
+        x = r.normal(size=600)
+        # a and b depend on each other; c is constant and d independent noise
+        data = make_dataset(
+            [("a", CONTINUOUS, None), ("b", CONTINUOUS, None), ("c", DISCRETE, None),
+             ("d", CONTINUOUS, None)],
+            np.column_stack([x, x + r.normal(0.0, 0.1, 600), np.full(600, 2.0),
+                             r.uniform(size=600)]),
+        )
+        model = learn_mspn(data, LearnConfig(seed=3))
+        assert isinstance(model.root, ProductNode)
+        assert any(isinstance(c, (HistogramLeaf, PiecewiseLinearLeaf)) and c.scope == (2,)
+                   for c in model.root.children)
+        # the one-column gate still clusters the noise column's rows
+        assert any(d.n_cols == 1 and d.n_rows == 600 for d in clustered)
+        assert not [d for d in clustered if d.n_cols == 1 and np.all(d.column(0) == 2.0)]
+
     def test_marked_mixture_recovers_component_proportions(self, mix2_model):
         root = mix2_model.root
         assert isinstance(root, SumNode)
