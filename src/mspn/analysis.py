@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, QueryError
-from .leaves import HistogramLeaf, PiecewiseLinearLeaf, leaf_support
+from .leaves import integer_support
 from .inference import evaluation_plan
 from .numerics import is_integer
 from .structure import Mspn
@@ -41,30 +41,24 @@ def _variable_grids(mspn: Mspn, grid_size: int, variables) -> dict:
     """Evaluation points and cell measures for each of ``variables``.
 
     Continuous: ``grid_size`` midpoint cells over the union of leaf
-    supports. Discrete: every integer of the united support. Categorical:
-    every category code. The second array holds the quadrature measure of
-    each point (cell width, or 1 for counting measure). One pass over the
-    leaves finds every variable's support.
+    supports. Discrete and categorical: every integer of the united
+    support, which for a categorical variable is every category code. The
+    second array holds the quadrature measure of each point (cell width,
+    or 1 for counting measure). The supports are read off the plan's leaf
+    table.
     """
-    supports: dict[int, tuple[float, float]] = {}
-    for node in evaluation_plan(mspn).nodes:
-        if isinstance(node, (HistogramLeaf, PiecewiseLinearLeaf)):
-            a, b = leaf_support(node)
-            lo, hi = supports.get(node.variable, (math.inf, -math.inf))
-            supports[node.variable] = (min(lo, a), max(hi, b))
+    plan = evaluation_plan(mspn)
+    lows, highs = np.full(mspn.n_vars, math.inf), np.full(mspn.n_vars, -math.inf)
+    np.minimum.at(lows, plan.leaf_vars, plan.leaf_table.first)
+    np.maximum.at(highs, plan.leaf_vars, plan.leaf_table.last)
 
     grids = {}
     for var in variables:
-        st = mspn.schema.stat_type(var)
-        if st.is_categorical:
-            points = np.arange(st.arity, dtype=np.float64)
-            grids[var] = points, np.ones_like(points)
-            continue
-        if var not in supports:
+        lo, hi = float(lows[var]), float(highs[var])
+        if not lo <= hi:
             raise QueryError(f"no leaf covers variable {var}")
-        lo, hi = supports[var]
-        if st.is_discrete:
-            points = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.float64)
+        if not mspn.schema.stat_type(var).is_continuous:
+            points = integer_support(lo, hi)
             grids[var] = points, np.ones_like(points)
             continue
         width = (hi - lo) / grid_size

@@ -11,9 +11,8 @@ Lebesgue measure (continuous coordinates) and counting measure (the rest).
 
 The first query compiles the model into an evaluation plan, kept on the
 model: the nodes in iterative postorder with their child indices, parents
-and heights, one flat leaf table (every leaf's knots, densities and
-slopes laid end to end, a histogram's edges and bin densities with slope
-0, categorical ones included), the sum nodes grouped by height and child
+and heights, one flat leaf table (every leaf's ``knot_table``, its one
+density rule, laid end to end), the sum nodes grouped by height and child
 count, and every edge with the range of leaves below it.
 Neither compiling nor running a plan recurses, so the depth of the trees
 they handle is bounded by memory, not by Python's recursion limit. The
@@ -22,9 +21,9 @@ executors on the plan:
 * ``_Plan.evaluate_row`` answers one validated row (``log_evaluate``,
   ``log_conditional``, ``mpe``, ``sample``). It walks the heights once:
   the observed leaves get their densities from one pass over the leaf
-  table that reproduces ``leaf_density_batch``, each group of sum nodes
-  with the same height and child count is one ``weighted_logsumexp``
-  call, and products add ``0.0 + c0 + c1 + ...`` in child order.
+  table, each group of sum nodes with the same height and child count is
+  one ``weighted_logsumexp`` call, and products add ``0.0 + c0 + c1 +
+  ...`` in child order.
 * ``_Plan.evaluate_tables`` evaluates the nodes on tables of observed
   values: many rows (``log_evaluate_batch``, on the distinct values
   ``_Batch`` gives each observed variable) or the grids of one or two
@@ -32,12 +31,13 @@ executors on the plan:
   observed variable in scope run; the others enter their parents as their
   all-marginalized value, ``_Plan.base``. A node with one observed
   variable runs on that variable's points, a grid or a batch column's
-  distinct values. A node with several combines its children's tables by
-  broadcasting, reading them per row in a batch and as (ga, 1) and
-  (1, gb) tables on a pair's grid. Sums and products go through
-  ``_Plan._combine``, so each cell gets the bits its row gets alone. MI
-  keeps each variable's tables and shares them among pairs, so a pair
-  runs only the nodes with both variables in scope.
+  distinct values, a leaf through ``leaf_density_batch``. A node with
+  several combines its children's tables by broadcasting, reading them
+  per row in a batch and as (ga, 1) and (1, gb) tables on a pair's grid.
+  Sums and products go through ``_Plan._combine``, so each cell gets the
+  bits its row gets alone. MI keeps each variable's tables and shares
+  them among pairs, so a pair runs only the nodes with both variables in
+  scope.
 * ``_Plan.max_product`` is MPE's second pass, in three vectorized steps.
   The leaves' log coefficients in their 1-d mixtures accumulate per leaf,
   one step per height. Every mixture of the query is then maximized at
@@ -81,11 +81,12 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .data import CATEGORICAL, CONTINUOUS, DISCRETE, Schema
+from .data import CATEGORICAL, CONTINUOUS, Schema
 from .errors import ConditioningError, QueryError
 from .leaves import (
     HistogramLeaf,
     PiecewiseLinearLeaf,
+    integer_support,
     leaf_density_batch,
     leaf_sample,
     leaf_support,
@@ -210,40 +211,18 @@ def _padded(rows, fill) -> np.ndarray:
 
 
 class _LeafTable:
-    """Every leaf of a plan as one piecewise-linear density, knots laid end to end.
+    """Every leaf's ``knot_table`` (``leaves.KnotTable``), laid end to end.
 
     Leaf k owns ``x``, ``y`` and ``slope`` at ``start[k] .. start[k] +
-    count[k] - 1``. A piecewise-linear leaf keeps its knots, and each
-    slope is computed as ``np.interp`` computes it (0 at the last knot). A
-    histogram is piecewise constant: its knots are its edges, its
-    densities each bin's as ``leaf_density_batch`` divides it out (the top
-    bin's repeated at the last edge) and its slopes 0. ``density``
-    reproduces ``leaf_density_batch`` for one value per leaf: the segment
-    is the last knot <= x, a value on a knot takes that knot's density,
-    and otherwise the density is ``slope * (x - x_j) + y_j``. Outside
-    ``first .. last`` it is ``outside``: 0, or for a categorical leaf,
-    whose range is the codes 0 .. arity - 1 (x is a validated integer),
-    its unseen mass.
+    count[k] - 1``, its support is ``first[k] .. last[k]`` and its density
+    outside it ``outside[k]``. ``density`` reads the rule of the knot
+    tables for one value per leaf, in one vectorized pass: the segment is
+    the last knot <= x, a value on a knot takes that knot's density, and
+    otherwise the density is ``slope * (x - x_j) + y_j``.
     """
 
     def __init__(self, leaves):
-        xs, ys, slopes, last, outside = [], [], [], [], []
-        for leaf in leaves:
-            if isinstance(leaf, PiecewiseLinearLeaf):
-                x, y = leaf.knots_x, leaf.knots_y
-                slopes.append(np.append(np.diff(y) / np.diff(x), 0.0))
-            else:
-                x, widths = leaf.edges, np.diff(leaf.edges)
-                if leaf.domain == DISCRETE:
-                    widths = np.maximum(np.rint(widths), 1.0)
-                dens = leaf.masses / widths
-                y = np.append(dens, dens[-1])
-                slopes.append(np.zeros(x.size))
-            categorical = leaf.domain == CATEGORICAL
-            last.append(x[-1] - 1.0 if categorical else x[-1])
-            outside.append(leaf.unseen_mass if categorical else 0.0)
-            xs.append(x)
-            ys.append(y)
+        xs, ys, slopes, last, outside = zip(*(leaf.knot_table for leaf in leaves))
         self.count = np.array([x.size for x in xs])
         self.start = np.concatenate(([0], np.cumsum(self.count[:-1])))
         self.x, self.y, self.slope = (np.concatenate(a) for a in (xs, ys, slopes))
@@ -265,8 +244,8 @@ class _SettleTable(NamedTuple):
     The mixture's terms are the node's leaves of that variable, in
     postorder; ``ranks`` are their positions among all the plan's leaves.
     The entries hold each term's log density on the cells of the candidate
-    ``grid`` inside the leaf's support (every cell for categorical leaves,
-    which give unseen codes their unseen mass), laid out cell by cell:
+    ``grid`` inside the leaf's support (every cell if it has density
+    outside, as a categorical leaf's unseen mass), laid out cell by cell:
     within a cell the terms keep their order, ``entry_ranks`` names each
     entry's leaf and ``first`` marks the first entry of each cell. Outside
     a support the density is 0, so the term adds nothing there. A cell no
@@ -749,12 +728,11 @@ class _Plan:
         ranks = lo + np.flatnonzero(self.leaf_vars[lo:hi] == var)
         leaves = [self.nodes[j] for j in self.leaf_nodes[ranks].tolist()]
         grid = _free_candidates([(0.0, leaf) for leaf in leaves])
-        if leaves[0].domain == CATEGORICAL:
-            spans = [(0, grid.size)] * len(leaves)
-        else:
-            start, stop = np.array([leaf_support(leaf) for leaf in leaves]).T
-            spans = zip(np.searchsorted(grid, start, "left").tolist(),
-                        np.searchsorted(grid, stop, "right").tolist())
+        t = self.leaf_table
+        everywhere = t.outside[ranks] > 0
+        spans = zip(np.searchsorted(grid, np.where(everywhere, -np.inf, t.first[ranks])).tolist(),
+                    np.searchsorted(grid, np.where(everywhere, np.inf, t.last[ranks]),
+                                    "right").tolist())
         covered = np.zeros(grid.size, dtype=bool)
         cells, densities = [], []
         for leaf, (a, b) in zip(leaves, spans):
@@ -863,26 +841,18 @@ def _free_candidates(terms) -> np.ndarray:
     union of the knots, so its maximum sits on a knot; a sum of histogram
     densities is piecewise constant between the union of the edges, so
     evaluating the midpoints of that union partition is exact. Discrete
-    and categorical variables enumerate their whole (integer) support.
+    and categorical variables enumerate the integers of their leaves'
+    united supports.
     """
     leaves = [leaf for _, leaf in terms]
-    domain = leaves[0].domain
-    if domain == CATEGORICAL:
-        arity = max(leaf.n_bins for leaf in leaves)
-        return np.arange(arity, dtype=np.float64)
-    if domain == DISCRETE:
-        lo = min(leaf_support(leaf)[0] for leaf in leaves)
-        hi = max(leaf_support(leaf)[1] for leaf in leaves)
-        return np.arange(np.ceil(lo), np.floor(hi) + 1.0)
-    parts = []
+    if leaves[0].domain != CONTINUOUS:
+        lo, hi = zip(*map(leaf_support, leaves))
+        return integer_support(min(lo), max(hi))
+    parts = [leaf.knots_x for leaf in leaves if isinstance(leaf, PiecewiseLinearLeaf)]
     edges = [leaf.edges for leaf in leaves if isinstance(leaf, HistogramLeaf)]
-    for leaf in leaves:
-        if isinstance(leaf, PiecewiseLinearLeaf):
-            parts.append(leaf.knots_x)
     if edges:
         merged = np.unique(np.concatenate(edges))
-        parts.append(merged)
-        parts.append(0.5 * (merged[1:] + merged[:-1]))
+        parts += [merged, 0.5 * (merged[1:] + merged[:-1])]
     return np.unique(np.concatenate(parts))
 
 

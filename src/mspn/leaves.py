@@ -10,8 +10,10 @@ Two nonparametric families cover all column kinds:
   continuous and discrete columns.
 
 Leaves are immutable after fitting; evaluation and sampling never
-mutate them. A leaf's first draw builds its inverse-CDF table, which is
-derived from its fields and kept on the leaf.
+mutate them. Tables derived from a leaf's fields are built on first use
+and kept on the leaf: ``inverse_cdf``, which sampling reads, and
+``knot_table``, the one density rule of each family, which every query
+and ``leaf_support`` read.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,11 +41,20 @@ def _readonly(a) -> np.ndarray:
     return out
 
 
-def _check_discrete_support(domain: str, lo: float, hi: float) -> None:
+def _check_knots(x: np.ndarray, what: str, domain: str) -> None:
+    # compared, not subtracted, so that neither inf - inf nor a span too wide
+    # warns: x[-1] - x[0] overflows exactly when its half rounds to 2**1023
+    lo, hi = float(x[0]), float(x[-1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and np.all(x[1:] > x[:-1])):
+        raise DomainError(f"{what} must be finite and strictly increasing")
+    if not hi / 2 - lo / 2 < 2.0 ** 1023:
+        raise DomainError(f"{what} span [{lo:g}, {hi:g}] is wider than a double holds")
     # a discrete leaf puts its mass on the integers of [lo, hi]; with none
     # there it would sample outside its support or have nothing to sample
     if domain == DISCRETE and math.ceil(lo) > math.floor(hi):
         raise DomainError(f"discrete leaf support [{lo:g}, {hi:g}] holds no integer")
+    if domain == CATEGORICAL and x.tolist() != list(range(x.size)):
+        raise DomainError("categorical bin edges must be the codes 0, 1, ..., arity")
 
 
 @dataclass(frozen=True)
@@ -77,12 +89,7 @@ class HistogramLeaf:
             raise DomainError("edges and masses must be 1-d")
         if self.edges.size != self.masses.size + 1 or self.masses.size < 1:
             raise DomainError("need B+1 edges for B >= 1 masses")
-        # increasing edges between finite ends are all finite; compared, not
-        # subtracted, because inf - inf would warn before this could reject it
-        e = self.edges
-        if not (math.isfinite(e[0]) and math.isfinite(e[-1]) and np.all(e[1:] > e[:-1])):
-            raise DomainError("bin edges must be finite and strictly increasing")
-        _check_discrete_support(self.domain, e[0], e[-1])
+        _check_knots(self.edges, "bin edges", self.domain)
         if not (self.masses.min() >= 0 and abs(float(self.masses.sum()) - 1.0) <= 1e-12):
             raise DomainError("masses must be a probability vector")
         if not (0 <= self.smoothing < math.inf and 0 <= self.unseen_mass < math.inf):
@@ -100,6 +107,24 @@ class HistogramLeaf:
     def inverse_cdf(self) -> tuple[list, list]:
         """``leaf_sample``'s table, built on first use: cumulative masses and edges."""
         return np.cumsum(self.masses).tolist(), self.edges.tolist()
+
+    @cached_property
+    def knot_table(self) -> KnotTable:
+        """The density as knots, built on first use: edges, bin densities, slopes 0.
+
+        A discrete bin spreads its mass over ``max(rint(width), 1)``
+        integers; the last edge repeats the top bin's density. A categorical
+        leaf's support ends at code ``arity - 1``; other codes score its
+        unseen mass.
+        """
+        widths = np.diff(self.edges)
+        if self.domain == DISCRETE:
+            widths = np.maximum(np.rint(widths), 1.0)
+        density = self.masses / widths
+        last, outside = ((self.edges[-1] - 1.0, self.unseen_mass)
+                         if self.domain == CATEGORICAL else (self.edges[-1], 0.0))
+        return KnotTable(self.edges, np.append(density, density[-1]), np.zeros(self.edges.size),
+                         last, outside)
 
 
 @dataclass(frozen=True)
@@ -131,11 +156,7 @@ class PiecewiseLinearLeaf:
         x, y = self.knots_x, self.knots_y
         if x.ndim != 1 or x.shape != y.shape or x.size < 2:
             raise DomainError("need matching 1-d knot vectors with >= 2 knots")
-        # increasing knots between finite ends are all finite; knots and
-        # densities are compared, not subtracted, because inf - inf would warn
-        if not (math.isfinite(x[0]) and math.isfinite(x[-1]) and np.all(x[1:] > x[:-1])):
-            raise DomainError("knots_x must be finite and strictly increasing")
-        _check_discrete_support(self.domain, x[0], x[-1])
+        _check_knots(x, "knots_x", self.domain)
         if not y.min() >= 0:
             raise DomainError("knot densities must be nonnegative")
         m = self.mode_index
@@ -160,12 +181,33 @@ class PiecewiseLinearLeaf:
         """
         x, y = self.knots_x, self.knots_y
         if self.domain == DISCRETE:
-            support = _discrete_support_values(self)
+            support = integer_support(*leaf_support(self))
             return np.cumsum(np.interp(support, x, y)).tolist(), support.tolist()
         return np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x)).tolist(), x.tolist(), y.tolist()
 
+    @cached_property
+    def knot_table(self) -> KnotTable:
+        """The density as knots, built on first use: slopes as ``np.interp`` computes them."""
+        x, y = self.knots_x, self.knots_y
+        return KnotTable(x, y, np.append(np.diff(y) / np.diff(x), 0.0), x[-1], 0.0)
+
 
 Leaf = HistogramLeaf | PiecewiseLinearLeaf
+
+
+class KnotTable(NamedTuple):
+    """A leaf's density as every query reads it (each leaf's ``knot_table``).
+
+    On ``x[0] .. last`` the density at ``v`` is read at the last knot
+    ``x[j] <= v``: ``y[j]`` on it, ``slope[j] * (v - x[j]) + y[j]`` past
+    it; the last knot's slope is 0. Elsewhere it is ``outside``.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    slope: np.ndarray
+    last: float
+    outside: float
 
 
 def _unit_bin_edges(lo: int, hi: int) -> np.ndarray:
@@ -286,40 +328,28 @@ def fit_isotonic_pwl(column, stat_type: StatType, smoothing: float = 1.0,
 
 
 def leaf_density_batch(leaf: Leaf, values: np.ndarray) -> np.ndarray:
-    """Vectorized density (mass for discrete/categorical) at ``values``."""
+    """Vectorized density (mass for discrete/categorical) at ``values``.
+
+    Reads ``leaf.knot_table``: ``np.interp`` for piecewise-linear leaves, a
+    step lookup and a range mask for histograms, whose codes are integers.
+    """
     v = np.asarray(values, dtype=np.float64)
+    t = leaf.knot_table
     if isinstance(leaf, PiecewiseLinearLeaf):
-        return np.interp(v, leaf.knots_x, leaf.knots_y, left=0.0, right=0.0)
-    if leaf.domain == CATEGORICAL:
-        codes = np.rint(v).astype(np.int64)
-        known = (codes >= 0) & (codes < leaf.n_bins)
-        out = np.full(v.shape, leaf.unseen_mass)
-        out[known] = leaf.masses[codes[known]]
-        return out
-    edges, masses = leaf.edges, leaf.masses
-    idx = np.searchsorted(edges, v, side="right") - 1
-    idx = np.clip(idx, 0, masses.size - 1)
-    inside = (v >= edges[0]) & (v <= edges[-1])
-    if leaf.domain == DISCRETE:
-        # bins wider than one integer (the wide-range fallback) spread
-        # their mass uniformly over the integers they contain
-        span = np.maximum(np.rint(edges[idx + 1] - edges[idx]), 1.0)
-        dens = masses[idx] / span
-    else:
-        dens = masses[idx] / (edges[idx + 1] - edges[idx])
-    return np.where(inside, dens, 0.0)
+        return np.interp(v, t.x, t.y, left=t.outside, right=t.outside)
+    # a value below the first knot reads y[-1], which the range mask replaces
+    y = t.y[np.searchsorted(t.x, v, side="right") - 1]
+    return np.where((v >= t.x[0]) & (v <= t.last), y, t.outside)
 
 
 def leaf_support(leaf: Leaf) -> tuple[float, float]:
-    if isinstance(leaf, PiecewiseLinearLeaf):
-        return float(leaf.knots_x[0]), float(leaf.knots_x[-1])
-    if leaf.domain == CATEGORICAL:
-        return 0.0, float(leaf.n_bins - 1)
-    return float(leaf.edges[0]), float(leaf.edges[-1])
+    """The range ``x[0] .. last`` of the leaf's knot table."""
+    t = leaf.knot_table
+    return float(t.x[0]), float(t.last)
 
 
-def _discrete_support_values(leaf: Leaf) -> np.ndarray:
-    lo, hi = leaf_support(leaf)
+def integer_support(lo: float, hi: float) -> np.ndarray:
+    """The integers of ``[lo, hi]``: a discrete or categorical variable's grid."""
     return np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.float64)
 
 

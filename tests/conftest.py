@@ -25,6 +25,7 @@ from mspn import (
 from mspn._kernels import dp_fill
 from mspn.data import DISCRETE, _dataset_with_sentinels, _parse_cell
 from mspn.errors import IngestError
+from mspn.leaves import PiecewiseLinearLeaf
 from mspn.numerics import _candidate_boundaries, _segment_loglik
 
 # ---------------------------------------------------------------------------
@@ -81,6 +82,36 @@ def per_pair_cca_max_correlation(a, b, ridge=1e-6):
     mid = 0.5 * (mid + mid.T)
     lam = np.linalg.eigvalsh(mid)
     return float(np.sqrt(np.clip(lam[-1], 0.0, 1.0)))
+
+
+def reference_density(leaf, values):
+    """A leaf's density (mass for discrete/categorical) at ``values``, one
+    branch per family, as the batch path computed it before every query
+    read the leaf's knot table: the knot tables must reproduce it bit for
+    bit. A code too large for an int64 casts to some out-of-range code,
+    which scores the unseen mass like any other."""
+    v = np.asarray(values, dtype=np.float64)
+    if isinstance(leaf, PiecewiseLinearLeaf):
+        return np.interp(v, leaf.knots_x, leaf.knots_y, left=0.0, right=0.0)
+    if leaf.domain == CATEGORICAL:
+        with np.errstate(invalid="ignore"):
+            codes = np.rint(v).astype(np.int64)
+        known = (codes >= 0) & (codes < leaf.n_bins)
+        out = np.full(v.shape, leaf.unseen_mass)
+        out[known] = leaf.masses[codes[known]]
+        return out
+    edges, masses = leaf.edges, leaf.masses
+    idx = np.searchsorted(edges, v, side="right") - 1
+    idx = np.clip(idx, 0, masses.size - 1)
+    inside = (v >= edges[0]) & (v <= edges[-1])
+    if leaf.domain == DISCRETE:
+        # bins wider than one integer (the wide-range fallback) spread
+        # their mass uniformly over the integers they contain
+        span = np.maximum(np.rint(edges[idx + 1] - edges[idx]), 1.0)
+        dens = masses[idx] / span
+    else:
+        dens = masses[idx] / (edges[idx + 1] - edges[idx])
+    return np.where(inside, dens, 0.0)
 
 
 def per_cell_load_dataset(path, schema, *, unseen_to_sentinel=False) -> Dataset:
@@ -402,6 +433,11 @@ def mix2_data() -> Dataset:
 @pytest.fixture(scope="session")
 def mix2_model(mix2_data):
     return learn_mspn(mix2_data, LearnConfig(seed=17))
+
+
+# the keys of ``fixture_models``, for tests parametrized per model
+FIXTURE_MODEL_NAMES = ("blobs2d", "cont_indep", "cat_pair", "cat_indep", "hybrid6",
+                       "hybrid_small", "uni1d", "mix2")
 
 
 @pytest.fixture(scope="session")

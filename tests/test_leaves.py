@@ -8,6 +8,7 @@ import pytest
 from mspn import CATEGORICAL, CONTINUOUS, StatType
 from mspn.data import DISCRETE
 from mspn.errors import DomainError
+from mspn.inference import _LeafTable
 from mspn.leaves import (
     HistogramLeaf,
     PiecewiseLinearLeaf,
@@ -18,6 +19,9 @@ from mspn.leaves import (
     leaf_sample,
     leaf_support,
 )
+from mspn.structure import iter_nodes
+
+from conftest import FIXTURE_MODEL_NAMES, reference_density
 
 
 def tent_leaf(variable=0):
@@ -127,13 +131,33 @@ def test_a_support_holding_one_integer_is_enough(make):
                                 np.array([0.0, 1.0, 1.0, 0.0]), 1),
     lambda: PiecewiseLinearLeaf(0, CONTINUOUS, np.array([0.0, 1.0, 2.0, 3.0]),
                                 np.array([0.0, np.inf, np.inf, 0.0]), 1),
-], ids=["histogram edges", "knots_x", "knots_y"])
+    lambda: HistogramLeaf(0, CONTINUOUS, np.array([-1e308, 1e308]), np.array([1.0])),
+    lambda: HistogramLeaf(0, DISCRETE, np.array([-1e308, 0.5, 1e308]), np.array([0.5, 0.5])),
+    lambda: PiecewiseLinearLeaf(0, CONTINUOUS, np.array([-1e308, 1e308, 1.5e308]),
+                                np.array([0.0, 1.0, 0.0]), 1),
+], ids=["histogram edges", "knots_x", "knots_y", "histogram span", "discrete histogram span",
+        "piecewise-linear span"])
 def test_adjacent_interior_infinities_raise_only_the_domain_error(make):
-    # inf - inf would make numpy warn before the check could reject the leaf
+    # inf - inf, or a span x[-1] - x[0] past the largest double, would make
+    # numpy warn before the check could reject the leaf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             make()
+
+
+def test_the_widest_span_a_double_holds_is_a_leaf():
+    top = np.finfo(np.float64).max
+    leaf = HistogramLeaf(0, CONTINUOUS, np.array([-top / 2, top / 2]), np.array([1.0]))
+    assert leaf_support(leaf) == (-top / 2, top / 2)
+
+
+@pytest.mark.parametrize("edges", [[0.0, 1.5, 3.0], [1.0, 2.0, 3.0], [0.0, 1.0, 3.0],
+                                   [-1.0, 0.0, 1.0]])
+def test_categorical_edges_must_be_the_codes(edges):
+    # every density rule reads a categorical leaf's bins as the codes 0 .. arity - 1
+    with pytest.raises(DomainError, match="categorical bin edges"):
+        HistogramLeaf(0, CATEGORICAL, np.array(edges), np.array([0.4, 0.6]))
 
 
 class TestFitHistogramCategorical:
@@ -299,6 +323,59 @@ class TestLeafDensity:
             leaf_density_batch(leaf, xs), [leaf_density_batch(leaf, xs[i:i + 1])[0]
                                            for i in range(xs.size)]
         )
+
+
+def edge_leaves():
+    """One leaf per edge of a family: one bin, one segment, categorical arity 2,
+    and discrete histograms whose bins span more than ``MAX_UNIT_BINS`` integers."""
+    return [
+        HistogramLeaf(0, CONTINUOUS, np.array([0.5, 2.0]), np.array([1.0])),
+        HistogramLeaf(0, DISCRETE, np.array([3.5, 4.5]), np.array([1.0])),
+        PiecewiseLinearLeaf(0, CONTINUOUS, np.array([1.0, 3.0]), np.array([0.0, 1.0]), 1),
+        PiecewiseLinearLeaf(0, DISCRETE, np.array([-0.5, 1.5]), np.array([0.5, 0.5]), 0),
+        HistogramLeaf(0, CATEGORICAL, np.arange(3.0), np.array([0.3, 0.7]), 1.0, 0.02),
+        HistogramLeaf(0, CATEGORICAL, np.arange(3.0), np.array([1.0, 0.0])),
+        HistogramLeaf(0, DISCRETE, np.array([-0.5, 2999.5, 6000.25]), np.array([0.7, 0.3])),
+        HistogramLeaf(0, DISCRETE, np.array([-5000.0, -2500.0, 10.0, 4000.5]),
+                      np.array([0.2, 0.5, 0.3])),
+    ]
+
+
+def probe_points(leaf):
+    """Every knot and midpoint, the floats next to both support ends, and +-1e100.
+
+    Queries take category codes as nonnegative integers only, so a
+    categorical leaf keeps those.
+    """
+    x = leaf.knots_x if isinstance(leaf, PiecewiseLinearLeaf) else leaf.edges
+    ends = (x[0], x[-1] - 1.0 if leaf.domain == CATEGORICAL else x[-1])
+    points = np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
+                             [np.nextafter(e, side) for e in ends for side in (-np.inf, np.inf)],
+                             [-1e100, 1e100]])
+    if leaf.domain == CATEGORICAL:
+        points = points[(points == np.rint(points)) & (points >= 0)]
+    return points
+
+
+@pytest.mark.parametrize("source", [*FIXTURE_MODEL_NAMES, "edge leaves"])
+def test_every_density_path_agrees_with_the_reference(source, request):
+    # single rows read the plan's flat leaf table, batches, grids and settle
+    # tables leaf_density_batch; both read each leaf's knot table, and must
+    # give the family-by-family reference density bit for bit
+    if source == "edge leaves":
+        leaves = edge_leaves()
+    else:
+        model = request.getfixturevalue("fixture_models")[source][1]
+        leaves = [node for _, node in iter_nodes(model.root)
+                  if isinstance(node, (HistogramLeaf, PiecewiseLinearLeaf))]
+    for leaf in leaves:
+        points = probe_points(leaf)
+        want = reference_density(leaf, points).tobytes()
+        # far below a leaf, slope * (x - x_j) may overflow; the range mask drops it
+        with np.errstate(over="ignore", invalid="ignore"):
+            single = _LeafTable([leaf] * points.size).density(points)
+        assert single.tobytes() == want, (source, leaf)
+        assert leaf_density_batch(leaf, points).tobytes() == want, (source, leaf)
 
 
 class TestLeafCdf:

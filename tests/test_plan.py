@@ -2,8 +2,10 @@
 
 ``oracle_eval``, ``oracle_sample`` and ``oracle_mpe`` evaluate, sample
 and maximize by plain recursion over the tree, one node at a time, with
-each node's own arithmetic; ``oracle_leaf_sample`` draws from a leaf
-with its cumulative sums recomputed on every call. Every query must reproduce them bit for bit:
+each node's own arithmetic and each leaf's density from the tests' own
+``reference_density``, not the knot tables the queries read;
+``oracle_leaf_sample`` draws from a leaf with its cumulative sums
+recomputed on every call. Every query must reproduce them bit for bit:
 the README's printed values and the determinism gate depend on it. The
 evidence mixes training rows with values exactly on knots and bin edges,
 values outside every support, unseen category codes and random
@@ -46,15 +48,10 @@ from mspn.analysis import _GridTables, _variable_grids
 from mspn.data import DISCRETE
 from mspn.errors import ConditioningError, QueryError
 from mspn.inference import _free_candidates, evaluation_plan, sample_rows
-from mspn.leaves import (
-    HistogramLeaf,
-    PiecewiseLinearLeaf,
-    leaf_density_batch,
-    leaf_sample,
-)
+from mspn.leaves import HistogramLeaf, PiecewiseLinearLeaf, leaf_sample
 from mspn.numerics import trapezoid, weighted_logsumexp
 from mspn.structure import Mspn, iter_nodes
-from conftest import make_dataset
+from conftest import make_dataset, reference_density
 
 EVIDENCES_PER_MODEL = 150
 
@@ -74,7 +71,7 @@ def oracle_eval(node, values, observed, cache=None):
         var = node.variable
         if observed[var]:
             with np.errstate(divide="ignore"):
-                out = np.log(leaf_density_batch(node, values[:, var]))
+                out = np.log(reference_density(node, values[:, var]))
         else:
             out = np.zeros(values.shape[0])
     if cache is not None:
@@ -183,7 +180,7 @@ def oracle_mpe(model, evidence):
         total = np.full(candidates.shape, -np.inf)
         for log_w, leaf in terms:
             with np.errstate(divide="ignore"):
-                total = np.logaddexp(total, log_w + np.log(leaf_density_batch(leaf, candidates)))
+                total = np.logaddexp(total, log_w + np.log(reference_density(leaf, candidates)))
         best = int(np.argmax(total))
         return float(candidates[best]), float(total[best])
 
@@ -791,7 +788,7 @@ def recursive_settle(terms):
     total = np.full(candidates.shape, -np.inf)
     for log_w, leaf in terms:
         with np.errstate(divide="ignore"):
-            total = np.logaddexp(total, log_w + np.log(leaf_density_batch(leaf, candidates)))
+            total = np.logaddexp(total, log_w + np.log(reference_density(leaf, candidates)))
     best = int(np.argmax(total))
     return total[best], candidates[best]
 
@@ -970,9 +967,9 @@ def test_batch_rejects_what_single_row_queries_reject(hybrid_small_model):
         with pytest.raises(QueryError, match=message):
             log_evaluate(model, Evidence(rows[1], mask))
     # a code past the vocabulary, as `mspn loglik` writes for an unseen
-    # label, is legal and scores the unseen mass
+    # label, is legal and scores the unseen mass, even one past 2**63
     arity = model.schema.stat_type(2).arity
-    rows = np.array([[0.1, 2.0, float(arity)], [0.1, 2.0, arity + 3.0]])
+    rows = np.array([[0.1, 2.0, float(arity)], [0.1, 2.0, arity + 3.0], [0.1, 2.0, 1e19]])
     want = [log_evaluate(model, Evidence(row, mask)) for row in rows]
     assert np.array_equal(log_evaluate_batch(model, rows, mask), want)
     assert np.isfinite(want).all()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import mspn.cli
 from mspn import (
+    CATEGORICAL,
     CONTINUOUS,
     Column,
     Evidence,
@@ -371,6 +372,45 @@ class TestOverflowingNumbers:
                 deserialize(blob)
             assert main(["validate", "--model", str(path)]) == 2
         assert "data error" in capsys.readouterr().err
+
+
+# one-leaf files whose leaf breaks a rule of its own check: categorical
+# edges that are not the codes 0 .. arity, and spans x[-1] - x[0] that
+# overflow a double; each with a value to query the column at
+HOSTILE_LEAVES = {
+    "categorical edges not the codes": (
+        Column("c", StatType(CATEGORICAL, ("a", "b"))),
+        HistogramLeaf(0, CATEGORICAL, np.arange(3.0), np.array([0.4, 0.6])),
+        {"edges": [0.0, 1.5, 3.0]}, "a"),
+    "histogram span past a double": (
+        Column("x", StatType(CONTINUOUS)),
+        HistogramLeaf(0, CONTINUOUS, np.array([0.0, 1.0]), np.array([1.0])),
+        {"edges": [-1e308, 1e308]}, "9e307"),
+    "piecewise-linear span past a double": (
+        Column("x", StatType(CONTINUOUS)),
+        PiecewiseLinearLeaf(0, CONTINUOUS, np.array([0.0, 1.0]), np.array([1.0, 1.0])),
+        {"knots_x": [-1e308, 1e308, 1.5e308], "knots_y": [0.0, 1.0, 0.0], "mode_index": 1},
+        "9e307"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_LEAVES))
+def test_leaves_breaking_their_checks_are_data_errors(case, tmp_path, capsys):
+    column, leaf, damage, value = HOSTILE_LEAVES[case]
+    obj = json.loads(serialize(Mspn(leaf, Schema((column,)), LearnConfig())))
+    obj["nodes"][0].update(damage)
+    path = tmp_path / "leaf.json"
+    path.write_text(json.dumps(obj))
+    rows = tmp_path / "rows.csv"
+    rows.write_text(f"{column.name}\n{value}\n")
+    commands = (["validate"], ["query", "--observe", f"{column.name}={value}"],
+                ["loglik", "--data", str(rows)], ["mpe"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in commands:
+            assert main(command + ["--model", str(path)]) == 2, command
+            err = capsys.readouterr().err
+            assert "data error" in err and "Traceback" not in err, command
 
 
 class TestSaveModel:
