@@ -45,7 +45,7 @@ def _check_knots(x: np.ndarray, what: str, domain: str) -> None:
     # compared, not subtracted, so that neither inf - inf nor a span too wide
     # warns: x[-1] - x[0] overflows exactly when its half rounds to 2**1023
     lo, hi = float(x[0]), float(x[-1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and np.all(x[1:] > x[:-1])):
+    if not (math.isfinite(lo) and math.isfinite(hi) and (x[1:] > x[:-1]).all()):
         raise DomainError(f"{what} must be finite and strictly increasing")
     if not hi / 2 - lo / 2 < 2.0 ** 1023:
         raise DomainError(f"{what} span [{lo:g}, {hi:g}] is wider than a double holds")
@@ -55,6 +55,14 @@ def _check_knots(x: np.ndarray, what: str, domain: str) -> None:
         raise DomainError(f"discrete leaf support [{lo:g}, {hi:g}] holds no integer")
     if domain == CATEGORICAL and x.tolist() != list(range(x.size)):
         raise DomainError("categorical bin edges must be the codes 0, 1, ..., arity")
+
+
+def _slopes_finite(x: np.ndarray, y: np.ndarray) -> bool:
+    # the slopes a piecewise-linear leaf's knot table holds; they grow like
+    # 1 / (rows * width**2), so at tiny scales (values near 1e-300) they
+    # overflow, and evaluation would give inf or nan. Callers silence the
+    # overflow this tests for
+    return bool(np.isfinite((y[1:] - y[:-1]) / (x[1:] - x[:-1])).all())
 
 
 @dataclass(frozen=True)
@@ -162,9 +170,14 @@ class PiecewiseLinearLeaf:
         m = self.mode_index
         if not 0 <= m < x.size:
             raise DomainError("mode_index out of range")
-        if np.any(y[1 : m + 1] < y[:m]) or np.any(y[m + 1 :] > y[m:-1]):
+        if (y[1 : m + 1] < y[:m]).any() or (y[m + 1 :] > y[m:-1]).any():
             raise DomainError("knot densities must be unimodal around mode_index")
-        if not abs(trapezoid(y, x) - 1.0) <= 1e-9:
+        # a slope or an integral that overflows is inf and fails its test
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes_finite, area = _slopes_finite(x, y), trapezoid(y, x)
+        if not slopes_finite:
+            raise DomainError("knot slopes overflow a double")
+        if not abs(area - 1.0) <= 1e-9:
             raise DomainError("piecewise-linear density must integrate to 1")
 
     @property
@@ -314,11 +327,9 @@ def fit_isotonic_pwl(column, stat_type: StatType, smoothing: float = 1.0,
     knots_x = np.concatenate(([edges[0]], centers, [edges[-1]]))
     knots_y = np.concatenate(([0.0], fitted, [0.0]))
     knots_y = knots_y / trapezoid(knots_y, knots_x)
-    # slopes grow like 1 / (rows * width**2): at tiny scales (values near
-    # 1e-300) they overflow, and evaluation would give inf or nan
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        slopes = np.diff(knots_y) / np.diff(knots_x)
-    if not np.all(np.isfinite(slopes)):
+        slopes_finite = _slopes_finite(knots_x, knots_y)
+    if not slopes_finite:
         raise DomainError(
             f"variable {variable}: values in [{edges[0]:g}, {edges[-1]:g}] are too "
             "closely spaced for a piecewise-linear leaf, whose slopes overflow; "

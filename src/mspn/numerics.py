@@ -1,8 +1,9 @@
 """Shared numeric machinery.
 
-Seeded RNG streams, random sine feature maps, canonical correlation,
-k-means, the adaptive histogram binning search, and a few small helpers
-used across the package.
+Seeded RNG streams, random sine feature maps, canonical correlation
+(each feature block whitened once, at the fixed ridge ``CCA_RIDGE``, then
+scored against any other), k-means, the adaptive histogram binning
+search, and a few small helpers used across the package.
 """
 
 from __future__ import annotations
@@ -87,22 +88,6 @@ class SineProjection:
         return np.sin(data @ self.weights.T + self.offsets)
 
 
-def cca_max_correlation(a: np.ndarray | _Whitened, b: np.ndarray | _Whitened,
-                        ridge: float = CCA_RIDGE) -> float:
-    """Largest canonical correlation between feature blocks ``a`` and ``b``.
-
-    Solves the generalized eigenproblem on ridge-regularized covariance
-    blocks via a symmetric whitening, so the result is clamped to [0, 1]
-    and degenerate (constant) blocks yield 0 rather than an error. Either
-    block may also come already whitened by :func:`_whiten` with the same
-    ``ridge``, so a caller scoring many pairs prepares each block once.
-    """
-    a, b = (_whitened(x, ridge) for x in (a, b))
-    if b.shape[0] != a.shape[0]:
-        raise DomainError("feature blocks must have the same number of rows")
-    return _pair_correlation(a, b)
-
-
 @dataclass(frozen=True)
 class _Whitened:
     """One feature block prepared for canonical correlation with any other.
@@ -118,7 +103,6 @@ class _Whitened:
     table: np.ndarray  # standardized columns of each distinct row, (k, d)
     cov: np.ndarray  # ridge-regularized covariance of the block, (d, d)
     inv_sqrt: np.ndarray  # cov ** -1/2, (d, d)
-    ridge: float
     ids: np.ndarray | None = None  # row -> table row
 
     @property
@@ -139,16 +123,7 @@ class _Whitened:
         return replace(self, table=self.rows(out), ids=None)
 
 
-def _whitened(x: np.ndarray | _Whitened, ridge: float) -> _Whitened:
-    if not isinstance(x, _Whitened):
-        return _whiten(x, ridge)
-    if x.ridge != ridge:
-        raise DomainError("feature block was whitened with another ridge")
-    return x
-
-
-def _whiten(a: np.ndarray, ridge: float = CCA_RIDGE,
-            ids: np.ndarray | None = None) -> _Whitened:
+def _whiten(a: np.ndarray, ids: np.ndarray | None = None) -> _Whitened:
     """Standardize the block ``a[ids]`` (or ``a``) and whiten its covariance.
 
     Everything here depends on one block only, so a caller scoring many
@@ -171,17 +146,25 @@ def _whiten(a: np.ndarray, ridge: float = CCA_RIDGE,
     # standardize columns (constant columns stay zero) so the ridge acts on
     # a correlation matrix: the result is then invariant under positive
     # per-column affine maps of either block, and every eigenvalue of the
-    # regularized blocks is at least ``ridge``
+    # regularized blocks is at least ``CCA_RIDGE``
     sa = np.sqrt(rows(a * a).sum(axis=0) / (m - 1))
     a = a / np.where(sa > 0.0, sa, 1.0)
     block = rows(a)
-    cov = block.T @ block / (m - 1) + ridge * np.eye(a.shape[1])
+    cov = block.T @ block / (m - 1) + CCA_RIDGE * np.eye(a.shape[1])
     evals, evecs = np.linalg.eigh(cov)
     inv_sqrt = evecs @ ((1.0 / np.sqrt(evals))[:, None] * evecs.T)
-    return _Whitened(a, cov, inv_sqrt, ridge, ids)
+    return _Whitened(a, cov, inv_sqrt, ids)
 
 
-def _pair_correlation(a: _Whitened, b: _Whitened) -> float:
+def cca_max_correlation(a: _Whitened, b: _Whitened) -> float:
+    """Largest canonical correlation between the whitened blocks ``a`` and ``b``.
+
+    Solves the generalized eigenproblem on the ridge-regularized covariance
+    blocks through ``a``'s symmetric whitening, so the result is clamped to
+    [0, 1] and degenerate (constant) blocks yield 0 rather than an error.
+    """
+    if b.shape[0] != a.shape[0]:
+        raise DomainError("feature blocks must have the same number of rows")
     # largest eigenvalue of Saa^-1/2 Sab Sbb^-1 Sba Saa^-1/2, symmetrized
     sab = a.rows().T @ b.rows() / (a.shape[0] - 1)
     mid = a.inv_sqrt @ sab @ np.linalg.solve(b.cov, sab.T) @ a.inv_sqrt

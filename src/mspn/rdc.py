@@ -9,9 +9,12 @@ of the thresholded dependency graph) and conditioning rows into clusters
 (k-means on the concatenated features).
 
 Equal values carry equal features, so the work runs on distinct values:
-each variable is ranked and projected once per distinct value and its
-features gathered to the rows, and row clustering embeds each distinct
-data row once, with ids taken from the data, never from the features.
+each variable is ranked, projected and whitened once per distinct value,
+and its block is gathered to the rows only for the product of a pair;
+:func:`rdc` and :func:`split_features` score a pair from the same
+whitened blocks, so they give it the same bits. Row clustering embeds
+each distinct data row once, with ids taken from the data, never from
+the features.
 
 All randomness flows through :class:`~mspn.numerics.SeedScope`, keyed by
 (seed, node path, purpose, variable), so results are reproducible
@@ -30,7 +33,9 @@ from .numerics import (
     SeedScope,
     SineProjection,
     _whiten,
+    _Whitened,
     cca_max_correlation,
+    is_integer,
     kmeans,
 )
 
@@ -48,8 +53,6 @@ class DependencyGraph:
     forest of the thresholded all-pairs graph, with the same components.
     """
 
-    n_vars: int
-    threshold: float
     edges: tuple[tuple[int, int, float], ...]  # (i, j, score) with i < j, in scoring order
     groups: tuple[tuple[int, ...], ...]  # connected components, each ascending
 
@@ -87,16 +90,17 @@ def _distinct_features(dataset: Dataset, v: int, config, seeds: SeedScope,
     return proj.transform(ranks), ids
 
 
-def _variable_features(dataset: Dataset, v: int, config, seeds: SeedScope,
-                       tag: int) -> np.ndarray:
-    """Rank-transform variable ``v`` and project it through sine features, per row."""
-    features, ids = _distinct_features(dataset, v, config, seeds, tag)
-    return features[ids]
+def _split_block(dataset: Dataset, v: int, config, seeds: SeedScope) -> _Whitened | None:
+    """Variable ``v``'s split features whitened on its distinct values; None if constant.
 
-
-def _is_constant(dataset: Dataset, v: int) -> bool:
+    Whitening depends on one variable only, so a caller scoring many pairs
+    prepares each variable once.
+    """
     col = dataset.column(v)
-    return bool(np.all(col == col[0]))
+    if np.all(col == col[0]):
+        return None
+    features, ids = _distinct_features(dataset, v, config, seeds, _SPLIT_TAG)
+    return _whiten(features, ids=ids)
 
 
 def rdc(dataset: Dataset, i: int, j: int, config, seeds: SeedScope | None = None) -> float:
@@ -104,44 +108,40 @@ def rdc(dataset: Dataset, i: int, j: int, config, seeds: SeedScope | None = None
 
     Symmetric and deterministic given the seed scope; invariant under
     strictly increasing transformations of either variable because only
-    ranks enter the feature maps. Constant columns score exactly 0.
+    ranks enter the feature maps. Constant columns score exactly 0. It is
+    the score :func:`split_features` gives the pair under the same scope.
     """
+    if not all(is_integer(v) and 0 <= v < dataset.n_cols for v in (i, j)):
+        raise DomainError("variable indices must be integers in range")
     if i == j:
         raise DomainError("rdc needs two distinct variables")
-    if not (0 <= i < dataset.n_cols and 0 <= j < dataset.n_cols):
-        raise DomainError("variable index out of range")
-    if _is_constant(dataset, i) or _is_constant(dataset, j):
-        return 0.0
     if seeds is None:
         seeds = SeedScope(config.seed)
-    a, b = min(i, j), max(i, j)
-    feats_a = _variable_features(dataset, a, config, seeds, _SPLIT_TAG)
-    feats_b = _variable_features(dataset, b, config, seeds, _SPLIT_TAG)
-    return cca_max_correlation(feats_a, feats_b)
+    a, b = (_split_block(dataset, v, config, seeds) for v in sorted((i, j)))
+    if a is None or b is None:
+        return 0.0
+    return cca_max_correlation(a, b)
 
 
-def dependency_graph(dataset: Dataset, threshold: float, config,
-                     seeds: SeedScope | None = None) -> DependencyGraph:
-    """Connected components of the pairs scoring strictly above ``threshold``.
+def split_features(dataset: Dataset, threshold: float, config,
+                   seeds: SeedScope | None = None) -> DependencyGraph:
+    """Variable groups: the components of the pairs scoring strictly above ``threshold``.
 
-    Pairs are scored in order (``i`` ascending, then ``j``), skipping a pair
-    whose two variables are already joined (union-find): its score could
-    not change the components, and every pair still scored joins the same
-    groups it joins when all pairs are scored.
+    A single group means no independence split exists at this threshold;
+    the caller decides what to do with that. Pairs are scored in order
+    (``i`` ascending, then ``j``), skipping a pair whose two variables are
+    already joined (union-find): its score could not change the
+    components, and every pair still scored joins the same groups it joins
+    when all pairs are scored.
     """
+    if dataset.n_cols < 2:
+        raise DomainError("feature splitting needs at least two variables")
     if seeds is None:
         seeds = SeedScope(config.seed)
     n = dataset.n_cols
-    # whitening depends on one variable only: once per variable, not per
-    # pair, and on its distinct values; only the pair being scored is held
-    # per row, each block gathered into one of two buffers
-    white = []
-    for v in range(n):
-        if _is_constant(dataset, v):
-            white.append(None)
-        else:
-            features, ids = _distinct_features(dataset, v, config, seeds, _SPLIT_TAG)
-            white.append(_whiten(features, ids=ids))
+    white = [_split_block(dataset, v, config, seeds) for v in range(n)]
+    # only the pair being scored is held per row, each block gathered into
+    # one of two buffers
     blocks = np.empty((2, dataset.n_rows, config.proj_features))
     edges = []
     parent = list(range(n))
@@ -168,19 +168,7 @@ def dependency_graph(dataset: Dataset, threshold: float, config,
     groups: dict[int, list[int]] = {}
     for v in range(n):
         groups.setdefault(find(v), []).append(v)
-    return DependencyGraph(n, threshold, tuple(edges), tuple(map(tuple, groups.values())))
-
-
-def split_features(dataset: Dataset, threshold: float, config,
-                   seeds: SeedScope | None = None) -> DependencyGraph:
-    """The dependency graph whose ``groups`` partition the variables.
-
-    A single group means no independence split exists at this threshold;
-    the caller decides what to do with that.
-    """
-    if dataset.n_cols < 2:
-        raise DomainError("feature splitting needs at least two variables")
-    return dependency_graph(dataset, threshold, config, seeds)
+    return DependencyGraph(tuple(edges), tuple(map(tuple, groups.values())))
 
 
 def cluster_samples(dataset: Dataset, config, seeds: SeedScope | None = None) -> SamplePartition:

@@ -459,7 +459,7 @@ class TestBenchmarkHooks:
                              r.integers(0, 3, 300), r.integers(0, 5, 300)]),
         )
         cfg = mspn.LearnConfig()
-        rdc.dependency_graph(data, 1.0, cfg)
+        rdc.split_features(data, 1.0, cfg)
         # three non-constant variables and no score above 1.0 to join any
         # two of them, so three pairs
         assert shapes == [((300, cfg.proj_features),) * 2] * 3

@@ -95,41 +95,45 @@ class TestSineProjection:
             proj.transform(np.zeros((4, 3)))
 
 
+def _cca(a, b):
+    return cca_max_correlation(_whiten(a), _whiten(b))
+
+
 class TestCcaMaxCorrelation:
     def test_identical_blocks_fully_correlated(self):
         a = np.random.default_rng(0).normal(size=(200, 3))
-        assert abs(cca_max_correlation(a, a) - 1.0) <= 1e-6
+        assert abs(_cca(a, a) - 1.0) <= 1e-6
 
     def test_affine_dependence_fully_correlated(self):
         a = np.random.default_rng(1).normal(size=(500, 1))
-        assert abs(cca_max_correlation(a, 2.0 * a + 3.0) - 1.0) <= 1e-6
+        assert abs(_cca(a, 2.0 * a + 3.0) - 1.0) <= 1e-6
 
     def test_independent_samples_near_zero(self):
         r = np.random.default_rng(2)
-        rho = cca_max_correlation(r.normal(size=(5000, 1)), r.normal(size=(5000, 1)))
+        rho = _cca(r.normal(size=(5000, 1)), r.normal(size=(5000, 1)))
         assert rho < 0.1
 
     def test_symmetric_in_arguments(self):
         r = np.random.default_rng(3)
         a, b = r.normal(size=(300, 4)), r.normal(size=(300, 2))
-        assert abs(cca_max_correlation(a, b) - cca_max_correlation(b, a)) < 1e-9
+        assert abs(_cca(a, b) - _cca(b, a)) < 1e-9
 
     def test_invariant_under_positive_affine_column_maps(self):
         r = np.random.default_rng(4)
         a, b = r.normal(size=(400, 3)), r.normal(size=(400, 3))
-        base = cca_max_correlation(a, b)
-        scaled = cca_max_correlation(a * [2.0, 0.5, 7.0] + [1.0, -3.0, 0.25], b)
+        base = _cca(a, b)
+        scaled = _cca(a * [2.0, 0.5, 7.0] + [1.0, -3.0, 0.25], b)
         assert abs(base - scaled) < 1e-9
 
     def test_result_clamped_to_unit_interval(self):
         r = np.random.default_rng(5)
         a = r.normal(size=(50, 10))
-        rho = cca_max_correlation(a, a + 1e-12 * r.normal(size=(50, 10)))
+        rho = _cca(a, a + 1e-12 * r.normal(size=(50, 10)))
         assert 0.0 <= rho <= 1.0
 
     def test_constant_block_scores_zero(self):
         r = np.random.default_rng(6)
-        assert cca_max_correlation(np.ones((100, 2)), r.normal(size=(100, 2))) == 0.0
+        assert _cca(np.ones((100, 2)), r.normal(size=(100, 2))) == 0.0
 
     def test_equals_the_per_pair_whitening_bit_for_bit(self):
         r = np.random.default_rng(7)
@@ -143,14 +147,9 @@ class TestCcaMaxCorrelation:
         blocks["constant"] = np.full((400, 3), -1.0)
         for a in blocks.values():
             for b in blocks.values():
-                for ridge in (1e-6, 0.05):
-                    expected = per_pair_cca_max_correlation(a, b, ridge)
-                    assert cca_max_correlation(a, b, ridge) == expected
-                    # blocks whitened once score the same as raw ones
-                    wa, wb = _whiten(a, ridge), _whiten(b, ridge)
-                    assert cca_max_correlation(wa, wb, ridge) == expected
-                    assert cca_max_correlation(wa, b, ridge) == expected
-        assert cca_max_correlation(blocks[3], blocks[20]) > 0.1
+                # blocks whitened once score as whitened per pair
+                assert _cca(a, b) == per_pair_cca_max_correlation(a, b)
+        assert _cca(blocks[3], blocks[20]) > 0.1
 
     @pytest.mark.parametrize("case", ["ties", "constant column", "one column", "two rows"])
     def test_whitening_distinct_rows_keeps_the_bits(self, case):
@@ -163,32 +162,26 @@ class TestCcaMaxCorrelation:
             table[:, 4] = 0.3
         elif case == "two rows":
             ids = np.array([5, 2])
-        b = r.normal(size=(ids.size, 3))
-        for ridge in (1e-6, 0.05):
-            got, want = _whiten(table, ridge, ids=ids), _whiten(table[ids], ridge)
-            assert got.shape == want.shape == (ids.size, table.shape[1])
-            assert got.rows().tobytes() == want.table.tobytes()
-            assert got.gathered().table.tobytes() == want.table.tobytes()
-            assert got.cov.tobytes() == want.cov.tobytes()
-            assert got.inv_sqrt.tobytes() == want.inv_sqrt.tobytes()
-            assert cca_max_correlation(got, b, ridge) == cca_max_correlation(want, b, ridge)
+        b = _whiten(r.normal(size=(ids.size, 3)))
+        got, want = _whiten(table, ids=ids), _whiten(table[ids])
+        assert got.shape == want.shape == (ids.size, table.shape[1])
+        assert got.rows().tobytes() == want.table.tobytes()
+        assert got.gathered().table.tobytes() == want.table.tobytes()
+        assert got.cov.tobytes() == want.cov.tobytes()
+        assert got.inv_sqrt.tobytes() == want.inv_sqrt.tobytes()
+        assert cca_max_correlation(got, b) == cca_max_correlation(want, b)
 
     def test_single_row_rejected(self):
         with pytest.raises(DomainError):
-            cca_max_correlation(np.ones((1, 2)), np.ones((1, 2)))
+            _cca(np.ones((1, 2)), np.ones((1, 2)))
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            cca_max_correlation(np.ones((3, 1)), np.ones((4, 1)))
-        with pytest.raises(DomainError):
-            cca_max_correlation(_whiten(np.ones((3, 1))), _whiten(np.ones((4, 1))))
+            _cca(np.ones((3, 1)), np.ones((4, 1)))
 
-    def test_whitened_block_keeps_its_ridge(self):
+    def test_whitened_block_keeps_its_row_shape(self):
         r = np.random.default_rng(8)
-        a, b = r.normal(size=(50, 2)), r.normal(size=(50, 3))
-        assert _whiten(a).shape == (50, 2)
-        with pytest.raises(DomainError):
-            cca_max_correlation(_whiten(a, 0.05), b)
+        assert _whiten(r.normal(size=(50, 2))).shape == (50, 2)
         with pytest.raises(DomainError):
             _whiten(np.ones((1, 2)))
 

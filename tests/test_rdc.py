@@ -13,9 +13,8 @@ from mspn.rdc import (
     _CLUSTER_TAG,
     _KMEANS_TAG,
     _SPLIT_TAG,
-    _variable_features,
+    _distinct_features,
     cluster_samples,
-    dependency_graph,
     split_features,
 )
 
@@ -27,8 +26,14 @@ def _cont2(values):
     return make_dataset([("a", CONTINUOUS, None), ("b", CONTINUOUS, None)], values)
 
 
+def _variable_features(dataset, v, config, seeds, tag) -> np.ndarray:
+    """Variable ``v``'s sine features, one row per data row."""
+    features, ids = _distinct_features(dataset, v, config, seeds, tag)
+    return features[ids]
+
+
 def _record_scores(monkeypatch) -> list:
-    """Record the score of every pair ``dependency_graph`` scores, in order."""
+    """Record the score of every pair ``split_features`` scores, in order."""
     rdc_module = sys.modules["mspn.rdc"]
     original = rdc_module.cca_max_correlation
     scores = []
@@ -124,6 +129,35 @@ class TestRdcScore:
         cfg = LearnConfig(seed=10)
         assert rdc(cont_indep_data, 0, 1, cfg) == rdc(cont_indep_data, 0, 1, cfg)
 
+    def test_indices_must_be_integers(self, cont_indep_data):
+        cfg = LearnConfig(seed=9)
+        for i, j in ((0.5, 1), (True, 0), (0, False)):
+            with pytest.raises(DomainError):
+                rdc(cont_indep_data, i, j, cfg)
+        assert rdc(cont_indep_data, np.int64(0), 1, cfg) == rdc(cont_indep_data, 0, 1, cfg)
+
+    def test_equals_the_score_the_split_gives_the_pair(self, monkeypatch):
+        r = np.random.default_rng(32)
+        m = 900
+        x = r.normal(size=m)
+        data = make_dataset(
+            [("x", CONTINUOUS, None), ("k", DISCRETE, None), ("c", CONTINUOUS, None),
+             ("g", CATEGORICAL, tuple("pqr")), ("y", CONTINUOUS, None)],
+            np.column_stack([x, r.binomial(8, 0.3, m) + (x > 0), np.full(m, 1.5),
+                             (x > 0.5) + r.integers(0, 2, m), np.round(x ** 2, 1)]),
+        )
+        cfg = LearnConfig(seed=33)
+        seeds = SeedScope(cfg.seed, (2, 0))
+        pairs = [(i, j) for i in range(data.n_cols) for j in range(i + 1, data.n_cols)]
+        scores = {pair: rdc(data, *pair, cfg, seeds) for pair in pairs}
+        scored = _record_scores(monkeypatch)
+        # no score exceeds 1.0, so every pair without the constant column
+        # is scored
+        split_features(data, 1.0, cfg, seeds)
+        assert scored == [s for (i, j), s in scores.items() if 2 not in (i, j)]
+        assert all(s == 0.0 for (i, j), s in scores.items() if 2 in (i, j))
+        assert min(scored) > 0.0 and max(scored) > 0.5
+
 
 class TestDependencyGraph:
     def test_edges_only_above_threshold(self):
@@ -133,7 +167,7 @@ class TestDependencyGraph:
             [("a", CONTINUOUS, None), ("b", CONTINUOUS, None), ("c", CONTINUOUS, None)],
             np.column_stack([x, x + 0.01 * r.normal(size=800), r.uniform(-1, 1, 800)]),
         )
-        g = dependency_graph(ds, 0.3, LearnConfig(seed=11))
+        g = split_features(ds, 0.3, LearnConfig(seed=11))
         pairs = {(i, j) for i, j, _ in g.edges}
         assert (0, 1) in pairs
         assert all(2 not in p for p in pairs)
@@ -149,7 +183,7 @@ class TestDependencyGraph:
                 [x, x + 0.01 * r.normal(size=700), y, y + 0.01 * r.normal(size=700)]
             ),
         )
-        g = dependency_graph(ds, 0.3, LearnConfig(seed=12))
+        g = split_features(ds, 0.3, LearnConfig(seed=12))
         assert list(g.groups) == _union_find_groups(4, [(i, j) for i, j, _ in g.edges])
         assert list(g.groups) == [(0, 1), (2, 3)]
 
@@ -166,7 +200,7 @@ class TestDependencyGraph:
         scored = _record_scores(monkeypatch)
         # no score exceeds 1.0, so nothing is joined and every non-constant
         # pair is scored
-        graph = dependency_graph(data, 1.0, cfg, seeds)
+        graph = split_features(data, 1.0, cfg, seeds)
         oracle = _all_pair_scores(data, cfg, seeds)
         assert scored == list(oracle.values())
         assert graph.edges == ()
@@ -193,7 +227,7 @@ class TestDependencyGraph:
         scored = _record_scores(monkeypatch)
         for threshold in (0.0, 0.05, 0.3):
             del scored[:]
-            graph = dependency_graph(data, threshold, cfg, seeds)
+            graph = split_features(data, threshold, cfg, seeds)
             # scoring in pair order, a pair is skipped once its ends are joined
             group = list(range(data.n_cols))
             want_scored, want_edges = [], []
@@ -230,7 +264,7 @@ class TestDependencyGraph:
         cfg = LearnConfig(seed=31)
         tracemalloc.start()
         try:
-            graph = dependency_graph(data, 0.3, cfg)
+            graph = split_features(data, 0.3, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -375,8 +375,9 @@ class TestOverflowingNumbers:
 
 
 # one-leaf files whose leaf breaks a rule of its own check: categorical
-# edges that are not the codes 0 .. arity, and spans x[-1] - x[0] that
-# overflow a double; each with a value to query the column at
+# edges that are not the codes 0 .. arity, and spans x[-1] - x[0], knot
+# slopes or a trapezoid integral that overflow a double; each with a value
+# to query the column at
 HOSTILE_LEAVES = {
     "categorical edges not the codes": (
         Column("c", StatType(CATEGORICAL, ("a", "b"))),
@@ -391,6 +392,16 @@ HOSTILE_LEAVES = {
         PiecewiseLinearLeaf(0, CONTINUOUS, np.array([0.0, 1.0]), np.array([1.0, 1.0])),
         {"knots_x": [-1e308, 1e308, 1.5e308], "knots_y": [0.0, 1.0, 0.0], "mode_index": 1},
         "9e307"),
+    "piecewise-linear slopes past a double": (
+        Column("x", StatType(CONTINUOUS)),
+        PiecewiseLinearLeaf(0, CONTINUOUS, np.array([0.0, 1.0]), np.array([1.0, 1.0])),
+        {"knots_x": [0.0, 1e-300, 2e-300], "knots_y": [0.0, 1e300, 0.0], "mode_index": 1},
+        "5e-301"),
+    "piecewise-linear integral past a double": (
+        Column("x", StatType(CONTINUOUS)),
+        PiecewiseLinearLeaf(0, CONTINUOUS, np.array([0.0, 1.0]), np.array([1.0, 1.0])),
+        {"knots_x": [0.0, 1e-308], "knots_y": [1e308, 1e308], "mode_index": 0},
+        "5e-309"),
 }
 
 
