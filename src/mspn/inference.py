@@ -12,18 +12,18 @@ Lebesgue measure (continuous coordinates) and counting measure (the rest).
 The first query compiles the model into an evaluation plan, kept on the
 model: the nodes in iterative postorder with their child indices, parents
 and heights, one flat leaf table (every leaf's ``knot_table``, its one
-density rule, laid end to end), the sum nodes grouped by height and child
-count, and every edge with the range of leaves below it.
-Neither compiling nor running a plan recurses, so the depth of the trees
-they handle is bounded by memory, not by Python's recursion limit. The
-executors on the plan:
+density rule, laid end to end), one height-sorted child matrix per
+internal node kind (``_NodeMatrix``), and every edge with the range of
+leaves below it. Neither compiling nor running a plan recurses, so the
+depth of the trees they handle is bounded by memory, not by Python's
+recursion limit. The executors on the plan:
 
 * ``_Plan.evaluate_row`` answers one validated row (``log_evaluate``,
   ``log_conditional``, ``mpe``, ``sample``). It walks the heights once:
   the observed leaves get their densities from one pass over the leaf
-  table, each group of sum nodes with the same height and child count is
-  one ``weighted_logsumexp`` call, and products add ``0.0 + c0 + c1 +
-  ...`` in child order.
+  table, the sums of a height are one ``weighted_logsumexp`` call, and
+  its products one ``_product`` fold, ``0.0 + c0 + c1 + ...`` in child
+  order.
 * ``_Plan.evaluate_tables`` evaluates the nodes on tables of observed
   values: many rows (``log_evaluate_batch``, on the distinct values
   ``_Batch`` gives each observed variable) or the grids of one or two
@@ -50,7 +50,7 @@ executors on the plan:
   best child, and a walk down those pointers collects the assignment.
 * ``sample_rows`` draws by walking down from the root. Before the walk,
   ``_Plan.choice_table`` gives every sum its cumulative weighted child
-  values, one vectorized pass per child count, laid end to end in one
+  values, one vectorized pass over the sum matrix, laid end to end in one
   list of floats, and each free leaf draws from an inverse-CDF table kept
   on the leaf. So a visited sum costs one ``rng.random()`` and one bisect,
   a free leaf one table lookup, and the walk makes no numpy call.
@@ -202,11 +202,28 @@ _ROWS_PER_ENTRY = 4
 _SAMPLE_ROWS = 256
 
 
-def _padded(rows, fill) -> np.ndarray:
-    """Stack 1-d arrays of unequal length into a matrix, padding with ``fill``."""
-    lengths = np.array([len(r) for r in rows])
-    out = np.full((len(rows), lengths.max()), fill)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate(rows)
+def _padded(columns: list, fill) -> np.ndarray:
+    """1-d arrays as the columns of a matrix, padded with ``fill``.
+
+    The matrix has at least one row, so even an empty one reduces along axis 0.
+    """
+    lengths = np.array([len(c) for c in columns], dtype=np.intp)
+    out = np.full((lengths.max(initial=1), len(columns)), fill)
+    if columns:
+        out.T[np.arange(out.shape[0]) < lengths[:, None]] = np.concatenate(columns)
+    return out
+
+
+def _product(terms) -> np.ndarray:
+    """``0.0 + t0 + t1 + ...``, a product node's one arithmetic, over its children's terms.
+
+    The terms are a matrix's rows or arrays that broadcast together.
+    Starting at 0.0 keeps a total from being -0.0, so a term of 0.0 never
+    changes its bits.
+    """
+    out = 0.0
+    for t in terms:
+        out = out + t
     return out
 
 
@@ -277,21 +294,21 @@ class _Edges(NamedTuple):
     size: np.ndarray
 
 
-class _Descent(NamedTuple):
-    """What ``sample_rows``' top-down walk reads, built once per plan.
+class _NodeMatrix(NamedTuple):
+    """The internal nodes of one kind, one column each, in ascending height.
 
-    ``blocks`` holds the sum nodes grouped by child count, whatever their
-    height: a group of G nodes with C children each is (child indices,
-    weights), both (C, G), one row per child position. ``steps[i]`` is
-    node i's (kind, lo, hi, children, variable): a sum's cumulative weights
-    are ``lo .. hi - 1`` of ``_Plan.choice_table``, which lays the blocks
-    end to end, each node's C entries together; a product's children are
-    reversed, so that a stack pops them in child order; ``variable`` is a
-    leaf's, -1 elsewhere.
+    ``nodes`` are their plan indices, and ``kids`` their children, one row
+    per child position (as ``weighted_logsumexp`` takes them) and as many
+    rows as the widest node has children. A product's column is padded
+    with the plan's 0.0 slot; a sum's with its -inf slot, weight 0 and log
+    weight -inf, so a pad adds 0 to a sum and never scores best.
+    ``weights`` and ``log_w`` are None for products.
     """
 
-    blocks: list
-    steps: list
+    nodes: np.ndarray
+    kids: np.ndarray
+    weights: np.ndarray | None
+    log_w: np.ndarray | None
 
 
 class _Batch:
@@ -376,6 +393,17 @@ class _Plan:
         self.scope_vars = np.array([v for node in nodes for v in node.scope], dtype=np.intp)
         self.scope_owner = np.repeat(np.arange(n), [len(node.scope) for node in nodes])
         self.root = n - 1
+        # internal nodes by height, postorder within a height
+        by_height = np.argsort(heights, kind="stable")
+        sums, prods = (by_height[np.array(kinds)[by_height] == kind].tolist()
+                       for kind in (_SUM, _PRODUCT))
+        weights = _padded([nodes[i].weights for i in sums], 0.0)
+        with np.errstate(divide="ignore"):
+            self.sum_matrix = _NodeMatrix(np.array(sums, dtype=np.intp),
+                                          _padded([children[i] for i in sums], n + 1),
+                                          weights, np.log(weights))
+        self.product_matrix = _NodeMatrix(np.array(prods, dtype=np.intp),
+                                          _padded([children[i] for i in prods], n), None, None)
         self.levels = self._levels()
         # leaves numbered in postorder: their nodes, variables and table,
         # and the numbers lo .. hi - 1 of the leaves under each node
@@ -384,42 +412,25 @@ class _Plan:
         self.leaf_table = _LeafTable([nodes[i] for i in self.leaf_nodes.tolist()])
         self.subtree_leaves = (leaves_before[first], leaves_before[1:])
         self.edges = self._edges()
-        product_idx = np.flatnonzero(np.array(kinds) == _PRODUCT)
-        self.products = (product_idx,
-                         _padded([children[i] for i in product_idx], n).astype(np.intp).T
-                         if product_idx.size else np.zeros((0, 0), dtype=np.intp))
         # (node, free variable) -> _SettleTable, built on first use by mpe
         self.settle_tables: dict[tuple[int, int], _SettleTable] = {}
 
     def _levels(self) -> list:
-        """Per height above the leaves: sum groups by child count, then products.
+        """Per height above the leaves, its (sums, products), each a ``_NodeMatrix``.
 
-        A sum group of G nodes with C children each is (node indices, child
-        indices, weights, log weights), the last three (C, G): one row per
-        child position, as ``weighted_logsumexp`` takes them. The products
-        of a height share one child matrix, also one row per child
-        position, padded with the index of a constant 0.0 slot past the
-        last node.
+        Each is a view of its kind's matrix: the height's columns, trimmed
+        to the rows its widest node fills, or None if the height has none.
         """
-        sums: dict[tuple[int, int], list[int]] = {}
-        products: dict[int, list[int]] = {}
-        for i, kind in enumerate(self.kinds):
-            if kind == _SUM:
-                sums.setdefault((self.heights[i], len(self.children[i])), []).append(i)
-            elif kind == _PRODUCT:
-                products.setdefault(self.heights[i], []).append(i)
-        levels = [([], None) for _ in range(max(self.heights))]
-        for (h, _), idx in sorted(sums.items()):
-            weights = np.stack([self.nodes[i].weights for i in idx], axis=1)
-            with np.errstate(divide="ignore"):
-                log_w = np.log(weights)
-            levels[h - 1][0].append((np.array(idx, dtype=np.intp),
-                                     np.stack([self.children[i] for i in idx], axis=1),
-                                     weights, log_w))
-        for h, idx in products.items():
-            kids = _padded([self.children[i] for i in idx], len(self.nodes))
-            levels[h - 1] = (levels[h - 1][0],
-                             (np.array(idx, dtype=np.intp), kids.astype(np.intp).T))
+        heights = np.array(self.heights)
+        levels = []
+        for h in range(1, max(self.heights) + 1):
+            level = []
+            for matrix in (self.sum_matrix, self.product_matrix):
+                a, b = np.searchsorted(heights[matrix.nodes], (h, h + 1)).tolist()
+                rows = max((self.children[i].size for i in matrix.nodes[a:b].tolist()), default=0)
+                level.append(_NodeMatrix(matrix.nodes[a:b], *(
+                    None if m is None else m[:rows, a:b] for m in matrix[1:])) if rows else None)
+            levels.append(tuple(level))
         return levels
 
     def _edges(self) -> _Edges:
@@ -438,69 +449,66 @@ class _Plan:
                       log_w[order], lo[child], (hi - lo)[child])
 
     @cached_property
-    def descent(self) -> _Descent:
-        """What the sampler's walk reads, built once per plan; see ``_Descent``."""
-        by_count: dict[int, list[int]] = {}
-        for i, kind in enumerate(self.kinds):
-            if kind == _SUM:
-                by_count.setdefault(len(self.children[i]), []).append(i)
-        blocks, lo, at = [], [0] * len(self.nodes), 0
-        for count, idx in sorted(by_count.items()):
-            blocks.append((np.stack([self.children[i] for i in idx], axis=1),
-                           np.stack([self.nodes[i].weights for i in idx], axis=1)))
-            for i in idx:
-                lo[i], at = at, at + count
+    def steps(self) -> list:
+        """What ``sample_rows``' top-down walk reads, built once per plan.
+
+        ``steps[i]`` is node i's (kind, lo, hi, children, variable): a sum's
+        cumulative weights are ``lo .. hi - 1`` of ``choice_table``, from
+        the start of its column; a product's children are reversed, so that
+        a stack pops them in child order; ``variable`` is a leaf's, -1
+        elsewhere.
+        """
+        lo = [0] * len(self.nodes)
+        width = self.sum_matrix.kids.shape[0]
+        for column, i in enumerate(self.sum_matrix.nodes.tolist()):
+            lo[i] = column * width
         steps = []
         for i, (node, kind, kids) in enumerate(zip(self.nodes, self.kinds, self.children)):
             kids = kids.tolist()
             steps.append((kind, lo[i], lo[i] + len(kids), kids[::-1] if kind == _PRODUCT else kids,
                           node.variable if kind == _LEAF else -1))
-        return _Descent(blocks, steps)
+        return steps
 
     def choice_table(self, vals: np.ndarray) -> list:
-        """Every sum's cumulative weighted child values, laid end to end.
+        """Every sum's cumulative weighted child values, column after column.
 
-        ``vals`` is ``evaluate_row`` under the evidence. Each block of
-        ``descent`` is one pass: per node, ``weights * exp(v - max v)`` over
-        its children and their running sum, the arithmetic each node would
-        do alone. A dead sum, all of whose children are -inf, gets NaNs; the
-        walk never enters it.
+        ``vals`` is ``evaluate_row`` under the evidence. One pass over the
+        sum matrix gives each node ``weights * exp(v - max v)`` over its
+        children and their running sum, the arithmetic it would do alone;
+        its pads add 0 after its last child. A dead sum, all of whose
+        children are -inf, gets NaNs; the walk never enters it.
         """
-        cums = []
+        kids, weights = self.sum_matrix.kids, self.sum_matrix.weights
         with np.errstate(invalid="ignore"):
-            for kids, weights in self.descent.blocks:
-                logits = vals[kids]
-                probs = weights * np.exp(logits - logits.max(axis=0))
-                cums.append(np.cumsum(probs, axis=0).T.ravel())
-        return np.concatenate(cums).tolist() if cums else []
+            logits = vals[kids]
+            probs = weights * np.exp(logits - logits.max(axis=0))
+        return np.cumsum(probs, axis=0).T.ravel().tolist()
 
     def evaluate_row(self, values: np.ndarray, observed: np.ndarray,
                      counter=None) -> np.ndarray:
         """Log value of every node for one validated row (one plan pass).
 
-        Slot ``len(nodes)`` past the last node holds the 0.0 that pads
-        product rows. Each sum group is one ``weighted_logsumexp`` call with
-        a column per node; its arithmetic is elementwise, so every node gets
-        the bits it gets in a batch or alone.
+        The two slots past the last node hold the pads: 0.0 for product
+        columns, -inf for sum columns, where a pad's weight 0 makes its term
+        exactly 0. The sums of a height are one ``weighted_logsumexp`` call
+        with a column per node; its arithmetic is elementwise, so every node
+        gets the bits it gets in a batch or alone.
         """
         if counter is not None:
             counter.update(self.ids)
-        vals = np.zeros(len(self.nodes) + 1)
+        vals = np.zeros(len(self.nodes) + 2)
+        vals[-1] = -np.inf
         seen = observed[self.leaf_vars]
         x = np.where(seen, values[self.leaf_vars], 0.0)  # unobserved values are never read
         # far outside a leaf, slope * (x - x_j) may overflow; the range mask drops it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals[self.leaf_nodes] = np.where(seen, np.log(self.leaf_table.density(x)), 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for groups, prods in self.levels:
-                for idx, kids, weights, _ in groups:
-                    vals[idx] = weighted_logsumexp(vals[kids], weights)
+            for sums, prods in self.levels:
+                if sums is not None:
+                    vals[sums.nodes] = weighted_logsumexp(vals[sums.kids], sums.weights)
                 if prods is not None:
-                    idx, kids = prods
-                    acc = np.zeros(idx.size)
-                    for column in kids:
-                        acc = acc + vals[column]
-                    vals[idx] = acc
+                    vals[prods.nodes] = _product(vals[prods.kids])
         return vals
 
     @cached_property
@@ -613,10 +621,7 @@ class _Plan:
         """
         if self.kinds[i] == _SUM:
             return weighted_logsumexp(np.stack(np.broadcast_arrays(*kids)), self.nodes[i].weights)
-        out = np.zeros(np.broadcast_shapes(*(np.shape(k) for k in kids)))
-        for k in kids:
-            out = out + k
-        return out
+        return _product(kids)
 
     def max_product(self, vals: np.ndarray, observed: np.ndarray, counter=None) -> list:
         """MPE's max-product pass: [(variable, value), ...] for the free variables.
@@ -697,15 +702,10 @@ class _Plan:
         accumulator, parents in ascending height, gives each leaf
         ``x_top + (... + (x_parent + 0.0))``, nested from the leaf up.
         """
-        # a free child adds 0.0 instead of being skipped: a sum that starts
-        # at 0.0 is never -0.0, so adding 0.0 leaves its bits alone
-        observed_vals = np.where(n_free > 0, 0.0, vals)
-        idx, kids = self.products
-        offset = np.zeros(idx.size)
-        for column in kids:
-            offset = offset + observed_vals[column]
+        # a free child adds 0.0 instead of being skipped, as a pad does
+        kids = self.product_matrix.kids
         offsets = np.zeros(len(self.nodes))
-        offsets[idx] = offset
+        offsets[self.product_matrix.nodes] = _product(np.where(n_free[kids] > 0, 0.0, vals[kids]))
         e = self.edges
         sel = np.flatnonzero((n_free[e.parent] == 1) & (n_free[e.child] > 0))
         value = np.where(e.is_sum[sel], e.log_w[sel], offsets[e.parent[sel]])
@@ -727,7 +727,7 @@ class _Plan:
         lo, hi = self.subtree_leaves[0][i], self.subtree_leaves[1][i]
         ranks = lo + np.flatnonzero(self.leaf_vars[lo:hi] == var)
         leaves = [self.nodes[j] for j in self.leaf_nodes[ranks].tolist()]
-        grid = _free_candidates([(0.0, leaf) for leaf in leaves])
+        grid = _free_candidates(leaves)
         t = self.leaf_table
         everywhere = t.outside[ranks] > 0
         spans = zip(np.searchsorted(grid, np.where(everywhere, -np.inf, t.first[ranks])).tolist(),
@@ -762,25 +762,21 @@ class _Plan:
         children's maxima to 0.0 in child order.
         """
         choice = np.zeros(len(self.nodes), dtype=np.intp)
-        for groups, prods in self.levels:
-            for idx, kids, _, log_w in groups:
-                live = multi[idx]
-                if not live.any():
-                    continue
-                idx, kids = idx[live], kids[:, live]
-                scored = log_w[:, live] + best[kids]
-                pick = scored.argmax(axis=0)
-                cols = np.arange(idx.size)
-                best[idx] = scored[pick, cols]
-                choice[idx] = kids[pick, cols]
-            if prods is not None:
-                idx, kids = prods
-                live = multi[idx]
+        for sums, prods in self.levels:
+            if sums is not None:
+                live = multi[sums.nodes]
                 if live.any():
-                    acc = np.zeros(int(live.sum()))
-                    for column in kids[:, live]:
-                        acc = acc + best[column]
-                    best[idx[live]] = acc
+                    idx, kids = sums.nodes[live], sums.kids[:, live]
+                    scored = sums.log_w[:, live] + best[kids]
+                    # pads score -inf after the last child, so argmax never picks one
+                    pick = scored.argmax(axis=0)
+                    cols = np.arange(idx.size)
+                    best[idx] = scored[pick, cols]
+                    choice[idx] = kids[pick, cols]
+            if prods is not None:
+                live = multi[prods.nodes]
+                if live.any():
+                    best[prods.nodes[live]] = _product(best[prods.kids[:, live]])
         return choice
 
 
@@ -797,10 +793,10 @@ def log_evaluate_batch(mspn: Mspn, values: np.ndarray, observed: np.ndarray) -> 
     """Log value of many queries sharing one observation mask.
 
     ``values`` is (rows, n_vars); ``observed`` is a single (n_vars,) bool
-    mask applied to every row. Observed values are checked as
-    ``log_evaluate`` checks them: one that is not finite, a discrete count
-    or category code that is not an integer, or a negative code raises
-    :class:`QueryError`. A node with one observed variable in its scope
+    mask applied to every row. Other shapes raise :class:`QueryError`, and
+    so do observed values that ``log_evaluate`` would reject: one that is
+    not finite, a discrete count or category code that is not an integer,
+    or a negative code. A node with one observed variable in its scope
     is evaluated once per distinct value of that variable, so the cost
     falls with repeated values; nodes with several run on every row, and
     nodes with none do not run. Each row gets the value ``log_evaluate``
@@ -808,6 +804,9 @@ def log_evaluate_batch(mspn: Mspn, values: np.ndarray, observed: np.ndarray) -> 
     """
     values = np.asarray(values, dtype=np.float64)
     observed = np.asarray(observed, dtype=bool)
+    if values.ndim != 2 or values.shape[1] != mspn.n_vars or observed.shape != (mspn.n_vars,):
+        raise QueryError(f"a batch needs (rows, {mspn.n_vars}) values and a ({mspn.n_vars},) "
+                         f"mask, not {values.shape} and {observed.shape}")
     batch = _Batch(mspn.schema, values, observed)
     out = evaluation_plan(mspn).evaluate_tables(list(batch.points), batch.points, batch.ids, None)
     return out if np.ndim(out) else np.full(batch.n_rows, out)
@@ -834,8 +833,8 @@ def log_conditional(mspn: Mspn, query: Evidence, given: Evidence, counter=None) 
     return num - denom
 
 
-def _free_candidates(terms) -> np.ndarray:
-    """Points that cover every possible maximum of a 1-d leaf mixture.
+def _free_candidates(leaves: list) -> np.ndarray:
+    """Points that cover every possible maximum of a 1-d mixture of ``leaves``.
 
     A sum of piecewise-linear densities is piecewise linear between the
     union of the knots, so its maximum sits on a knot; a sum of histogram
@@ -844,7 +843,6 @@ def _free_candidates(terms) -> np.ndarray:
     and categorical variables enumerate the integers of their leaves'
     united supports.
     """
-    leaves = [leaf for _, leaf in terms]
     if leaves[0].domain != CONTINUOUS:
         lo, hi = zip(*map(leaf_support, leaves))
         return integer_support(min(lo), max(hi))
@@ -924,7 +922,7 @@ def sample_rows(mspn: Mspn, evidence: Evidence, rng: np.random.Generator, n: int
         raise ConditioningError("evidence has zero probability; cannot sample")
 
     rows = np.tile(evidence.values, (n, 1))
-    steps, cum = plan.descent.steps, plan.choice_table(vals)
+    steps, cum = plan.steps, plan.choice_table(vals)
     observed = evidence.observed.tolist()
     for assignment in rows:
         stack = [plan.root]

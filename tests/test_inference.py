@@ -200,6 +200,21 @@ class TestLogEvaluateModels:
             single = log_evaluate(hybrid6_model, Evidence(row, mask))
             np.testing.assert_allclose(ll, single, rtol=1e-12)
 
+    def test_batch_of_the_wrong_shape_rejected(self, hybrid6_model, hybrid6_test):
+        rows, mask = hybrid6_test.values[:5], np.ones(6, dtype=bool)
+        bad = [
+            (rows, mask[:4]),  # a short mask would marginalize the missing variables
+            (np.column_stack([rows, rows[:, 0]]), mask),  # an extra column would be ignored
+            (rows, np.ones(7, dtype=bool)),
+            (rows, np.ones((5, 6), dtype=bool)),
+            (rows[0], mask),
+            (rows[None], mask),
+            (rows[:, :5], mask),
+        ]
+        for values, observed in bad:
+            with pytest.raises(QueryError, match="a batch needs"):
+                log_evaluate_batch(hybrid6_model, values, observed)
+
 
 class TestLogConditional:
     def test_equals_joint_minus_given(self, hybrid6_model, hybrid6_test):

@@ -176,7 +176,7 @@ def oracle_mpe(model, evidence):
 
     def reduce_free_subtree(node, var):
         terms = mixture_terms(node, var)
-        candidates = _free_candidates(terms)
+        candidates = _free_candidates([leaf for _, leaf in terms])
         total = np.full(candidates.shape, -np.inf)
         for log_w, leaf in terms:
             with np.errstate(divide="ignore"):
@@ -327,11 +327,27 @@ def test_choice_tables_hold_each_sums_own_cumulative_weights(fixture_models):
             vals = plan.evaluate_row(ev.values, ev.observed)
             cum = plan.choice_table(vals)
             for i, (node, kids) in enumerate(zip(plan.nodes, plan.children)):
-                _, lo, hi, _, _ = plan.descent.steps[i]
+                _, lo, hi, _, _ = plan.steps[i]
                 if isinstance(node, SumNode) and vals[i] > -np.inf:
                     logits = vals[kids]
                     want = np.cumsum(node.weights * np.exp(logits - logits.max()))
                     assert list(map(float.hex, cum[lo:hi])) == list(map(float.hex, want)), name
+
+
+def test_each_height_reads_views_of_one_matrix_per_node_kind(fixture_models):
+    def height(node):
+        if isinstance(node, (SumNode, ProductNode)):
+            return 1 + max(map(height, node.children))
+        return 0
+
+    for name, (_, model) in fixture_models.items():
+        plan = evaluation_plan(model)
+        assert len(plan.levels) == height(model.root), name
+        for level in plan.levels:
+            for view, matrix in zip(level, (plan.sum_matrix, plan.product_matrix)):
+                if view is not None:
+                    assert all(np.shares_memory(v, m) for v, m in zip(view, matrix)
+                               if v is not None), name
 
 
 def test_dead_sums_and_zero_weights_are_never_sampled():
@@ -354,7 +370,7 @@ def test_dead_sums_and_zero_weights_are_never_sampled():
     plan = evaluation_plan(model)
     vals = plan.evaluate_row(ev.values, ev.observed)
     dead = plan.ids.index(id(dead_x))
-    _, lo, hi, _, _ = plan.descent.steps[dead]
+    _, lo, hi, _, _ = plan.steps[dead]
     assert vals[dead] == -np.inf and np.isfinite(vals[plan.root])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -639,6 +655,9 @@ def test_one_reduction_settles_every_domain_at_once(monkeypatch):
 def small_mixed_models(draw):
     """A random sum/product tree over 1-3 variables of mixed kinds, with probe values.
 
+    Sums have 2-5 children and products 2-3 parts, so nodes of different
+    widths share a height and pad the plan's child matrices.
+
     Leaves of each kind mix histograms (some bins of mass 0) and, for
     continuous and discrete variables, unimodal piecewise-linear
     densities. Knots and edges sit on a half-integer lattice, so leaves
@@ -684,10 +703,11 @@ def small_mixed_models(draw):
             return leaf(scope[0])
         if len(scope) > 1 and (depth >= 3 or draw(st.booleans())):
             order = draw(st.permutations(scope))
-            cut = draw(st.integers(1, len(order) - 1))
-            parts = [tuple(sorted(order[:cut])), tuple(sorted(order[cut:]))]
+            cuts = sorted(draw(st.lists(st.integers(1, len(order) - 1), min_size=1,
+                                        max_size=min(2, len(order) - 1), unique=True)))
+            parts = [tuple(sorted(order[a:b])) for a, b in zip([0] + cuts, cuts + [len(order)])]
             return ProductNode(scope, [node(part, depth + 1) for part in parts])
-        weights = draw(st.lists(st.integers(0, 3), min_size=2, max_size=3).filter(any))
+        weights = draw(st.lists(st.integers(0, 3), min_size=2, max_size=5).filter(any))
         return SumNode(scope, normalized(weights),
                        [node(scope, depth + 1) for _ in weights])
 
@@ -784,7 +804,7 @@ def test_mixture_coefficients_nest_like_the_recursive_pass(fixture_models):
 
 def recursive_settle(terms):
     """The maximum of a term list's mixture and its maximizer, folded as ``oracle_mpe`` folds them."""
-    candidates = _free_candidates(terms)
+    candidates = _free_candidates([leaf for _, leaf in terms])
     total = np.full(candidates.shape, -np.inf)
     for log_w, leaf in terms:
         with np.errstate(divide="ignore"):
