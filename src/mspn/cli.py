@@ -36,6 +36,10 @@ from .serialize import canonical_json, load_model, save_model
 from .structure import LEAF_KINDS, LearnConfig, learn_mspn, validate
 
 
+# rows ``mspn sample`` draws and writes at a time, so any -n runs in fixed memory
+SAMPLE_CHUNK = 1000
+
+
 class _UsageError(Exception):
     pass
 
@@ -201,10 +205,12 @@ def _cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(model.schema.names)
-    for row in sample_rows(model, given, rng, args.n):
-        writer.writerow(
-            _format_cell(model.schema, i, row[i]) for i in range(model.n_vars)
-        )
+    # successive chunks draw the rows one call would, from the same rng
+    for start in range(0, args.n, SAMPLE_CHUNK):
+        for row in sample_rows(model, given, rng, min(SAMPLE_CHUNK, args.n - start)):
+            writer.writerow(
+                _format_cell(model.schema, i, row[i]) for i in range(model.n_vars)
+            )
     return 0
 
 

@@ -13,17 +13,19 @@ The first query compiles the model into an evaluation plan, kept on the
 model: the nodes in iterative postorder with their child indices, parents
 and heights, one flat leaf table (every leaf's ``knot_table``, its one
 density rule, laid end to end), one height-sorted child matrix per
-internal node kind (``_NodeMatrix``), and every edge with the range of
-leaves below it. Neither compiling nor running a plan recurses, so the
+internal node kind (``_NodeMatrix``) with each height's columns copied
+into a contiguous block, and every edge with the range of leaves below
+it. Neither compiling nor running a plan recurses, so the
 depth of the trees they handle is bounded by memory, not by Python's
 recursion limit. The executors on the plan:
 
 * ``_Plan.evaluate_row`` answers one validated row (``log_evaluate``,
-  ``log_conditional``, ``mpe``, ``sample``). It walks the heights once:
-  the observed leaves get their densities from one pass over the leaf
-  table, the sums of a height are one ``weighted_logsumexp`` call, and
-  its products one ``_product`` fold, ``0.0 + c0 + c1 + ...`` in child
-  order.
+  ``log_conditional``, ``mpe``, ``sample``). Its cost is numpy calls, not
+  arithmetic, so it makes a fixed few per height. It walks the heights
+  once: the observed leaves get their densities from one pass over the
+  leaf table, the sums of a height are one ``weighted_logsumexp`` call on
+  the height's contiguous block, and its products one ``_product`` fold,
+  ``0.0 + c0 + c1 + ...`` in child order.
 * ``_Plan.evaluate_tables`` evaluates the nodes on tables of observed
   values: many rows (``log_evaluate_batch``, on the distinct values
   ``_Batch`` gives each observed variable) or the grids of one or two
@@ -231,27 +233,29 @@ class _LeafTable:
     """Every leaf's ``knot_table`` (``leaves.KnotTable``), laid end to end.
 
     Leaf k owns ``x``, ``y`` and ``slope`` at ``start[k] .. start[k] +
-    count[k] - 1``, its support is ``first[k] .. last[k]`` and its density
-    outside it ``outside[k]``. ``density`` reads the rule of the knot
-    tables for one value per leaf, in one vectorized pass: the segment is
-    the last knot <= x, a value on a knot takes that knot's density, and
-    otherwise the density is ``slope * (x - x_j) + y_j``.
+    count[k] - 1`` (``knot_leaf`` names each knot's leaf), its support is
+    ``first[k] .. last[k]`` and its density outside it ``outside[k]``.
+    ``density`` reads the rule of the knot tables for one value per leaf,
+    in one vectorized pass: the segment is the last knot <= x, and the
+    density is ``slope * (x - x_j) + y_j``, which is ``y_j`` on a knot
+    because every slope is finite.
     """
 
     def __init__(self, leaves):
         xs, ys, slopes, last, outside = zip(*(leaf.knot_table for leaf in leaves))
         self.count = np.array([x.size for x in xs])
         self.start = np.concatenate(([0], np.cumsum(self.count[:-1])))
+        self.knot_leaf = np.repeat(np.arange(self.count.size), self.count)
         self.x, self.y, self.slope = (np.concatenate(a) for a in (xs, ys, slopes))
         self.first = self.x[self.start]
         self.last = np.array(last)
         self.outside = np.array(outside)
 
     def density(self, x: np.ndarray) -> np.ndarray:
-        below = np.add.reduceat(self.x <= np.repeat(x, self.count), self.start, dtype=np.intp)
-        j = self.start + np.maximum(below - 1, 0)
-        xj, yj = self.x[j], self.y[j]
-        d = np.where(x == xj, yj, self.slope[j] * (x - xj) + yj)
+        below = np.add.reduceat(self.x <= x[self.knot_leaf], self.start, dtype=np.intp)
+        # below x[0] a leaf has no knot <= x; its first knot stands in, and the range mask drops it
+        j = np.maximum(self.start - 1 + below, self.start)
+        d = self.slope[j] * (x - self.x[j]) + self.y[j]
         return np.where((x < self.first) | (x > self.last), self.outside, d)
 
 
@@ -418,8 +422,11 @@ class _Plan:
     def _levels(self) -> list:
         """Per height above the leaves, its (sums, products), each a ``_NodeMatrix``.
 
-        Each is a view of its kind's matrix: the height's columns, trimmed
-        to the rows its widest node fills, or None if the height has none.
+        Each is a C-contiguous copy of its height's columns of its kind's
+        matrix, trimmed to the rows its widest node fills, or None if the
+        height has none. They are built once, here: numpy gathers through a
+        contiguous index block several times faster than through a column
+        range of a wider matrix, and ``evaluate_row`` gathers twice a height.
         """
         heights = np.array(self.heights)
         levels = []
@@ -429,7 +436,8 @@ class _Plan:
                 a, b = np.searchsorted(heights[matrix.nodes], (h, h + 1)).tolist()
                 rows = max((self.children[i].size for i in matrix.nodes[a:b].tolist()), default=0)
                 level.append(_NodeMatrix(matrix.nodes[a:b], *(
-                    None if m is None else m[:rows, a:b] for m in matrix[1:])) if rows else None)
+                    None if m is None else np.ascontiguousarray(m[:rows, a:b])
+                    for m in matrix[1:])) if rows else None)
             levels.append(tuple(level))
         return levels
 
@@ -490,9 +498,10 @@ class _Plan:
 
         The two slots past the last node hold the pads: 0.0 for product
         columns, -inf for sum columns, where a pad's weight 0 makes its term
-        exactly 0. The sums of a height are one ``weighted_logsumexp`` call
-        with a column per node; its arithmetic is elementwise, so every node
-        gets the bits it gets in a batch or alone.
+        exactly 0. Each height reads its contiguous blocks from ``levels``:
+        its sums are one ``weighted_logsumexp`` call with a column per node,
+        whose arithmetic is elementwise, so every node gets the bits it gets
+        in a batch or alone, and its products one ``_product`` fold.
         """
         if counter is not None:
             counter.update(self.ids)
@@ -503,12 +512,11 @@ class _Plan:
         # far outside a leaf, slope * (x - x_j) may overflow; the range mask drops it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals[self.leaf_nodes] = np.where(seen, np.log(self.leaf_table.density(x)), 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for sums, prods in self.levels:
-                if sums is not None:
-                    vals[sums.nodes] = weighted_logsumexp(vals[sums.kids], sums.weights)
-                if prods is not None:
-                    vals[prods.nodes] = _product(vals[prods.kids])
+        for sums, prods in self.levels:
+            if sums is not None:
+                vals[sums.nodes] = weighted_logsumexp(vals[sums.kids], sums.weights)
+            if prods is not None:
+                vals[prods.nodes] = _product(vals[prods.kids])
         return vals
 
     @cached_property

@@ -27,12 +27,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import CATEGORICAL, CONTINUOUS, DISCRETE, StatType
-from .errors import DomainError, EmptyInputError
+from .errors import DomainError, EmptyInputError, QueryError
 from .numerics import adaptive_bin_edges, fit_monotone, trapezoid
 
 # integer ranges wider than this fall back to the adaptive binning search
 # rather than materializing one unit bin per integer
 MAX_UNIT_BINS = 2048
+# the most integers a query's grid enumerates (``integer_support``): 128 MB
+# of doubles; a wider support is a query error, not an allocation failure
+MAX_GRID_INTEGERS = 2**24
 
 
 def _readonly(a) -> np.ndarray:
@@ -360,8 +363,18 @@ def leaf_support(leaf: Leaf) -> tuple[float, float]:
 
 
 def integer_support(lo: float, hi: float) -> np.ndarray:
-    """The integers of ``[lo, hi]``: a discrete or categorical variable's grid."""
-    return np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.float64)
+    """The integers of ``[lo, hi]``: a discrete or categorical variable's grid.
+
+    MPE's candidates, MI's grid and a discrete piecewise-linear leaf's
+    sampling table all enumerate one. A support of more than
+    ``MAX_GRID_INTEGERS`` integers raises :class:`QueryError` before
+    anything is allocated.
+    """
+    first, last = math.ceil(lo), math.floor(hi)
+    if last - first >= MAX_GRID_INTEGERS:
+        raise QueryError(f"the integers of [{lo:.17g}, {hi:.17g}] are too many to enumerate "
+                         f"(more than {MAX_GRID_INTEGERS})")
+    return np.arange(first, last + 1, dtype=np.float64)
 
 
 def leaf_cdf(leaf: Leaf, value: float) -> float:

@@ -23,6 +23,8 @@ MAX_CANDIDATE_CUTS = 100
 # zero, and near 1e308 midpoints, widths and cluster means overflow
 MAX_BIN_MAGNITUDE = 1e100
 CCA_RIDGE = 1e-6
+# weighted_logsumexp's shift for a column with no finite value
+_FLOOR = np.finfo(np.float64).min
 
 
 class SeedScope:
@@ -366,21 +368,25 @@ def weighted_logsumexp(log_values: np.ndarray, weights: np.ndarray) -> np.ndarra
 
     ``log_values`` has shape (C, ...) and ``weights`` shape (C,), or one
     weight per child and column, (C, ...); the result has the trailing
-    shape. Columns where every term is -inf come back as -inf instead of
-    nan. Every step is elementwise and the weighted terms are added one
-    child at a time, in child order, so a column's result depends on that
-    column alone: whatever else shares the call, it gets the same bits.
+    shape. Each column is shifted by its largest value, floored at the
+    most negative double: a column where every term is -inf then has terms
+    ``exp(-inf) = 0`` and comes back as ``floor + log(0) = -inf``, without a
+    warning, instead of nan. Every step is elementwise and the weighted
+    terms are added one child at a time, in child order, so a column's
+    result depends on that column alone: whatever else shares the call, it
+    gets the same bits.
     """
     lv = np.asarray(log_values, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    top = lv.max(axis=0)
-    dead = top == -np.inf
-    shifted = np.exp(lv - np.where(dead, 0.0, top))
-    total = w[0] * shifted[0]
-    for c in range(1, w.shape[0]):
-        total += w[c] * shifted[c]
-    # a dead column has total 0; log(0 + 1) keeps its -inf top without a warning
-    return top + np.log(total + dead)
+    top = lv.max(axis=0, initial=_FLOOR)
+    terms = np.exp(lv - top)
+    # reversed axes line (C,) weights up with the child axis, as (C, ...) ones already are
+    np.multiply(terms.T, w.T, out=terms.T)
+    total = terms[0]
+    for c in range(1, terms.shape[0]):
+        total += terms[c]
+    with np.errstate(divide="ignore"):
+        return top + np.log(total)
 
 
 def trapezoid(y: np.ndarray, x: np.ndarray) -> float:

@@ -114,6 +114,23 @@ def reference_density(leaf, values):
     return np.where(inside, dens, 0.0)
 
 
+def reference_logsumexp(log_values, weights):
+    """log(sum_c w_c * exp(log_values[c])) along axis 0, shifting by each
+    column's maximum and giving a column of -inf 0 instead, as
+    ``weighted_logsumexp`` computed it before its shift was floored:
+    the floored form must reproduce it bit for bit, without a warning."""
+    lv = np.asarray(log_values, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    top = lv.max(axis=0)
+    dead = top == -np.inf
+    shifted = np.exp(lv - np.where(dead, 0.0, top))
+    total = w[0] * shifted[0]
+    for c in range(1, w.shape[0]):
+        total += w[c] * shifted[c]
+    # a dead column has total 0; log(0 + 1) keeps its -inf top without a warning
+    return top + np.log(total + dead)
+
+
 def per_cell_load_dataset(path, schema, *, unseen_to_sentinel=False) -> Dataset:
     """``load_dataset`` parsing one cell at a time, as before row blocks:
     the block-wise loader must return the same bytes and schema and raise

@@ -32,6 +32,7 @@ from conftest import (
     make_dataset,
     make_hybrid14,
     per_pair_cca_max_correlation,
+    reference_logsumexp,
     uncapped_adaptive_bin_edges,
 )
 
@@ -465,6 +466,39 @@ class TestWeightedLogsumexp:
         out = weighted_logsumexp(logs, w)
         for j in range(5):
             assert out[j] == weighted_logsumexp(logs[:, j], w[:, j])
+
+    def test_equals_the_reference_bit_for_bit(self):
+        # the shift floored at the most negative double gives every column
+        # the reference's bits: a live one the same maximum, a dead one -inf
+        r = np.random.default_rng(17)
+        for n_children in (1, 2, 9, 12):
+            for shape in ((), (40,), (5, 8)):
+                size = (n_children, *shape)
+                logs = np.log(r.uniform(0.0, 1.0, size)) * r.choice([1.0, 1e3], size)
+                logs[r.random(size) < 0.5] = -np.inf
+                if shape:
+                    logs[:, 0] = -np.inf  # a dead column
+                    logs[1:, 1] = -np.inf  # only the first child lives
+                shared = r.dirichlet(np.ones(n_children))
+                tiny = shared.copy()
+                tiny[::2] = (1e-300, 5e-324, 0.0)[n_children % 3]
+                per_column = r.dirichlet(np.ones(n_children), size=shape).reshape(
+                    (*shape, n_children)).T.reshape(size).copy()
+                per_column[r.random(size) < 0.2] = 1e-310
+                for w in (shared, tiny, per_column):
+                    with np.errstate(divide="ignore"):
+                        want = reference_logsumexp(logs, w)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        got = weighted_logsumexp(logs, w)
+                        # each column alone, as a 1-d block
+                        alone = [weighted_logsumexp(logs[:, j], w if w.ndim == 1 else w[:, j])
+                                 for j in range(shape[0])] if len(shape) == 1 else []
+                    assert np.shape(got) == shape
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (
+                        n_children, shape)
+                    if alone:
+                        assert np.array(alone).tobytes() == want.tobytes(), n_children
 
     def test_a_column_does_not_depend_on_the_others(self):
         # the same column alone, in a small block and in a wide one gets

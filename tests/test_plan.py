@@ -2,8 +2,9 @@
 
 ``oracle_eval``, ``oracle_sample`` and ``oracle_mpe`` evaluate, sample
 and maximize by plain recursion over the tree, one node at a time, with
-each node's own arithmetic and each leaf's density from the tests' own
-``reference_density``, not the knot tables the queries read;
+each node's own arithmetic, a sum's from the tests' own
+``reference_logsumexp`` and each leaf's density from their
+``reference_density``, not the code the queries run;
 ``oracle_leaf_sample`` draws from a leaf with its cumulative sums
 recomputed on every call. Every query must reproduce them bit for bit:
 the README's printed values and the determinism gate depend on it. The
@@ -49,9 +50,9 @@ from mspn.data import DISCRETE
 from mspn.errors import ConditioningError, QueryError
 from mspn.inference import _free_candidates, evaluation_plan, sample_rows
 from mspn.leaves import HistogramLeaf, PiecewiseLinearLeaf, leaf_sample
-from mspn.numerics import trapezoid, weighted_logsumexp
+from mspn.numerics import trapezoid
 from mspn.structure import Mspn, iter_nodes
-from conftest import make_dataset, reference_density
+from conftest import make_dataset, reference_density, reference_logsumexp
 
 EVIDENCES_PER_MODEL = 150
 
@@ -62,7 +63,7 @@ def oracle_eval(node, values, observed, cache=None):
         child_vals = np.stack(
             [oracle_eval(c, values, observed, cache) for c in node.children]
         )
-        out = weighted_logsumexp(child_vals, node.weights)
+        out = reference_logsumexp(child_vals, node.weights)
     elif isinstance(node, ProductNode):
         out = np.zeros(values.shape[0])
         for c in node.children:
@@ -334,7 +335,7 @@ def test_choice_tables_hold_each_sums_own_cumulative_weights(fixture_models):
                     assert list(map(float.hex, cum[lo:hi])) == list(map(float.hex, want)), name
 
 
-def test_each_height_reads_views_of_one_matrix_per_node_kind(fixture_models):
+def test_each_height_reads_contiguous_blocks_of_one_matrix_per_node_kind(fixture_models):
     def height(node):
         if isinstance(node, (SumNode, ProductNode)):
             return 1 + max(map(height, node.children))
@@ -343,11 +344,19 @@ def test_each_height_reads_views_of_one_matrix_per_node_kind(fixture_models):
     for name, (_, model) in fixture_models.items():
         plan = evaluation_plan(model)
         assert len(plan.levels) == height(model.root), name
-        for level in plan.levels:
-            for view, matrix in zip(level, (plan.sum_matrix, plan.product_matrix)):
-                if view is not None:
-                    assert all(np.shares_memory(v, m) for v, m in zip(view, matrix)
-                               if v is not None), name
+        for h, level in enumerate(plan.levels, 1):
+            for block, matrix in zip(level, (plan.sum_matrix, plan.product_matrix)):
+                if block is None:
+                    continue
+                columns = np.flatnonzero(np.array(plan.heights)[matrix.nodes] == h)
+                rows = max(plan.children[i].size for i in matrix.nodes[columns].tolist())
+                for part, whole in zip(block, matrix):
+                    if whole is None:
+                        assert part is None, name
+                        continue
+                    assert part.flags.c_contiguous, name
+                    want = whole[columns] if whole.ndim == 1 else whole[:rows, columns]
+                    assert np.array_equal(part, want), (name, h)
 
 
 def test_dead_sums_and_zero_weights_are_never_sampled():
@@ -738,7 +747,7 @@ def test_random_small_trees_sample_matches_the_recursive_sampler(case, seed):
     model, ev = case
     want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     try:
-        # the oracle's weighted_logsumexp takes log 0 at zero weights
+        # the oracle's reference_logsumexp takes log 0 at zero weights
         with np.errstate(divide="ignore"):
             want = np.stack([oracle_sample(model, ev, want_rng) for _ in range(3)])
     except ConditioningError:

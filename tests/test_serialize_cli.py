@@ -33,8 +33,9 @@ from mspn import (
 )
 from mspn.cli import main
 from mspn.data import DISCRETE, _BLOCK_ROWS
-from mspn.errors import FormatError, IngestError, VersionError
-from mspn.leaves import HistogramLeaf, PiecewiseLinearLeaf
+from mspn.errors import FormatError, IngestError, QueryError, VersionError
+from mspn.inference import sample_rows
+from mspn.leaves import MAX_GRID_INTEGERS, HistogramLeaf, PiecewiseLinearLeaf, integer_support
 from mspn.numerics import MAX_BIN_MAGNITUDE
 from mspn.serialize import canonical_json
 from mspn.structure import LEAF_KINDS, Mspn, ProductNode, SumNode
@@ -291,6 +292,35 @@ class TestLoadChecksEveryNode:
             assert main([command, "--model", str(path)]) == 2, command
             err = capsys.readouterr().err
             assert "data error" in err and "Traceback" not in err, command
+
+    @pytest.mark.parametrize("kind", ["histogram", "piecewise_linear"])
+    def test_integer_grids_too_wide_to_enumerate_are_query_errors(self, kind, tmp_path, capsys):
+        # a valid one-leaf model over a discrete column whose support holds
+        # 1e15 integers: scoring works, enumerating them is a query error
+        schema = Schema((Column("x", StatType(DISCRETE)),))
+        if kind == "histogram":
+            leaf = HistogramLeaf(0, DISCRETE, np.array([-0.5, 1e15]), np.array([1.0]))
+            failing = ("mpe",)
+        else:
+            leaf = PiecewiseLinearLeaf(0, DISCRETE, np.array([0.0, 1e15]),
+                                       np.array([1e-15, 1e-15]))
+            failing = ("mpe", "sample")
+        path = tmp_path / "wide.json"
+        path.write_bytes(serialize(Mspn(leaf, schema, LearnConfig())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in (["validate"], ["query", "--observe", "x=3"]):
+                assert main(command + ["--model", str(path)]) == 0, command
+                capsys.readouterr()
+            for command in failing:
+                assert main([command, "--model", str(path)]) == 3, command
+                err = capsys.readouterr().err
+                assert "query error" in err and "Traceback" not in err, command
+
+    def test_integer_grids_stop_at_a_fixed_width(self):
+        assert integer_support(-0.5, 1e7 - 0.5).size == 10**7
+        with pytest.raises(QueryError, match="too many"):
+            integer_support(0.0, float(MAX_GRID_INTEGERS))
 
     def test_categorical_case_fits_with_the_right_arity(self):
         obj = json.loads(serialize(two_component_model()))
@@ -846,6 +876,26 @@ class TestCliSample:
         assert code == 0
         for line in captured.out.strip().split("\n")[1:]:
             assert line.endswith(",high")
+
+    def test_rows_stream_in_chunks_equal_to_one_call(self, cli_files, capsys, monkeypatch):
+        # more rows than two chunks: the rows come from chunk-sized calls,
+        # and are the rows one call draws from the same rng
+        asked = []
+
+        def counted(model, evidence, rng, n, counter=None):
+            asked.append(n)
+            return sample_rows(model, evidence, rng, n, counter)
+
+        monkeypatch.setattr(mspn.cli, "sample_rows", counted)
+        assert main(["sample", "--model", str(cli_files["model"]), "-n", "2500",
+                     "--seed", "5"]) == 0
+        assert sum(asked) == 2500 and max(asked) <= mspn.cli.SAMPLE_CHUNK < 2500
+        model = load_model(cli_files["model"])
+        rows = sample_rows(model, Evidence.marginalized(model.n_vars),
+                           np.random.default_rng(5), 2500)
+        lines = ["temp,mode"] + [",".join(mspn.cli._format_cell(model.schema, i, row[i])
+                                          for i in range(model.n_vars)) for row in rows]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
     def test_nonpositive_count_is_a_usage_error(self, cli_files, capsys):
         assert main(["sample", "--model", str(cli_files["model"]), "-n", "0"]) == 1
