@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 
 import numpy as np
@@ -203,11 +204,14 @@ def _cmd_sample(args) -> int:
     model = load_model(args.model)
     given = _evidence_from_flag(model, args.given)
     rng = np.random.default_rng(args.seed)
+    # successive chunks draw the rows one call would, from the same rng
+    chunks = (sample_rows(model, given, rng, min(SAMPLE_CHUNK, args.n - start))
+              for start in range(0, args.n, SAMPLE_CHUNK))
+    first = next(chunks)  # drawn before the header, so a failed draw prints nothing
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(model.schema.names)
-    # successive chunks draw the rows one call would, from the same rng
-    for start in range(0, args.n, SAMPLE_CHUNK):
-        for row in sample_rows(model, given, rng, min(SAMPLE_CHUNK, args.n - start)):
+    for chunk in itertools.chain([first], chunks):
+        for row in chunk:
             writer.writerow(
                 _format_cell(model.schema, i, row[i]) for i in range(model.n_vars)
             )

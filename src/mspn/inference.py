@@ -19,13 +19,16 @@ it. Neither compiling nor running a plan recurses, so the
 depth of the trees they handle is bounded by memory, not by Python's
 recursion limit. The executors on the plan:
 
-* ``_Plan.evaluate_row`` answers one validated row (``log_evaluate``,
-  ``log_conditional``, ``mpe``, ``sample``). Its cost is numpy calls, not
-  arithmetic, so it makes a fixed few per height. It walks the heights
-  once: the observed leaves get their densities from one pass over the
-  leaf table, the sums of a height are one ``weighted_logsumexp`` call on
-  the height's contiguous block, and its products one ``_product`` fold,
-  ``0.0 + c0 + c1 + ...`` in child order.
+* ``_Plan.evaluate_rows`` answers a few validated rows in one pass
+  (``log_conditional``'s given and joint rows); ``evaluate_row`` is its
+  one-row case (``log_evaluate``, ``mpe``, ``sample``). Its cost is numpy
+  calls, not arithmetic, so it makes a fixed few per height. It walks the
+  heights once: the observed leaves get their densities from one pass over
+  the leaf table, the sums of a height are one ``weighted_logsumexp`` call
+  on the height's contiguous block, and its products one ``_product``
+  fold, ``0.0 + c0 + c1 + ...`` in child order. The rows sit side by side
+  as extra columns of those blocks, each row's node slots shifted by
+  ``len(nodes) + 2``, so a few rows cost about the calls of one.
 * ``_Plan.evaluate_tables`` evaluates the nodes on tables of observed
   values: many rows (``log_evaluate_batch``, on the distinct values
   ``_Batch`` gives each observed variable) or the grids of one or two
@@ -315,6 +318,24 @@ class _NodeMatrix(NamedTuple):
     log_w: np.ndarray | None
 
 
+class _Rows(NamedTuple):
+    """What ``_Plan.evaluate_rows`` reads for arguments of one shape.
+
+    The k rows sit side by side, row r's node slots ``r * (len(nodes) + 2)``
+    on from row 0's, so each row keeps its own two pads. ``levels`` and
+    ``leaf_table`` are the plan's, tiled k times with the node slots
+    shifted; ``leaf_nodes`` and ``leaf_vars`` are each row's leaf slots and
+    the flat positions of its leaves' values; ``blank`` is the result before
+    the pass: zeros, with each row's sum pad -inf.
+    """
+
+    levels: list
+    leaf_table: _LeafTable
+    leaf_nodes: np.ndarray
+    leaf_vars: np.ndarray
+    blank: np.ndarray
+
+
 class _Batch:
     """The rows of one ``log_evaluate_batch`` call, checked and keyed.
 
@@ -418,6 +439,8 @@ class _Plan:
         self.edges = self._edges()
         # (node, free variable) -> _SettleTable, built on first use by mpe
         self.settle_tables: dict[tuple[int, int], _SettleTable] = {}
+        # evaluate_rows argument shape -> its _Rows, built on first use
+        self.row_blocks: dict[tuple, _Rows] = {}
 
     def _levels(self) -> list:
         """Per height above the leaves, its (sums, products), each a ``_NodeMatrix``.
@@ -492,32 +515,75 @@ class _Plan:
             probs = weights * np.exp(logits - logits.max(axis=0))
         return np.cumsum(probs, axis=0).T.ravel().tolist()
 
-    def evaluate_row(self, values: np.ndarray, observed: np.ndarray,
-                     counter=None) -> np.ndarray:
-        """Log value of every node for one validated row (one plan pass).
+    def _tile(self, shape: tuple) -> _Rows:
+        """The ``_Rows`` of ``evaluate_rows`` arguments of this shape, kept on the plan.
 
-        The two slots past the last node hold the pads: 0.0 for product
-        columns, -inf for sum columns, where a pad's weight 0 makes its term
-        exactly 0. Each height reads its contiguous blocks from ``levels``:
-        its sums are one ``weighted_logsumexp`` call with a column per node,
-        whose arithmetic is elementwise, so every node gets the bits it gets
-        in a batch or alone, and its products one ``_product`` fold.
+        Every tiled block is a contiguous copy, the rows side by side along
+        its last axis: gathers through views, and a (nodes, k) layout,
+        measured slower. One row's blocks are ``levels`` and ``leaf_table``
+        themselves.
         """
+        k, n_vars, stride = math.prod(shape[:-1]), shape[-1], len(self.nodes) + 2
+
+        def shifted(a, step):
+            return np.concatenate([a + r * step for r in range(k)], axis=-1)
+
+        def tiled(block):
+            return None if block is None else _NodeMatrix(
+                shifted(block.nodes, stride), shifted(block.kids, stride),
+                *(None if a is None else np.tile(a, k) for a in block[2:]))
+
+        if k == 1:
+            levels, table = self.levels, self.leaf_table
+        else:
+            levels = [tuple(map(tiled, level)) for level in self.levels]
+            table = _LeafTable([self.nodes[i] for i in self.leaf_nodes.tolist()] * k)
+        blank = np.zeros(shape[:-1] + (stride,))
+        blank[..., -1] = -np.inf
+        blocks = _Rows(levels, table, shifted(self.leaf_nodes, stride),
+                       shifted(self.leaf_vars, n_vars), blank)
+        self.row_blocks[shape] = blocks
+        return blocks
+
+    def evaluate_rows(self, values: np.ndarray, observed: np.ndarray,
+                      counter=None) -> np.ndarray:
+        """Log value of every node for each of a few validated rows, in one plan pass.
+
+        ``values`` and ``observed`` are (k, n_vars), or (n_vars,) for one
+        row; row r of the (k, len(nodes) + 2) result, or the (len(nodes) +
+        2,) one, is row r's node values, then its two pads: 0.0 for product
+        columns, -inf for sum columns, where a pad's weight 0 makes its term
+        exactly 0. The rows sit side by side in the contiguous blocks of
+        ``row_blocks``, so k rows cost the numpy calls of one: per height,
+        its sums are one ``weighted_logsumexp`` call with a column per node
+        and row, whose arithmetic is elementwise, so every node gets the
+        bits it gets in a batch or alone, and its products one ``_product``
+        fold. ``counter`` counts each node once per row.
+        """
+        blocks = self.row_blocks.get(values.shape)
+        if blocks is None:
+            blocks = self._tile(values.shape)
         if counter is not None:
-            counter.update(self.ids)
-        vals = np.zeros(len(self.nodes) + 2)
-        vals[-1] = -np.inf
-        seen = observed[self.leaf_vars]
-        x = np.where(seen, values[self.leaf_vars], 0.0)  # unobserved values are never read
+            for _ in range(values.size // values.shape[-1]):
+                counter.update(self.ids)
+        out = blocks.blank.copy()
+        vals = out.ravel()
+        seen = observed.ravel()[blocks.leaf_vars]
+        x = np.where(seen, values.ravel()[blocks.leaf_vars], 0.0)  # unobserved values are never read
         # far outside a leaf, slope * (x - x_j) may overflow; the range mask drops it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals[self.leaf_nodes] = np.where(seen, np.log(self.leaf_table.density(x)), 0.0)
-        for sums, prods in self.levels:
+            vals[blocks.leaf_nodes] = np.where(seen, np.log(blocks.leaf_table.density(x)), 0.0)
+        for sums, prods in blocks.levels:
             if sums is not None:
                 vals[sums.nodes] = weighted_logsumexp(vals[sums.kids], sums.weights)
             if prods is not None:
                 vals[prods.nodes] = _product(vals[prods.kids])
-        return vals
+        return out
+
+    def evaluate_row(self, values: np.ndarray, observed: np.ndarray,
+                     counter=None) -> np.ndarray:
+        """``evaluate_rows`` on one (n_vars,) row: every node's log value, then the two pads."""
+        return self.evaluate_rows(values, observed, counter)
 
     @cached_property
     def base(self) -> np.ndarray:
@@ -832,12 +898,23 @@ def log_evaluate(mspn: Mspn, evidence: Evidence, counter=None) -> float:
 
 
 def log_conditional(mspn: Mspn, query: Evidence, given: Evidence, counter=None) -> float:
-    """log p(query | given) as a difference of two evaluations."""
+    """log p(query | given), as log p(query, given) - log p(given).
+
+    Both evidences are checked first, so an invalid query is a
+    :class:`QueryError` even where ``given`` has zero probability. Then one
+    plan pass evaluates the given and joint rows side by side
+    (``_Plan.evaluate_rows``), and a ``given`` of zero probability raises
+    :class:`ConditioningError`.
+    """
     joint = query.merged(given)  # a QueryError unless both cover the same, disjoint variables
-    denom = log_evaluate(mspn, given, counter)
+    _check_evidence(mspn, given)
+    _check_evidence(mspn, joint)
+    plan = evaluation_plan(mspn)
+    vals = plan.evaluate_rows(np.stack((given.values, joint.values)),
+                              np.stack((given.observed, joint.observed)), counter)
+    denom, num = vals[:, plan.root].tolist()
     if denom == -np.inf:
         raise ConditioningError("conditioning evidence has zero probability")
-    num = log_evaluate(mspn, joint, counter)
     return num - denom
 
 

@@ -242,7 +242,26 @@ class TestLogConditional:
                          np.array([True] + [False] * 5))
         query = Evidence(np.array([0, 0, 1.0, 0, 0, 0]),
                          np.array([False, False, True, False, False, False]))
+        assert log_evaluate(hybrid6_model, given) == -np.inf
+        assert np.isfinite(log_evaluate(hybrid6_model, query))
         with pytest.raises(ConditioningError):
+            log_conditional(hybrid6_model, query, given)
+
+    def test_non_finite_query_value_rejected(self, hybrid6_model):
+        given = Evidence(np.array([0, 0, 1.0, 0, 0, 0]),
+                         np.array([False, False, True, False, False, False]))
+        query = Evidence(np.array([np.nan, 0, 0, 0, 0, 0]), np.array([True] + [False] * 5))
+        assert np.isfinite(log_evaluate(hybrid6_model, given))
+        with pytest.raises(QueryError, match="not finite"):
+            log_conditional(hybrid6_model, query, given)
+
+    def test_invalid_query_rejected_before_a_zero_probability_given(self, hybrid6_model):
+        # both evidences are checked before the one plan pass that scores them
+        given = Evidence(np.array([100.0, 0, 0, 0, 0, 0]),
+                         np.array([True] + [False] * 5))
+        query = Evidence(np.array([0, 0, np.inf, 0, 0, 0]),
+                         np.array([False, False, True, False, False, False]))
+        with pytest.raises(QueryError, match="not finite"):
             log_conditional(hybrid6_model, query, given)
 
     def test_empty_query_conditions_to_zero(self, hybrid6_model):

@@ -419,9 +419,11 @@ class TestBenchmarkHooks:
             assert callable(getattr(mspn.numerics, name))
 
     def test_query_hook_targets_stay_bound_in_inference(self, monkeypatch):
-        # the tracer rebinds these names inside mspn.inference; batches and
-        # sampling must still call them through that namespace (the batch
-        # and the sampler's one-row pass each combine the root sum once)
+        # the tracer rebinds these names inside mspn.inference; batches,
+        # sampling and conditionals must still call them through that
+        # namespace (the batch and the sampler's one-row pass each combine
+        # the root sum once, and so does the conditional's one pass over
+        # its given and joint rows)
         calls = Counter()
         for name in ("leaf_density_batch", "weighted_logsumexp", "leaf_sample"):
             original = getattr(mspn.inference, name)
@@ -438,6 +440,10 @@ class TestBenchmarkHooks:
         assert calls["leaf_density_batch"] == 2
         assert calls["weighted_logsumexp"] == 2
         assert calls["leaf_sample"] == 1
+        calls.clear()
+        mspn.log_conditional(model, mspn.Evidence(np.array([0.5]), np.array([True])),
+                             mspn.Evidence.marginalized(1))
+        assert calls["weighted_logsumexp"] == 1
 
     def test_pair_scores_go_through_the_rdc_namespace(self, monkeypatch):
         # the tracer rebinds cca_max_correlation inside mspn.rdc and reads

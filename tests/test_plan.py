@@ -359,6 +359,84 @@ def test_each_height_reads_contiguous_blocks_of_one_matrix_per_node_kind(fixture
                     assert np.array_equal(part, want), (name, h)
 
 
+def test_rows_side_by_side_read_shifted_contiguous_copies_of_the_one_row_blocks(fixture_models):
+    for name, (_, model) in fixture_models.items():
+        plan = evaluation_plan(model)
+        n, stride = model.n_vars, len(plan.nodes) + 2
+        n_knots, n_leaves = plan.leaf_table.x.size, plan.leaf_nodes.size
+        for k in (1, 2, 3):
+            plan.evaluate_rows(np.zeros((k, n)), np.zeros((k, n), dtype=bool))
+            rows = plan.row_blocks[k, n]
+            if k == 1:
+                assert rows.levels is plan.levels and rows.leaf_table is plan.leaf_table, name
+            # (tiled, one row's, shift of row r's copy per row) for every block
+            parts = [(rows.leaf_nodes, plan.leaf_nodes, stride), (rows.leaf_vars, plan.leaf_vars, n),
+                     (rows.leaf_table.start, plan.leaf_table.start, n_knots),
+                     (rows.leaf_table.knot_leaf, plan.leaf_table.knot_leaf, n_leaves)]
+            parts += [(getattr(rows.leaf_table, a), getattr(plan.leaf_table, a), 0)
+                      for a in ("count", "x", "y", "slope", "first", "last", "outside")]
+            assert len(rows.levels) == len(plan.levels), name
+            for tiled_level, level in zip(rows.levels, plan.levels):
+                for tiled, block in zip(tiled_level, level):
+                    if block is None:
+                        assert tiled is None, name
+                        continue
+                    for t, one, shift in zip(tiled, block, (stride, stride, 0, 0)):
+                        if one is None:
+                            assert t is None, name
+                        else:
+                            parts.append((t, one, shift))
+            for t, one, shift in parts:
+                assert t.flags.c_contiguous, name
+                width = one.shape[-1]
+                assert t.shape == one.shape[:-1] + (k * width,), name
+                for r in range(k):
+                    assert np.array_equal(t[..., r * width:(r + 1) * width], one + r * shift), name
+            want = np.zeros((k, stride))
+            want[:, -1] = -np.inf
+            assert np.array_equal(rows.blank, want), name
+
+
+def assert_rows_equal_single_rows(plan, evs):
+    """``evaluate_rows`` on the evidences' rows gives each ``evaluate_row``'s bytes, pads too."""
+    got = plan.evaluate_rows(np.stack([ev.values for ev in evs]),
+                             np.stack([ev.observed for ev in evs]))
+    want = np.stack([plan.evaluate_row(ev.values, ev.observed) for ev in evs])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def far_evidences(model):
+    """Every variable observed outside every support, below and above.
+
+    Continuous and discrete values sit at -1e300 and 1e300; categorical
+    codes past the vocabulary.
+    """
+    categorical = np.array([model.schema.stat_type(v).is_categorical
+                            for v in range(model.n_vars)])
+    return [Evidence(np.where(categorical, 50.0, sign * 1e300), np.ones(model.n_vars, dtype=bool))
+            for sign in (-1.0, 1.0)]
+
+
+def test_rows_side_by_side_equal_single_rows_bit_for_bit(fixture_models):
+    zero_probability = set()
+    for name, (data, model) in fixture_models.items():
+        plan = evaluation_plan(model)
+        rng = np.random.default_rng(23)
+        evs = [Evidence.marginalized(model.n_vars), *far_evidences(model),
+               *random_evidences(model, data, rng, 30)]
+        rng.shuffle(evs)
+        # the rows mix finite, all-marginalized and (on every model with a
+        # variable that is not categorical) zero-probability ones
+        roots = np.array([plan.evaluate_row(ev.values, ev.observed)[plan.root] for ev in evs])
+        assert (roots == 0.0).any() and np.isfinite(roots).any(), name
+        if (roots == -np.inf).any():
+            zero_probability.add(name)
+        for k in (1, 2, 3):
+            for i in range(0, len(evs) - k + 1, k):
+                assert_rows_equal_single_rows(plan, evs[i:i + k])
+    assert zero_probability == set(fixture_models) - {"cat_pair", "cat_indep"}
+
+
 def test_dead_sums_and_zero_weights_are_never_sampled():
     # x = 0.5 lies outside both children of the second component's x-sum, so
     # that sum is dead (all children -inf) while the root stays finite; the
@@ -756,6 +834,17 @@ def test_random_small_trees_sample_matches_the_recursive_sampler(case, seed):
         return
     assert np.array_equal(sample_rows(model, ev, got_rng, 3), want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow,
+                                                                   HealthCheck.filter_too_much])
+@given(case=small_mixed_models(), picks=st.lists(st.integers(0, 4), min_size=1, max_size=3))
+def test_random_small_trees_rows_side_by_side_equal_single_rows(case, picks):
+    model, ev = case
+    n = model.n_vars
+    pool = [ev, Evidence(ev.values, np.ones(n, dtype=bool)), Evidence.marginalized(n),
+            *far_evidences(model)]
+    assert_rows_equal_single_rows(evaluation_plan(model), [pool[i] for i in picks])
 
 
 def recursive_mixture_terms(node, var, values, observed):

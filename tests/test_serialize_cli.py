@@ -314,8 +314,9 @@ class TestLoadChecksEveryNode:
                 capsys.readouterr()
             for command in failing:
                 assert main([command, "--model", str(path)]) == 3, command
-                err = capsys.readouterr().err
+                out, err = capsys.readouterr()
                 assert "query error" in err and "Traceback" not in err, command
+                assert out == "", command
 
     def test_integer_grids_stop_at_a_fixed_width(self):
         assert integer_support(-0.5, 1e7 - 0.5).size == 10**7
