@@ -10,12 +10,12 @@ a mixed query is therefore a density with respect to the product of
 Lebesgue measure (continuous coordinates) and counting measure (the rest).
 
 The first query compiles the model into an evaluation plan, kept on the
-model: the nodes in iterative postorder with their child indices, parents
-and heights, one flat leaf table (every leaf's ``knot_table``, its one
-density rule, laid end to end), one height-sorted child matrix per
-internal node kind (``_NodeMatrix``) with each height's columns copied
-into a contiguous block, and every edge with the range of leaves below
-it. Neither compiling nor running a plan recurses, so the
+model: the nodes in iterative postorder with their child indices and
+heights, each node's parent with its log weight there if the parent is a
+sum, one flat leaf table (every leaf's ``knot_table``, its one density
+rule, laid end to end), and one height-sorted child matrix per internal
+node kind (``_NodeMatrix``) with each height's columns copied into a
+contiguous block. Neither compiling nor running a plan recurses, so the
 depth of the trees they handle is bounded by memory, not by Python's
 recursion limit. The executors on the plan:
 
@@ -45,13 +45,14 @@ recursion limit. The executors on the plan:
   scope.
 * ``_Plan.max_product`` is MPE's second pass, in three vectorized steps.
   The leaves' log coefficients in their 1-d mixtures accumulate per leaf,
-  one step per height. Every mixture of the query is then maximized at
-  once on its candidate grid: the cached per-(node, variable) tables,
-  which hold each grid cell's leaf densities cell by cell, are laid end
-  to end, and one segmented ``logaddexp`` fold gives every cell its
-  mixture value, so a query costs a fixed number of numpy calls however
-  many mixtures it has. The nodes with two or more free variables then
-  take their maxima level by level, sums keeping a back-pointer to their
+  every leaf walking up the parent array one step at a time. Every
+  mixture of the query is then maximized at once on its candidate grid:
+  the cached per-(node, variable) tables, which hold each grid cell's leaf
+  densities cell by cell, are laid end to end, and one segmented
+  ``logaddexp`` fold gives every cell its mixture value, so a query costs
+  a fixed number of numpy calls however many mixtures it has. The nodes
+  with two or more free variables then take their maxima level by level,
+  each height's whole blocks at once, sums keeping a back-pointer to their
   best child, and a walk down those pointers collects the assignment.
 * ``sample_rows`` draws by walking down from the root. Before the walk,
   ``_Plan.choice_table`` gives every sum its cumulative weighted child
@@ -285,22 +286,6 @@ class _SettleTable(NamedTuple):
     first: np.ndarray
 
 
-class _Edges(NamedTuple):
-    """Every parent-child edge of a plan, in ascending order of the parent's height.
-
-    ``log_w`` is the log weight of a sum edge and NaN on a product edge;
-    the child's leaves are ``lo .. lo + size - 1`` in postorder.
-    """
-
-    parent: np.ndarray
-    child: np.ndarray
-    height: np.ndarray
-    is_sum: np.ndarray
-    log_w: np.ndarray
-    lo: np.ndarray
-    size: np.ndarray
-
-
 class _NodeMatrix(NamedTuple):
     """The internal nodes of one kind, one column each, in ascending height.
 
@@ -398,13 +383,21 @@ class _Plan:
         n = len(nodes)
         heights: list[int] = []
         first = list(range(n))  # postorder index where each subtree starts
-        parent = np.full(n, n, dtype=np.intp)  # the root's parent is the padding slot
-        for i, (kind, kids) in enumerate(zip(kinds, children)):
-            heights.append(0 if kind == _LEAF else
-                           1 + max((heights[c] for c in kids.tolist()), default=0))
-            if kids.size:
-                first[i] = first[int(kids[0])]
-                parent[kids] = i
+        # per node and a pad slot n, the root's parent and its own: the parent,
+        # whether it is a sum, and the node's log weight in it (0.0 under a product)
+        parent = np.full(n + 1, n, dtype=np.intp)
+        sum_child = np.zeros(n + 1, dtype=bool)
+        edge_log_w = np.zeros(n + 1)
+        with np.errstate(divide="ignore"):
+            for i, (node, kind, kids) in enumerate(zip(nodes, kinds, children)):
+                heights.append(0 if kind == _LEAF else
+                               1 + max((heights[c] for c in kids.tolist()), default=0))
+                if kids.size:
+                    first[i] = first[int(kids[0])]
+                    parent[kids] = i
+                if kind == _SUM:
+                    sum_child[kids] = True
+                    edge_log_w[kids] = np.log(node.weights)
         is_leaf = np.array(kinds) == _LEAF
         # leaves_before[i]: how many leaves come before node i in postorder
         leaves_before = np.concatenate(([0], np.cumsum(is_leaf)))
@@ -413,8 +406,10 @@ class _Plan:
         self.ids = [id(node) for node in nodes]
         self.kinds = kinds
         self.children = children
-        self.heights = heights
+        self.heights = np.array(heights)
         self.parent = parent
+        self.sum_child = sum_child
+        self.edge_log_w = edge_log_w
         self.scope_vars = np.array([v for node in nodes for v in node.scope], dtype=np.intp)
         self.scope_owner = np.repeat(np.arange(n), [len(node.scope) for node in nodes])
         self.root = n - 1
@@ -436,7 +431,6 @@ class _Plan:
         self.leaf_vars = np.array([nodes[i].variable for i in self.leaf_nodes], dtype=np.intp)
         self.leaf_table = _LeafTable([nodes[i] for i in self.leaf_nodes.tolist()])
         self.subtree_leaves = (leaves_before[first], leaves_before[1:])
-        self.edges = self._edges()
         # (node, free variable) -> _SettleTable, built on first use by mpe
         self.settle_tables: dict[tuple[int, int], _SettleTable] = {}
         # evaluate_rows argument shape -> its _Rows, built on first use
@@ -451,9 +445,9 @@ class _Plan:
         contiguous index block several times faster than through a column
         range of a wider matrix, and ``evaluate_row`` gathers twice a height.
         """
-        heights = np.array(self.heights)
+        heights = self.heights
         levels = []
-        for h in range(1, max(self.heights) + 1):
+        for h in range(1, int(heights.max()) + 1):
             level = []
             for matrix in (self.sum_matrix, self.product_matrix):
                 a, b = np.searchsorted(heights[matrix.nodes], (h, h + 1)).tolist()
@@ -463,21 +457,6 @@ class _Plan:
                     for m in matrix[1:])) if rows else None)
             levels.append(tuple(level))
         return levels
-
-    def _edges(self) -> _Edges:
-        n = len(self.nodes)
-        parent = np.repeat(np.arange(n), [kids.size for kids in self.children])
-        child = np.concatenate(self.children)
-        with np.errstate(divide="ignore"):
-            log_w = np.concatenate([
-                np.log(node.weights) if kind == _SUM else np.full(kids.size, np.nan)
-                for node, kind, kids in zip(self.nodes, self.kinds, self.children)])
-        height = np.array(self.heights)[parent]
-        order = np.argsort(height, kind="stable")
-        parent, child = parent[order], child[order]
-        lo, hi = self.subtree_leaves
-        return _Edges(parent, child, height[order], np.array(self.kinds)[parent] == _SUM,
-                      log_w[order], lo[child], (hi - lo)[child])
 
     @cached_property
     def steps(self) -> list:
@@ -707,8 +686,9 @@ class _Plan:
         coefficients come from ``_coefficients``, their grids and leaf
         densities from ``settle_table``, and ``_settle`` maximizes them all
         in one fold. The nodes with two or more free variables then take
-        their maxima level by level, and a walk down the chosen nodes
-        collects the settle points' maximizers.
+        their maxima level by level (``_max_levels``), and a walk down the
+        chosen nodes collects the settle points' maximizers. The coefficient
+        walk and the levels cost a few numpy calls per height each.
         """
         n = len(self.nodes)
         entries = np.flatnonzero(~observed[self.scope_vars])
@@ -722,9 +702,9 @@ class _Plan:
         free_var[owners] = self.scope_vars[entries]  # the one free variable of 1-free nodes
         best = vals.copy()  # per node: its log maximum under the evidence
         at: dict[int, float] = {}  # settle point -> maximizer of its free variable
-        settle = np.flatnonzero((n_free[:n] == 1) & (n_free[self.parent] != 1))
+        settle = np.flatnonzero((n_free == 1) & (n_free[self.parent] != 1))
         if settle.size:
-            best[settle], x = self._settle(self._coefficients(vals, n_free), settle,
+            best[settle], x = self._settle(self._coefficients(vals, n_free, settle), settle,
                                            free_var[settle])
             at = dict(zip(settle.tolist(), x.tolist()))
         choice = self._max_levels(best, n_free >= 2)
@@ -766,31 +746,34 @@ class _Plan:
         k = top[np.searchsorted(top, starts)]
         return total[k], grid[k]
 
-    def _coefficients(self, vals: np.ndarray, n_free: np.ndarray) -> np.ndarray:
+    def _coefficients(self, vals: np.ndarray, n_free: np.ndarray,
+                      settle: np.ndarray) -> np.ndarray:
         """Per leaf, its log coefficient in the mixture its settle point maximizes.
 
         Every edge below a node with one free variable scales the leaves
-        under it: a sum edge by its weight, the free child of a product by
-        the product's fully observed children (``0.0 + v0 + v1 + ...`` in
-        child order). Adding each edge's log value to a per-leaf
-        accumulator, parents in ascending height, gives each leaf
-        ``x_top + (... + (x_parent + 0.0))``, nested from the leaf up.
+        under it: a sum edge by its log weight, the free child of a product
+        by the product's fully observed children (``0.0 + v0 + v1 + ...`` in
+        child order). Every other edge adds +0.0. Each leaf walks up the
+        ``parent`` array, adding its edges from the leaf up, so it gets
+        ``x_top + (... + (x_parent + 0.0))``. A leaf's ancestors have
+        strictly increasing heights, so the tallest ``settle`` point's height
+        in steps reaches every edge below a settle point; past the root the
+        walk stays in the pad slot, whose edge adds +0.0. Adding +0.0 changes
+        no bits, since no total is -0.0: it starts at +0.0, and no edge
+        value is -0.0. The walk holds one value per leaf and node, however
+        deep the tree.
         """
         # a free child adds 0.0 instead of being skipped, as a pad does
-        kids = self.product_matrix.kids
-        offsets = np.zeros(len(self.nodes))
+        kids, parent = self.product_matrix.kids, self.parent
+        offsets = np.zeros(len(self.nodes) + 1)
         offsets[self.product_matrix.nodes] = _product(np.where(n_free[kids] > 0, 0.0, vals[kids]))
-        e = self.edges
-        sel = np.flatnonzero((n_free[e.parent] == 1) & (n_free[e.child] > 0))
-        value = np.where(e.is_sum[sel], e.log_w[sel], offsets[e.parent[sel]])
-        lo, size = e.lo[sel], e.size[sel]
+        value = np.where((n_free[parent] == 1) & (n_free > 0),
+                         np.where(self.sum_child, self.edge_log_w, offsets[parent]), 0.0)
         acc = np.zeros(self.leaf_nodes.size)
-        # one step per parent height; the subtrees of one height are disjoint
-        bounds = np.flatnonzero(np.diff(e.height[sel], prepend=-1, append=-1)).tolist()
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            stop = np.cumsum(size[a:b])
-            leaves = np.arange(stop[-1]) + np.repeat(lo[a:b] - stop + size[a:b], size[a:b])
-            acc[leaves] = np.repeat(value[a:b], size[a:b]) + acc[leaves]
+        node = self.leaf_nodes
+        for _ in range(int(self.heights[settle].max(initial=0))):
+            acc = value[node] + acc
+            node = parent[node]
         return acc
 
     def settle_table(self, i: int, var: int) -> _SettleTable:
@@ -831,26 +814,29 @@ class _Plan:
     def _max_levels(self, best: np.ndarray, multi: np.ndarray) -> np.ndarray:
         """Log maxima of the ``multi`` nodes, written into ``best`` level by level.
 
-        A sum takes its first best weighted child (``np.argmax``), whose
-        index it keeps as the returned back-pointer; a product adds its
-        children's maxima to 0.0 in child order.
+        Each height runs whole contiguous blocks, skipping a block with no
+        ``multi`` node, and only the ``multi`` nodes keep their results. A
+        sum takes its first best weighted child (``np.argmax``), whose index
+        it keeps as the returned back-pointer (the walk reads only those of
+        ``multi`` sums); a product adds its children's maxima to 0.0 in
+        child order.
         """
         choice = np.zeros(len(self.nodes), dtype=np.intp)
         for sums, prods in self.levels:
             if sums is not None:
                 live = multi[sums.nodes]
                 if live.any():
-                    idx, kids = sums.nodes[live], sums.kids[:, live]
-                    scored = sums.log_w[:, live] + best[kids]
+                    scored = sums.log_w + best[sums.kids]
                     # pads score -inf after the last child, so argmax never picks one
                     pick = scored.argmax(axis=0)
-                    cols = np.arange(idx.size)
-                    best[idx] = scored[pick, cols]
-                    choice[idx] = kids[pick, cols]
+                    cols = np.arange(pick.size)
+                    best[sums.nodes] = np.where(live, scored[pick, cols], best[sums.nodes])
+                    choice[sums.nodes] = sums.kids[pick, cols]
             if prods is not None:
                 live = multi[prods.nodes]
                 if live.any():
-                    best[prods.nodes[live]] = _product(best[prods.kids[:, live]])
+                    best[prods.nodes] = np.where(live, _product(best[prods.kids]),
+                                                 best[prods.nodes])
         return choice
 
 

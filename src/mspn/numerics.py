@@ -204,8 +204,10 @@ def kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator,
     diff = np.empty((min(_CHUNK, pts.shape[0]), pts.shape[1]))
     first = int(rng.integers(m))
     cent[0] = pts[rows[first]]
-    d2 = _sq_dists(pts, cent[:1], diff)[:, 0]
+    d2 = np.full(pts.shape[0], np.inf)
     for c in range(1, k):
+        # distances to the nearest centroid drawn so far; the last one drawn needs none
+        d2 = np.minimum(d2, _sq_dists(pts, cent[c - 1 : c], diff)[:, 0])
         # the draw weighs every row, so the sums run over rows, not points
         row_d2 = d2[rows]
         total = float(row_d2.sum())
@@ -216,7 +218,6 @@ def kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator,
         else:
             j = int(rng.integers(m))
         cent[c] = pts[rows[j]]
-        d2 = np.minimum(d2, _sq_dists(pts, cent[c : c + 1], diff)[:, 0])
 
     return lloyd(pts, cent, max_iter, tol, rows)
 

@@ -215,6 +215,19 @@ class TestKmeans:
         labels = kmeans(pts, 4, np.random.default_rng(5))
         assert labels.min() >= 0 and labels.max() < 4
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_seeding_skips_the_distances_to_the_last_centroid(self, monkeypatch, k):
+        # each draw reads the distances to the centroids before it, so k
+        # centroids take k - 1 passes; Lloyd's go through mspn._kernels
+        calls = []
+        sq_dists = mspn.numerics._sq_dists
+        monkeypatch.setattr(mspn.numerics, "_sq_dists",
+                            lambda *args: calls.append(1) or sq_dists(*args))
+        labels = kmeans(np.random.default_rng(8).normal(size=(60, 2)), k,
+                        np.random.default_rng(9))
+        assert len(calls) == k - 1
+        assert set(labels.tolist()) == set(range(k))
+
     @pytest.mark.parametrize("case", ["ties", "fewer points than clusters", "one point",
                                       "blobs"])
     def test_distinct_points_cluster_like_their_rows(self, case):

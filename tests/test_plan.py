@@ -711,7 +711,9 @@ def test_mpe_with_a_zero_weight_child_matches_the_recursive_pass():
     n_observed = Evidence(np.array([0.0, 1.0]), np.array([False, True]))
     n_free = np.bincount(plan.scope_owner, ~n_observed.observed[plan.scope_vars],
                          len(plan.nodes) + 1)
-    coef = plan._coefficients(plan.evaluate_row(n_observed.values, n_observed.observed), n_free)
+    settle = np.flatnonzero((n_free == 1) & (n_free[plan.parent] != 1))
+    coef = plan._coefficients(plan.evaluate_row(n_observed.values, n_observed.observed), n_free,
+                              settle)
     # the x leaves in postorder: the tall box, component 2's, the zero-weight and the wide child
     assert np.isneginf(coef[plan.leaf_vars == 0]).tolist() == [True, False, True, False]
     # the wide child's density 0.5 ties over [4, 6]: the smallest value wins
@@ -888,8 +890,9 @@ def test_mixture_coefficients_nest_like_the_recursive_pass(fixture_models):
         for ev in evidences:
             n_free = np.bincount(plan.scope_owner, ~ev.observed[plan.scope_vars],
                                  len(plan.nodes) + 1).astype(int)
-            coef = plan._coefficients(plan.evaluate_row(ev.values, ev.observed), n_free)
-            for s in np.flatnonzero((n_free[:-1] == 1) & (n_free[plan.parent] != 1)).tolist():
+            settle = np.flatnonzero((n_free == 1) & (n_free[plan.parent] != 1))
+            coef = plan._coefficients(plan.evaluate_row(ev.values, ev.observed), n_free, settle)
+            for s in settle.tolist():
                 var = next(v for v in plan.nodes[s].scope if not ev.observed[v])
                 terms = recursive_mixture_terms(plan.nodes[s], var, ev.values, ev.observed)
                 table = plan.settle_table(s, var)
@@ -898,6 +901,63 @@ def test_mixture_coefficients_nest_like_the_recursive_pass(fixture_models):
                 assert np.array_equal(coef[table.ranks], [t for t, _ in terms]), name
                 settled += 1
     assert settled > 500
+
+
+def coefficient_inputs(plan, ev):
+    """``_coefficients``' arguments under ``ev``, as ``max_product`` computes them."""
+    n_free = np.bincount(plan.scope_owner, ~ev.observed[plan.scope_vars], len(plan.nodes) + 1)
+    settle = np.flatnonzero((n_free == 1) & (n_free[plan.parent] != 1))
+    return plan.evaluate_row(ev.values, ev.observed), n_free, settle
+
+
+def read_coefficients(plan, ev):
+    """The coefficients ``_settle`` reads under ``ev``: each settle point's leaves of its free variable."""
+    vals, n_free, settle = coefficient_inputs(plan, ev)
+    coef = plan._coefficients(vals, n_free, settle)
+    ranks = [plan.settle_table(s, next(v for v in plan.nodes[s].scope if not ev.observed[v])).ranks
+             for s in settle.tolist()]
+    return coef[np.concatenate(ranks)] if ranks else coef[:0]
+
+
+def assert_no_negative_zero(plan, ev):
+    """No read coefficient is -0.0, so adding a +0.0 edge keeps every bit; returns the zeros."""
+    coef = read_coefficients(plan, ev)
+    zeros = coef[coef == 0.0]
+    assert not np.signbit(zeros).any(), (ev.values, ev.observed)
+    return zeros.size
+
+
+def test_no_coefficient_is_negative_zero(fixture_models):
+    # a leaf right under a product with two free variables settles alone,
+    # so every edge on its walk adds the +0.0 of an unselected edge
+    pair = SumNode((1, 2), np.array([0.25, 0.75]), (
+        ProductNode((1, 2), (unit_leaf(1, 0), unit_leaf(2, 0))),
+        ProductNode((1, 2), (unit_leaf(1, 1), unit_leaf(2, 1))),
+    ))
+    root = ProductNode((0, 1, 2), (unit_leaf(0, 0), pair))
+    data = make_dataset([(name, CONTINUOUS, None) for name in "xyz"], [[0.5, 0.5, 0.5]])
+    model = Mspn(root, data.schema, LearnConfig())
+    plan = evaluation_plan(model)
+    zeros = sum(assert_no_negative_zero(plan, ev)
+                for ev in every_evidence(([0.5, 1.5], [0.5, 1.5], [0.5, 1.5])))
+    assert zeros > 0
+    zeros = 0
+    for data, model in fixture_models.values():
+        plan = evaluation_plan(model)
+        rng = np.random.default_rng(21)
+        zeros += sum(assert_no_negative_zero(plan, ev)
+                     for ev in random_evidences(model, data, rng, 40))
+    assert zeros > 100
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow,
+                                                                   HealthCheck.filter_too_much])
+@given(case=small_mixed_models())
+def test_random_small_trees_read_no_negative_zero_coefficient(case):
+    model, ev = case
+    plan = evaluation_plan(model)
+    for mask in (ev.observed, np.zeros(model.n_vars, dtype=bool)):
+        assert_no_negative_zero(plan, Evidence(ev.values, mask))
 
 
 def recursive_settle(terms):
@@ -925,12 +985,12 @@ def test_settle_maxima_fold_like_the_recursive_pass(fixture_models):
         for ev in evidences:
             n_free = np.bincount(plan.scope_owner, ~ev.observed[plan.scope_vars],
                                  len(plan.nodes) + 1)
-            settle = np.flatnonzero((n_free[:-1] == 1) & (n_free[plan.parent] != 1))
+            settle = np.flatnonzero((n_free == 1) & (n_free[plan.parent] != 1))
             if not settle.size:
                 continue
             var = [next(v for v in plan.nodes[s].scope if not ev.observed[v])
                    for s in settle.tolist()]
-            coef = plan._coefficients(plan.evaluate_row(ev.values, ev.observed), n_free)
+            coef = plan._coefficients(plan.evaluate_row(ev.values, ev.observed), n_free, settle)
             maxima, at = plan._settle(coef, settle, np.array(var))
             want = [recursive_settle(recursive_mixture_terms(plan.nodes[s], v, ev.values,
                                                              ev.observed))
@@ -1414,6 +1474,31 @@ def test_deep_chain_mpe_is_exact(chain_model):
         assignment, value = mpe(chain_model, given)
         assert assignment[0] == k + 0.5 and k <= assignment[1] <= k + 1
         np.testing.assert_allclose(value, log_weight(k), rtol=1e-9)
+
+
+def test_deep_chain_coefficients_in_closed_form_in_bounded_memory(chain_model):
+    # with x observed in component k, the root settles y: component k's y
+    # leaf has the component's log weight and every other y leaf the -inf
+    # of its x leaf. Each walk step holds one value per leaf and node; a
+    # (leaf, ancestor) table would hold 9 015 002 entries here, 72 MB as doubles
+    plan = evaluation_plan(chain_model)
+    y_leaves = np.flatnonzero(plan.leaf_vars == 1)
+    component = [int(plan.nodes[i].edges[0]) for i in plan.leaf_nodes[y_leaves].tolist()]
+    x_observed = np.array([True, False])
+    for k in (0, 2500, CHAIN):
+        vals, n_free, settle = coefficient_inputs(plan, Evidence(np.array([k + 0.5, 0.0]),
+                                                                 x_observed))
+        assert settle.tolist() == [plan.root]
+        tracemalloc.start()
+        try:
+            coef = plan._coefficients(vals, n_free, settle)[y_leaves]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, k
+        mine = component.index(k)
+        np.testing.assert_allclose(coef[mine], log_weight(k), rtol=1e-9)
+        assert np.isneginf(np.delete(coef, mine)).all(), k
 
 
 def test_deep_chain_settle_table_is_linear_in_its_leaves(chain_model):
