@@ -3,16 +3,22 @@
 The binning DP is loop-free numpy within each bin count (one masked
 argmax fills a whole DP column) and fills only the bin counts its caller
 asks for: the binning search passes the last count that can still beat
-one bin. K-means is vectorised over chunks of points, one centroid at a
-time; PAVA is a short Python loop. K-means clusters rows that are given
-as distinct points plus a row-to-point inverse: distances run once per
-point, centroid sums over the member rows in row order, so the labels
-are those of clustering the rows themselves. Beyond the points, their
-(points, k) distances and the per-row labels, its memory is bounded by
-``_CHUNK`` rows of D values: the distances run over ``_CHUNK`` points at
-a time in one reused buffer, and a centroid sum gathers its member rows
-at most ``_CHUNK`` at a time, carrying the running sum from chunk to
-chunk, which gives the bits of one sum over every member row (see
+one bin. PAVA is a short Python loop. K-means clusters rows that are
+given as distinct points plus a row-to-point inverse: labels are found
+once per point, centroid sums run over the member rows in row order, so
+the labels are those of clustering the rows themselves. With two
+centroids a point's label is the sign of the margin d1 - d0, which one
+matrix-vector product gives for every point; where the computed margin
+clears a proven bound on its own rounding error and on that of the exact
+distances, its sign is the label the exact distances give (see the
+comment before ``_filter_scale``). Only the undecided points, and every
+point for any other k, get exact distances, one centroid at a time.
+Beyond the points and a
+few vectors over them, its memory is bounded by ``_CHUNK`` rows of D
+values: exact distances run over at most ``_CHUNK`` gathered points at a
+time in reused buffers, and a centroid sum gathers its member rows at
+most ``_CHUNK`` at a time, carrying the running sum from chunk to chunk,
+which gives the bits of one sum over every member row (see
 ``_row_sum``). Lloyd stops as soon as an iteration's labels equal the
 previous ones: equal labels give bit-equal centroids, so every later
 pass would give those labels again. The tests check ``dp_fill`` bit for
@@ -21,6 +27,8 @@ broadcast implementation.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -98,7 +106,8 @@ def lloyd(points, centroids, max_iter, tol, inverse=None):
     cent = centroids.copy()
     diff = np.empty((min(_CHUNK, points.shape[0]), points.shape[1]))
     chunk = np.empty((_CHUNK + 1, points.shape[1]))
-    labels = np.argmin(_sq_dists(points, cent, diff), axis=1)
+    reach = _reach(points)
+    labels = _labels(points, cent, reach, diff, chunk)
     for _ in range(max_iter):
         row_labels = labels[rows]
         new_cent = cent.copy()
@@ -110,12 +119,83 @@ def lloyd(points, centroids, max_iter, tol, inverse=None):
                 shift = max(shift, float(((new_cent[c] - cent[c]) ** 2).sum()))
         cent = new_cent
         previous = labels
-        labels = np.argmin(_sq_dists(points, cent, diff), axis=1)
+        labels = _labels(points, cent, reach, diff, chunk)
         # equal labels give bit-equal centroids, so no later pass could
         # move a label again
         if np.sqrt(shift) < tol or np.array_equal(labels, previous):
             break
     return labels[rows]
+
+
+# The two-centroid filter. Write d_j for the exact squared distance
+# |x - c_j|^2 and fl(d_j) for the one _sq_dists computes; the label is 0
+# if and only if fl(d0) <= fl(d1) (argmin keeps the first minimum). The
+# margin d1 - d0 is (|c1|^2 - |c0|^2) + x.w with w = 2(c0 - c1), so it
+# costs one matrix-vector product. With r = |x|, s = |c0| + |c1|, D the
+# point width, u = 2^-53 and g_n = n u / (1 - n u) (Higham 2002, ch. 3):
+# - the product x.fl(w) is off by at most g_D sum |x_t fl(w)_t| <=
+#   2 g_D (1 + u) r s in any summation order, with or without FMA, and
+#   fl(w) = 2 fl(c0 - c1) is off from w by at most 2u |c0 - c1| <= 2u s:
+#   together 2 g_(D+1) r s;
+# - the norms n_j = fl(|c_j|^2) are off by at most g_D |c_j|^2, in sum
+#   g_D s^2, and the two closing roundings by about 2u (r s + s^2);
+# - fl(d_j) is off from d_j by at most g_(D+2) d_j (a subtraction, a square
+#   and D - 1 additions of non-negative terms), and d0 + d1 <= 2r^2 + 2rs
+#   + s^2.
+# So a computed margin m with |m| > 2 g_(D+4) (r + s)^2 has the sign of
+# fl(d1) - fl(d0). The bound is taken as ((R + S)^2 + tau) with R, S from
+# computed norms scaled by sqrt(G), G = 4 g_(D+16): the factor 2 over
+# 2 g_(D+4) covers the norms' own error (a factor 1 - g_D) and the dozen
+# roundings in forming R, S and the bound. Underflow adds at most
+# eta = 2^-1075 per rounded product, about 6 D eta over the margin, the
+# norms and both distances; the norms carry 2 (D + 1) eta under their
+# square roots (so R and S never underflow) and the bound 32 (D + 1) eta.
+# Points whose margin does not clear the bound (ties, NaN, inf, overflow)
+# take the exact distances.
+def _filter_scale(dim):
+    # sqrt(G), and the absolute terms under the norms' roots and in the bound
+    n = (dim + 16) * 2.0**-53
+    return math.sqrt(4.0 * n / (1.0 - n)), (dim + 1) * 2.0**-1074, (dim + 1) * 2.0**-1070
+
+
+def _reach(points):
+    # R = sqrt(G (|x|^2 + tau_r)) per point, once per lloyd call
+    scale, tau_r, _ = _filter_scale(points.shape[1])
+    reach = np.einsum("ij,ij->i", points, points)
+    reach += tau_r
+    np.sqrt(reach, out=reach)
+    reach *= scale
+    return reach
+
+
+def _labels(points, cent, reach, diff, buf):
+    # each point's exact label: from the margin's sign where it clears the
+    # bound above, else from _sq_dists over the undecided points, gathered
+    # _CHUNK at a time into ``buf``; a gathered row sums the same contiguous
+    # D values, so it keeps its bits. Any k but 2 leaves every point undecided.
+    labels = np.empty(points.shape[0], dtype=np.intp)
+    if cent.shape[0] == 2:
+        scale, tau_r, tau = _filter_scale(points.shape[1])
+        # an overflow or inf - inf here only leaves its points undecided
+        with np.errstate(over="ignore", invalid="ignore"):
+            n0 = float(cent[0] @ cent[0])
+            n1 = float(cent[1] @ cent[1])
+            margin = points @ (2.0 * (cent[0] - cent[1]))
+            margin += n1 - n0
+        bound = reach + (math.sqrt(n0 + tau_r) + math.sqrt(n1 + tau_r)) * scale
+        bound *= bound
+        bound += tau
+        np.less(margin, 0.0, out=labels)
+        np.abs(margin, out=margin)
+        undecided = np.flatnonzero(~(margin > bound))
+    else:
+        undecided = np.arange(points.shape[0])
+    for start in range(0, undecided.shape[0], _CHUNK):
+        part = undecided[start : start + _CHUNK]
+        gathered = buf[: part.shape[0]]
+        np.take(points, part, axis=0, out=gathered, mode="clip")
+        labels[part] = np.argmin(_sq_dists(gathered, cent, diff), axis=1)
+    return labels
 
 
 def _row_sum(points, idx, buf):

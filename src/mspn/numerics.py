@@ -182,9 +182,12 @@ def kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator,
 
     ``points`` holds each distinct row once and ``inverse`` maps every row
     to its point; by default every row is its own point. Seeding draws
-    rows, distances and assignments are computed once per point, and each
-    centroid is the mean of its member rows, so the labels, one per row,
-    are those of clustering ``points[inverse]`` itself. Returns integer
+    rows, assignments are computed once per point, and each centroid is
+    the mean of its member rows, so the labels, one per row, are those of
+    clustering ``points[inverse]`` itself. With two clusters, each Lloyd
+    iteration labels the points from one matrix-vector product and
+    measures exact distances only for the points its rounding-error bound
+    cannot decide, so every label is the one exact distances give. Returns integer
     labels in [0, k). Requesting more clusters than rows caps k at the row
     count; clusters can come back empty, in which case their label simply
     never appears.

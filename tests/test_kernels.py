@@ -12,10 +12,14 @@ import tracemalloc
 from collections import Counter
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 
 import mspn
-from mspn._kernels import _CHUNK, _row_sum, _sq_dists, dp_fill, lloyd, pava_nondecreasing
+from mspn._kernels import (
+    _CHUNK, _labels, _row_sum, _sq_dists, dp_fill, lloyd, pava_nondecreasing,
+)
 from conftest import make_dataset
 
 
@@ -106,6 +110,71 @@ def broadcast_lloyd(points, centroids, max_iter, tol):
             break
     d2 = ((points[:, None, :] - cent[None, :, :]) ** 2).sum(axis=2)
     return np.argmin(d2, axis=1)
+
+
+def count_fallback(monkeypatch):
+    # the number of points of each exact-distance call lloyd makes
+    seen = []
+    monkeypatch.setattr(mspn._kernels, "_sq_dists",
+                        lambda pts, cent, diff: seen.append(pts.shape[0]) or _sq_dists(pts, cent, diff))
+    return seen
+
+
+def adversarial_sets():
+    # (name, points, two starting centroids, max_iter, inverse): point sets
+    # whose two-centroid margin cannot be decided for some points. The third
+    # centroid of the k = 3 runs is the last row.
+    r = np.random.default_rng(20)
+    # the first coordinate halfway between the centroids', so fl(d0) == fl(d1)
+    # exactly; half the points sit on that bisector
+    on_line = np.hstack([np.zeros((100, 1)), r.normal(size=(100, 3))])
+    bisector = np.vstack([r.normal(size=(100, 4)), on_line])
+    pair = np.array([[-1.0, 0.5, -0.25, 2.0], [1.0, 0.5, -0.25, 2.0]])
+    yield "bisector", bisector, pair, 100, None
+    # the mirrored clusters around +v and -v: the origin ties
+    v = r.normal(size=4)
+    noise = r.normal(0.0, 0.8, size=(100, 4))
+    yield "mirrored origin", np.vstack([v + noise, -v - noise, np.zeros((1, 4))]), np.vstack([v, -v]), 100, None
+    # equidistant duplicates, as repeated rows and as repeated points
+    ties = np.array([[1.0, -1.0, 0.0, 0.0], [-1.0, 1.0, 0.5, 0.0]])
+    dup = np.vstack([np.repeat(ties, 40, axis=0), r.normal(size=(60, 4))])
+    square = np.array([[-1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    yield "duplicate rows", dup, square, 100, None
+    inverse = np.concatenate([np.repeat([0, 1], 40), r.integers(0, 62, 220)])
+    yield "duplicate points", np.vstack([ties, dup[80:]]), square, 100, inverse
+    # within about 1e-3 of the bisector (and of each other) at 1e6 on every
+    # coordinate: the margin's rounding error is as large as the margins
+    # themselves, and signs alone would flip about a quarter of the labels
+    near = 1e6 + 1e-3 * r.normal(size=(2000, 3))
+    yield "offset 1e6", near, near[[0, 1]], 100, None
+    # squares that underflow entirely, or to the last few subnormals, where
+    # only the bound's absolute term keeps the margin from deciding
+    yield "scale 1e-165", bisector * 1e-165, pair * 1e-165, 100, None
+    tiny = r.normal(size=(400, 3)) * 1e-162
+    yield "scale 1e-162", tiny, tiny[[0, 1]], 100, None
+    yield "scale 1e100", bisector * 1e100, pair * 1e100, 100, None
+    # a NaN row takes its cluster's centroid to NaN; an inf row would take it
+    # to inf and the next distances to inf - inf, so it gets one labelling
+    with_nan = r.normal(size=(60, 3))
+    with_nan[[5, 40], 1] = np.nan
+    yield "nan", with_nan, with_nan[[0, 1]].copy(), 100, None
+    with_inf = r.normal(size=(60, 3))
+    with_inf[7, 0] = np.inf
+    with_inf[20, 2] = -np.inf
+    yield "inf", with_inf, with_inf[[0, 1]].copy(), 0, None
+
+
+@st.composite
+def lattice_cases(draw):
+    # (distinct lattice points, row-to-point inverse, rows to start from)
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    coords = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    points = np.unique(np.array(draw(st.lists(coords, min_size=n, max_size=n)), dtype=float), axis=0)
+    m = draw(st.integers(1, 30))
+    inverse = np.array(draw(st.lists(st.integers(0, points.shape[0] - 1), min_size=m, max_size=m)))
+    picks = np.array(draw(st.lists(st.integers(0, m - 1), min_size=3, max_size=3)))
+    return points, inverse, picks
 
 
 def assert_dp_matches_oracle(seg):
@@ -215,11 +284,14 @@ class TestDpFillKernel:
 
 
 class TestLloydKernel:
-    def test_paths_agree_on_separated_blobs(self):
+    def test_paths_agree_on_separated_blobs(self, monkeypatch):
+        fallback = count_fallback(monkeypatch)
         r = np.random.default_rng(5)
         pts = np.vstack([r.normal(0, 0.3, (50, 2)), r.normal(5, 0.3, (60, 2))])
         cent = np.array([[0.1, 0.0], [4.9, 5.1]])
         labels = lloyd(pts, cent, 100, 1e-4)
+        # the margin decides every point: no exact distances at all
+        assert fallback == []
         np.testing.assert_array_equal(labels, loop_lloyd(pts, cent, 100, 1e-4))
         assert len(np.unique(labels[:50])) == 1
         assert len(np.unique(labels[50:])) == 1
@@ -302,14 +374,48 @@ class TestLloydKernel:
                 )
 
     def test_stops_once_the_labels_repeat(self, monkeypatch):
-        # with tol=0 only repeated labels can end the iteration early
+        # with tol=0 only repeated labels can end the iteration early; every
+        # labelling pass, the one after seeding included, calls _labels once
         calls = []
-        monkeypatch.setattr(mspn._kernels, "_sq_dists",
-                            lambda *args: calls.append(1) or _sq_dists(*args))
+        monkeypatch.setattr(mspn._kernels, "_labels",
+                            lambda *args: calls.append(1) or _labels(*args))
         r = np.random.default_rng(16)
         pts = np.vstack([r.normal(0.0, 0.3, (50, 2)), r.normal(5.0, 0.3, (60, 2))])
         lloyd(pts, pts[[0, 1]], 100, 0.0)
         assert 2 <= len(calls) <= 5
+
+    def test_adversarial_points_take_the_exact_fallback(self, monkeypatch):
+        fallback = count_fallback(monkeypatch)
+        for name, pts, cent, max_iter, inverse in adversarial_sets():
+            rows = pts if inverse is None else pts[inverse]
+            for k in (1, 2, 3):
+                start = cent[:k] if k < 3 else np.vstack([cent, rows[-1:]])
+                fallback.clear()
+                labels = lloyd(pts, start, max_iter, 1e-4, inverse)
+                np.testing.assert_array_equal(
+                    labels, broadcast_lloyd(rows, start, max_iter, 1e-4), err_msg=f"{name}, k={k}")
+                # the loop oracle's strict < skips a NaN distance; argmin takes it
+                if rows.shape[0] <= 300 and np.isfinite(rows).all():
+                    np.testing.assert_array_equal(
+                        labels, loop_lloyd(rows, start, max_iter, 1e-4), err_msg=f"{name}, k={k}")
+                assert sum(fallback) > 0, (name, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_cases())
+    def test_lattice_points_match_the_broadcast_oracle(self, case):
+        # integer lattices tie exactly and often; a large common offset
+        # leaves the ties but makes the margin's rounding error large
+        points, inverse, picks = case
+        for offset in (0.0, 2.0**26 + 0.5):
+            pts = points + offset
+            for k in (1, 2, 3):
+                cent = pts[inverse[picks[:k]]]
+                np.testing.assert_array_equal(
+                    lloyd(pts, cent, 100, 1e-4, inverse),
+                    broadcast_lloyd(pts[inverse], cent, 100, 1e-4))
+                np.testing.assert_array_equal(
+                    lloyd(pts[inverse], cent, 100, 1e-4),
+                    broadcast_lloyd(pts[inverse], cent, 100, 1e-4))
 
     def test_memory_stays_far_below_the_rows(self):
         # 20 000 rows of 160 dims would take 25.6 MB; only 50 are distinct
