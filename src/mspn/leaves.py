@@ -9,7 +9,10 @@ Two nonparametric families cover all column kinds:
   obtained by isotonic regression on the smoothed histogram, for
   continuous and discrete columns.
 
-Leaves are immutable after fitting; evaluation and sampling never
+Each family's rules run as one vectorized pass over a group of leaves
+that share an edge or knot count (``check_group``, which the model loader
+and ``validate`` use); a leaf's own ``check`` is that pass on a group of
+one. Leaves are immutable after fitting; evaluation and sampling never
 mutate them. Tables derived from a leaf's fields are built on first use
 and kept on the leaf: ``inverse_cdf``, which sampling reads, and
 ``knot_table``, the one density rule of each family, which every query
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from .data import CATEGORICAL, CONTINUOUS, DISCRETE, StatType
 from .errors import DomainError, EmptyInputError, QueryError
-from .numerics import adaptive_bin_edges, fit_monotone, trapezoid
+from .numerics import adaptive_bin_edges, fit_monotone, is_integer, trapezoid
 
 # integer ranges wider than this fall back to the adaptive binning search
 # rather than materializing one unit bin per integer
@@ -39,33 +42,113 @@ MAX_GRID_INTEGERS = 2**24
 
 
 def _readonly(a) -> np.ndarray:
-    out = np.asarray(a, dtype=np.float64).copy()
+    out = np.array(a, dtype=np.float64)
     out.setflags(write=False)
     return out
 
 
-def _check_knots(x: np.ndarray, what: str, domain: str) -> None:
-    # compared, not subtracted, so that neither inf - inf nor a span too wide
-    # warns: x[-1] - x[0] overflows exactly when its half rounds to 2**1023
-    lo, hi = float(x[0]), float(x[-1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and (x[1:] > x[:-1]).all()):
-        raise DomainError(f"{what} must be finite and strictly increasing")
-    if not hi / 2 - lo / 2 < 2.0 ** 1023:
-        raise DomainError(f"{what} span [{lo:g}, {hi:g}] is wider than a double holds")
+# the rules that the fitters turn into messages naming the variable at fault
+_UNORDERED = "{} must be finite and strictly increasing"
+_DENSITY_OVERFLOW = "bin densities overflow a double"
+_SLOPE_OVERFLOW = "knot slopes overflow a double"
+
+
+def _first_failures(m: int, rules) -> list:
+    """Each of ``m`` rows' message from the first of ``rules`` it fails, or None.
+
+    ``rules`` yields ``(ok, message)`` in order. ``ok`` is a list of one
+    bool per row or an (m, ...) mask whose row passes when all its entries
+    are true; ``message`` is the text or formats it from the row. A row
+    that fails an early rule can hold values that make a later one
+    overflow or compute inf - inf, so the rules run without warnings.
+    """
+    out = [None] * m
+    with np.errstate(all="ignore"):
+        for ok, message in rules:
+            if isinstance(ok, list):
+                if all(ok):
+                    continue
+                failing = [i for i, good in enumerate(ok) if not good]
+            elif ok.all():
+                continue
+            else:
+                failing = np.flatnonzero(~ok.reshape(m, -1).all(axis=1)).tolist()
+            for i in failing:
+                if out[i] is None:
+                    out[i] = message if isinstance(message, str) else message(i)
+    return out
+
+
+def _knot_rules(x: np.ndarray, what: str, domain: list):
+    """Yield the rules on both families' (m, k) knot or edge rows; return the widths."""
+    ends = x[:, :: x.shape[1] - 1].tolist()
+    finite = [math.isfinite(lo) and math.isfinite(hi) for lo, hi in ends]
+    widths = x[:, 1:] - x[:, :-1]
+    # a difference of doubles has the sign of their comparison
+    yield finite, _UNORDERED.format(what)
+    yield widths > 0, _UNORDERED.format(what)
+    # halved, not subtracted: hi - lo overflows exactly when its half rounds to 2**1023
+    yield ([hi / 2 - lo / 2 < 2.0 ** 1023 for lo, hi in ends],
+           lambda i: "{} span [{:g}, {:g}] is wider than a double holds".format(what, *ends[i]))
     # a discrete leaf puts its mass on the integers of [lo, hi]; with none
     # there it would sample outside its support or have nothing to sample
-    if domain == DISCRETE and math.ceil(lo) > math.floor(hi):
-        raise DomainError(f"discrete leaf support [{lo:g}, {hi:g}] holds no integer")
-    if domain == CATEGORICAL and x.tolist() != list(range(x.size)):
-        raise DomainError("categorical bin edges must be the codes 0, 1, ..., arity")
+    yield ([not (d == DISCRETE and ok) or math.ceil(lo) <= math.floor(hi)
+            for d, ok, (lo, hi) in zip(domain, finite, ends)],
+           lambda i: "discrete leaf support [{:g}, {:g}] holds no integer".format(*ends[i]))
+    return widths
 
 
-def _slopes_finite(x: np.ndarray, y: np.ndarray) -> bool:
-    # the slopes a piecewise-linear leaf's knot table holds; they grow like
-    # 1 / (rows * width**2), so at tiny scales (values near 1e-300) they
-    # overflow, and evaluation would give inf or nan. Callers silence the
-    # overflow this tests for
-    return bool(np.isfinite((y[1:] - y[:-1]) / (x[1:] - x[:-1])).all())
+def _histogram_rules(domain, edges, masses, smoothing, unseen_mass):
+    yield ([d in (CONTINUOUS, DISCRETE, CATEGORICAL) for d in domain],
+           lambda i: f"unknown leaf domain {domain[i]!r}")
+    if edges.ndim != 2 or masses.ndim != 2:
+        yield [False] * len(domain), "edges and masses must be 1-d"
+        return
+    if edges.shape[1] != masses.shape[1] + 1 or masses.shape[1] < 1:
+        yield [False] * len(domain), "need B+1 edges for B >= 1 masses"
+        return
+    widths = yield from _knot_rules(edges, "bin edges", domain)
+    if CATEGORICAL in domain:
+        codes = list(range(edges.shape[1]))
+        yield ([d != CATEGORICAL or row == codes for d, row in zip(domain, edges.tolist())],
+               "categorical bin edges must be the codes 0, 1, ..., arity")
+    yield masses >= 0, "masses must be a probability vector"
+    yield ([abs(total - 1.0) <= 1e-12 for total in masses.sum(axis=1).tolist()],
+           "masses must be a probability vector")
+    # the densities ``knot_table`` divides out; a discrete bin spreads its
+    # mass over at least one integer, so only the others can overflow
+    yield ([d == DISCRETE or top < math.inf
+            for d, top in zip(domain, (masses / widths).max(axis=1).tolist())],
+           _DENSITY_OVERFLOW)
+    yield ([0 <= s < math.inf and 0 <= u < math.inf for s, u in zip(smoothing, unseen_mass)],
+           "smoothing and unseen mass must be finite and nonnegative")
+
+
+def _piecewise_linear_rules(domain, knots_x, knots_y, mode_index):
+    x, y = knots_x, knots_y
+    yield ([d in (CONTINUOUS, DISCRETE) for d in domain],
+           "piecewise-linear leaves are continuous or discrete only")
+    if not (x.ndim == 2 and x.shape == y.shape and x.shape[1] >= 2):
+        yield [False] * len(domain), "need matching 1-d knot vectors with >= 2 knots"
+        return
+    widths = yield from _knot_rules(x, "knots_x", domain)
+    yield y >= 0, "knot densities must be nonnegative"
+    k = x.shape[1]
+    in_range = [is_integer(j) and 0 <= j < k for j in mode_index]
+    yield in_range, "mode_index out of range"
+    # segment c rises (weakly) before the mode and falls (weakly) from it;
+    # compared, not subtracted, since inf >= inf holds
+    y0, y1 = y[:, :-1], y[:, 1:]
+    rising = np.arange(k - 1) < np.array([j if good else 0
+                                          for j, good in zip(mode_index, in_range)])[:, None]
+    yield np.where(rising, y1 >= y0, y1 <= y0), "knot densities must be unimodal around mode_index"
+    # a slope or an integral that overflows is inf and fails its test. The
+    # slopes grow like 1 / (rows * width**2), so at tiny scales (values near
+    # 1e-300) they overflow, and evaluation would give inf or nan
+    yield np.isfinite((y1 - y0) / widths), _SLOPE_OVERFLOW
+    # a row's ``np.sum`` in an (m, k) matrix has the bits of its sum alone
+    yield ([abs(area - 1.0) <= 1e-9 for area in (0.5 * (y1 + y0) * widths).sum(axis=1).tolist()],
+           "piecewise-linear density must integrate to 1")
 
 
 @dataclass(frozen=True)
@@ -93,18 +176,12 @@ class HistogramLeaf:
         self.check()
 
     def check(self) -> None:
-        """Raise :class:`DomainError` unless this is a normalized leaf; NaN fails every test."""
-        if self.domain not in (CONTINUOUS, DISCRETE, CATEGORICAL):
-            raise DomainError(f"unknown leaf domain {self.domain!r}")
-        if self.edges.ndim != 1 or self.masses.ndim != 1:
-            raise DomainError("edges and masses must be 1-d")
-        if self.edges.size != self.masses.size + 1 or self.masses.size < 1:
-            raise DomainError("need B+1 edges for B >= 1 masses")
-        _check_knots(self.edges, "bin edges", self.domain)
-        if not (self.masses.min() >= 0 and abs(float(self.masses.sum()) - 1.0) <= 1e-12):
-            raise DomainError("masses must be a probability vector")
-        if not (0 <= self.smoothing < math.inf and 0 <= self.unseen_mass < math.inf):
-            raise DomainError("smoothing and unseen mass must be finite and nonnegative")
+        """Raise :class:`DomainError` unless this is a normalized leaf; NaN fails every rule.
+
+        The rules are ``check_group``'s, on a group of this leaf alone.
+        """
+        _raise_first(_histogram_rules([self.domain], self.edges[None], self.masses[None],
+                                      [self.smoothing], [self.unseen_mass]))
 
     @property
     def scope(self) -> tuple[int, ...]:
@@ -161,27 +238,12 @@ class PiecewiseLinearLeaf:
         self.check()
 
     def check(self) -> None:
-        """Raise :class:`DomainError` unless this is a normalized leaf; NaN fails every test."""
-        if self.domain not in (CONTINUOUS, DISCRETE):
-            raise DomainError("piecewise-linear leaves are continuous or discrete only")
-        x, y = self.knots_x, self.knots_y
-        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
-            raise DomainError("need matching 1-d knot vectors with >= 2 knots")
-        _check_knots(x, "knots_x", self.domain)
-        if not y.min() >= 0:
-            raise DomainError("knot densities must be nonnegative")
-        m = self.mode_index
-        if not 0 <= m < x.size:
-            raise DomainError("mode_index out of range")
-        if (y[1 : m + 1] < y[:m]).any() or (y[m + 1 :] > y[m:-1]).any():
-            raise DomainError("knot densities must be unimodal around mode_index")
-        # a slope or an integral that overflows is inf and fails its test
-        with np.errstate(over="ignore", invalid="ignore"):
-            slopes_finite, area = _slopes_finite(x, y), trapezoid(y, x)
-        if not slopes_finite:
-            raise DomainError("knot slopes overflow a double")
-        if not abs(area - 1.0) <= 1e-9:
-            raise DomainError("piecewise-linear density must integrate to 1")
+        """Raise :class:`DomainError` unless this is a normalized leaf; NaN fails every rule.
+
+        The rules are ``check_group``'s, on a group of this leaf alone.
+        """
+        _raise_first(_piecewise_linear_rules([self.domain], self.knots_x[None], self.knots_y[None],
+                                             [self.mode_index]))
 
     @property
     def scope(self) -> tuple[int, ...]:
@@ -209,6 +271,55 @@ class PiecewiseLinearLeaf:
 
 
 Leaf = HistogramLeaf | PiecewiseLinearLeaf
+
+_RULES = {HistogramLeaf: _histogram_rules, PiecewiseLinearLeaf: _piecewise_linear_rules}
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _RULES}
+
+
+def _raise_first(rules) -> None:
+    message, = _first_failures(1, rules)
+    if message is not None:
+        raise DomainError(message)
+
+
+def check_group(cls, rows: list) -> tuple[list, list]:
+    """Check leaves of one family whose arrays share their lengths, in one pass.
+
+    ``rows`` hold each leaf's fields in order: variable, domain, the two
+    arrays, then the rest. Returns the fields as columns, each array as one
+    read-only (m, k) matrix from one ``np.array`` call, and each row's
+    message from the first rule it fails, or None: what the leaf's own
+    ``check`` raises. An array column that does not convert raises numpy's
+    TypeError, ValueError or OverflowError.
+    """
+    columns = [list(c) for c in zip(*rows)]
+    columns[2], columns[3] = _readonly(columns[2]), _readonly(columns[3])
+    return columns, _first_failures(len(rows), _RULES[cls](*columns[1:]))
+
+
+def leaf_problems(leaves: list) -> list:
+    """Each leaf's message from the first rule of its family it fails, or None.
+
+    One ``check_group`` per family and pair of array shapes.
+    """
+    groups: dict = {}
+    for i, leaf in enumerate(leaves):
+        row = tuple(getattr(leaf, name) for name in _FIELDS[type(leaf)])
+        groups.setdefault((type(leaf), np.shape(row[2]), np.shape(row[3])), []).append((i, row))
+    out = [None] * len(leaves)
+    for (cls, _, _), members in groups.items():
+        for (i, _), message in zip(members, check_group(cls, [row for _, row in members])[1]):
+            out[i] = message
+    return out
+
+
+def _unchecked(cls, columns: list, row: int) -> Leaf:
+    """Row ``row`` of a group that passed ``check_group``, built without a
+    second check; its arrays are views of the group's matrices. Only the
+    model loader builds leaves this way."""
+    leaf = object.__new__(cls)
+    leaf.__dict__.update(zip(_FIELDS[cls], [column[row] for column in columns]))
+    return leaf
 
 
 class KnotTable(NamedTuple):
@@ -301,7 +412,15 @@ def fit_histogram(column, stat_type: StatType, smoothing: float = 1.0,
     counts, _ = np.histogram(col, bins=edges)
     n_bins = edges.size - 1
     masses = (counts.astype(np.float64) + smoothing) / (m + smoothing * n_bins)
-    return HistogramLeaf(variable, stat_type.kind, edges, masses, smoothing)
+    try:
+        return HistogramLeaf(variable, stat_type.kind, edges, masses, smoothing)
+    except DomainError as exc:
+        if str(exc) != _DENSITY_OVERFLOW:
+            raise
+    raise DomainError(
+        f"variable {variable}: values in [{edges[0]:g}, {edges[-1]:g}] are too closely "
+        "spaced for a histogram leaf, whose bin densities overflow a double"
+    )
 
 
 def fit_isotonic_pwl(column, stat_type: StatType, smoothing: float = 1.0,
@@ -330,15 +449,18 @@ def fit_isotonic_pwl(column, stat_type: StatType, smoothing: float = 1.0,
     knots_x = np.concatenate(([edges[0]], centers, [edges[-1]]))
     knots_y = np.concatenate(([0.0], fitted, [0.0]))
     knots_y = knots_y / trapezoid(knots_y, knots_x)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        slopes_finite = _slopes_finite(knots_x, knots_y)
-    if not slopes_finite:
-        raise DomainError(
-            f"variable {variable}: values in [{edges[0]:g}, {edges[-1]:g}] are too "
-            "closely spaced for a piecewise-linear leaf, whose slopes overflow; "
-            "use histogram leaves (--leaf histogram)"
-        )
-    return PiecewiseLinearLeaf(variable, stat_type.kind, knots_x, knots_y, mode_bin + 1)
+    try:
+        return PiecewiseLinearLeaf(variable, stat_type.kind, knots_x, knots_y, mode_bin + 1)
+    except DomainError as exc:
+        # bin centres one float step apart fall onto each other; close ones
+        # give slopes past a double
+        if str(exc) not in (_UNORDERED.format("knots_x"), _SLOPE_OVERFLOW):
+            raise
+    raise DomainError(
+        f"variable {variable}: values in [{edges[0]:g}, {edges[-1]:g}] are too "
+        "closely spaced for a piecewise-linear leaf, whose slopes overflow; "
+        "use histogram leaves (--leaf histogram)"
+    )
 
 
 def leaf_density_batch(leaf: Leaf, values: np.ndarray) -> np.ndarray:
@@ -375,37 +497,6 @@ def integer_support(lo: float, hi: float) -> np.ndarray:
         raise QueryError(f"the integers of [{lo:.17g}, {hi:.17g}] are too many to enumerate "
                          f"(more than {MAX_GRID_INTEGERS})")
     return np.arange(first, last + 1, dtype=np.float64)
-
-
-def leaf_cdf(leaf: Leaf, value: float) -> float:
-    """P(X <= value); within-bin/segment mass is interpolated."""
-    v = float(value)
-    if isinstance(leaf, PiecewiseLinearLeaf):
-        x, y = leaf.knots_x, leaf.knots_y
-        if v <= x[0]:
-            return 0.0
-        if v >= x[-1]:
-            return 1.0
-        seg = int(np.searchsorted(x, v, side="right")) - 1
-        areas = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
-        acc = float(areas[:seg].sum())
-        t = v - x[seg]
-        slope = (y[seg + 1] - y[seg]) / (x[seg + 1] - x[seg])
-        return acc + y[seg] * t + 0.5 * slope * t * t
-    if leaf.domain == CATEGORICAL:
-        c = int(math.floor(v))
-        if c < 0:
-            return 0.0
-        return float(leaf.masses[: c + 1].sum())
-    edges, masses = leaf.edges, leaf.masses
-    if v <= edges[0]:
-        return 0.0
-    if v >= edges[-1]:
-        return 1.0
-    b = int(np.searchsorted(edges, v, side="right")) - 1
-    acc = float(masses[:b].sum())
-    frac = (v - edges[b]) / (edges[b + 1] - edges[b])
-    return acc + float(masses[b]) * frac
 
 
 def leaf_sample(leaf: Leaf, rng: np.random.Generator) -> float:

@@ -21,13 +21,17 @@ import json
 import numpy as np
 
 from .data import Schema
-from .errors import FormatError, MspnError, VersionError
-from .leaves import HistogramLeaf, PiecewiseLinearLeaf
+from .errors import DomainError, FormatError, MspnError, VersionError
+from .leaves import HistogramLeaf, PiecewiseLinearLeaf, _unchecked, check_group
 from .structure import (
     LearnConfig, Mspn, ProductNode, SumNode, node_problems, postorder, root_problems,
 )
 
 FORMAT_VERSION = 2
+
+_LEAVES = {"histogram": HistogramLeaf, "piecewise_linear": PiecewiseLinearLeaf}
+# what a node record's fields can raise as they are read or converted
+_BAD_FIELD = (MspnError, KeyError, TypeError, ValueError, OverflowError)
 
 
 def _format_float(x: float) -> str:
@@ -142,37 +146,69 @@ def _take_children(obj, built: list, used: list) -> list:
     return kids
 
 
-def _node_from_record(obj, built: list, used: list) -> tuple[object, list]:
-    """One node built from its record, with the indices of its children."""
+def _leaf_args(obj) -> tuple:
+    """A leaf record's constructor arguments; the arrays as the record holds them."""
+    variable, domain = _integer(obj["variable"], "leaf variable"), str(obj["domain"])
+    if obj["kind"] == "histogram":
+        return (variable, domain, obj["edges"], obj["masses"], float(obj["smoothing"]),
+                float(obj["unseen_mass"]))
+    return (variable, domain, obj["knots_x"], obj["knots_y"],
+            _integer(obj["mode_index"], "mode_index"))
+
+
+def _check_leaf_records(records: list) -> dict:
+    """Each grouped leaf record's index -> (class, group columns, row, message or None).
+
+    Leaf records whose fields read and whose two arrays are lists are
+    grouped by kind and array lengths, and each group goes through one
+    ``check_group``. A record left out, or in a group whose arrays do not
+    convert, is built on its own by the node loop, which raises its error.
+    """
+    groups: dict = {}
+    for i, obj in enumerate(records):
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        if not (isinstance(kind, str) and kind in _LEAVES):
+            continue
+        try:
+            args = _leaf_args(obj)
+        except _BAD_FIELD:
+            continue
+        if type(args[2]) is list and type(args[3]) is list:
+            groups.setdefault((kind, len(args[2]), len(args[3])), []).append((i, args))
+    checked = {}
+    for (kind, _, _), members in groups.items():
+        try:
+            columns, messages = check_group(_LEAVES[kind], [args for _, args in members])
+        except (TypeError, ValueError, OverflowError):
+            continue
+        for row, ((i, _), message) in enumerate(zip(members, messages)):
+            checked[i] = (_LEAVES[kind], columns, row, message)
+    return checked
+
+
+def _node_from_record(obj, built: list, used: list, leaf=None) -> tuple[object, list]:
+    """One node built from its record, with the indices of its children.
+
+    ``leaf`` is a leaf record's entry from ``_check_leaf_records``.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("every node needs a 'kind' tag")
     kind = obj["kind"]
     try:
+        if leaf is not None:
+            cls, columns, row, message = leaf
+            if message is not None:
+                raise DomainError(message)
+            return _unchecked(cls, columns, row), []
         if kind == "sum":
             kids = _take_children(obj, built, used)
-            return SumNode(_scope(obj), np.asarray(obj["weights"], dtype=np.float64),
-                           tuple(built[c] for c in kids)), kids
+            return SumNode(_scope(obj), obj["weights"], tuple(built[c] for c in kids)), kids
         if kind == "product":
             kids = _take_children(obj, built, used)
             return ProductNode(_scope(obj), tuple(built[c] for c in kids)), kids
-        if kind == "histogram":
-            return HistogramLeaf(
-                _integer(obj["variable"], "leaf variable"),
-                str(obj["domain"]),
-                np.asarray(obj["edges"], dtype=np.float64),
-                np.asarray(obj["masses"], dtype=np.float64),
-                float(obj["smoothing"]),
-                float(obj["unseen_mass"]),
-            ), []
-        if kind == "piecewise_linear":
-            return PiecewiseLinearLeaf(
-                _integer(obj["variable"], "leaf variable"),
-                str(obj["domain"]),
-                np.asarray(obj["knots_x"], dtype=np.float64),
-                np.asarray(obj["knots_y"], dtype=np.float64),
-                _integer(obj["mode_index"], "mode_index"),
-            ), []
-    except (MspnError, KeyError, TypeError, ValueError) as exc:
+        if isinstance(kind, str) and kind in _LEAVES:
+            return _LEAVES[kind](*_leaf_args(obj)), []
+    except _BAD_FIELD as exc:
         raise FormatError(f"bad {kind} node: {exc}") from exc
     raise FormatError(f"unknown node kind {kind!r}")
 
@@ -199,7 +235,10 @@ def deserialize(data: bytes | str) -> Mspn:
     node lists that do not form one tree rooted at their last node, and
     the first problem ``structure.node_problems`` or ``root_problems`` finds,
     the same rules ``validate`` applies. So a model that loads passes
-    ``validate``.
+    ``validate``. The leaves are checked before the node loop, one
+    ``leaves.check_group`` per kind and array lengths, and built from their
+    group's matrices; the loop raises the message of the first record in
+    file order that fails, as if each leaf had been built on its own.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
@@ -231,8 +270,9 @@ def deserialize(data: bytes | str) -> Mspn:
     built: list = []
     scopes: list[frozenset] = []
     used = [False] * len(records)
-    for record in records:
-        node, kids = _node_from_record(record, built, used)
+    checked = _check_leaf_records(records)
+    for i, record in enumerate(records):
+        node, kids = _node_from_record(record, built, used, checked.get(i))
         for _, message in node_problems(node, [scopes[c] for c in kids], schema):
             raise FormatError(message)
         scopes.append(frozenset(node.scope))

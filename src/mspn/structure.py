@@ -20,8 +20,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import Dataset, Schema
-from .errors import ConfigError, DomainError
-from .leaves import HistogramLeaf, PiecewiseLinearLeaf, fit_histogram, fit_isotonic_pwl
+from .errors import ConfigError
+from .leaves import (
+    HistogramLeaf, PiecewiseLinearLeaf, fit_histogram, fit_isotonic_pwl, leaf_problems,
+)
 from .numerics import SeedScope, check_binnable, is_integer
 from .rdc import cluster_samples, split_features
 
@@ -96,7 +98,7 @@ class SumNode:
     children: tuple = field(repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64).copy()
+        w = np.array(self.weights, dtype=np.float64)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "scope", tuple(self.scope))
@@ -267,7 +269,7 @@ def node_problems(node, child_scopes: list, schema: Schema):
     """Each way ``node`` fails to fit its children's scopes (frozensets) or the schema.
 
     The one definition of a valid node, shared by ``validate`` and the
-    model loader; a leaf checks its own parameters when it is built.
+    model loader; the leaves' own rules are ``leaves.check_group``'s.
     Yields ``(child, message)``: the index of the child at fault, or None.
     """
     if isinstance(node, (HistogramLeaf, PiecewiseLinearLeaf)):
@@ -340,30 +342,33 @@ class ValidityReport:
 def validate(mspn: Mspn) -> ValidityReport:
     """Check completeness, decomposability, normalization, and tree shape.
 
-    Each node gets the loader's checks (``node_problems``) and each leaf
-    its own constructor's checks, so a hand-built model that validates
-    also saves and loads. Violations are reported with the preorder path
-    of the offending node; nothing raises, so hand-built networks can be
+    Each node gets the loader's checks (``node_problems``) and the leaves
+    their constructors' rules, in the loader's grouped pass
+    (``leaf_problems``), so a hand-built model that validates also saves
+    and loads. Violations are reported with the preorder path of the
+    offending node; nothing raises, so hand-built networks can be
     inspected too.
     """
-    problems: list[tuple[str, str]] = []
+    visits: list = []  # (path, node, whether an earlier path reached it)
     seen_ids: set[int] = set()
-    count = 0
     for path, node in iter_nodes(mspn.root):
-        count += 1
-        if id(node) in seen_ids:
+        visits.append((path, node, id(node) in seen_ids))
+        seen_ids.add(id(node))
+    leaves = [node for _, node, shared in visits
+              if not shared and isinstance(node, (HistogramLeaf, PiecewiseLinearLeaf))]
+    leaf_messages = dict(zip(map(id, leaves), leaf_problems(leaves)))
+
+    problems: list[tuple[str, str]] = []
+    for path, node, shared in visits:
+        if shared:
             problems.append((path, "node is shared; the network must be a tree"))
             continue
-        seen_ids.add(id(node))
         child_scopes = [frozenset(getattr(c, "scope", ())) for c in getattr(node, "children", ())]
         for child, message in node_problems(node, child_scopes, mspn.schema):
             problems.append((path if child is None else f"{path}.{child}", message))
-        if isinstance(node, (HistogramLeaf, PiecewiseLinearLeaf)):
-            try:
-                node.check()
-            except DomainError as exc:
-                problems.append((path, str(exc)))
+        if (message := leaf_messages.get(id(node))) is not None:
+            problems.append((path, message))
 
     root_scope = frozenset(getattr(mspn.root, "scope", ()))
     problems += [("root", message) for message in root_problems(root_scope, mspn.schema)]
-    return ValidityReport(problems, count)
+    return ValidityReport(problems, len(visits))

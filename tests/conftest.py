@@ -114,6 +114,39 @@ def reference_density(leaf, values):
     return np.where(inside, dens, 0.0)
 
 
+def leaf_cdf(leaf, value: float) -> float:
+    """P(X <= value) for one leaf, within-bin/segment mass interpolated: the
+    reference the sampler's draws are tested against, written apart from the
+    sampler's own ``inverse_cdf`` table."""
+    v = float(value)
+    if isinstance(leaf, PiecewiseLinearLeaf):
+        x, y = leaf.knots_x, leaf.knots_y
+        if v <= x[0]:
+            return 0.0
+        if v >= x[-1]:
+            return 1.0
+        seg = int(np.searchsorted(x, v, side="right")) - 1
+        areas = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
+        acc = float(areas[:seg].sum())
+        t = v - x[seg]
+        slope = (y[seg + 1] - y[seg]) / (x[seg + 1] - x[seg])
+        return acc + y[seg] * t + 0.5 * slope * t * t
+    if leaf.domain == CATEGORICAL:
+        c = int(math.floor(v))
+        if c < 0:
+            return 0.0
+        return float(leaf.masses[: c + 1].sum())
+    edges, masses = leaf.edges, leaf.masses
+    if v <= edges[0]:
+        return 0.0
+    if v >= edges[-1]:
+        return 1.0
+    b = int(np.searchsorted(edges, v, side="right")) - 1
+    acc = float(masses[:b].sum())
+    frac = (v - edges[b]) / (edges[b + 1] - edges[b])
+    return acc + float(masses[b]) * frac
+
+
 def reference_logsumexp(log_values, weights):
     """log(sum_c w_c * exp(log_values[c])) along axis 0, shifting by each
     column's maximum and giving a column of -inf 0 instead, as

@@ -37,13 +37,13 @@ from mspn.leaves import (
     HistogramLeaf,
     PiecewiseLinearLeaf,
     fit_histogram,
-    leaf_cdf,
     leaf_sample,
 )
 from mspn.structure import Mspn
 from conftest import (
     H14_COLS,
     HYBRID6_COLS,
+    leaf_cdf,
     make_dataset,
     make_hybrid14,
     make_hybrid6,

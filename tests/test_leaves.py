@@ -14,14 +14,13 @@ from mspn.leaves import (
     PiecewiseLinearLeaf,
     fit_histogram,
     fit_isotonic_pwl,
-    leaf_cdf,
     leaf_density_batch,
     leaf_sample,
     leaf_support,
 )
 from mspn.structure import iter_nodes
 
-from conftest import FIXTURE_MODEL_NAMES, reference_density
+from conftest import FIXTURE_MODEL_NAMES, leaf_cdf, reference_density
 
 
 def tent_leaf(variable=0):
@@ -158,6 +157,28 @@ def test_categorical_edges_must_be_the_codes(edges):
     # every density rule reads a categorical leaf's bins as the codes 0 .. arity - 1
     with pytest.raises(DomainError, match="categorical bin edges"):
         HistogramLeaf(0, CATEGORICAL, np.array(edges), np.array([0.4, 0.6]))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: HistogramLeaf(0, CONTINUOUS, np.array([0.0, np.inf]), np.array([1.0])),
+     "bin edges must be finite and strictly increasing"),
+    (lambda: HistogramLeaf(0, DISCRETE, np.array([0.1, 0.9]), np.array([0.5]), np.inf),
+     "discrete leaf support [0.1, 0.9] holds no integer"),
+    (lambda: HistogramLeaf(0, CONTINUOUS, np.array([0.0, 5e-324]), np.array([0.5]), np.inf),
+     "masses must be a probability vector"),
+    (lambda: PiecewiseLinearLeaf(0, CONTINUOUS, np.array([0.0, 1.0, 2.0]),
+                                 np.array([2.0, 0.0, 2.0]), 0),
+     "knot densities must be unimodal around mode_index"),
+    (lambda: PiecewiseLinearLeaf(0, CONTINUOUS, np.array([0.0, 1e-300, 2e-300]),
+                                 np.array([0.0, 1e300, 0.0]), 5),
+     "mode_index out of range"),
+], ids=["not finite, too wide", "no integer, bad mass, bad smoothing",
+        "bad mass, density overflow, bad smoothing", "not unimodal, area 2",
+        "mode out of range, slopes overflow"])
+def test_a_leaf_breaking_several_rules_is_told_the_first(make, message):
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value) == message
 
 
 class TestFitHistogramCategorical:

@@ -1,8 +1,10 @@
 """Canonical serialization round trips and the command-line interface."""
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -33,9 +35,11 @@ from mspn import (
 )
 from mspn.cli import main
 from mspn.data import DISCRETE, _BLOCK_ROWS
-from mspn.errors import FormatError, IngestError, QueryError, VersionError
+from mspn.errors import DomainError, FormatError, IngestError, QueryError, VersionError
 from mspn.inference import sample_rows
-from mspn.leaves import MAX_GRID_INTEGERS, HistogramLeaf, PiecewiseLinearLeaf, integer_support
+from mspn.leaves import (
+    MAX_GRID_INTEGERS, HistogramLeaf, PiecewiseLinearLeaf, check_group, integer_support,
+)
 from mspn.numerics import MAX_BIN_MAGNITUDE
 from mspn.serialize import canonical_json
 from mspn.structure import LEAF_KINDS, Mspn, ProductNode, SumNode
@@ -247,6 +251,10 @@ MISFIT_FILES = {
     "product scope of floats": _set(5, scope=[0.0, 1.0]),
     "product scope a string": _set(5, scope="01"),
     "config proj_features a float": lambda obj: obj["config"].update(proj_features=2.5),
+    # integers past the largest double, which numpy and float() cannot convert
+    "leaf edge a 400-digit integer": _set(0, edges=[0, 10**400]),
+    "leaf smoothing a 400-digit integer": _set(3, smoothing=10**400),
+    "sum weight a 400-digit integer": _set(6, weights=[10**400, 0.5]),
 }
 
 
@@ -407,8 +415,8 @@ class TestOverflowingNumbers:
 
 # one-leaf files whose leaf breaks a rule of its own check: categorical
 # edges that are not the codes 0 .. arity, and spans x[-1] - x[0], knot
-# slopes or a trapezoid integral that overflow a double; each with a value
-# to query the column at
+# slopes, a trapezoid integral or bin densities that overflow a double;
+# each with a value to query the column at
 HOSTILE_LEAVES = {
     "categorical edges not the codes": (
         Column("c", StatType(CATEGORICAL, ("a", "b"))),
@@ -433,6 +441,10 @@ HOSTILE_LEAVES = {
         PiecewiseLinearLeaf(0, CONTINUOUS, np.array([0.0, 1.0]), np.array([1.0, 1.0])),
         {"knots_x": [0.0, 1e-308], "knots_y": [1e308, 1e308], "mode_index": 0},
         "5e-309"),
+    "histogram bin densities past a double": (
+        Column("x", StatType(CONTINUOUS)),
+        HistogramLeaf(0, CONTINUOUS, np.array([0.0, 1.0]), np.array([1.0])),
+        {"edges": [0.0, 5e-324, 1e-323], "masses": [0.5, 0.5]}, "5e-324"),
 }
 
 
@@ -615,6 +627,24 @@ class TestCliLearn:
         assert not caught
         rows = capsys.readouterr().out.strip().split("\n")[:-1]
         assert len(rows) == 300 and np.all(np.isfinite([float(v) for v in rows]))
+
+    @pytest.mark.parametrize("leaf", LEAF_KINDS)
+    def test_bins_too_narrow_for_their_densities_are_a_data_error(self, tmp_path, capsys, leaf):
+        # seven subnormal values: a bin's mass over its width overflows a double
+        (tmp_path / "s.json").write_text('{"columns":[{"name":"x","type":"continuous"}]}')
+        (tmp_path / "s.csv").write_text("x\n" + "".join(f"{(i % 7) * 5e-324!r}\n"
+                                                        for i in range(300)))
+        model = tmp_path / "m.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["learn", "--data", str(tmp_path / "s.csv"), "--schema",
+                         str(tmp_path / "s.json"), "--out", str(model), "--leaf", leaf])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error: variable 0: values in [" in err
+        assert "whose bin densities overflow a double" in err
+        assert not caught
+        assert not model.exists()
 
     @pytest.mark.parametrize("leaf", LEAF_KINDS)
     def test_constant_column_past_two_to_the_53_learns(self, tmp_path, capsys, leaf):
@@ -1068,3 +1098,169 @@ def test_fuzzed_model_files_load_and_validate_or_exit_two(blob, tmp_path_factory
         assert validate(model).ok
         assert serialize(deserialize(serialize(model))) == serialize(model)
         assert codes == [0, 0] and err.getvalue() == ""
+
+
+# ---------------------------------------------------------------------------
+# the loader checks each group of leaves in one pass; every leaf must get the
+# answer, and the message, of its own check
+# ---------------------------------------------------------------------------
+
+# knots climb from a base in steps of a scale: near 1e-300 and 1e100, in
+# subnormal steps whose bin densities and slopes overflow, and in steps lost
+# to rounding (1.0 on 1e100)
+_KNOT_SCALES = ((0.0, 1.0), (0.5, 1.0), (-3.0, 2.0), (0.0, 0.25), (1e100, 1e100),
+                (-1e100, 3e99), (1e100, 1.0), (0.0, 5e-324), (1e-300, 1e-300), (-1e-300, 5e-301))
+_LEAF_CLASSES = {"histogram": HistogramLeaf, "piecewise_linear": PiecewiseLinearLeaf}
+_LEAF_ARRAYS = {"histogram": "edges", "piecewise_linear": "knots_x"}
+
+
+class _Draws:
+    """``draw`` plus the damage a strategy may do: none when ``clean``, and
+    NaN values only with ``nan`` (a model file cannot hold them)."""
+
+    def __init__(self, draw, clean=False, nan=False):
+        self.draw, self.clean, self.nan = draw, clean, nan
+
+    def __call__(self, strategy):
+        return self.draw(strategy)
+
+    def rarely(self, usual, *rare, nan=None):
+        """``usual`` four times in five, else one of ``rare`` (or ``nan``)."""
+        if self.clean:
+            return usual
+        rare += (nan,) if self.nan and nan is not None else ()
+        return self.draw(st.sampled_from([usual] * 4 * len(rare) + list(rare)))
+
+
+def _knots(draw: _Draws, n):
+    base, scale = draw(st.sampled_from(_KNOT_SCALES))
+    x = [base]
+    for _ in range(n - 1):
+        x.append(x[-1] + scale * draw(st.sampled_from((1, 2, 3))))
+    # a step of zero or down, or a knot that is not finite
+    i = draw(st.integers(0, n - 1))
+    x[i] = draw.rarely(x[i], x[i - 1] if i else x[i], x[i] - 5 * scale, math.inf, -math.inf,
+                       nan=math.nan)
+    return x
+
+
+def _histogram_record(draw: _Draws, n_bins):
+    domain = draw.rarely(draw(st.sampled_from([CONTINUOUS, DISCRETE, CATEGORICAL])), "ordinal")
+    if domain == CATEGORICAL and draw.rarely(True, False):
+        edges = [float(c) for c in range(n_bins + 1)]
+    else:
+        edges = _knots(draw, n_bins + 1)
+    counts = draw(st.lists(st.integers(0, 3), min_size=n_bins, max_size=n_bins))
+    counts[draw(st.integers(0, n_bins - 1))] += 1
+    masses = [c / sum(counts) for c in counts]
+    # just inside and just outside the 1e-12 tolerance, negative, not finite
+    masses[-1] += draw.rarely(0.0, 4e-13, -4e-13, 3e-12, -3e-12, -2.0, math.inf, nan=math.nan)
+    return {"kind": "histogram", "variable": 0, "domain": domain, "edges": edges,
+            "masses": masses, "smoothing": draw.rarely(1.0, 0.0, math.inf),
+            "unseen_mass": draw.rarely(0.0, 0.25, math.inf)}
+
+
+def _piecewise_linear_record(draw: _Draws, n_knots):
+    domain = draw.rarely(draw(st.sampled_from([CONTINUOUS, DISCRETE])), CATEGORICAL)
+    x = _knots(draw, n_knots)
+    mode = draw(st.integers(0, n_knots - 1))
+    heights = draw(st.lists(st.integers(0, 3), min_size=n_knots, max_size=n_knots))
+    y = [float(v) for v in sorted(heights[:mode]) + [max(heights)]
+         + sorted(heights[mode + 1:], reverse=True)]
+    i = draw(st.integers(0, n_knots - 2))
+    y[i], y[i + 1] = draw.rarely((y[i], y[i + 1]), (y[i + 1], y[i]))
+    area = sum(0.5 * (y[i] + y[i + 1]) * (x[i + 1] - x[i]) for i in range(n_knots - 1))
+    if math.isfinite(area) and area > 0:
+        # just inside and just outside the 1e-9 tolerance
+        scale = draw.rarely(1.0, 1 + 4e-10, 1 - 4e-10, 1 + 3e-9, 1 - 3e-9)
+        y = [v / area * scale for v in y]
+    y[-1] = draw.rarely(y[-1], -1.0, math.inf, nan=math.nan)
+    return {"kind": "piecewise_linear", "variable": 0, "domain": domain, "knots_x": x,
+            "knots_y": y, "mode_index": draw.rarely(mode, 0, n_knots - 1, n_knots, -1)}
+
+
+@st.composite
+def leaf_records_of_one_length(draw, clean=False, nan=False):
+    """Up to five leaf records of one family whose arrays have one length."""
+    draw = _Draws(draw, clean, nan)
+    kind = draw(st.sampled_from(sorted(_LEAF_CLASSES)))
+    n = draw(st.integers(1, 3))
+    return [_histogram_record(draw, n) if kind == "histogram"
+            else _piecewise_linear_record(draw, n + 1)
+            for _ in range(draw(st.integers(1, 5)))]
+
+
+def _built_alone(record):
+    """The loader's message for a leaf record built on its own, or None."""
+    cls = _LEAF_CLASSES[record["kind"]]
+    try:
+        cls(*[record[f.name] for f in dataclasses.fields(cls)])
+    except (DomainError, TypeError, ValueError) as exc:
+        return f"bad {record['kind']} node: {exc}"
+    return None
+
+
+def _loaded_alone(record):
+    """``_built_alone``, or the schema's objection to a categorical leaf of one bin."""
+    message = _built_alone(record)
+    if message is None and record["domain"] == CATEGORICAL and len(record["masses"]) == 1:
+        return "categorical leaf has 1 bins for 2 categories"
+    return message
+
+
+@st.composite
+def leaf_record_files(draw):
+    """A product over leaf records of a few groups; half the files are undamaged."""
+    clean = draw(st.booleans())
+    groups = draw(st.lists(leaf_records_of_one_length(clean), min_size=1, max_size=3))
+    records = draw(st.permutations(sum(groups, [])))
+    draw = _Draws(draw, clean)
+    columns = []
+    for j, record in enumerate(records):
+        record["variable"] = j
+        key = _LEAF_ARRAYS[record["kind"]]
+        # not a flat list of numbers
+        record[key] = draw.rarely(record[key], [[v] for v in record[key]], str(record[key]))
+        kind = record["domain"] if record["domain"] in (DISCRETE, CATEGORICAL) else CONTINUOUS
+        if kind == CATEGORICAL and record["kind"] == "histogram":
+            # a schema holds two categories or more
+            arity = max(len(record["masses"]), 2)
+            columns.append(Column(f"v{j}", StatType(kind, tuple(f"c{i}" for i in range(arity)))))
+        else:
+            columns.append(Column(f"v{j}", StatType(kind if kind != CATEGORICAL else CONTINUOUS)))
+    n = len(records)
+    obj = {"format_version": 2, "seed": 7, "config": LearnConfig().to_dict(),
+           "schema": Schema(tuple(columns)).to_json_dict(),
+           "nodes": [*records, {"kind": "product", "scope": list(range(n)),
+                                "children": list(range(n))}]}
+    # json writes an infinity as Infinity, which the loader reads only as 1e400
+    return json.dumps(obj).replace("Infinity", "1e400").encode()
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(blob=leaf_record_files())
+def test_a_file_loads_exactly_when_each_leaf_builds_alone(blob):
+    records = json.loads(blob)["nodes"][:-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        failures = [m for m in map(_loaded_alone, records) if m is not None]
+        if failures:
+            with pytest.raises(FormatError) as info:
+                deserialize(blob)
+            assert str(info.value) == failures[0]
+        else:
+            model = deserialize(blob)
+            assert validate(model).ok
+            assert serialize(deserialize(serialize(model))) == serialize(model)
+
+
+@settings(max_examples=80, deadline=None)
+@given(records=leaf_records_of_one_length(nan=True))
+def test_the_grouped_check_gives_each_leaf_its_own_message(records):
+    cls = _LEAF_CLASSES[records[0]["kind"]]
+    rows = [tuple(record[f.name] for f in dataclasses.fields(cls)) for record in records]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = [_built_alone(record) for record in records]
+        _, messages = check_group(cls, rows)
+    assert [m and f"bad {records[0]['kind']} node: {m}" for m in messages] == alone

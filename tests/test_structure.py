@@ -374,6 +374,18 @@ class TestValidate:
         report = validate(two_var_schema_model(ProductNode((0, 1), (unit_leaf(0), leaf))))
         assert report.violations == [("root.1", "bin edges must be finite and strictly increasing")]
 
+    def test_every_bad_leaf_of_one_group_is_reported(self):
+        # four one-bin leaves make one group of the grouped check; two are
+        # broken past their constructors, each in its own way
+        leaves = [unit_leaf(v) for v in (0, 1, 0, 1)]
+        object.__setattr__(leaves[1], "masses", np.array([0.5]))
+        object.__setattr__(leaves[2], "edges", np.array([0.0, 5e-324]))
+        root = SumNode((0, 1), np.array([0.5, 0.5]), (ProductNode((0, 1), leaves[:2]),
+                                                      ProductNode((0, 1), leaves[2:])))
+        report = validate(two_var_schema_model(root))
+        assert report.violations == [("root.0.1", "masses must be a probability vector"),
+                                     ("root.1.0", "bin densities overflow a double")]
+
 
 def _sum_of_two(weights, second=None):
     return SumNode((0, 1), np.array(weights), (
