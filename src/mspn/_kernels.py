@@ -40,33 +40,19 @@ _CHUNK = 512
 
 
 def pava_nondecreasing(values, weights):
-    # pool-adjacent-violators for a weighted least-squares nondecreasing fit;
-    # merged blocks take the weighted mean of their members
-    n = values.shape[0]
-    level = np.empty(n)
-    weight = np.empty(n)
-    size = np.empty(n, dtype=np.int64)
-    nb = 0
-    for i in range(n):
-        level[nb] = values[i]
-        weight[nb] = weights[i]
-        size[nb] = 1
-        nb += 1
-        while nb > 1 and level[nb - 2] > level[nb - 1]:
-            tot = weight[nb - 2] + weight[nb - 1]
-            level[nb - 2] = (
-                weight[nb - 2] * level[nb - 2] + weight[nb - 1] * level[nb - 1]
-            ) / tot
-            weight[nb - 2] = tot
-            size[nb - 2] += size[nb - 1]
-            nb -= 1
-    out = np.empty(n)
-    pos = 0
-    for b in range(nb):
-        for _ in range(size[b]):
-            out[pos] = level[b]
-            pos += 1
-    return out
+    # pool-adjacent-violators for a weighted least-squares nondecreasing fit,
+    # on a stack of (level, weight, size) blocks: each value enters as a block
+    # and merges with the blocks it undercuts, a merged block taking the
+    # weighted mean of its members; the floor block is never undercut
+    blocks = [(-math.inf, 0.0, 0)]
+    for v, w in zip(values.tolist(), weights.tolist()):
+        n = 1
+        while blocks[-1][0] > v:
+            top, tw, tn = blocks.pop()
+            v, w, n = (tw * top + w * v) / (tw + w), tw + w, n + tn
+        blocks.append((v, w, n))
+    level, _, size = zip(*blocks)
+    return np.repeat(level, size)
 
 
 def dp_fill(seg_ll, n_bins=None):

@@ -33,6 +33,9 @@ from .structure import Mspn
 
 DEFAULT_GRID_SIZE = 256
 DEFAULT_EDGE_THRESHOLD = 0.01
+# the most cells a pair's joint table may hold (2048 x 2048, 32 MB of doubles);
+# a pair with more is a query error before any table is built
+MAX_GRID_CELLS = 2**22
 # how a pair's table reads its first and its second variable's tables
 _ROWS, _COLUMNS = np.s_[:, None], np.s_[None, :]
 
@@ -45,18 +48,29 @@ def _variable_grids(mspn: Mspn, grid_size: int, variables) -> dict:
     support, which for a categorical variable is every category code. The
     second array holds the quadrature measure of each point (cell width,
     or 1 for counting measure). The supports are read off the plan's leaf
-    table.
+    table; a pair table past ``MAX_GRID_CELLS`` cells is a :class:`QueryError`.
     """
     plan = evaluation_plan(mspn)
     lows, highs = np.full(mspn.n_vars, math.inf), np.full(mspn.n_vars, -math.inf)
     np.minimum.at(lows, plan.leaf_vars, plan.leaf_table.first)
     np.maximum.at(highs, plan.leaf_vars, plan.leaf_table.last)
 
-    grids = {}
+    spans, sizes = {}, {}
     for var in variables:
         lo, hi = float(lows[var]), float(highs[var])
         if not lo <= hi:
             raise QueryError(f"no leaf covers variable {var}")
+        spans[var] = lo, hi
+        sizes[var] = (grid_size if mspn.schema.stat_type(var).is_continuous
+                      else math.floor(hi) - math.ceil(lo) + 1)
+    widest = sorted(sizes, key=sizes.get)[-2:]  # the pair with the largest table
+    if len(widest) == 2 and sizes[widest[0]] * sizes[widest[1]] > MAX_GRID_CELLS:
+        a, b = widest
+        raise QueryError(f"the grids of variables {a} and {b} make a {sizes[a]} x {sizes[b]} "
+                         f"table, more than {MAX_GRID_CELLS} cells")
+
+    grids = {}
+    for var, (lo, hi) in spans.items():
         if not mspn.schema.stat_type(var).is_continuous:
             points = integer_support(lo, hi)
             grids[var] = points, np.ones_like(points)

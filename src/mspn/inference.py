@@ -20,13 +20,13 @@ depth of the trees they handle is bounded by memory, not by Python's
 recursion limit. The executors on the plan:
 
 * ``_Plan.evaluate_rows`` answers a few validated rows in one pass
-  (``log_conditional``'s given and joint rows); ``evaluate_row`` is its
-  one-row case (``log_evaluate``, ``mpe``, ``sample``). Its cost is numpy
-  calls, not arithmetic, so it makes a fixed few per height. It walks the
-  heights once: the observed leaves get their densities from one pass over
-  the leaf table, the sums of a height are one ``weighted_logsumexp`` call
-  on the height's contiguous block, and its products one ``_product``
-  fold, ``0.0 + c0 + c1 + ...`` in child order. The rows sit side by side
+  (``log_conditional``'s given and joint rows), or one row (``log_evaluate``,
+  ``mpe``, ``sample``). Its cost is numpy calls, not arithmetic, so it
+  makes a fixed few per height. It walks the heights once: the observed
+  leaves get their densities from one pass over the leaf table, the sums
+  of a height are one ``weighted_logsumexp`` call on the height's
+  contiguous block, and its products one ``_product`` fold,
+  ``0.0 + c0 + c1 + ...`` in child order. The rows sit side by side
   as extra columns of those blocks, each row's node slots shifted by
   ``len(nodes) + 2``, so a few rows cost about the calls of one.
 * ``_Plan.evaluate_tables`` evaluates the nodes on tables of observed
@@ -89,14 +89,7 @@ import numpy as np
 
 from .data import CATEGORICAL, CONTINUOUS, Schema
 from .errors import ConditioningError, QueryError
-from .leaves import (
-    HistogramLeaf,
-    PiecewiseLinearLeaf,
-    integer_support,
-    leaf_density_batch,
-    leaf_sample,
-    leaf_support,
-)
+from .leaves import leaf_density_batch, leaf_sample, mixture_candidates
 from .numerics import weighted_logsumexp
 from .structure import Mspn, ProductNode, SumNode, postorder
 
@@ -443,7 +436,7 @@ class _Plan:
         matrix, trimmed to the rows its widest node fills, or None if the
         height has none. They are built once, here: numpy gathers through a
         contiguous index block several times faster than through a column
-        range of a wider matrix, and ``evaluate_row`` gathers twice a height.
+        range of a wider matrix, and ``evaluate_rows`` gathers twice a height.
         """
         heights = self.heights
         levels = []
@@ -482,7 +475,7 @@ class _Plan:
     def choice_table(self, vals: np.ndarray) -> list:
         """Every sum's cumulative weighted child values, column after column.
 
-        ``vals`` is ``evaluate_row`` under the evidence. One pass over the
+        ``vals`` is ``evaluate_rows`` under the evidence. One pass over the
         sum matrix gives each node ``weights * exp(v - max v)`` over its
         children and their running sum, the arithmetic it would do alone;
         its pads add 0 after its last child. A dead sum, all of whose
@@ -559,16 +552,11 @@ class _Plan:
                 vals[prods.nodes] = _product(vals[prods.kids])
         return out
 
-    def evaluate_row(self, values: np.ndarray, observed: np.ndarray,
-                     counter=None) -> np.ndarray:
-        """``evaluate_rows`` on one (n_vars,) row: every node's log value, then the two pads."""
-        return self.evaluate_rows(values, observed, counter)
-
     @cached_property
     def base(self) -> np.ndarray:
-        """Every node's log value with nothing observed (``evaluate_row``)."""
+        """Every node's log value with nothing observed (``evaluate_rows``)."""
         nothing = np.zeros(int(self.leaf_vars.max()) + 1)
-        return self.evaluate_row(nothing, nothing.astype(bool))
+        return self.evaluate_rows(nothing, nothing.astype(bool))
 
     @cached_property
     def var_nodes(self) -> list:
@@ -679,7 +667,7 @@ class _Plan:
     def max_product(self, vals: np.ndarray, observed: np.ndarray, counter=None) -> list:
         """MPE's max-product pass: [(variable, value), ...] for the free variables.
 
-        ``vals`` is ``evaluate_row`` under the evidence. A node with one
+        ``vals`` is ``evaluate_rows`` under the evidence. A node with one
         free variable is a 1-d mixture of its leaves of that variable; it
         is maximized where a node with two or more free variables consumes
         it, or at the root (its settle point). The mixtures' log
@@ -784,7 +772,7 @@ class _Plan:
         lo, hi = self.subtree_leaves[0][i], self.subtree_leaves[1][i]
         ranks = lo + np.flatnonzero(self.leaf_vars[lo:hi] == var)
         leaves = [self.nodes[j] for j in self.leaf_nodes[ranks].tolist()]
-        grid = _free_candidates(leaves)
+        grid = mixture_candidates(leaves)
         t = self.leaf_table
         everywhere = t.outside[ranks] > 0
         spans = zip(np.searchsorted(grid, np.where(everywhere, -np.inf, t.first[ranks])).tolist(),
@@ -880,7 +868,7 @@ def log_evaluate(mspn: Mspn, evidence: Evidence, counter=None) -> float:
     """
     _check_evidence(mspn, evidence)
     plan = evaluation_plan(mspn)
-    return float(plan.evaluate_row(evidence.values, evidence.observed, counter)[plan.root])
+    return float(plan.evaluate_rows(evidence.values, evidence.observed, counter)[plan.root])
 
 
 def log_conditional(mspn: Mspn, query: Evidence, given: Evidence, counter=None) -> float:
@@ -904,31 +892,10 @@ def log_conditional(mspn: Mspn, query: Evidence, given: Evidence, counter=None) 
     return num - denom
 
 
-def _free_candidates(leaves: list) -> np.ndarray:
-    """Points that cover every possible maximum of a 1-d mixture of ``leaves``.
-
-    A sum of piecewise-linear densities is piecewise linear between the
-    union of the knots, so its maximum sits on a knot; a sum of histogram
-    densities is piecewise constant between the union of the edges, so
-    evaluating the midpoints of that union partition is exact. Discrete
-    and categorical variables enumerate the integers of their leaves'
-    united supports.
-    """
-    if leaves[0].domain != CONTINUOUS:
-        lo, hi = zip(*map(leaf_support, leaves))
-        return integer_support(min(lo), max(hi))
-    parts = [leaf.knots_x for leaf in leaves if isinstance(leaf, PiecewiseLinearLeaf)]
-    edges = [leaf.edges for leaf in leaves if isinstance(leaf, HistogramLeaf)]
-    if edges:
-        merged = np.unique(np.concatenate(edges))
-        parts += [merged, 0.5 * (merged[1:] + merged[:-1])]
-    return np.unique(np.concatenate(parts))
-
-
 def mpe(mspn: Mspn, evidence: Evidence, counter=None) -> tuple[np.ndarray, float]:
     """Most probable completion of the evidence.
 
-    Two passes over the evaluation plan. The first, ``evaluate_row``,
+    Two passes over the evaluation plan. The first, ``evaluate_rows``,
     evaluates every node under the evidence, which gives each fully
     observed subtree its exact value. The second, ``_Plan.max_product``,
     runs over the nodes with free (unobserved) variables in scope:
@@ -955,7 +922,7 @@ def mpe(mspn: Mspn, evidence: Evidence, counter=None) -> tuple[np.ndarray, float
     """
     _check_evidence(mspn, evidence)
     plan = evaluation_plan(mspn)
-    vals = plan.evaluate_row(evidence.values, evidence.observed, counter)
+    vals = plan.evaluate_rows(evidence.values, evidence.observed, counter)
     assignment = evidence.values.copy()
     for var, x in plan.max_product(vals, evidence.observed, counter):
         assignment[var] = x
@@ -988,7 +955,7 @@ def sample_rows(mspn: Mspn, evidence: Evidence, rng: np.random.Generator, n: int
     """
     _check_evidence(mspn, evidence)
     plan = evaluation_plan(mspn)
-    vals = plan.evaluate_row(evidence.values, evidence.observed, counter)
+    vals = plan.evaluate_rows(evidence.values, evidence.observed, counter)
     if vals[plan.root] == -np.inf:
         raise ConditioningError("evidence has zero probability; cannot sample")
 

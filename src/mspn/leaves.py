@@ -1,6 +1,6 @@
 """Univariate leaf distributions.
 
-Two nonparametric families cover all column kinds:
+Two nonparametric families, subclasses of :class:`Leaf`, cover all kinds:
 
 * :class:`HistogramLeaf` -- adaptive irregular-bin histograms for
   continuous columns, integer-aligned unit bins for discrete columns,
@@ -15,8 +15,8 @@ and ``validate`` use); a leaf's own ``check`` is that pass on a group of
 one. Leaves are immutable after fitting; evaluation and sampling never
 mutate them. Tables derived from a leaf's fields are built on first use
 and kept on the leaf: ``inverse_cdf``, which sampling reads, and
-``knot_table``, the one density rule of each family, which every query
-and ``leaf_support`` read.
+``knot_table``, the one density rule of each family, which every query,
+``leaf_support`` and MPE's grid for a 1-d mixture (``mixture_candidates``) read.
 """
 
 from __future__ import annotations
@@ -152,7 +152,34 @@ def _piecewise_linear_rules(domain, knots_x, knots_y, mode_index):
 
 
 @dataclass(frozen=True)
-class HistogramLeaf:
+class Leaf:
+    """A density or mass function over one variable; a family adds its two
+    arrays (stored read-only), its other fields and its ``_RULES`` entry."""
+
+    variable: int
+    domain: str
+
+    def __post_init__(self):
+        for name in _FIELDS[type(self)][2:4]:
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        self.check()
+
+    def check(self) -> None:
+        """Raise :class:`DomainError` unless this is a normalized leaf; NaN fails every rule.
+
+        The rules are ``check_group``'s, on a group of this leaf alone.
+        """
+        message, = leaf_problems([self])
+        if message is not None:
+            raise DomainError(message)
+
+    @property
+    def scope(self) -> tuple[int, ...]:
+        return (self.variable,)
+
+
+@dataclass(frozen=True)
+class HistogramLeaf(Leaf):
     """Binned density/mass function over one variable.
 
     For ``domain == "categorical"`` the bins are unit intervals over the
@@ -163,29 +190,10 @@ class HistogramLeaf:
     on top of them, not taken from them.
     """
 
-    variable: int
-    domain: str
     edges: np.ndarray = field(repr=False)
     masses: np.ndarray = field(repr=False)
     smoothing: float = 0.0
     unseen_mass: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", _readonly(self.edges))
-        object.__setattr__(self, "masses", _readonly(self.masses))
-        self.check()
-
-    def check(self) -> None:
-        """Raise :class:`DomainError` unless this is a normalized leaf; NaN fails every rule.
-
-        The rules are ``check_group``'s, on a group of this leaf alone.
-        """
-        _raise_first(_histogram_rules([self.domain], self.edges[None], self.masses[None],
-                                      [self.smoothing], [self.unseen_mass]))
-
-    @property
-    def scope(self) -> tuple[int, ...]:
-        return (self.variable,)
 
     @property
     def n_bins(self) -> int:
@@ -193,8 +201,22 @@ class HistogramLeaf:
 
     @cached_property
     def inverse_cdf(self) -> tuple[list, list]:
-        """``leaf_sample``'s table, built on first use: cumulative masses and edges."""
-        return np.cumsum(self.masses).tolist(), self.edges.tolist()
+        """``leaf_sample``'s table, built on first use: cumulative masses and edges.
+
+        Over integers, each bin's first and last integer as the knot table
+        reads them (an interior edge's integer is the next bin's) in place of
+        edges, and no mass on a bin that owns none: no draw lands at density 0.
+        """
+        if self.domain == CONTINUOUS:
+            return np.cumsum(self.masses).tolist(), self.edges.tolist()
+        first = [math.ceil(e) for e in self.edges[:-1].tolist()]
+        last = [k - 1 for k in first[1:]] + [math.floor(self.knot_table.last)]
+        if first[0] < -2**63 or last[-1] >= 2**63:
+            raise QueryError(f"the integers of [{first[0]:.17g}, {last[-1]:.17g}] pass 64 bits")
+        cum = np.cumsum(np.where([a <= b for a, b in zip(first, last)], self.masses, 0.0))
+        if not cum[-1] > 0:
+            raise QueryError("no integer of the discrete leaf's support has mass")
+        return cum.tolist(), list(zip(first, last))
 
     @cached_property
     def knot_table(self) -> KnotTable:
@@ -216,7 +238,7 @@ class HistogramLeaf:
 
 
 @dataclass(frozen=True)
-class PiecewiseLinearLeaf:
+class PiecewiseLinearLeaf(Leaf):
     """Unimodal piecewise-linear density over one variable.
 
     ``knots_y`` rises (weakly) up to ``mode_index`` and falls after it;
@@ -226,41 +248,22 @@ class PiecewiseLinearLeaf:
     point masses.
     """
 
-    variable: int
-    domain: str
     knots_x: np.ndarray = field(repr=False)
     knots_y: np.ndarray = field(repr=False)
     mode_index: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "knots_x", _readonly(self.knots_x))
-        object.__setattr__(self, "knots_y", _readonly(self.knots_y))
-        self.check()
-
-    def check(self) -> None:
-        """Raise :class:`DomainError` unless this is a normalized leaf; NaN fails every rule.
-
-        The rules are ``check_group``'s, on a group of this leaf alone.
-        """
-        _raise_first(_piecewise_linear_rules([self.domain], self.knots_x[None], self.knots_y[None],
-                                             [self.mode_index]))
-
-    @property
-    def scope(self) -> tuple[int, ...]:
-        return (self.variable,)
 
     @cached_property
     def inverse_cdf(self) -> tuple[list, ...]:
         """``leaf_sample``'s table, built on first use.
 
-        Discrete: the cumulative masses on the integer support and that
-        support. Continuous: the cumulative segment areas, knots and knot
-        densities.
+        Discrete: the cumulative masses on the integer support, read from
+        the knot table, and that support. Continuous: the cumulative segment
+        areas, knots and knot densities.
         """
-        x, y = self.knots_x, self.knots_y
         if self.domain == DISCRETE:
             support = integer_support(*leaf_support(self))
-            return np.cumsum(np.interp(support, x, y)).tolist(), support.tolist()
+            return np.cumsum(leaf_density_batch(self, support)).tolist(), support.tolist()
+        x, y = self.knots_x, self.knots_y
         return np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x)).tolist(), x.tolist(), y.tolist()
 
     @cached_property
@@ -270,16 +273,8 @@ class PiecewiseLinearLeaf:
         return KnotTable(x, y, np.append(np.diff(y) / np.diff(x), 0.0), x[-1], 0.0)
 
 
-Leaf = HistogramLeaf | PiecewiseLinearLeaf
-
 _RULES = {HistogramLeaf: _histogram_rules, PiecewiseLinearLeaf: _piecewise_linear_rules}
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _RULES}
-
-
-def _raise_first(rules) -> None:
-    message, = _first_failures(1, rules)
-    if message is not None:
-        raise DomainError(message)
 
 
 def check_group(cls, rows: list) -> tuple[list, list]:
@@ -337,11 +332,6 @@ class KnotTable(NamedTuple):
     outside: float
 
 
-def _unit_bin_edges(lo: int, hi: int) -> np.ndarray:
-    # one width-1 bin centred on every integer in [lo, hi]
-    return np.arange(lo, hi + 2, dtype=np.float64) - 0.5
-
-
 def _continuous_edges(values: np.ndarray, smoothing: float) -> np.ndarray:
     uniq = np.unique(values)
     if uniq.size == 1:
@@ -368,7 +358,8 @@ def _discrete_edges(values: np.ndarray, smoothing: float) -> np.ndarray:
         hi += 1
     if hi - lo + 1 > MAX_UNIT_BINS:
         return _continuous_edges(values, smoothing)
-    return _unit_bin_edges(lo, hi)
+    # one width-1 bin centred on every integer in [lo, hi]
+    return np.arange(lo, hi + 2, dtype=np.float64) - 0.5
 
 
 def fit_histogram(column, stat_type: StatType, smoothing: float = 1.0,
@@ -499,17 +490,36 @@ def integer_support(lo: float, hi: float) -> np.ndarray:
     return np.arange(first, last + 1, dtype=np.float64)
 
 
+def mixture_candidates(leaves: list) -> np.ndarray:
+    """Points that cover every possible maximum of a 1-d mixture of ``leaves``: MPE's grid.
+
+    A sum of piecewise-linear densities is piecewise linear between the
+    union of the knots, so its maximum sits on a knot; a sum of histogram
+    densities is piecewise constant between the union of the edges, so
+    evaluating the midpoints of that union partition is exact. Discrete
+    and categorical variables enumerate the integers of their leaves'
+    united supports.
+    """
+    if leaves[0].domain != CONTINUOUS:
+        lo, hi = zip(*map(leaf_support, leaves))
+        return integer_support(min(lo), max(hi))
+    parts = [leaf.knots_x for leaf in leaves if isinstance(leaf, PiecewiseLinearLeaf)]
+    edges = [leaf.edges for leaf in leaves if isinstance(leaf, HistogramLeaf)]
+    if edges:
+        merged = np.unique(np.concatenate(edges))
+        parts += [merged, 0.5 * (merged[1:] + merged[:-1])]
+    return np.unique(np.concatenate(parts))
+
+
 def leaf_sample(leaf: Leaf, rng: np.random.Generator) -> float:
     """One inverse-CDF draw from the leaf, read from the leaf's ``inverse_cdf`` table."""
     if isinstance(leaf, HistogramLeaf):
         cum, edges = leaf.inverse_cdf
         b = min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
-        if leaf.domain == CATEGORICAL:
-            return float(b)
-        if leaf.domain == DISCRETE:
-            lo, hi = math.ceil(edges[b]), math.floor(edges[b + 1])
-            return float(lo) if hi <= lo else float(rng.integers(lo, hi + 1))
-        return edges[b] + rng.random() * (edges[b + 1] - edges[b])
+        if leaf.domain == CONTINUOUS:
+            return edges[b] + rng.random() * (edges[b + 1] - edges[b])
+        lo, hi = edges[b]
+        return float(lo) if hi <= lo else float(rng.integers(lo, hi + 1))
 
     if leaf.domain == DISCRETE:
         cum, support = leaf.inverse_cdf

@@ -21,9 +21,7 @@ import numpy as np
 
 from .data import Dataset, Schema
 from .errors import ConfigError
-from .leaves import (
-    HistogramLeaf, PiecewiseLinearLeaf, fit_histogram, fit_isotonic_pwl, leaf_problems,
-)
+from .leaves import Leaf, fit_histogram, fit_isotonic_pwl, leaf_problems
 from .numerics import SeedScope, check_binnable, is_integer
 from .rdc import cluster_samples, split_features
 
@@ -272,7 +270,7 @@ def node_problems(node, child_scopes: list, schema: Schema):
     model loader; the leaves' own rules are ``leaves.check_group``'s.
     Yields ``(child, message)``: the index of the child at fault, or None.
     """
-    if isinstance(node, (HistogramLeaf, PiecewiseLinearLeaf)):
+    if isinstance(node, Leaf):
         if not 0 <= node.variable < len(schema):
             yield None, f"leaf variable {node.variable} is outside the schema"
             return
@@ -355,7 +353,7 @@ def validate(mspn: Mspn) -> ValidityReport:
         visits.append((path, node, id(node) in seen_ids))
         seen_ids.add(id(node))
     leaves = [node for _, node, shared in visits
-              if not shared and isinstance(node, (HistogramLeaf, PiecewiseLinearLeaf))]
+              if not shared and isinstance(node, Leaf)]
     leaf_messages = dict(zip(map(id, leaves), leaf_problems(leaves)))
 
     problems: list[tuple[str, str]] = []

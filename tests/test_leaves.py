@@ -7,7 +7,7 @@ import pytest
 
 from mspn import CATEGORICAL, CONTINUOUS, StatType
 from mspn.data import DISCRETE
-from mspn.errors import DomainError
+from mspn.errors import DomainError, QueryError
 from mspn.inference import _LeafTable
 from mspn.leaves import (
     HistogramLeaf,
@@ -448,6 +448,30 @@ class TestLeafSampling:
         )
         draws = np.array([leaf_sample(leaf, r) for _ in range(300)])
         np.testing.assert_array_equal(draws, np.rint(draws))
+
+    @pytest.mark.parametrize("edges, masses, drawn", [
+        # 1 sits on an interior edge, so the density reads it in the empty bin
+        ([0.0, 1.0, 2.0], [1.0, 0.0], {0}),
+        # the middle bin owns no integer
+        ([-0.5, 0.5, 0.7, 1.5], [0.25, 0.5, 0.25], {0, 1}),
+        ([-3.0, 2.0, 4.5, 9.0], [0.5, 0.25, 0.25], set(range(-3, 10))),
+    ])
+    def test_discrete_draws_land_where_the_density_is_positive(self, edges, masses, drawn):
+        leaf = HistogramLeaf(0, DISCRETE, np.array(edges), np.array(masses))
+        r = np.random.default_rng(14)
+        draws = np.array([leaf_sample(leaf, r) for _ in range(2000)])
+        assert (leaf_density_batch(leaf, draws) > 0).all()
+        assert set(draws.tolist()) == drawn
+
+    def test_discrete_draws_that_no_integer_can_hold_are_query_errors(self):
+        r = np.random.default_rng(15)
+        wide = HistogramLeaf(0, DISCRETE, np.array([1e100, 2e100]), np.array([1.0]))
+        with pytest.raises(QueryError, match="64 bits"):
+            leaf_sample(wide, r)
+        # only 0 is an integer, and its bin is empty
+        empty = HistogramLeaf(0, DISCRETE, np.array([0.0, 0.5, 0.9]), np.array([0.0, 1.0]))
+        with pytest.raises(QueryError, match="has mass"):
+            leaf_sample(empty, r)
 
     def test_tent_sampler_matches_known_mean(self):
         r = np.random.default_rng(11)

@@ -48,8 +48,8 @@ from mspn import (
 from mspn.analysis import _GridTables, _variable_grids
 from mspn.data import DISCRETE
 from mspn.errors import ConditioningError, QueryError
-from mspn.inference import _free_candidates, evaluation_plan, sample_rows
-from mspn.leaves import HistogramLeaf, PiecewiseLinearLeaf, leaf_sample
+from mspn.inference import evaluation_plan, sample_rows
+from mspn.leaves import HistogramLeaf, PiecewiseLinearLeaf, leaf_sample, mixture_candidates
 from mspn.numerics import trapezoid
 from mspn.structure import Mspn, iter_nodes
 from conftest import make_dataset, reference_density, reference_logsumexp
@@ -150,7 +150,7 @@ def oracle_mpe(model, evidence):
     """Recursive max-product pass recording decisions by node id, then a top-down walk.
 
     A subtree with one free variable is flattened into (log coefficient,
-    leaf) terms and maximized over ``_free_candidates``; fully observed
+    leaf) terms and maximized over ``mixture_candidates``; fully observed
     subtrees are scored with ``oracle_eval``.
     """
     values, observed = evidence.values[None, :], evidence.observed
@@ -177,7 +177,7 @@ def oracle_mpe(model, evidence):
 
     def reduce_free_subtree(node, var):
         terms = mixture_terms(node, var)
-        candidates = _free_candidates([leaf for _, leaf in terms])
+        candidates = mixture_candidates([leaf for _, leaf in terms])
         total = np.full(candidates.shape, -np.inf)
         for log_w, leaf in terms:
             with np.errstate(divide="ignore"):
@@ -325,7 +325,7 @@ def test_choice_tables_hold_each_sums_own_cumulative_weights(fixture_models):
         plan = evaluation_plan(model)
         rng = np.random.default_rng(16)
         for ev in random_evidences(model, data, rng, 20):
-            vals = plan.evaluate_row(ev.values, ev.observed)
+            vals = plan.evaluate_rows(ev.values, ev.observed)
             cum = plan.choice_table(vals)
             for i, (node, kids) in enumerate(zip(plan.nodes, plan.children)):
                 _, lo, hi, _, _ = plan.steps[i]
@@ -398,10 +398,10 @@ def test_rows_side_by_side_read_shifted_contiguous_copies_of_the_one_row_blocks(
 
 
 def assert_rows_equal_single_rows(plan, evs):
-    """``evaluate_rows`` on the evidences' rows gives each ``evaluate_row``'s bytes, pads too."""
+    """``evaluate_rows`` on the evidences' rows gives each one-row call's bytes, pads too."""
     got = plan.evaluate_rows(np.stack([ev.values for ev in evs]),
                              np.stack([ev.observed for ev in evs]))
-    want = np.stack([plan.evaluate_row(ev.values, ev.observed) for ev in evs])
+    want = np.stack([plan.evaluate_rows(ev.values, ev.observed) for ev in evs])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -427,7 +427,7 @@ def test_rows_side_by_side_equal_single_rows_bit_for_bit(fixture_models):
         rng.shuffle(evs)
         # the rows mix finite, all-marginalized and (on every model with a
         # variable that is not categorical) zero-probability ones
-        roots = np.array([plan.evaluate_row(ev.values, ev.observed)[plan.root] for ev in evs])
+        roots = np.array([plan.evaluate_rows(ev.values, ev.observed)[plan.root] for ev in evs])
         assert (roots == 0.0).any() and np.isfinite(roots).any(), name
         if (roots == -np.inf).any():
             zero_probability.add(name)
@@ -455,7 +455,7 @@ def test_dead_sums_and_zero_weights_are_never_sampled():
     model = Mspn(root, data.schema, LearnConfig())
     ev = Evidence(np.array([0.5, 0.0]), np.array([True, False]))
     plan = evaluation_plan(model)
-    vals = plan.evaluate_row(ev.values, ev.observed)
+    vals = plan.evaluate_rows(ev.values, ev.observed)
     dead = plan.ids.index(id(dead_x))
     _, lo, hi, _, _ = plan.steps[dead]
     assert vals[dead] == -np.inf and np.isfinite(vals[plan.root])
@@ -712,7 +712,7 @@ def test_mpe_with_a_zero_weight_child_matches_the_recursive_pass():
     n_free = np.bincount(plan.scope_owner, ~n_observed.observed[plan.scope_vars],
                          len(plan.nodes) + 1)
     settle = np.flatnonzero((n_free == 1) & (n_free[plan.parent] != 1))
-    coef = plan._coefficients(plan.evaluate_row(n_observed.values, n_observed.observed), n_free,
+    coef = plan._coefficients(plan.evaluate_rows(n_observed.values, n_observed.observed), n_free,
                               settle)
     # the x leaves in postorder: the tall box, component 2's, the zero-weight and the wide child
     assert np.isneginf(coef[plan.leaf_vars == 0]).tolist() == [True, False, True, False]
@@ -891,7 +891,7 @@ def test_mixture_coefficients_nest_like_the_recursive_pass(fixture_models):
             n_free = np.bincount(plan.scope_owner, ~ev.observed[plan.scope_vars],
                                  len(plan.nodes) + 1).astype(int)
             settle = np.flatnonzero((n_free == 1) & (n_free[plan.parent] != 1))
-            coef = plan._coefficients(plan.evaluate_row(ev.values, ev.observed), n_free, settle)
+            coef = plan._coefficients(plan.evaluate_rows(ev.values, ev.observed), n_free, settle)
             for s in settle.tolist():
                 var = next(v for v in plan.nodes[s].scope if not ev.observed[v])
                 terms = recursive_mixture_terms(plan.nodes[s], var, ev.values, ev.observed)
@@ -907,7 +907,7 @@ def coefficient_inputs(plan, ev):
     """``_coefficients``' arguments under ``ev``, as ``max_product`` computes them."""
     n_free = np.bincount(plan.scope_owner, ~ev.observed[plan.scope_vars], len(plan.nodes) + 1)
     settle = np.flatnonzero((n_free == 1) & (n_free[plan.parent] != 1))
-    return plan.evaluate_row(ev.values, ev.observed), n_free, settle
+    return plan.evaluate_rows(ev.values, ev.observed), n_free, settle
 
 
 def read_coefficients(plan, ev):
@@ -962,7 +962,7 @@ def test_random_small_trees_read_no_negative_zero_coefficient(case):
 
 def recursive_settle(terms):
     """The maximum of a term list's mixture and its maximizer, folded as ``oracle_mpe`` folds them."""
-    candidates = _free_candidates([leaf for _, leaf in terms])
+    candidates = mixture_candidates([leaf for _, leaf in terms])
     total = np.full(candidates.shape, -np.inf)
     for log_w, leaf in terms:
         with np.errstate(divide="ignore"):
@@ -990,7 +990,7 @@ def test_settle_maxima_fold_like_the_recursive_pass(fixture_models):
                 continue
             var = [next(v for v in plan.nodes[s].scope if not ev.observed[v])
                    for s in settle.tolist()]
-            coef = plan._coefficients(plan.evaluate_row(ev.values, ev.observed), n_free, settle)
+            coef = plan._coefficients(plan.evaluate_rows(ev.values, ev.observed), n_free, settle)
             maxima, at = plan._settle(coef, settle, np.array(var))
             want = [recursive_settle(recursive_mixture_terms(plan.nodes[s], v, ev.values,
                                                              ev.observed))

@@ -1,10 +1,14 @@
 """Canonical serialization round trips and the command-line interface."""
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -28,11 +32,13 @@ from mspn import (
     load_schema,
     log_evaluate,
     log_evaluate_batch,
+    mutual_information,
     sample,
     save_model,
     serialize,
     validate,
 )
+from mspn.analysis import MAX_GRID_CELLS
 from mspn.cli import main
 from mspn.data import DISCRETE, _BLOCK_ROWS
 from mspn.errors import DomainError, FormatError, IngestError, QueryError, VersionError
@@ -963,6 +969,38 @@ class TestCliMi:
         assert "usage error" in capsys.readouterr().err
         assert not dot.exists() and not js.exists()
 
+    @pytest.mark.parametrize("kind, grid", [(CONTINUOUS, "100000"), (DISCRETE, "2")])
+    def test_pair_tables_past_the_cell_cap_are_query_errors(self, kind, grid, tmp_path, capsys):
+        # a 100000-point grid on two continuous columns, or two discrete
+        # columns of 3000 integers each: a pair's table would pass
+        # MAX_GRID_CELLS, which is refused before any table is built
+        schema = Schema((Column("x", StatType(kind)), Column("y", StatType(kind))))
+        leaves = [HistogramLeaf(v, kind, np.array([-0.5, 2999.5]), np.array([1.0])) for v in (0, 1)]
+        path = tmp_path / "pair.json"
+        path.write_bytes(serialize(Mspn(ProductNode((0, 1), leaves), schema, LearnConfig())))
+        dot, js = tmp_path / "deps.dot", tmp_path / "deps.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["mi", "--model", str(path), "--dot", str(dot), "--json", str(js),
+                         "--grid", grid])
+        out, err = capsys.readouterr()
+        assert code == 3 and f"more than {MAX_GRID_CELLS} cells" in err
+        assert "Traceback" not in err and out == ""
+        assert not dot.exists() and not js.exists()
+
+    def test_a_pair_table_at_the_cell_cap_runs(self):
+        schema = Schema((Column("x", StatType(DISCRETE)), Column("y", StatType(DISCRETE))))
+
+        def pair(n_y):  # 2048 integers of x, n_y of y
+            leaves = [HistogramLeaf(v, DISCRETE, np.array([-0.5, n - 0.5]), np.array([1.0]))
+                      for v, n in enumerate((2048, n_y))]
+            return Mspn(ProductNode((0, 1), leaves), schema, LearnConfig())
+
+        assert 2048 * 2048 == MAX_GRID_CELLS
+        assert mutual_information(pair(2048), 0, 1) == (0.0, 0.0)
+        with pytest.raises(QueryError, match="2048 x 2049 table"):
+            mutual_information(pair(2049), 0, 1)
+
 
 class TestCliValidate:
     def test_valid_model_passes(self, cli_files, capsys):
@@ -997,6 +1035,18 @@ class TestCliParsing:
     def test_unknown_flag_is_a_usage_error(self, cli_files, capsys):
         assert main(["validate", "--model", str(cli_files["model"]),
                      "--fancy"]) == 1
+
+
+def test_importing_the_package_loads_nothing_past_numpy_and_the_standard_library():
+    # numpy is pyproject's one runtime dependency; scipy and hypothesis are
+    # for the tests. What the bare interpreter loaded before the import
+    # (site hooks of the environment) is left out.
+    code = ("import sys; bare = set(sys.modules); import mspn, mspn.cli; "
+            "print(*{name.partition('.')[0] for name in set(sys.modules) - bare})")
+    src = str(Path(mspn.cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert set(run.stdout.split()) - set(sys.stdlib_module_names) == {"mspn", "numpy"}
 
 
 # ---------------------------------------------------------------------------
@@ -1264,3 +1314,57 @@ def test_the_grouped_check_gives_each_leaf_its_own_message(records):
         alone = [_built_alone(record) for record in records]
         _, messages = check_group(cls, rows)
     assert [m and f"bad {records[0]['kind']} node: {m}" for m in messages] == alone
+
+
+# ---------------------------------------------------------------------------
+# every query subcommand on generated model files: a documented exit code,
+# and on exit 0 the identities the benchmark checks
+# ---------------------------------------------------------------------------
+
+
+def _run_cli(argv):
+    """``main(argv)`` with warnings as errors: its exit code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    assert code == 0 or out.getvalue() == "", argv
+    return code, out.getvalue()
+
+
+def _first_row_csv(model) -> str:
+    """A one-row csv over the model's columns: the first category, else 0."""
+    columns = model.schema.columns if model is not None else (Column("x", StatType(CONTINUOUS)),)
+    cells = [c.stat_type.categories[0] if c.stat_type.is_categorical else "0" for c in columns]
+    return ",".join(c.name for c in columns) + "\n" + ",".join(cells) + "\n"
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(blob=st.one_of(leaf_record_files(), fuzzed_model_files()))
+def test_every_query_subcommand_exits_with_a_documented_code(blob, tmp_path_factory):
+    root = tmp_path_factory.getbasetemp()
+    path, data = root / "cli_fuzzed.json", root / "cli_fuzzed.csv"
+    path.write_bytes(blob)
+    try:
+        model = deserialize(blob)
+    except FormatError:
+        model = None
+    data.write_text(_first_row_csv(model))
+    reports = ["--dot", str(root / "cli_fuzzed.dot"), "--json", str(root / "cli_fuzzed.mi.json")]
+    for argv in (["validate"], ["query"], ["loglik", "--data", str(data)], ["mpe"],
+                 ["sample", "-n", "3"], ["mi", "--grid", "4", *reports]):
+        code, out = _run_cli(argv + ["--model", str(path)])
+        if model is None:
+            assert code == 2, argv
+        elif code == 0 and argv[0] == "mpe":
+            pairs = dict(line.split("=", 1) for line in out.splitlines())
+            logp = float(pairs.pop("logp"))
+            assert log_evaluate(model, Evidence.observe(model.schema, pairs)) == logp
+        elif code == 0 and argv[0] == "sample":
+            header, *rows = csv.reader(io.StringIO(out))
+            for row in rows:
+                value = log_evaluate(model, Evidence.observe(model.schema, dict(zip(header, row))))
+                assert math.isfinite(value), row
