@@ -109,8 +109,12 @@ def _grid_joint(tables: _GridTables, a: int, b: int, grids: dict):
     """Normalized joint probability table of a variable pair on the grid."""
     _, wa = grids[a]
     _, wb = grids[b]
-    cell_mass = np.exp(tables.joint(a, b)) * np.outer(wa, wb)
+    # each leaf's density fits a double, but a product of two may not
+    with np.errstate(over="ignore", invalid="ignore"):
+        cell_mass = np.exp(tables.joint(a, b)) * np.outer(wa, wb)
     total = float(cell_mass.sum())
+    if not math.isfinite(total):
+        raise QueryError("pairwise joint density overflows a double on the grid")
     if total <= 0.0:
         raise QueryError("pairwise marginal has zero total mass on the grid")
     return cell_mass / total, wa, wb

@@ -8,15 +8,20 @@ and two learning runs with the same seed produce identical files.
 A model file (format 2) is one object with ``format_version``, ``seed``,
 ``config``, ``schema`` and ``nodes``: the tree flattened by
 ``structure.postorder``, so children come before their parent and the
-root is the last node. Sum and product records name their children by
-index into ``nodes``; leaf records hold their own parameters. No array
-nests deeper than a few levels and neither direction recurses, so a tree
-of any depth saves and loads.
+root is the last node. A node's record is its ``kind`` and its
+dataclass's fields, written and read by one path for every kind: a sum's
+or product's children as indices into ``nodes``, a field whose default is
+a float through ``float()``, any other as it is. Whether each value fits
+its node is ``structure.node_problems``'s and the leaf families' rules. No
+array nests deeper than a few levels and neither direction recurses, so a
+tree of any depth saves and loads.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,7 +34,17 @@ from .structure import (
 
 FORMAT_VERSION = 2
 
-_LEAVES = {"histogram": HistogramLeaf, "piecewise_linear": PiecewiseLinearLeaf}
+# a record's "kind" names its node's class; its other keys are the class's fields
+_CLASSES = {"sum": SumNode, "product": ProductNode, "histogram": HistogramLeaf,
+            "piecewise_linear": PiecewiseLinearLeaf}
+_KINDS = {cls: kind for kind, cls in _CLASSES.items()}
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _KINDS}
+_FIELD_GETTERS = {cls: itemgetter(*names) for cls, names in _FIELDS.items()}
+_FLOAT_FIELDS = {cls: [i for i, f in enumerate(fields(cls)) if type(f.default) is float]
+                 for cls in _KINDS}
+# where a sum's or product's children are, stored as node indices
+_CHILDREN = {cls: names.index("children") for cls, names in _FIELDS.items()
+             if "children" in names}
 # what a node record's fields can raise as they are read or converted
 _BAD_FIELD = (MspnError, KeyError, TypeError, ValueError, OverflowError)
 
@@ -85,55 +100,29 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
-def _node_record(node, children) -> dict:
-    if isinstance(node, SumNode):
-        return {
-            "kind": "sum",
-            "scope": [int(v) for v in node.scope],
-            "weights": [float(w) for w in node.weights],
-            "children": children,
-        }
-    if isinstance(node, ProductNode):
-        return {"kind": "product", "scope": [int(v) for v in node.scope], "children": children}
-    if isinstance(node, HistogramLeaf):
-        return {
-            "kind": "histogram",
-            "variable": int(node.variable),
-            "domain": node.domain,
-            "edges": [float(e) for e in node.edges],
-            "masses": [float(m) for m in node.masses],
-            "smoothing": float(node.smoothing),
-            "unseen_mass": float(node.unseen_mass),
-        }
-    if isinstance(node, PiecewiseLinearLeaf):
-        return {
-            "kind": "piecewise_linear",
-            "variable": int(node.variable),
-            "domain": node.domain,
-            "knots_x": [float(x) for x in node.knots_x],
-            "knots_y": [float(y) for y in node.knots_y],
-            "mode_index": int(node.mode_index),
-        }
-    raise FormatError(f"cannot serialize node type {type(node).__name__}")
+def _record(node, kids: np.ndarray) -> dict:
+    """A node's record: its kind and its fields, children as indices into the node list."""
+    cls = type(node)
+    if cls not in _KINDS:
+        raise FormatError(f"cannot serialize node type {cls.__name__}")
+    values = _floats(cls, [getattr(node, name) for name in _FIELDS[cls]])
+    if cls in _CHILDREN:
+        values[_CHILDREN[cls]] = kids
+    return dict(zip(_FIELDS[cls], values), kind=_KINDS[cls])
 
 
-def _integer(value, what: str) -> int:
-    # bool is an int subclass, and a float such as 0.9 must not load as 0
-    if type(value) is not int:
-        raise FormatError(f"{what} {value!r} is not an integer")
-    return value
+def _floats(cls, values: list) -> list:
+    """``values`` of ``cls``'s fields in order, those with a float default as floats."""
+    for i in _FLOAT_FIELDS[cls]:
+        values[i] = float(values[i])
+    return values
 
 
-def _scope(obj) -> tuple:
-    return tuple(_integer(v, "scope entry") for v in obj["scope"])
-
-
-def _take_children(obj, built: list, used: list) -> list:
+def _take_children(kids, built: list, used: list) -> list:
     """The indices of the already-built children a record names.
 
     Each child is claimed by one parent only.
     """
-    kids = obj["children"]
     if not isinstance(kids, list) or not kids:
         raise FormatError("children must be a non-empty list of node indices")
     for c in kids:
@@ -146,18 +135,8 @@ def _take_children(obj, built: list, used: list) -> list:
     return kids
 
 
-def _leaf_args(obj) -> tuple:
-    """A leaf record's constructor arguments; the arrays as the record holds them."""
-    variable, domain = _integer(obj["variable"], "leaf variable"), str(obj["domain"])
-    if obj["kind"] == "histogram":
-        return (variable, domain, obj["edges"], obj["masses"], float(obj["smoothing"]),
-                float(obj["unseen_mass"]))
-    return (variable, domain, obj["knots_x"], obj["knots_y"],
-            _integer(obj["mode_index"], "mode_index"))
-
-
 def _check_leaf_records(records: list) -> dict:
-    """Each grouped leaf record's index -> (class, group columns, row, message or None).
+    """Each grouped leaf record's index -> (group columns, row, message or None).
 
     Leaf records whose fields read and whose two arrays are lists are
     grouped by kind and array lengths, and each group goes through one
@@ -167,22 +146,23 @@ def _check_leaf_records(records: list) -> dict:
     groups: dict = {}
     for i, obj in enumerate(records):
         kind = obj.get("kind") if isinstance(obj, dict) else None
-        if not (isinstance(kind, str) and kind in _LEAVES):
+        cls = _CLASSES.get(kind) if isinstance(kind, str) else None
+        if cls is None or cls in _CHILDREN:  # not a leaf
             continue
         try:
-            args = _leaf_args(obj)
+            args = _floats(cls, list(_FIELD_GETTERS[cls](obj)))
         except _BAD_FIELD:
             continue
         if type(args[2]) is list and type(args[3]) is list:
-            groups.setdefault((kind, len(args[2]), len(args[3])), []).append((i, args))
+            groups.setdefault((cls, len(args[2]), len(args[3])), []).append((i, args))
     checked = {}
-    for (kind, _, _), members in groups.items():
+    for (cls, _, _), members in groups.items():
         try:
-            columns, messages = check_group(_LEAVES[kind], [args for _, args in members])
+            columns, messages = check_group(cls, [args for _, args in members])
         except (TypeError, ValueError, OverflowError):
             continue
         for row, ((i, _), message) in enumerate(zip(members, messages)):
-            checked[i] = (_LEAVES[kind], columns, row, message)
+            checked[i] = (columns, row, message)
     return checked
 
 
@@ -194,23 +174,23 @@ def _node_from_record(obj, built: list, used: list, leaf=None) -> tuple[object, 
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("every node needs a 'kind' tag")
     kind = obj["kind"]
+    cls = _CLASSES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise FormatError(f"unknown node kind {kind!r}")
     try:
         if leaf is not None:
-            cls, columns, row, message = leaf
+            columns, row, message = leaf
             if message is not None:
                 raise DomainError(message)
             return _unchecked(cls, columns, row), []
-        if kind == "sum":
-            kids = _take_children(obj, built, used)
-            return SumNode(_scope(obj), obj["weights"], tuple(built[c] for c in kids)), kids
-        if kind == "product":
-            kids = _take_children(obj, built, used)
-            return ProductNode(_scope(obj), tuple(built[c] for c in kids)), kids
-        if isinstance(kind, str) and kind in _LEAVES:
-            return _LEAVES[kind](*_leaf_args(obj)), []
+        args = _floats(cls, list(_FIELD_GETTERS[cls](obj)))
+        kids = []
+        if cls in _CHILDREN:
+            kids = _take_children(args[_CHILDREN[cls]], built, used)
+            args[_CHILDREN[cls]] = [built[c] for c in kids]
+        return cls(*args), kids
     except _BAD_FIELD as exc:
         raise FormatError(f"bad {kind} node: {exc}") from exc
-    raise FormatError(f"unknown node kind {kind!r}")
 
 
 def serialize(mspn: Mspn) -> bytes:
@@ -221,7 +201,7 @@ def serialize(mspn: Mspn) -> bytes:
         "seed": int(mspn.seed),
         "config": mspn.config.to_dict(),
         "schema": mspn.schema.to_json_dict(),
-        "nodes": [_node_record(node, kids.tolist()) for node, kids in zip(nodes, children)],
+        "nodes": [_record(node, kids) for node, kids in zip(nodes, children)],
     }
     return (canonical_json(payload) + "\n").encode("utf-8")
 

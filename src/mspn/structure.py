@@ -135,7 +135,8 @@ class Mspn:
 
     @property
     def node_count(self) -> int:
-        return sum(1 for _ in iter_nodes(self.root))
+        """The number of distinct nodes; a shared node counts once."""
+        return len(postorder(self.root)[0])
 
 
 def iter_nodes(root, path: str = "root"):
@@ -156,7 +157,8 @@ def postorder(root) -> tuple[list, list[np.ndarray]]:
     """The nodes in postorder, with each node's child indices into that list.
 
     Children come before their parent, left to right, and the root is
-    last. Iterative, so trees deeper than Python's recursion limit walk too.
+    last; a node that several parents share is listed once. Iterative, so
+    trees deeper than Python's recursion limit walk too.
     """
     nodes: list = []
     children: list[np.ndarray] = []
@@ -164,6 +166,8 @@ def postorder(root) -> tuple[list, list[np.ndarray]]:
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
+        if not expanded and id(node) in index:
+            continue
         internal = isinstance(node, (SumNode, ProductNode))
         if internal and not expanded:
             stack.append((node, True))
@@ -269,8 +273,13 @@ def node_problems(node, child_scopes: list, schema: Schema):
     The one definition of a valid node, shared by ``validate`` and the
     model loader; the leaves' own rules are ``leaves.check_group``'s.
     Yields ``(child, message)``: the index of the child at fault, or None.
+    Scope entries and leaf variables are Python or numpy integers, not bools.
     """
+    # each type test is the fast path: a Python int passes it
     if isinstance(node, Leaf):
+        if type(node.variable) is not int and not is_integer(node.variable):
+            yield None, f"leaf variable {node.variable!r} is not an integer"
+            return
         if not 0 <= node.variable < len(schema):
             yield None, f"leaf variable {node.variable} is outside the schema"
             return
@@ -284,6 +293,11 @@ def node_problems(node, child_scopes: list, schema: Schema):
     if not isinstance(node, (SumNode, ProductNode)):
         yield None, f"unknown node type {type(node).__name__}"
         return
+    if set(map(type, node.scope)) != {int}:
+        for v in node.scope:
+            if not is_integer(v):
+                yield None, f"scope entry {v!r} is not an integer"
+                return
     if not child_scopes:
         yield None, f"{type(node).__name__} has no children"
         return
@@ -344,14 +358,21 @@ def validate(mspn: Mspn) -> ValidityReport:
     their constructors' rules, in the loader's grouped pass
     (``leaf_problems``), so a hand-built model that validates also saves
     and loads. Violations are reported with the preorder path of the
-    offending node; nothing raises, so hand-built networks can be
-    inspected too.
+    offending node; a node that a second path reaches is reported there as
+    shared and not checked again. Nothing raises, so hand-built networks
+    can be inspected too.
     """
+    # preorder, as ``iter_nodes``, but a node reached again is not walked again
     visits: list = []  # (path, node, whether an earlier path reached it)
     seen_ids: set[int] = set()
-    for path, node in iter_nodes(mspn.root):
+    stack = [("root", mspn.root)]
+    while stack:
+        path, node = stack.pop()
         visits.append((path, node, id(node) in seen_ids))
-        seen_ids.add(id(node))
+        if id(node) not in seen_ids:
+            seen_ids.add(id(node))
+            kids = enumerate(node.children) if isinstance(node, (SumNode, ProductNode)) else ()
+            stack += reversed([(f"{path}.{i}", child) for i, child in kids])
     leaves = [node for _, node, shared in visits
               if not shared and isinstance(node, Leaf)]
     leaf_messages = dict(zip(map(id, leaves), leaf_problems(leaves)))
@@ -361,12 +382,20 @@ def validate(mspn: Mspn) -> ValidityReport:
         if shared:
             problems.append((path, "node is shared; the network must be a tree"))
             continue
-        child_scopes = [frozenset(getattr(c, "scope", ())) for c in getattr(node, "children", ())]
+        child_scopes = [_scope_set(c) for c in getattr(node, "children", ())]
         for child, message in node_problems(node, child_scopes, mspn.schema):
             problems.append((path if child is None else f"{path}.{child}", message))
         if (message := leaf_messages.get(id(node))) is not None:
             problems.append((path, message))
 
-    root_scope = frozenset(getattr(mspn.root, "scope", ()))
-    problems += [("root", message) for message in root_problems(root_scope, mspn.schema)]
-    return ValidityReport(problems, len(visits))
+    problems += [("root", message) for message in root_problems(_scope_set(mspn.root),
+                                                                 mspn.schema)]
+    return ValidityReport(problems, len(seen_ids))
+
+
+def _scope_set(node) -> frozenset:
+    """A node's scope as a set; empty for an unhashable scope, which the node's check reports."""
+    try:
+        return frozenset(getattr(node, "scope", ()))
+    except TypeError:
+        return frozenset()

@@ -19,11 +19,13 @@ from mspn import (
     LearnConfig,
     ProductNode,
     SumNode,
+    deserialize,
     log_conditional,
     log_evaluate,
     log_evaluate_batch,
     mpe,
     sample,
+    serialize,
 )
 from mspn.errors import ConditioningError, QueryError
 from mspn.leaves import HistogramLeaf
@@ -125,6 +127,28 @@ class TestLogEvaluateExact:
         model = toy_sum_model()
         ev = Evidence(np.array([5.0]), np.array([True]))
         assert log_evaluate(model, ev) == -np.inf
+
+    @pytest.mark.parametrize("weights, exact", [
+        ([0.25, 0.75], True), ([300 / 997, 697 / 997], True), ([1 / 6] * 6, False),
+    ])
+    def test_all_marginalized_is_zero_when_the_weights_add_to_one(self, weights, exact):
+        # six sixths add to 0.9999999999999999, within the loader's 1e-12
+        total = 0.0
+        for w in weights:  # in child order, as the sum node adds them
+            total += w
+        assert (total == 1.0) == exact
+        boxes = [HistogramLeaf(0, CONTINUOUS, np.array([k, k + 1.0]), np.array([1.0]))
+                 for k in range(len(weights))]
+        data = make_dataset([("x", CONTINUOUS, None)], [[0.5]])
+        model = deserialize(serialize(Mspn(SumNode((0,), np.array(weights), boxes),
+                                           data.schema, LearnConfig())))
+        value = log_evaluate(model, Evidence.marginalized(1))
+        assert (value == 0.0) == exact
+        assert abs(value) <= 1e-12
+
+    def test_two_cluster_proportions_add_to_exactly_one(self):
+        # a learned sum's weights: each cluster's rows over the node's rows
+        assert all(a / n + (n - a) / n == 1.0 for n in range(1, 1001) for a in range(n + 1))
 
 
 class TestLogEvaluateModels:

@@ -47,8 +47,8 @@ from mspn.leaves import (
     MAX_GRID_INTEGERS, HistogramLeaf, PiecewiseLinearLeaf, check_group, integer_support,
 )
 from mspn.numerics import MAX_BIN_MAGNITUDE
-from mspn.serialize import canonical_json
-from mspn.structure import LEAF_KINDS, Mspn, ProductNode, SumNode
+from mspn.serialize import FORMAT_VERSION, canonical_json
+from mspn.structure import LEAF_KINDS, Mspn, ProductNode, SumNode, postorder
 
 from conftest import per_cell_load_dataset
 
@@ -206,6 +206,38 @@ class TestFlatNodeList:
         kinds = [record["kind"] for record in obj["nodes"]]
         assert kinds == ["histogram"] * 2 + ["product"] + ["histogram"] * 2 + ["product", "sum"]
         assert [obj["nodes"][i]["children"] for i in (2, 5, 6)] == [[0, 1], [3, 4], [2, 5]]
+
+    def test_each_kind_of_record_has_its_format_two_keys(self):
+        # the keys are the node classes' fields; a change to them changes the
+        # file format, and comes with a FORMAT_VERSION bump
+        assert FORMAT_VERSION == 2
+        pwl = PiecewiseLinearLeaf(0, CONTINUOUS, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        one_column = Schema((Column("x", StatType(CONTINUOUS)),))
+        records = (json.loads(serialize(two_component_model()))["nodes"]
+                   + json.loads(serialize(Mspn(pwl, one_column, LearnConfig())))["nodes"])
+        assert {record["kind"]: set(record) for record in records} == {
+            "sum": {"kind", "scope", "weights", "children"},
+            "product": {"kind", "scope", "children"},
+            "histogram": {"kind", "variable", "domain", "edges", "masses", "smoothing",
+                          "unseen_mass"},
+            "piecewise_linear": {"kind", "variable", "domain", "knots_x", "knots_y",
+                                 "mode_index"},
+        }
+
+    def test_a_shared_chain_saves_each_node_once_and_fails_to_load(self, tmp_path, capsys):
+        # 40 sums, each over the one below it twice: 41 nodes on 2**40 paths
+        node = HistogramLeaf(0, CONTINUOUS, np.array([0.0, 1.0]), np.array([1.0]))
+        for _ in range(40):
+            node = SumNode((0,), np.array([0.5, 0.5]), (node, node))
+        schema = Schema((Column("x", StatType(CONTINUOUS)),))
+        blob = serialize(Mspn(node, schema, LearnConfig()))
+        assert len(json.loads(blob)["nodes"]) == 41
+        with pytest.raises(FormatError, match="node 0 is the child of two nodes"):
+            deserialize(blob)
+        path = tmp_path / "shared.json"
+        path.write_bytes(blob)
+        assert main(["validate", "--model", str(path)]) == 2
+        assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_FILES))
     def test_hostile_node_lists_are_format_errors(self, case, tmp_path, capsys):
@@ -988,6 +1020,22 @@ class TestCliMi:
         assert "Traceback" not in err and out == ""
         assert not dot.exists() and not js.exists()
 
+    def test_a_pair_whose_joint_density_overflows_is_a_query_error(self, tmp_path, capsys):
+        # each leaf's density 1e300 fits a double; their product on the grid does not
+        schema = Schema((Column("x", StatType(CONTINUOUS)), Column("y", StatType(CONTINUOUS))))
+        leaves = [HistogramLeaf(v, CONTINUOUS, np.array([1e-300, 2e-300]), np.array([1.0]))
+                  for v in (0, 1)]
+        path = tmp_path / "tiny.json"
+        path.write_bytes(serialize(Mspn(ProductNode((0, 1), leaves), schema, LearnConfig())))
+        dot, js = tmp_path / "deps.dot", tmp_path / "deps.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["mi", "--model", str(path), "--dot", str(dot), "--json", str(js),
+                         "--grid", "4"])
+        out, err = capsys.readouterr()
+        assert code == 3 and "overflows a double" in err
+        assert "Traceback" not in err and out == ""
+
     def test_a_pair_table_at_the_cell_cap_runs(self):
         schema = Schema((Column("x", StatType(DISCRETE)), Column("y", StatType(DISCRETE))))
 
@@ -1359,6 +1407,10 @@ def test_every_query_subcommand_exits_with_a_documented_code(blob, tmp_path_fact
         code, out = _run_cli(argv + ["--model", str(path)])
         if model is None:
             assert code == 2, argv
+        elif code == 0 and argv[0] == "query":
+            # all marginalized: 0, but for the loader's 1e-12 slack on each sum's weights
+            n_sums = sum(isinstance(node, SumNode) for node in postorder(model.root)[0])
+            assert abs(float(out)) <= 1e-12 * n_sums, out
         elif code == 0 and argv[0] == "mpe":
             pairs = dict(line.split("=", 1) for line in out.splitlines())
             logp = float(pairs.pop("logp"))

@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -350,6 +351,37 @@ class TestValidate:
         report = validate(Mspn(bad, data.schema, LearnConfig()))
         assert any("tree" in msg for _, msg in report.violations)
 
+    def test_a_shared_chain_is_walked_once(self):
+        # 40 sums, each over the one below it twice: 41 nodes on 2**40 paths
+        node = unit_leaf(0)
+        for _ in range(40):
+            node = SumNode((0,), np.array([0.5, 0.5]), (node, node))
+        model = Mspn(node, make_dataset([("a", CONTINUOUS, None)], [[0.5]]).schema,
+                     LearnConfig())
+        start = time.perf_counter()
+        report = validate(model)
+        assert time.perf_counter() - start < 1.0
+        assert [message for _, message in report.violations] == (
+            ["node is shared; the network must be a tree"] * 40)
+        assert model.node_count == report.node_count == 41
+
+    @pytest.mark.parametrize("variable", [0.9, np.float64(1.0), True])
+    def test_a_leaf_variable_that_is_not_an_integer_is_reported(self, variable):
+        leaf = HistogramLeaf(variable, CONTINUOUS, np.array([0.0, 1.0]), np.array([1.0]))
+        report = validate(two_var_schema_model(ProductNode((0, 1), (unit_leaf(0), leaf))))
+        assert not report.ok
+        assert ("root.1", f"leaf variable {variable!r} is not an integer") in report.violations
+
+    @pytest.mark.parametrize("scope", [([0], 1), (0.0, 1.0)])
+    def test_a_scope_entry_that_is_not_an_integer_is_reported(self, scope):
+        # at the root, and under a sum that reads the product's scope as a child's
+        product = ProductNode(scope, (unit_leaf(0), unit_leaf(1)))
+        for root, path in ((product, "root"),
+                           (SumNode((0, 1), np.array([1.0]), (product,)), "root.0")):
+            report = validate(two_var_schema_model(root))
+            assert not report.ok
+            assert (path, f"scope entry {scope[0]!r} is not an integer") in report.violations
+
     def test_report_str_lists_violations(self):
         report = validate(two_var_schema_model(unit_leaf(0)))
         text = str(report)
@@ -422,6 +454,12 @@ HAND_BUILT = {
         unit_leaf(0), HistogramLeaf(1, CONTINUOUS, np.array([0.0, 1.0]), np.array([1.0]))))),
     "incomplete root scope": lambda: two_var_schema_model(unit_leaf(0)),
     "shared subtree": _shared_leaf_model,
+    "leaf variable a float": lambda: two_var_schema_model(ProductNode((0, 1), (
+        unit_leaf(0), HistogramLeaf(0.9, CONTINUOUS, np.array([0.0, 1.0]), np.array([1.0]))))),
+    "leaf variable a bool": lambda: two_var_schema_model(ProductNode((0, 1), (
+        unit_leaf(0), HistogramLeaf(True, CONTINUOUS, np.array([0.0, 1.0]), np.array([1.0]))))),
+    "scope entry a list": lambda: two_var_schema_model(
+        ProductNode(([0], 1), (unit_leaf(0), unit_leaf(1)))),
 }
 
 
