@@ -2,8 +2,9 @@
 
 Seeded RNG streams, random sine feature maps, canonical correlation
 (each feature block whitened once, at the fixed ridge ``CCA_RIDGE``, then
-scored against any other), k-means, the adaptive histogram binning
-search, and a few small helpers used across the package.
+scored against any other, or bounded from the counts of its distinct-row
+pairs), k-means, the adaptive histogram binning search, and a few small
+helpers used across the package.
 """
 
 from __future__ import annotations
@@ -173,6 +174,88 @@ def cca_max_correlation(a: _Whitened, b: _Whitened) -> float:
     mid = 0.5 * (mid + mid.T)
     lam = np.linalg.eigvalsh(mid)
     return float(np.sqrt(np.clip(lam[-1], 0.0, 1.0)))
+
+
+def _gamma(n: int) -> float:
+    # Higham's gamma_n = n u / (1 - n u), u = 2**-53
+    return n * 2.0**-53 / (1.0 - n * 2.0**-53)
+
+
+# The count bound. Write u = 2^-53, g_n = _gamma(n) (Higham 2002, ch. 3), m
+# for the rows, d for the wider block's columns, P = a.inv_sqrt, C = b.cov
+# and Q^1/2 = C^-1/2 in exact arithmetic. cca_max_correlation returns the
+# root of the top eigenvalue of fl(P S_e solve(C, S_e^T) P), S_e =
+# fl(rows_a^T rows_b) / (m - 1): in exact arithmetic on its S_e that root
+# is F(S_e) = |P S_e Q^1/2|_2. The count path forms S_c = fl(A^T fl(N B)) /
+# (m - 1), with A, B the tables and N the table-row pair counts (exact
+# integers), and T = |fl(P S_c V)|_F^2 with V = b.inv_sqrt; the trace of
+# the CCA matrix, G(S_c)^2 = |P S_c Q^1/2|_F^2, is at least F(S_c)^2, as
+# the trace of a PSD matrix is at least its top eigenvalue. Assumed, with
+# p(d) = d: eigh and eigvalsh are backward stable, |dC| <= d u |C|, and
+# the LU solve's backward error is |dC_j| <= g_3d d |C| in each column.
+# Both covariances have norm at most d + 1 (a correlation matrix plus the
+# ridge), and their eigenvalues, as computed or exact, exceed r = CCA_RIDGE
+# - h, h = d g_(2m+8) + (d^2 + d + 2) u (the Gram's rounding, then eigh's),
+# so |P|_2 and |Q^1/2|_2 are at most r^-1/2. Write k = ((d + 1) / r)^1.5.
+# (a) S_e and S_c sum the same m products a_ri b_rj in different orders
+#   (S_c groups them by table-row pair): each is within g_(m+1) sum_r
+#   |a_ri b_rj| / (m - 1) of the exact sum in any order, with or without
+#   FMA, and by Cauchy-Schwarz on standardized columns that sum is at most
+#   (m - 1)(1 + g_(m+6)). So |S_e - S_c|_F <= 2 d g_(2m+8), and F is
+#   1/r-Lipschitz in S (|P dS Q^1/2|_2 <= |P|_2 |dS|_F |Q^1/2|_2): F(S_e)
+#   <= F(S_c) + E_a <= G(S_c) + E_a with E_a = 2 d g_(2m+8) / r, 1.8e-4
+#   at m = 20 000 and d = 20.
+# (b) With W = P S Q^1/2 and s = |W|_2, S = P^-1 W Q^-1/2 has norm at most
+#   (d + 1) s, so every rounding in the small products is relative to s^2:
+#   each of the three products adds at most g_d d (d + 1) s^2 / r to the
+#   exact path's matrix, and a column's solve error Q dC_j x_j, weighed
+#   by W Q^1/2 on the left and P on the right, adds at most g_3d d^1.5 k
+#   s^2 in all. On the count side V is within d u k r^1/2 / 2 of Q^1/2
+#   (the inverse root's derivative is at most r^-3/2 / 2), which moves
+#   G by at most d u k G / 2, and the two products by g_d d (d + 1) G / r.
+# (c) eigvalsh adds at most p(d) u |mid|_2 = d u s^2 (1 + O(k u)).
+# So the exact score is at most F(S_e)(1 + rho_e), rho_e half the
+# relative top-eigenvalue error in (b) and (c), and G(S_c) is at most
+# sqrt(T)(1 + rho_c); rho = (g_3d d^1.5 + d u) k + 6 g_d d (d + 1) / r is
+# more than 2 (rho_e + rho_c), which also covers their product and the
+# bound's own few roundings. At d = 20 rho is 0.058, nearly all of it the
+# solve's worst case, while (c) is d u = 2.2e-15: the margin is over ten
+# orders of magnitude above eigvalsh's error.
+def cca_score_bound(a: _Whitened, b: _Whitened) -> float:
+    """An upper bound on ``cca_max_correlation(a, b)`` from counts of table-row pairs.
+
+    Rows only enter the score through the cross-covariance of the two
+    blocks, which equals ``A.T @ N @ B / (m - 1)`` for the blocks' tables
+    ``A``, ``B`` and the counts ``N`` of each pair of table rows, so one
+    ``bincount`` over the row ids stands in for the product over the rows.
+    The square root of the CCA matrix's trace then bounds the top
+    canonical correlation, and the margin derived above covers every
+    rounding difference from the exact path, so the bound is never below
+    the score ``cca_max_correlation`` computes. Counting is used only when
+    the contingency table has at most a quarter as many cells as there are
+    rows; otherwise (a block held per row, wide tables) the bound is inf.
+    """
+    m = a.shape[0]
+    ka, kb = a.table.shape[0], b.table.shape[0]
+    d = max(a.table.shape[1], b.table.shape[1])
+    h = d * _gamma(2 * m + 8) + (d * d + d + 2) * 2.0**-53
+    if 4 * ka * kb > m or 2 * h > CCA_RIDGE:
+        return math.inf
+    r = CCA_RIDGE - h
+    k = ((d + 1) / r) ** 1.5
+    rho = (_gamma(3 * d) * d**1.5 + d * 2.0**-53) * k + 6 * _gamma(d) * d * (d + 1) / r
+    e_a = 2 * d * _gamma(2 * m + 8) / r
+    return (_count_trace_root(a, b) + e_a) * (1.0 + rho)
+
+
+def _count_trace_root(a: _Whitened, b: _Whitened) -> float:
+    """sqrt(T) above: the root of the CCA matrix's trace from the table-row
+    pair counts, without the margin."""
+    ka, kb = a.table.shape[0], b.table.shape[0]
+    counts = np.bincount(a.ids * kb + b.ids, minlength=ka * kb).reshape(ka, kb)
+    sab = a.table.T @ (counts.astype(np.float64) @ b.table) / (a.shape[0] - 1)
+    w = a.inv_sqrt @ sab @ b.inv_sqrt
+    return math.sqrt(float(np.sum(w * w)))
 
 
 def kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator,

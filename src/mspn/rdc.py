@@ -12,7 +12,12 @@ Equal values carry equal features, so the work runs on distinct values:
 each variable is ranked, projected and whitened once per distinct value,
 and its block is gathered to the rows only for the product of a pair;
 :func:`rdc` and :func:`split_features` score a pair from the same
-whitened blocks, so they give it the same bits. Row clustering embeds
+whitened blocks, so they give it the same bits. Before it gathers a
+pair, the column split bounds the pair's score from the counts of its
+pairs of distinct values (``numerics.cca_score_bound``), and a pair that
+bound puts below the threshold gets no score: it could not join. Every
+other pair is scored exactly, so the groups and the scored edges are
+those that scoring every pair exactly gives. Row clustering embeds
 each distinct data row once, with ids taken from the data, never from
 the features.
 
@@ -35,6 +40,7 @@ from .numerics import (
     _whiten,
     _Whitened,
     cca_max_correlation,
+    cca_score_bound,
     is_integer,
     kmeans,
 )
@@ -109,7 +115,9 @@ def rdc(dataset: Dataset, i: int, j: int, config, seeds: SeedScope | None = None
     Symmetric and deterministic given the seed scope; invariant under
     strictly increasing transformations of either variable because only
     ranks enter the feature maps. Constant columns score exactly 0. It is
-    the score :func:`split_features` gives the pair under the same scope.
+    the score :func:`split_features` gives the pair under the same scope
+    whenever the split scores the pair exactly; a pair the count bound
+    rejects gets no score there.
     """
     if not all(is_integer(v) and 0 <= v < dataset.n_cols for v in (i, j)):
         raise DomainError("variable indices must be integers in range")
@@ -131,8 +139,13 @@ def split_features(dataset: Dataset, threshold: float, config,
     the caller decides what to do with that. Pairs are scored in order
     (``i`` ascending, then ``j``), skipping a pair whose two variables are
     already joined (union-find): its score could not change the
-    components, and every pair still scored joins the same groups it joins
-    when all pairs are scored.
+    components. A pair of few distinct values is first bounded from the
+    counts of its value pairs (``cca_score_bound``, no gather), and
+    skipped when the bound is below ``threshold``: its exact score could
+    not exceed it. Every other pair (kept, undecided, or with too many
+    distinct values to count) takes the exact path, so each edge keeps
+    its exact score and the groups and edges are those of scoring every
+    pair exactly.
     """
     if dataset.n_cols < 2:
         raise DomainError("feature splitting needs at least two variables")
@@ -158,6 +171,10 @@ def split_features(dataset: Dataset, threshold: float, config,
         first = None
         for j in range(i + 1, n):
             if white[j] is None or find(i) == find(j):
+                continue
+            # a pair whose counts bound its exact score below the threshold
+            # could not join
+            if cca_score_bound(white[i], white[j]) < threshold:
                 continue
             if first is None:
                 first = white[i].gathered(blocks[0])

@@ -29,7 +29,8 @@ from .data import Schema
 from .errors import DomainError, FormatError, MspnError, VersionError
 from .leaves import HistogramLeaf, PiecewiseLinearLeaf, _unchecked, check_group
 from .structure import (
-    LearnConfig, Mspn, ProductNode, SumNode, node_problems, postorder, root_problems,
+    LearnConfig, Mspn, ProductNode, SumNode, integer_problem, node_problems, postorder,
+    root_problems,
 )
 
 FORMAT_VERSION = 2
@@ -105,6 +106,9 @@ def _record(node, kids: np.ndarray) -> dict:
     cls = type(node)
     if cls not in _KINDS:
         raise FormatError(f"cannot serialize node type {cls.__name__}")
+    problem = integer_problem(node)
+    if problem is not None:
+        raise FormatError(problem)
     values = _floats(cls, [getattr(node, name) for name in _FIELDS[cls]])
     if cls in _CHILDREN:
         values[_CHILDREN[cls]] = kids

@@ -267,19 +267,39 @@ def learn_mspn(dataset: Dataset, config: LearnConfig | None = None) -> Mspn:
     return Mspn(built[0], dataset.schema, config)
 
 
+def integer_problem(node) -> str | None:
+    """Why a leaf's variable or a sum's or product's scope is not all integers, or None.
+
+    Scope entries and leaf variables are Python or numpy integers, not
+    bools. The rule of ``node_problems``, and of ``serialize``, whose JSON
+    would write 1.0 as 1.
+    """
+    # each type test is the fast path: a Python int passes it
+    if isinstance(node, Leaf):
+        if type(node.variable) is not int and not is_integer(node.variable):
+            return f"leaf variable {node.variable!r} is not an integer"
+    elif set(map(type, node.scope)) != {int}:
+        for v in node.scope:
+            if not is_integer(v):
+                return f"scope entry {v!r} is not an integer"
+    return None
+
+
 def node_problems(node, child_scopes: list, schema: Schema):
     """Each way ``node`` fails to fit its children's scopes (frozensets) or the schema.
 
     The one definition of a valid node, shared by ``validate`` and the
     model loader; the leaves' own rules are ``leaves.check_group``'s.
     Yields ``(child, message)``: the index of the child at fault, or None.
-    Scope entries and leaf variables are Python or numpy integers, not bools.
     """
-    # each type test is the fast path: a Python int passes it
+    if not isinstance(node, (Leaf, SumNode, ProductNode)):
+        yield None, f"unknown node type {type(node).__name__}"
+        return
+    problem = integer_problem(node)
+    if problem is not None:
+        yield None, problem
+        return
     if isinstance(node, Leaf):
-        if type(node.variable) is not int and not is_integer(node.variable):
-            yield None, f"leaf variable {node.variable!r} is not an integer"
-            return
         if not 0 <= node.variable < len(schema):
             yield None, f"leaf variable {node.variable} is outside the schema"
             return
@@ -290,14 +310,6 @@ def node_problems(node, child_scopes: list, schema: Schema):
         elif st.is_categorical and node.n_bins != st.arity:
             yield None, f"categorical leaf has {node.n_bins} bins for {st.arity} categories"
         return
-    if not isinstance(node, (SumNode, ProductNode)):
-        yield None, f"unknown node type {type(node).__name__}"
-        return
-    if set(map(type, node.scope)) != {int}:
-        for v in node.scope:
-            if not is_integer(v):
-                yield None, f"scope entry {v!r} is not an integer"
-                return
     if not child_scopes:
         yield None, f"{type(node).__name__} has no children"
         return

@@ -1,10 +1,13 @@
 """Dependence scoring, feature-group splitting, and row clustering."""
 
+import math
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mspn import CATEGORICAL, CONTINUOUS, LearnConfig, rdc
 from mspn.errors import DomainError
@@ -14,11 +17,18 @@ from mspn.rdc import (
     _KMEANS_TAG,
     _SPLIT_TAG,
     _distinct_features,
+    _split_block,
     cluster_samples,
     split_features,
 )
 
-from mspn.numerics import SeedScope, kmeans
+from mspn.numerics import (
+    SeedScope,
+    _count_trace_root,
+    cca_max_correlation,
+    cca_score_bound,
+    kmeans,
+)
 from conftest import HYBRID6_COLS, make_dataset, per_pair_cca_max_correlation
 
 
@@ -32,19 +42,26 @@ def _variable_features(dataset, v, config, seeds, tag) -> np.ndarray:
     return features[ids]
 
 
-def _record_scores(monkeypatch) -> list:
-    """Record the score of every pair ``split_features`` scores, in order."""
+def _record_scores(monkeypatch) -> tuple[list, list]:
+    """Record, in order, the exact score of every pair ``split_features`` scores
+    and the count bound of every pair it checks."""
     rdc_module = sys.modules["mspn.rdc"]
     original = rdc_module.cca_max_correlation
-    scores = []
+    original_bound = rdc_module.cca_score_bound
+    scores, bounds = [], []
 
     def recorded(a, b):
         assert np.shape(a) == np.shape(b) == (np.shape(a)[0], LearnConfig().proj_features)
         scores.append(original(a, b))
         return scores[-1]
 
+    def recorded_bound(a, b):
+        bounds.append(original_bound(a, b))
+        return bounds[-1]
+
     monkeypatch.setattr(rdc_module, "cca_max_correlation", recorded)
-    return scores
+    monkeypatch.setattr(rdc_module, "cca_score_bound", recorded_bound)
+    return scores, bounds
 
 
 def _all_pair_scores(data, cfg, seeds) -> dict:
@@ -53,6 +70,36 @@ def _all_pair_scores(data, cfg, seeds) -> dict:
     feats = {v: _variable_features(data, v, cfg, seeds, _SPLIT_TAG) for v in varying}
     return {(i, j): per_pair_cca_max_correlation(feats[i], feats[j])
             for i in varying for j in varying if i < j}
+
+
+def _oracle_split(oracle, threshold, n) -> tuple[list, list]:
+    """The pairs left unjoined when every pair of ``oracle`` is scored in
+    order, and the edges among them that join two groups."""
+    group = list(range(n))
+    unjoined, edges = [], []
+    for (i, j), score in oracle.items():
+        if group[i] == group[j]:
+            continue
+        unjoined.append((i, j))
+        if score > threshold:
+            edges.append((i, j, score))
+            group = [group[i] if g == group[j] else g for g in group]
+    return unjoined, edges
+
+
+def _assert_filtered(oracle, unjoined, threshold, scores, bounds) -> list:
+    """Check the split's calls against all-pairs exact scoring; the pairs scored.
+
+    Every unjoined pair is bounded once, in order, and the bound is never
+    below its exact score; a pair its bound leaves is scored with the
+    oracle's bits, and a pair it rejects scores at or below the threshold.
+    """
+    assert len(bounds) == len(unjoined)
+    assert all(oracle[pair] <= bound for pair, bound in zip(unjoined, bounds))
+    exact = [pair for pair, bound in zip(unjoined, bounds) if not bound < threshold]
+    assert scores == [oracle[pair] for pair in exact]
+    assert all(oracle[pair] <= threshold for pair in unjoined if pair not in exact)
+    return exact
 
 
 def _union_find_groups(n, edges) -> list:
@@ -150,11 +197,15 @@ class TestRdcScore:
         seeds = SeedScope(cfg.seed, (2, 0))
         pairs = [(i, j) for i in range(data.n_cols) for j in range(i + 1, data.n_cols)]
         scores = {pair: rdc(data, *pair, cfg, seeds) for pair in pairs}
-        scored = _record_scores(monkeypatch)
-        # no score exceeds 1.0, so every pair without the constant column
-        # is scored
+        scored, bounds = _record_scores(monkeypatch)
+        # no score exceeds 1.0, so every pair without the constant column is
+        # checked, and scored unless its counts bound it below 1.0
         split_features(data, 1.0, cfg, seeds)
-        assert scored == [s for (i, j), s in scores.items() if 2 not in (i, j)]
+        exact = _assert_filtered(scores, [p for p in pairs if 2 not in p], 1.0, scored, bounds)
+        # the pairs with the continuous x, and (k, y), have too many distinct
+        # values to count; (k, g) and (g, y) are rejected from their counts
+        assert exact == [(0, 1), (0, 3), (0, 4), (1, 4)]
+        assert dict(zip(exact, scored)) == {pair: scores[pair] for pair in exact}
         assert all(s == 0.0 for (i, j), s in scores.items() if 2 in (i, j))
         assert min(scored) > 0.0 and max(scored) > 0.5
 
@@ -197,12 +248,12 @@ class TestDependencyGraph:
             data = request.getfixturevalue(table)
         cfg = LearnConfig(seed=21)
         seeds = SeedScope(cfg.seed, (0, 1))
-        scored = _record_scores(monkeypatch)
+        scored, bounds = _record_scores(monkeypatch)
         # no score exceeds 1.0, so nothing is joined and every non-constant
-        # pair is scored
+        # pair is checked, and scored unless its counts bound it below 1.0
         graph = split_features(data, 1.0, cfg, seeds)
         oracle = _all_pair_scores(data, cfg, seeds)
-        assert scored == list(oracle.values())
+        _assert_filtered(oracle, list(oracle), 1.0, scored, bounds)
         assert graph.edges == ()
         assert graph.groups == tuple((v,) for v in range(data.n_cols))
         varying = data.n_cols - (table == "constant_column")
@@ -224,21 +275,15 @@ class TestDependencyGraph:
         cfg = LearnConfig(seed=22)
         seeds = SeedScope(cfg.seed, (0,))
         oracle = _all_pair_scores(data, cfg, seeds)
-        scored = _record_scores(monkeypatch)
+        scored, bounds = _record_scores(monkeypatch)
         for threshold in (0.0, 0.05, 0.3):
-            del scored[:]
+            del scored[:], bounds[:]
             graph = split_features(data, threshold, cfg, seeds)
-            # scoring in pair order, a pair is skipped once its ends are joined
-            group = list(range(data.n_cols))
-            want_scored, want_edges = [], []
-            for (i, j), score in oracle.items():
-                if group[i] == group[j]:
-                    continue
-                want_scored.append(score)
-                if score > threshold:
-                    want_edges.append((i, j, score))
-                    group = [group[i] if g == group[j] else g for g in group]
-            assert scored == want_scored, (table, threshold)
+            # scoring in pair order, a pair is skipped once its ends are
+            # joined, and left unscored if its counts bound it below the
+            # threshold
+            unjoined, want_edges = _oracle_split(oracle, threshold, data.n_cols)
+            _assert_filtered(oracle, unjoined, threshold, scored, bounds)
             assert list(graph.edges) == want_edges, (table, threshold)
             assert list(graph.groups) == _union_find_groups(
                 data.n_cols, [(i, j) for (i, j), s in oracle.items() if s > threshold]
@@ -270,6 +315,97 @@ class TestDependencyGraph:
             tracemalloc.stop()
         assert graph.edges
         assert peak < 3 * m * cfg.proj_features * 8
+
+
+@st.composite
+def small_discrete_tables(draw):
+    """2-4 categorical or discrete columns of arity 2-4 over 30-300 rows,
+    each following a shared latent value on a drawn share of its rows."""
+    n_cols = draw(st.integers(2, 4))
+    m = draw(st.integers(30, 300))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    latent = r.integers(0, 4, m)
+    cols, values = [], []
+    for v in range(n_cols):
+        arity = draw(st.integers(2, 4))
+        tied = draw(st.sampled_from((0.0, 0.3, 0.6, 0.9)))
+        values.append(np.where(r.random(m) < tied, latent % arity, r.integers(0, arity, m)))
+        if draw(st.booleans()):
+            cols.append((f"g{v}", CATEGORICAL, tuple("pqrs"[:arity])))
+        else:
+            cols.append((f"k{v}", DISCRETE, None))
+    return make_dataset(cols, np.column_stack(values))
+
+
+class TestCountFilter:
+    def test_a_pair_whose_count_trace_rounds_below_its_score_still_joins(self):
+        # binary x binary: the CCA matrix has rank 1, so its trace is its top
+        # eigenvalue, and only rounding parts the count path from the exact
+        # one; here the count side rounds below the exact score, and the
+        # threshold lies between the two
+        r = np.random.default_rng(1)
+        m = 200
+        x = r.integers(0, 2, m)
+        y = np.where(r.random(m) < 0.8, x, 1 - x)
+        data = make_dataset([("a", CATEGORICAL, ("p", "q")), ("b", CATEGORICAL, ("p", "q"))],
+                            np.column_stack([x, y]))
+        cfg = LearnConfig(seed=1)
+        a, b = (_split_block(data, v, cfg, SeedScope(cfg.seed)) for v in (0, 1))
+        score = cca_max_correlation(a.gathered(), b.gathered())
+        threshold = float(np.nextafter(score, -np.inf))
+        assert _count_trace_root(a, b) < threshold
+        graph = split_features(data, threshold, cfg)
+        assert graph.edges == ((0, 1, score),)
+        assert graph.groups == ((0, 1),)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_discrete_tables())
+    def test_groups_and_edges_equal_all_pairs_scoring_at_every_score(self, data):
+        # a threshold at a score, or just below it, is where a bound short
+        # of the exact score would reject a pair that joins
+        cfg = LearnConfig(seed=36)
+        seeds = SeedScope(cfg.seed, (1,))
+        oracle = _all_pair_scores(data, cfg, seeds)
+        for score in oracle.values():
+            for threshold in (score, float(np.nextafter(score, -np.inf))):
+                graph = split_features(data, threshold, cfg, seeds)
+                assert list(graph.edges) == _oracle_split(oracle, threshold, data.n_cols)[1]
+                assert list(graph.groups) == _union_find_groups(
+                    data.n_cols, [(i, j) for (i, j), s in oracle.items() if s > threshold])
+
+    def test_most_unjoined_pairs_of_a_categorical_table_skip_the_exact_path(self, monkeypatch):
+        # the benchmark's categorical table in small: low-arity categorical
+        # and discrete columns, a few tied to a latent segment, the rest
+        # independent noise
+        r = np.random.default_rng(34)
+        m = 4000
+        segment = r.integers(0, 4, m)
+        arities = (2, 3, 4, 5, 2, 3)
+        data = make_dataset(
+            [(f"g{j}", CATEGORICAL, tuple("abcde"[:a])) for j, a in enumerate(arities)]
+            + [(f"k{j}", DISCRETE, None) for j in range(4)],
+            np.column_stack(
+                [np.where(r.random(m) < 0.75, (segment + j) % a, r.integers(0, a, m)) if j < 3
+                 else r.integers(0, a, m) for j, a in enumerate(arities)]
+                + [r.binomial(6, 0.15 + 0.2 * segment), r.integers(0, 5, m),
+                   r.integers(0, 7, m), r.integers(0, 9, m)]),
+        )
+        cfg = LearnConfig(seed=35)
+        seeds = SeedScope(cfg.seed)
+        oracle = _all_pair_scores(data, cfg, seeds)
+        unjoined, edges = _oracle_split(oracle, 0.3, data.n_cols)
+        scored, bounds = _record_scores(monkeypatch)
+        graph = split_features(data, 0.3, cfg, seeds)
+        _assert_filtered(oracle, unjoined, 0.3, scored, bounds)
+        assert list(graph.edges) == edges
+        assert 2 * len(scored) < len(unjoined)
+
+    def test_a_block_held_per_row_is_not_counted(self, cat_pair_data):
+        cfg = LearnConfig(seed=37)
+        a, b = (_split_block(cat_pair_data, v, cfg, SeedScope(cfg.seed)) for v in (0, 1))
+        assert math.isfinite(cca_score_bound(a, b))
+        assert cca_score_bound(a.gathered(), b) == math.inf
+        assert cca_score_bound(a, b.gathered()) == math.inf
 
 
 class TestVariableFeatures:

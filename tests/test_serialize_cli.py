@@ -50,7 +50,7 @@ from mspn.numerics import MAX_BIN_MAGNITUDE
 from mspn.serialize import FORMAT_VERSION, canonical_json
 from mspn.structure import LEAF_KINDS, Mspn, ProductNode, SumNode, postorder
 
-from conftest import per_cell_load_dataset
+from conftest import make_dataset, per_cell_load_dataset
 
 
 class TestCanonicalJson:
@@ -118,6 +118,30 @@ class TestModelRoundTrip:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(FormatError):
             load_model(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("field, value", [
+        ("scope", 0.0), ("variable", np.float64(1.0)),  # written as integer literals
+        ("scope", 0.9), ("variable", 0.9), ("scope", True), ("variable", True),
+    ])
+    def test_a_non_integer_scope_entry_or_leaf_variable_is_not_saved(self, field, value,
+                                                                     tmp_path):
+        # the emitter writes 1.0 as 1, so such a model would load with ints
+        # in its place; serializing applies validate's integer rule instead
+        leaves = tuple(HistogramLeaf(value if field == "variable" and v else v, CONTINUOUS,
+                                     np.array([0.0, 1.0]), np.array([1.0])) for v in (0, 1))
+        scope = (value, 1) if field == "scope" else (0, 1)
+        data = make_dataset([("a", CONTINUOUS, None), ("b", CONTINUOUS, None)], [[0.5, 0.5]])
+        model = Mspn(ProductNode(scope, leaves), data.schema, LearnConfig())
+        what = "scope entry" if field == "scope" else "leaf variable"
+        message = f"{what} {value!r} is not an integer"
+        assert message in [m for _, m in validate(model).violations]
+        with pytest.raises(FormatError) as raised:
+            serialize(model)
+        assert str(raised.value) == message
+        path = tmp_path / "model.json"
+        with pytest.raises(FormatError):
+            save_model(model, path)
+        assert not path.exists()
 
 
 def tampered(model, **changes) -> bytes:
