@@ -2,8 +2,8 @@
 
 Seeded RNG streams, random sine feature maps, canonical correlation
 (each feature block whitened once, at the fixed ridge ``CCA_RIDGE``, then
-scored against any other, or bounded from the counts of its distinct-row
-pairs), k-means, the adaptive histogram binning search, and a few small
+scored against any other, or scored with a proven margin from the counts
+of its distinct-row pairs), k-means, the adaptive histogram binning search, and a few small
 helpers used across the package.
 """
 
@@ -181,81 +181,163 @@ def _gamma(n: int) -> float:
     return n * 2.0**-53 / (1.0 - n * 2.0**-53)
 
 
-# The count bound. Write u = 2^-53, g_n = _gamma(n) (Higham 2002, ch. 3), m
-# for the rows, d for the wider block's columns, P = a.inv_sqrt, C = b.cov
-# and Q^1/2 = C^-1/2 in exact arithmetic. cca_max_correlation returns the
-# root of the top eigenvalue of fl(P S_e solve(C, S_e^T) P), S_e =
-# fl(rows_a^T rows_b) / (m - 1): in exact arithmetic on its S_e that root
-# is F(S_e) = |P S_e Q^1/2|_2. The count path forms S_c = fl(A^T fl(N B)) /
-# (m - 1), with A, B the tables and N the table-row pair counts (exact
-# integers), and T = |fl(P S_c V)|_F^2 with V = b.inv_sqrt; the trace of
-# the CCA matrix, G(S_c)^2 = |P S_c Q^1/2|_F^2, is at least F(S_c)^2, as
-# the trace of a PSD matrix is at least its top eigenvalue. Assumed, with
-# p(d) = d: eigh and eigvalsh are backward stable, |dC| <= d u |C|, and
-# the LU solve's backward error is |dC_j| <= g_3d d |C| in each column.
-# Both covariances have norm at most d + 1 (a correlation matrix plus the
-# ridge), and their eigenvalues, as computed or exact, exceed r = CCA_RIDGE
-# - h, h = d g_(2m+8) + (d^2 + d + 2) u (the Gram's rounding, then eigh's),
-# so |P|_2 and |Q^1/2|_2 are at most r^-1/2. Write k = ((d + 1) / r)^1.5.
-# (a) S_e and S_c sum the same m products a_ri b_rj in different orders
-#   (S_c groups them by table-row pair): each is within g_(m+1) sum_r
-#   |a_ri b_rj| / (m - 1) of the exact sum in any order, with or without
-#   FMA, and by Cauchy-Schwarz on standardized columns that sum is at most
-#   (m - 1)(1 + g_(m+6)). So |S_e - S_c|_F <= 2 d g_(2m+8), and F is
-#   1/r-Lipschitz in S (|P dS Q^1/2|_2 <= |P|_2 |dS|_F |Q^1/2|_2): F(S_e)
-#   <= F(S_c) + E_a <= G(S_c) + E_a with E_a = 2 d g_(2m+8) / r, 1.8e-4
-#   at m = 20 000 and d = 20.
-# (b) With W = P S Q^1/2 and s = |W|_2, S = P^-1 W Q^-1/2 has norm at most
-#   (d + 1) s, so every rounding in the small products is relative to s^2:
-#   each of the three products adds at most g_d d (d + 1) s^2 / r to the
-#   exact path's matrix, and a column's solve error Q dC_j x_j, weighed
-#   by W Q^1/2 on the left and P on the right, adds at most g_3d d^1.5 k
-#   s^2 in all. On the count side V is within d u k r^1/2 / 2 of Q^1/2
-#   (the inverse root's derivative is at most r^-3/2 / 2), which moves
-#   G by at most d u k G / 2, and the two products by g_d d (d + 1) G / r.
-# (c) eigvalsh adds at most p(d) u |mid|_2 = d u s^2 (1 + O(k u)).
-# So the exact score is at most F(S_e)(1 + rho_e), rho_e half the
-# relative top-eigenvalue error in (b) and (c), and G(S_c) is at most
-# sqrt(T)(1 + rho_c); rho = (g_3d d^1.5 + d u) k + 6 g_d d (d + 1) / r is
-# more than 2 (rho_e + rho_c), which also covers their product and the
-# bound's own few roundings. At d = 20 rho is 0.058, nearly all of it the
-# solve's worst case, while (c) is d u = 2.2e-15: the margin is over ten
-# orders of magnitude above eigvalsh's error.
-def cca_score_bound(a: _Whitened, b: _Whitened) -> float:
-    """An upper bound on ``cca_max_correlation(a, b)`` from counts of table-row pairs.
+@dataclass(frozen=True)
+class _Counted:
+    """One feature block prepared for scoring from counts of its distinct rows.
+
+    The block is ``table[ids]``, as in :class:`_Whitened`, but its mean,
+    scale and covariance are sums over the k distinct rows weighted by
+    their counts, not sums over the rows, so it costs one ``bincount`` and
+    O(k d^2). Its bits differ from ``_whiten``'s; the margin of
+    :func:`cca_count_score` covers the difference.
+    """
+
+    table: np.ndarray  # standardized columns of each distinct row, (k, d)
+    inv_sqrt: np.ndarray  # ridge-regularized covariance ** -1/2, (d, d)
+    ids: np.ndarray  # row -> table row
+    shift: float  # |c|^2 in (a) below; inf when a column's scale has no positive lower bound
+
+
+def _count_block(a: np.ndarray, ids: np.ndarray) -> _Counted:
+    """Standardize and whiten the block ``a[ids]`` from the counts of ``ids``."""
+    m = ids.shape[0]
+    w = np.bincount(ids, minlength=a.shape[0]).astype(np.float64)
+    g = _gamma(2 * m + 8)
+    # (a): either path's column mean is off by at most ``off``
+    off = g * np.abs(a).max(axis=0)
+    a = a - w @ a / m
+    var = w @ (a * a) / (m - 1)
+    scale = np.sqrt(var)
+    a = a / np.where(scale > 0.0, scale, 1.0)
+    low = var / (1.0 + g) - 2.0 * off * off
+    shift = float(np.sum(off * off / low)) if np.all(low > 0.0) else math.inf
+    cov = a.T @ (w[:, None] * a) / (m - 1) + CCA_RIDGE * np.eye(a.shape[1])
+    evals, evecs = np.linalg.eigh(cov)
+    inv_sqrt = evecs @ ((1.0 / np.sqrt(evals))[:, None] * evecs.T)
+    return _Counted(a, inv_sqrt, ids, shift)
+
+
+# The count score's margin. Write u = 2^-53, g_n = _gamma(n) (Higham 2002,
+# ch. 3), m for the rows, d for the wider block's columns, r = CCA_RIDGE
+# and G = g_(2m+8). Both paths start from one table F of distinct feature
+# rows and the row ids: the exact path (_whiten, cca_max_correlation) sums
+# over the m rows in row order, the count path (_count_block,
+# cca_count_score) over the distinct rows weighted by their counts, exact
+# integers. Each is compared with s*, the top canonical correlation, in
+# exact arithmetic, of the exactly centred and scaled blocks X and Y:
+# s* = max u'Sv / (u'C_a u v'C_b v)^1/2 over u, v, with S = X'Y / (m - 1)
+# and C = X'X / (m - 1) + r I, so that u'Cu >= r |u|^2. Assumed, with p(d)
+# = d: eigh and eigvalsh are backward stable (|dC|_F <= d u |C|_2, computed
+# eigenvectors orthonormal to within d u) and the LU solve's backward error
+# is |dC_j| <= g_3d d |C| in each column. Every sum below is bounded for
+# any order of its terms, with or without FMA.
+# (a) Centring and scaling. Either path's mean of column i is off by at
+#   most off_i = G max_t |F_ti| (a sum of m terms), c_i = off_i / s_i in
+#   units of the column's exact scale s_i. A computed variance is (s_i^2 +
+#   m dmu_i^2 / (m - 1))(1 +- G) (positive terms), so s_i^2 >= var_i / (1
+#   + G) - 2 off_i^2 for the count path's var_i; _count_block stores |c|^2
+#   from that bound, inf when it is not positive, so a near-constant column
+#   leaves its pairs undecided. Either path's standardized block is Z D,
+#   with Z = (X + 1c') o (1 + e), |e| <= g_2 elementwise, and D = diag(s /
+#   computed scale), |D^-2 - I| <= G + 3 |c|^2.
+# (b) Centring, scaling and covariance, as a Loewner bound. A CCA score is
+#   unchanged by D applied to both S and C, with the ridge becoming r D^-2,
+#   so read each path's stored S and C in Z's frame. With t = d + 2 |c|^2,
+#   tr(Z'Z) <= (1 + 3 g_2)(m - 1) t, and Cauchy-Schwarz over the rows gives
+#   |u'Eu| <= 2 G t |u|^2 for E all roundings of a Gram (e, the sums, the
+#   division and the ridge); the offset adds m cc' / (m - 1) and the scale
+#   r (D^-2 - I). So the stored C lies within 1 +- dl of C in Loewner
+#   order, dl = G + 3 |c|^2 + (2 |c|^2 + 2 G t) / r, a relative term of
+#   about d g_m / r. The stored S is off by at most e_S |u||v|, e_S = 2
+#   |c_a||c_b| + 2 G (t_a t_b)^1/2, that is by E_p = e_S / r relative to
+#   (u'C_a u v'C_b v)^1/2. With delta = dl_a + dl_b, the top canonical
+#   correlation of either path's stored matrices lies in [(s* - E_p)(1 -
+#   delta), (s* + E_p) / (1 - delta)].
+# (c) Roundings after that, relative. The stored C have norm at most N =
+#   (1 + delta)(d + 1) and eigenvalues, computed or exact, of at least R =
+#   (1 - delta) r - d u N; write k = (N / R)^1.5. A computed inverse root
+#   is C^-1/2 (I + F) with |F| <= d u k / 2 (the divided differences of
+#   x^-1/2 are at most R^-3/2 / 2, and |C^1/2| <= N^1/2) plus terms far
+#   below that. With W = C_a^-1/2 S C_b^-1/2 and s = |W|_2, S has norm at
+#   most N s, so each rounded (d, d) product adds at most g_d d N s / R
+#   to W, or g_d d N s^2 / R to W W'.
+#   - Exact path: mid is W W' but for P's two factors F, three products,
+#     the solve (C_b^-1 dC_j x_j, weighed by W C_b^1/2 on the left and P
+#     on the right: at most g_3d d^1.5 k s^2) and symmetrizing and
+#     eigvalsh (2 (d + 1) u s^2). So its top eigenvalue is s^2 (1 +- x), x
+#     = (g_3d d^1.5 + 2 d u) k + 3 g_d d N / R + 2 (d + 1) u, and its root
+#     s (1 +- rho_e), rho_e = x (1 + x) / 2 (as (1 - x)^1/2 >= 1 - x / 2 -
+#     x^2 / 2). Clipping to [0, 1] keeps both sides: it only lowers a
+#     score, and a count join implies threshold < s* < 1 (by (d), as E >=
+#     2 E_p), which a score clipped to 1 exceeds.
+#   - Count path: W_c = fl(P_a S V_b) carries two factors F and two
+#     products; the root of its squares' sum is at least |W_c|_2 (1 -
+#     g_(d^2+2)), and the root of eigvalsh's top eigenvalue of W_c W_c' is
+#     within g_d d + (d + 1) u of it, relative. So either score is s (1 +-
+#     rho_c), rho_c = 2 (d u k + 2 g_d d N / R + 3 g_(d^2+d+2)), the first
+#     on the upper side only.
+# (d) Eliminating s* between the paths' intervals, the exact score s_e
+#   lies in [s_c lo - E, s_c hi + E], hi = (1 + rho_e) / ((1 - delta)^2 (1
+#   - rho_c)), lo = (1 - delta)^2 (1 - rho_e) / (1 + rho_c) and E = 2 E_p
+#   (1 + rho_e) / (1 - delta), so rho = max(hi - 1, 1 - lo). Both add 1e-12
+#   for the margin's own roundings, each below 1e-14. At m = 20 000 and d
+#   = 20 (every |c| small) rho is 0.031, nearly all of it the solve's worst
+#   case, and E 3.7e-4; eigvalsh's own share is d u = 2.2e-15, the margin
+#   over ten orders of magnitude above it.
+def _count_margin(a: _Counted, b: _Counted) -> tuple[float, float]:
+    """(rho, E) above: the exact score of the pair lies within sigma_c (1 +- rho) +- E."""
+    u = 2.0**-53
+    m = a.ids.shape[0]
+    d = max(a.table.shape[1], b.table.shape[1])
+    g = _gamma(2 * m + 8)
+    t = [d + 2.0 * c.shift for c in (a, b)]
+    delta = sum(g + 3.0 * c.shift + (2.0 * c.shift + 2.0 * g * tc) / CCA_RIDGE
+                for c, tc in zip((a, b), t))
+    if not delta < 0.25:
+        return math.inf, math.inf
+    big = (1.0 + delta) * (d + 1)
+    small = (1.0 - delta) * CCA_RIDGE - d * u * big
+    k = (big / small) ** 1.5
+    x = (_gamma(3 * d) * d**1.5 + 2 * d * u) * k + 3 * _gamma(d) * d * big / small + 2 * (d + 1) * u
+    rho_e = x * (1.0 + x) / 2.0
+    rho_c = 2.0 * (d * u * k + 2 * _gamma(d) * d * big / small + 3 * _gamma(d * d + d + 2))
+    if not max(rho_e, rho_c) < 0.25:
+        return math.inf, math.inf
+    hi = (1.0 + rho_e) / ((1.0 - delta) ** 2 * (1.0 - rho_c))
+    lo = (1.0 - delta) ** 2 * (1.0 - rho_e) / (1.0 + rho_c)
+    e_p = (2.0 * math.sqrt(a.shift * b.shift) + 2.0 * g * math.sqrt(t[0] * t[1])) / CCA_RIDGE
+    return max(hi - 1.0, 1.0 - lo) + 1e-12, 2.0 * e_p * (1.0 + rho_e) / (1.0 - delta) + 1e-12
+
+
+def cca_count_score(a: _Counted, b: _Counted, threshold: float) -> float | None:
+    """The pair's count score when it decides the pair at ``threshold``, else None.
 
     Rows only enter the score through the cross-covariance of the two
     blocks, which equals ``A.T @ N @ B / (m - 1)`` for the blocks' tables
     ``A``, ``B`` and the counts ``N`` of each pair of table rows, so one
-    ``bincount`` over the row ids stands in for the product over the rows.
-    The square root of the CCA matrix's trace then bounds the top
-    canonical correlation, and the margin derived above covers every
-    rounding difference from the exact path, so the bound is never below
-    the score ``cca_max_correlation`` computes. Counting is used only when
-    the contingency table has at most a quarter as many cells as there are
-    rows; otherwise (a block held per row, wide tables) the bound is inf.
+    ``bincount`` stands in for the product over the rows. The count score
+    sigma_c is the top singular value of ``P_c S_c Q_c^1/2``, and the
+    exact score ``cca_max_correlation`` gives the pair (from ``_whiten``'s
+    blocks) lies within ``sigma_c (1 +- rho) +- E`` (derived above). So a
+    returned score above ``threshold`` means the exact one is too, and one
+    below it means the exact one is at most ``threshold``; a pair whose
+    interval holds ``threshold`` gets None. The root of the squared
+    entries' sum, which bounds sigma_c from above, rejects first.
     """
-    m = a.shape[0]
-    ka, kb = a.table.shape[0], b.table.shape[0]
-    d = max(a.table.shape[1], b.table.shape[1])
-    h = d * _gamma(2 * m + 8) + (d * d + d + 2) * 2.0**-53
-    if 4 * ka * kb > m or 2 * h > CCA_RIDGE:
-        return math.inf
-    r = CCA_RIDGE - h
-    k = ((d + 1) / r) ** 1.5
-    rho = (_gamma(3 * d) * d**1.5 + d * 2.0**-53) * k + 6 * _gamma(d) * d * (d + 1) / r
-    e_a = 2 * d * _gamma(2 * m + 8) / r
-    return (_count_trace_root(a, b) + e_a) * (1.0 + rho)
-
-
-def _count_trace_root(a: _Whitened, b: _Whitened) -> float:
-    """sqrt(T) above: the root of the CCA matrix's trace from the table-row
-    pair counts, without the margin."""
+    rho, err = _count_margin(a, b)
+    if not math.isfinite(rho):
+        return None
     ka, kb = a.table.shape[0], b.table.shape[0]
     counts = np.bincount(a.ids * kb + b.ids, minlength=ka * kb).reshape(ka, kb)
-    sab = a.table.T @ (counts.astype(np.float64) @ b.table) / (a.shape[0] - 1)
+    sab = a.table.T @ (counts.astype(np.float64) @ b.table) / (a.ids.shape[0] - 1)
     w = a.inv_sqrt @ sab @ b.inv_sqrt
-    return math.sqrt(float(np.sum(w * w)))
+    root = math.sqrt(float(np.sum(w * w)))
+    if root * (1.0 + rho) + err < threshold:
+        return root
+    score = math.sqrt(max(float(np.linalg.eigvalsh(w @ w.T)[-1]), 0.0))
+    if score * (1.0 + rho) + err < threshold or score * (1.0 - rho) - err > threshold:
+        return score
+    return None
 
 
 def kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator,

@@ -9,17 +9,18 @@ of the thresholded dependency graph) and conditioning rows into clusters
 (k-means on the concatenated features).
 
 Equal values carry equal features, so the work runs on distinct values:
-each variable is ranked, projected and whitened once per distinct value,
-and its block is gathered to the rows only for the product of a pair;
-:func:`rdc` and :func:`split_features` score a pair from the same
-whitened blocks, so they give it the same bits. Before it gathers a
-pair, the column split bounds the pair's score from the counts of its
-pairs of distinct values (``numerics.cca_score_bound``), and a pair that
-bound puts below the threshold gets no score: it could not join. Every
-other pair is scored exactly, so the groups and the scored edges are
-those that scoring every pair exactly gives. Row clustering embeds
-each distinct data row once, with ids taken from the data, never from
-the features.
+each variable is ranked and projected once per distinct value. The column
+split first scores a pair of few distinct values from the counts of its
+pairs of distinct values (``numerics.cca_count_score``), on blocks
+standardized and whitened from those counts, and that count score decides
+the pair whenever its proven margin leaves the threshold on one side.
+Only an undecided pair, or one with too many distinct values to count,
+takes the exact path: its variables are whitened on their rows on first
+use and the pair's blocks gathered to the rows for the product. So the
+groups are those that scoring every pair exactly gives. :func:`rdc` is
+always exact, and equals the split's score for every pair the split
+scores exactly. Row clustering embeds each distinct data row once, with
+ids taken from the data, never from the features.
 
 All randomness flows through :class:`~mspn.numerics.SeedScope`, keyed by
 (seed, node path, purpose, variable), so results are reproducible
@@ -29,6 +30,7 @@ and symmetric in the variable pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,10 +39,12 @@ from .errors import DomainError
 from .numerics import (
     SeedScope,
     SineProjection,
+    _count_block,
+    _Counted,
     _whiten,
     _Whitened,
+    cca_count_score,
     cca_max_correlation,
-    cca_score_bound,
     is_integer,
     kmeans,
 )
@@ -57,6 +61,9 @@ class DependencyGraph:
 
     Only the edges that joined two groups are kept, so they form a spanning
     forest of the thresholded all-pairs graph, with the same components.
+    An edge's score is the pair's exact score or, for a pair joined from
+    its counts, its count score (the exact score is then proven above the
+    threshold).
     """
 
     edges: tuple[tuple[int, int, float], ...]  # (i, j, score) with i < j, in scoring order
@@ -116,8 +123,8 @@ def rdc(dataset: Dataset, i: int, j: int, config, seeds: SeedScope | None = None
     strictly increasing transformations of either variable because only
     ranks enter the feature maps. Constant columns score exactly 0. It is
     the score :func:`split_features` gives the pair under the same scope
-    whenever the split scores the pair exactly; a pair the count bound
-    rejects gets no score there.
+    whenever the split scores the pair exactly; a pair its counts decide
+    gets no exact score there.
     """
     if not all(is_integer(v) and 0 <= v < dataset.n_cols for v in (i, j)):
         raise DomainError("variable indices must be integers in range")
@@ -139,23 +146,23 @@ def split_features(dataset: Dataset, threshold: float, config,
     the caller decides what to do with that. Pairs are scored in order
     (``i`` ascending, then ``j``), skipping a pair whose two variables are
     already joined (union-find): its score could not change the
-    components. A pair of few distinct values is first bounded from the
-    counts of its value pairs (``cca_score_bound``, no gather), and
-    skipped when the bound is below ``threshold``: its exact score could
-    not exceed it. Every other pair (kept, undecided, or with too many
-    distinct values to count) takes the exact path, so each edge keeps
-    its exact score and the groups and edges are those of scoring every
-    pair exactly.
+    components. A pair of few distinct values (``4 ka kb <= rows``) is
+    first scored from the counts of its value pairs
+    (``cca_count_score``, no gather), which decides it whenever its proven
+    margin leaves the threshold on one side. Every other pair takes the
+    exact path, and a variable is whitened on its rows only for its first
+    such pair. So the groups, and the edges' pairs and order, are those of
+    scoring every pair exactly; a count-joined edge carries its count score.
     """
     if dataset.n_cols < 2:
         raise DomainError("feature splitting needs at least two variables")
     if seeds is None:
         seeds = SeedScope(config.seed)
-    n = dataset.n_cols
-    white = [_split_block(dataset, v, config, seeds) for v in range(n)]
-    # only the pair being scored is held per row, each block gathered into
-    # one of two buffers
-    blocks = np.empty((2, dataset.n_rows, config.proj_features))
+    n, m = dataset.n_cols, dataset.n_rows
+    var = [_SplitVariable(dataset, v, config, seeds) for v in range(n)]
+    # only the pair being scored exactly is held per row, each block gathered
+    # into one of two buffers
+    blocks = np.empty((2, m, config.proj_features))
     edges = []
     parent = list(range(n))
 
@@ -166,19 +173,19 @@ def split_features(dataset: Dataset, threshold: float, config,
         return v
 
     for i in range(n):
-        if white[i] is None:
+        if var[i].constant:
             continue
         first = None
         for j in range(i + 1, n):
-            if white[j] is None or find(i) == find(j):
+            if var[j].constant or find(i) == find(j):
                 continue
-            # a pair whose counts bound its exact score below the threshold
-            # could not join
-            if cca_score_bound(white[i], white[j]) < threshold:
-                continue
-            if first is None:
-                first = white[i].gathered(blocks[0])
-            score = cca_max_correlation(first, white[j].gathered(blocks[1]))
+            score = None
+            if 4 * var[i].arity * var[j].arity <= m:
+                score = cca_count_score(var[i].counted, var[j].counted, threshold)
+            if score is None:
+                if first is None:
+                    first = var[i].white.gathered(blocks[0])
+                score = cca_max_correlation(first, var[j].white.gathered(blocks[1]))
             if score > threshold:
                 edges.append((i, j, score))
                 parent[find(j)] = find(i)
@@ -186,6 +193,32 @@ def split_features(dataset: Dataset, threshold: float, config,
     for v in range(n):
         groups.setdefault(find(v), []).append(v)
     return DependencyGraph(tuple(edges), tuple(map(tuple, groups.values())))
+
+
+class _SplitVariable:
+    """One variable's split features, counted and whitened each on first use."""
+
+    def __init__(self, dataset: Dataset, v: int, config, seeds: SeedScope):
+        col = dataset.column(v)
+        self.constant = bool(np.all(col == col[0]))
+        self._source = (dataset, v, config, seeds, _SPLIT_TAG)
+
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        return _distinct_features(*self._source)
+
+    @property
+    def arity(self) -> int:
+        return self.distinct[0].shape[0]
+
+    @cached_property
+    def counted(self) -> _Counted:
+        return _count_block(*self.distinct)
+
+    @cached_property
+    def white(self) -> _Whitened:
+        features, ids = self.distinct
+        return _whiten(features, ids=ids)
 
 
 def cluster_samples(dataset: Dataset, config, seeds: SeedScope | None = None) -> SamplePartition:

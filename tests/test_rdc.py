@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from mspn.rdc import (
 
 from mspn.numerics import (
     SeedScope,
-    _count_trace_root,
+    _count_block,
+    _count_margin,
+    cca_count_score,
     cca_max_correlation,
-    cca_score_bound,
     kmeans,
 )
 from conftest import HYBRID6_COLS, make_dataset, per_pair_cca_max_correlation
@@ -42,26 +44,43 @@ def _variable_features(dataset, v, config, seeds, tag) -> np.ndarray:
     return features[ids]
 
 
-def _record_scores(monkeypatch) -> tuple[list, list]:
-    """Record, in order, the exact score of every pair ``split_features`` scores
-    and the count bound of every pair it checks."""
+def _record_scores(monkeypatch) -> SimpleNamespace:
+    """Record, in order, what ``split_features`` computes for its pairs.
+
+    ``exact`` holds the score of every pair scored exactly, ``counted`` one
+    (returned score, count score, rho, E) per count score asked for, and
+    ``whitened`` the row ids of every block whitened on its rows.
+    """
     rdc_module = sys.modules["mspn.rdc"]
     original = rdc_module.cca_max_correlation
-    original_bound = rdc_module.cca_score_bound
-    scores, bounds = [], []
+    original_count = rdc_module.cca_count_score
+    original_whiten = rdc_module._whiten
+    calls = SimpleNamespace(exact=[], counted=[], whitened=[])
 
     def recorded(a, b):
         assert np.shape(a) == np.shape(b) == (np.shape(a)[0], LearnConfig().proj_features)
-        scores.append(original(a, b))
-        return scores[-1]
+        calls.exact.append(original(a, b))
+        return calls.exact[-1]
 
-    def recorded_bound(a, b):
-        bounds.append(original_bound(a, b))
-        return bounds[-1]
+    def recorded_count(a, b, threshold):
+        out = original_count(a, b, threshold)
+        # at -inf any finite margin decides, so this is the count score itself
+        calls.counted.append((out, original_count(a, b, -math.inf), *_count_margin(a, b)))
+        return out
+
+    def recorded_whiten(a, ids=None):
+        calls.whitened.append(ids)
+        return original_whiten(a, ids=ids)
 
     monkeypatch.setattr(rdc_module, "cca_max_correlation", recorded)
-    monkeypatch.setattr(rdc_module, "cca_score_bound", recorded_bound)
-    return scores, bounds
+    monkeypatch.setattr(rdc_module, "cca_count_score", recorded_count)
+    monkeypatch.setattr(rdc_module, "_whiten", recorded_whiten)
+    return calls
+
+
+def _clear(calls) -> None:
+    for recorded in vars(calls).values():
+        recorded.clear()
 
 
 def _all_pair_scores(data, cfg, seeds) -> dict:
@@ -87,18 +106,38 @@ def _oracle_split(oracle, threshold, n) -> tuple[list, list]:
     return unjoined, edges
 
 
-def _assert_filtered(oracle, unjoined, threshold, scores, bounds) -> list:
-    """Check the split's calls against all-pairs exact scoring; the pairs scored.
+def _assert_split(oracle, data, threshold, graph, calls) -> list:
+    """Check one split against all-pairs exact scoring; the pairs scored exactly.
 
-    Every unjoined pair is bounded once, in order, and the bound is never
-    below its exact score; a pair its bound leaves is scored with the
-    oracle's bits, and a pair it rejects scores at or below the threshold.
+    Every unjoined pair of few distinct values gets one count score, in
+    order, and its exact score lies within the proven margin around it; a
+    pair the counts decide gets the exact path's decision, and every other
+    unjoined pair is scored exactly with the oracle's bits. The edges join
+    the same pairs in the same order: an exactly scored edge carries the
+    oracle's bits, a count-joined one its count score and an exact score
+    above the threshold. Only the variables of exactly scored pairs are
+    whitened on their rows, each once.
     """
-    assert len(bounds) == len(unjoined)
-    assert all(oracle[pair] <= bound for pair, bound in zip(unjoined, bounds))
-    exact = [pair for pair, bound in zip(unjoined, bounds) if not bound < threshold]
-    assert scores == [oracle[pair] for pair in exact]
-    assert all(oracle[pair] <= threshold for pair in unjoined if pair not in exact)
+    unjoined, want_edges = _oracle_split(oracle, threshold, data.n_cols)
+    inverse = [np.unique(data.column(v), return_inverse=True)[1] for v in range(data.n_cols)]
+    countable = [(i, j) for i, j in unjoined
+                 if 4 * (inverse[i].max() + 1) * (inverse[j].max() + 1) <= data.n_rows]
+    assert len(calls.counted) == len(countable)
+    decided = {}
+    for pair, (out, count, rho, err) in zip(countable, calls.counted):
+        if math.isfinite(rho):
+            assert count * (1 - rho) - err <= oracle[pair] <= count * (1 + rho) + err, pair
+        if out is not None:
+            assert (out > threshold) == (oracle[pair] > threshold), pair
+            decided[pair] = out
+    exact = [pair for pair in unjoined if pair not in decided]
+    assert calls.exact == [oracle[pair] for pair in exact]
+    assert [edge[:2] for edge in graph.edges] == [edge[:2] for edge in want_edges]
+    for i, j, score in graph.edges:
+        assert score == decided.get((i, j), oracle[(i, j)]) and oracle[(i, j)] > threshold
+    white = sorted({v for pair in exact for v in pair})
+    assert len(calls.whitened) == len(white)
+    assert all(any(np.array_equal(inverse[v], ids) for ids in calls.whitened) for v in white)
     return exact
 
 
@@ -197,17 +236,18 @@ class TestRdcScore:
         seeds = SeedScope(cfg.seed, (2, 0))
         pairs = [(i, j) for i in range(data.n_cols) for j in range(i + 1, data.n_cols)]
         scores = {pair: rdc(data, *pair, cfg, seeds) for pair in pairs}
-        scored, bounds = _record_scores(monkeypatch)
+        calls = _record_scores(monkeypatch)
         # no score exceeds 1.0, so every pair without the constant column is
-        # checked, and scored unless its counts bound it below 1.0
-        split_features(data, 1.0, cfg, seeds)
-        exact = _assert_filtered(scores, [p for p in pairs if 2 not in p], 1.0, scored, bounds)
+        # checked, and scored exactly unless its counts decide it
+        graph = split_features(data, 1.0, cfg, seeds)
+        exact = _assert_split({p: s for p, s in scores.items() if 2 not in p}, data, 1.0,
+                              graph, calls)
         # the pairs with the continuous x, and (k, y), have too many distinct
         # values to count; (k, g) and (g, y) are rejected from their counts
         assert exact == [(0, 1), (0, 3), (0, 4), (1, 4)]
-        assert dict(zip(exact, scored)) == {pair: scores[pair] for pair in exact}
+        assert dict(zip(exact, calls.exact)) == {pair: scores[pair] for pair in exact}
         assert all(s == 0.0 for (i, j), s in scores.items() if 2 in (i, j))
-        assert min(scored) > 0.0 and max(scored) > 0.5
+        assert min(calls.exact) > 0.0 and max(calls.exact) > 0.5
 
 
 class TestDependencyGraph:
@@ -248,12 +288,12 @@ class TestDependencyGraph:
             data = request.getfixturevalue(table)
         cfg = LearnConfig(seed=21)
         seeds = SeedScope(cfg.seed, (0, 1))
-        scored, bounds = _record_scores(monkeypatch)
+        calls = _record_scores(monkeypatch)
         # no score exceeds 1.0, so nothing is joined and every non-constant
-        # pair is checked, and scored unless its counts bound it below 1.0
+        # pair is checked, and scored exactly unless its counts decide it
         graph = split_features(data, 1.0, cfg, seeds)
         oracle = _all_pair_scores(data, cfg, seeds)
-        _assert_filtered(oracle, list(oracle), 1.0, scored, bounds)
+        _assert_split(oracle, data, 1.0, graph, calls)
         assert graph.edges == ()
         assert graph.groups == tuple((v,) for v in range(data.n_cols))
         varying = data.n_cols - (table == "constant_column")
@@ -275,22 +315,20 @@ class TestDependencyGraph:
         cfg = LearnConfig(seed=22)
         seeds = SeedScope(cfg.seed, (0,))
         oracle = _all_pair_scores(data, cfg, seeds)
-        scored, bounds = _record_scores(monkeypatch)
+        calls = _record_scores(monkeypatch)
         for threshold in (0.0, 0.05, 0.3):
-            del scored[:], bounds[:]
+            _clear(calls)
             graph = split_features(data, threshold, cfg, seeds)
             # scoring in pair order, a pair is skipped once its ends are
-            # joined, and left unscored if its counts bound it below the
-            # threshold
-            unjoined, want_edges = _oracle_split(oracle, threshold, data.n_cols)
-            _assert_filtered(oracle, unjoined, threshold, scored, bounds)
-            assert list(graph.edges) == want_edges, (table, threshold)
+            # joined, and scored exactly only if its counts cannot decide it
+            _assert_split(oracle, data, threshold, graph, calls)
             assert list(graph.groups) == _union_find_groups(
                 data.n_cols, [(i, j) for (i, j), s in oracle.items() if s > threshold]
             ), (table, threshold)
             if threshold == 0.0 and len(oracle) > 1:
                 # every score is positive: all join, one pair per variable
-                assert len(scored) == data.n_cols - 1
+                decided = sum(out is not None for out, *_ in calls.counted)
+                assert len(calls.exact) + decided == data.n_cols - 1
 
     def test_memory_stays_below_three_row_blocks(self):
         # 14 low-arity columns of 20 000 rows: each variable is whitened on
@@ -337,41 +375,87 @@ def small_discrete_tables(draw):
     return make_dataset(cols, np.column_stack(values))
 
 
+def _binary_pair(seed) -> tuple:
+    """A dependent binary x binary table, its exact score and its count score.
+
+    The CCA matrix has rank 1, so the count score is its top singular
+    value and only rounding parts it from the exact score: a few hundred
+    to a few thousand ulps here, through the small ridge.
+    """
+    r = np.random.default_rng(seed)
+    m = 200
+    x = r.integers(0, 2, m)
+    y = np.where(r.random(m) < 0.8, x, 1 - x)
+    data = make_dataset([("a", CATEGORICAL, ("p", "q")), ("b", CATEGORICAL, ("p", "q"))],
+                        np.column_stack([x, y]))
+    cfg = LearnConfig(seed=1)
+    seeds = SeedScope(cfg.seed)
+    a, b = (_split_block(data, v, cfg, seeds) for v in (0, 1))
+    ca, cb = (_count_block(*_distinct_features(data, v, cfg, seeds, _SPLIT_TAG)) for v in (0, 1))
+    return data, cfg, cca_max_correlation(a.gathered(), b.gathered()), cca_count_score(
+        ca, cb, -math.inf)
+
+
 class TestCountFilter:
-    def test_a_pair_whose_count_trace_rounds_below_its_score_still_joins(self):
-        # binary x binary: the CCA matrix has rank 1, so its trace is its top
-        # eigenvalue, and only rounding parts the count path from the exact
-        # one; here the count side rounds below the exact score, and the
-        # threshold lies between the two
-        r = np.random.default_rng(1)
-        m = 200
-        x = r.integers(0, 2, m)
-        y = np.where(r.random(m) < 0.8, x, 1 - x)
-        data = make_dataset([("a", CATEGORICAL, ("p", "q")), ("b", CATEGORICAL, ("p", "q"))],
-                            np.column_stack([x, y]))
-        cfg = LearnConfig(seed=1)
-        a, b = (_split_block(data, v, cfg, SeedScope(cfg.seed)) for v in (0, 1))
-        score = cca_max_correlation(a.gathered(), b.gathered())
+    def test_a_pair_whose_count_score_rounds_below_its_score_still_joins(self, monkeypatch):
+        # the threshold lies between the count score and the exact one
+        data, cfg, score, count = _binary_pair(2)
         threshold = float(np.nextafter(score, -np.inf))
-        assert _count_trace_root(a, b) < threshold
+        assert count < threshold
+        calls = _record_scores(monkeypatch)
         graph = split_features(data, threshold, cfg)
+        assert calls.exact == [score]
         assert graph.edges == ((0, 1, score),)
         assert graph.groups == ((0, 1),)
+
+    def test_a_pair_whose_count_score_rounds_above_its_score_does_not_join(self, monkeypatch):
+        # the mirror: the count score is above a threshold at the exact score
+        data, cfg, score, count = _binary_pair(1)
+        assert count > score
+        calls = _record_scores(monkeypatch)
+        graph = split_features(data, score, cfg)
+        assert calls.exact == [score]
+        assert graph.edges == ()
+        assert graph.groups == ((0,), (1,))
 
     @settings(max_examples=60, deadline=None)
     @given(small_discrete_tables())
     def test_groups_and_edges_equal_all_pairs_scoring_at_every_score(self, data):
-        # a threshold at a score, or just below it, is where a bound short
-        # of the exact score would reject a pair that joins
+        # a threshold at a score, or just below it, is where a margin short
+        # of the rounding gap would decide a pair the wrong way
         cfg = LearnConfig(seed=36)
         seeds = SeedScope(cfg.seed, (1,))
         oracle = _all_pair_scores(data, cfg, seeds)
-        for score in oracle.values():
-            for threshold in (score, float(np.nextafter(score, -np.inf))):
-                graph = split_features(data, threshold, cfg, seeds)
-                assert list(graph.edges) == _oracle_split(oracle, threshold, data.n_cols)[1]
-                assert list(graph.groups) == _union_find_groups(
-                    data.n_cols, [(i, j) for (i, j), s in oracle.items() if s > threshold])
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _record_scores(monkeypatch)
+            for score in oracle.values():
+                for threshold in (score, float(np.nextafter(score, -np.inf))):
+                    _clear(calls)
+                    graph = split_features(data, threshold, cfg, seeds)
+                    _assert_split(oracle, data, threshold, graph, calls)
+                    assert list(graph.groups) == _union_find_groups(
+                        data.n_cols, [(i, j) for (i, j), s in oracle.items() if s > threshold])
+
+    def test_a_near_constant_feature_column_leaves_its_pairs_undecided(self):
+        # a column's rounded mean moves it by more, in units of its scale, as
+        # the scale shrinks: the margin grows, and a scale within rounding of
+        # zero gives no margin at all
+        r = np.random.default_rng(38)
+        m = 1000
+        ids = r.integers(0, 3, m)
+        other = _count_block(r.normal(size=(4, 20)), r.integers(0, 4, m))
+        table = r.normal(size=(3, 20))
+        margins = []
+        for spread in (1e-1, 1e-4, 1e-7):
+            table[:, 0] = 0.5 + spread * np.arange(3)
+            margins.append(_count_margin(_count_block(table, ids), other))
+        assert margins == sorted(margins) and len(set(margins)) == 3
+        assert all(math.isfinite(rho) and rho < 0.05 for rho, _ in margins)
+        table[:, 0] = 0.5 + 1e-14 * np.arange(3)
+        flat = _count_block(table, ids)
+        assert _count_margin(flat, other) == (math.inf, math.inf)
+        assert cca_count_score(flat, other, 0.5) is None
+        assert cca_count_score(flat, other, -math.inf) is None
 
     def test_most_unjoined_pairs_of_a_categorical_table_skip_the_exact_path(self, monkeypatch):
         # the benchmark's categorical table in small: low-arity categorical
@@ -394,18 +478,12 @@ class TestCountFilter:
         seeds = SeedScope(cfg.seed)
         oracle = _all_pair_scores(data, cfg, seeds)
         unjoined, edges = _oracle_split(oracle, 0.3, data.n_cols)
-        scored, bounds = _record_scores(monkeypatch)
+        calls = _record_scores(monkeypatch)
         graph = split_features(data, 0.3, cfg, seeds)
-        _assert_filtered(oracle, unjoined, 0.3, scored, bounds)
-        assert list(graph.edges) == edges
-        assert 2 * len(scored) < len(unjoined)
-
-    def test_a_block_held_per_row_is_not_counted(self, cat_pair_data):
-        cfg = LearnConfig(seed=37)
-        a, b = (_split_block(cat_pair_data, v, cfg, SeedScope(cfg.seed)) for v in (0, 1))
-        assert math.isfinite(cca_score_bound(a, b))
-        assert cca_score_bound(a.gathered(), b) == math.inf
-        assert cca_score_bound(a, b.gathered()) == math.inf
+        exact = _assert_split(oracle, data, 0.3, graph, calls)
+        # most unjoined pairs, and most joined ones, skip the exact path
+        assert 2 * len(exact) < len(unjoined)
+        assert 2 * sum((i, j) in exact for i, j, _ in graph.edges) < len(edges)
 
 
 class TestVariableFeatures:
