@@ -103,17 +103,35 @@ def _distinct_features(dataset: Dataset, v: int, config, seeds: SeedScope,
     return proj.transform(ranks), ids
 
 
-def _split_block(dataset: Dataset, v: int, config, seeds: SeedScope) -> _Whitened | None:
-    """Variable ``v``'s split features whitened on its distinct values; None if constant.
+class _SplitVariable:
+    """One variable's split features, counted and whitened each on first use.
 
     Whitening depends on one variable only, so a caller scoring many pairs
-    prepares each variable once.
+    prepares each variable once; ``constant`` marks a column of one value,
+    which is never scored.
     """
-    col = dataset.column(v)
-    if np.all(col == col[0]):
-        return None
-    features, ids = _distinct_features(dataset, v, config, seeds, _SPLIT_TAG)
-    return _whiten(features, ids=ids)
+
+    def __init__(self, dataset: Dataset, v: int, config, seeds: SeedScope):
+        col = dataset.column(v)
+        self.constant = bool(np.all(col == col[0]))
+        self._source = (dataset, v, config, seeds, _SPLIT_TAG)
+
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        return _distinct_features(*self._source)
+
+    @property
+    def arity(self) -> int:
+        return self.distinct[0].shape[0]
+
+    @cached_property
+    def counted(self) -> _Counted:
+        return _count_block(*self.distinct)
+
+    @cached_property
+    def white(self) -> _Whitened:
+        features, ids = self.distinct
+        return _whiten(features, ids=ids)
 
 
 def rdc(dataset: Dataset, i: int, j: int, config, seeds: SeedScope | None = None) -> float:
@@ -132,10 +150,10 @@ def rdc(dataset: Dataset, i: int, j: int, config, seeds: SeedScope | None = None
         raise DomainError("rdc needs two distinct variables")
     if seeds is None:
         seeds = SeedScope(config.seed)
-    a, b = (_split_block(dataset, v, config, seeds) for v in sorted((i, j)))
-    if a is None or b is None:
+    a, b = (_SplitVariable(dataset, v, config, seeds) for v in sorted((i, j)))
+    if a.constant or b.constant:
         return 0.0
-    return cca_max_correlation(a, b)
+    return cca_max_correlation(a.white, b.white)
 
 
 def split_features(dataset: Dataset, threshold: float, config,
@@ -193,32 +211,6 @@ def split_features(dataset: Dataset, threshold: float, config,
     for v in range(n):
         groups.setdefault(find(v), []).append(v)
     return DependencyGraph(tuple(edges), tuple(map(tuple, groups.values())))
-
-
-class _SplitVariable:
-    """One variable's split features, counted and whitened each on first use."""
-
-    def __init__(self, dataset: Dataset, v: int, config, seeds: SeedScope):
-        col = dataset.column(v)
-        self.constant = bool(np.all(col == col[0]))
-        self._source = (dataset, v, config, seeds, _SPLIT_TAG)
-
-    @cached_property
-    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        return _distinct_features(*self._source)
-
-    @property
-    def arity(self) -> int:
-        return self.distinct[0].shape[0]
-
-    @cached_property
-    def counted(self) -> _Counted:
-        return _count_block(*self.distinct)
-
-    @cached_property
-    def white(self) -> _Whitened:
-        features, ids = self.distinct
-        return _whiten(features, ids=ids)
 
 
 def cluster_samples(dataset: Dataset, config, seeds: SeedScope | None = None) -> SamplePartition:

@@ -136,16 +136,7 @@ class Mspn:
     @property
     def node_count(self) -> int:
         """The number of distinct nodes; a shared node counts once."""
-        seen = {id(self.root)}
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (SumNode, ProductNode)):
-                for child in node.children:
-                    if id(child) not in seen:
-                        seen.add(id(child))
-                        stack.append(child)
-        return len(seen)
+        return len(postorder(self.root)[0])
 
 
 def iter_nodes(root, path: str = "root"):

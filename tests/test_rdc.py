@@ -18,7 +18,7 @@ from mspn.rdc import (
     _KMEANS_TAG,
     _SPLIT_TAG,
     _distinct_features,
-    _split_block,
+    _SplitVariable,
     cluster_samples,
     split_features,
 )
@@ -390,10 +390,9 @@ def _binary_pair(seed) -> tuple:
                         np.column_stack([x, y]))
     cfg = LearnConfig(seed=1)
     seeds = SeedScope(cfg.seed)
-    a, b = (_split_block(data, v, cfg, seeds) for v in (0, 1))
-    ca, cb = (_count_block(*_distinct_features(data, v, cfg, seeds, _SPLIT_TAG)) for v in (0, 1))
-    return data, cfg, cca_max_correlation(a.gathered(), b.gathered()), cca_count_score(
-        ca, cb, -math.inf)
+    a, b = (_SplitVariable(data, v, cfg, seeds) for v in (0, 1))
+    return data, cfg, cca_max_correlation(a.white.gathered(), b.white.gathered()), cca_count_score(
+        a.counted, b.counted, -math.inf)
 
 
 class TestCountFilter:
