@@ -120,7 +120,7 @@ class _SplitVariable:
     def distinct(self) -> tuple[np.ndarray, np.ndarray]:
         return _distinct_features(*self._source)
 
-    @property
+    @cached_property
     def arity(self) -> int:
         return self.distinct[0].shape[0]
 
@@ -131,6 +131,10 @@ class _SplitVariable:
     @cached_property
     def white(self) -> _Whitened:
         features, ids = self.distinct
+        if 8 * self.arity > ids.shape[0]:
+            # a partner has two values at least, so no pair of this variable
+            # is counted (4 ka kb <= rows): its raw features can go
+            del self.distinct
         return _whiten(features, ids=ids)
 
 

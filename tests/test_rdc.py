@@ -354,6 +354,27 @@ class TestDependencyGraph:
         assert graph.edges
         assert peak < 3 * m * cfg.proj_features * 8
 
+    def test_memory_holds_one_block_per_many_valued_variable(self):
+        # 8 continuous columns of 5 000 distinct values: no pair can be
+        # counted, so a whitened variable keeps no raw features beside its
+        # whitened block; with the two gather buffers and whitening's
+        # temporaries that stays under n + 8 row blocks, where keeping both
+        # tables of every variable would take about 2n + 4
+        r = np.random.default_rng(32)
+        m, n = 5_000, 8
+        z = r.normal(size=m)
+        data = make_dataset([(f"x{j}", CONTINUOUS, None) for j in range(n)],
+                            np.column_stack([z * (j % 2) + r.normal(size=m) for j in range(n)]))
+        cfg = LearnConfig(seed=33)
+        tracemalloc.start()
+        try:
+            graph = split_features(data, 0.3, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.edges
+        assert peak < (n + 8) * m * cfg.proj_features * 8
+
 
 @st.composite
 def small_discrete_tables(draw):
