@@ -103,6 +103,11 @@ def _distinct_features(dataset: Dataset, v: int, config, seeds: SeedScope,
     return proj.transform(ranks), ids
 
 
+def _countable(ka: int, kb: int, rows: int) -> bool:
+    """Whether a pair of ``ka`` and ``kb`` distinct values is scored from its counts."""
+    return 4 * ka * kb <= rows
+
+
 class _SplitVariable:
     """One variable's split features, counted and whitened each on first use.
 
@@ -131,9 +136,9 @@ class _SplitVariable:
     @cached_property
     def white(self) -> _Whitened:
         features, ids = self.distinct
-        if 8 * self.arity > ids.shape[0]:
-            # a partner has two values at least, so no pair of this variable
-            # is counted (4 ka kb <= rows): its raw features can go
+        if not _countable(self.arity, 2, ids.shape[0]):
+            # no partner has fewer than two values, so no pair of this
+            # variable is counted: its raw features can go
             del self.distinct
         return _whiten(features, ids=ids)
 
@@ -202,7 +207,7 @@ def split_features(dataset: Dataset, threshold: float, config,
             if var[j].constant or find(i) == find(j):
                 continue
             score = None
-            if 4 * var[i].arity * var[j].arity <= m:
+            if _countable(var[i].arity, var[j].arity, m):
                 score = cca_count_score(var[i].counted, var[j].counted, threshold)
             if score is None:
                 if first is None:
