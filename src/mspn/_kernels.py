@@ -3,27 +3,25 @@
 The binning DP is loop-free numpy within each bin count (one masked
 argmax fills a whole DP column) and fills only the bin counts its caller
 asks for: the binning search passes the last count that can still beat
-one bin. PAVA is a short Python loop. K-means clusters rows that are
-given as distinct points plus a row-to-point inverse: labels are found
-once per point, centroid sums run over the member rows in row order, so
-the labels are those of clustering the rows themselves. With two
-centroids a point's label is the sign of the margin d1 - d0, which one
-matrix-vector product gives for every point; where the computed margin
-clears a proven bound on its own rounding error and on that of the exact
-distances, its sign is the label the exact distances give (see the
-comment before ``_filter_scale``). Only the undecided points, and every
-point for any other k, get exact distances, one centroid at a time.
-Beyond the points and a
-few vectors over them, its memory is bounded by ``_CHUNK`` rows of D
-values: exact distances run over at most ``_CHUNK`` gathered points at a
-time in reused buffers, and a centroid sum gathers its member rows at
-most ``_CHUNK`` at a time, carrying the running sum from chunk to chunk,
-which gives the bits of one sum over every member row (see
-``_row_sum``). Lloyd stops as soon as an iteration's labels equal the
-previous ones: equal labels give bit-equal centroids, so every later
-pass would give those labels again. The tests check ``dp_fill`` bit for
-bit against a triple-loop oracle and ``lloyd`` against a loop and a
-broadcast implementation.
+one bin. PAVA is a short Python loop. Two-means (Lloyd) clusters rows
+that are given as distinct points plus a row-to-point inverse: labels are
+found once per point, centroid sums run over the member rows in row
+order, so the labels are those of clustering the rows themselves. A
+point's label is the sign of the margin d1 - d0, which one matrix-vector
+product gives for every point; where the computed margin clears a proven
+bound on its own rounding error and on that of the exact distances, its
+sign is the label the exact distances give (see the comment before
+``_filter_scale``). Only the undecided points get exact distances, one
+centroid at a time. Beyond the points and a few vectors over them, its
+memory is bounded by ``_CHUNK`` rows of D values: exact distances run over
+at most ``_CHUNK`` gathered points at a time in reused buffers, and a
+centroid sum gathers its member rows at most ``_CHUNK`` at a time,
+carrying the running sum from chunk to chunk, which gives the bits of one
+sum over every member row (see ``_row_sum``). Lloyd stops as soon as an
+iteration's labels equal the previous ones: equal labels give bit-equal
+centroids, so every later pass would give those labels again. The tests
+check ``dp_fill`` bit for bit against a triple-loop oracle and ``lloyd``
+against a loop and a broadcast implementation.
 """
 
 from __future__ import annotations
@@ -86,8 +84,9 @@ def dp_fill(seg_ll, n_bins=None):
 
 
 def lloyd(points, centroids, max_iter, tol, inverse=None):
-    # the rows are points[inverse], or the points themselves; each centroid
-    # sums its member rows in row order, as clustering the rows would
+    # two-means from the two starting ``centroids``; the rows are
+    # points[inverse], or the points themselves, and each centroid sums its
+    # member rows in row order, as clustering the rows would
     rows = np.arange(points.shape[0]) if inverse is None else inverse
     cent = centroids.copy()
     diff = np.empty((min(_CHUNK, points.shape[0]), points.shape[1]))
@@ -98,7 +97,7 @@ def lloyd(points, centroids, max_iter, tol, inverse=None):
         row_labels = labels[rows]
         new_cent = cent.copy()
         shift = 0.0
-        for c in range(cent.shape[0]):
+        for c in (0, 1):
             member = rows[row_labels == c]
             if member.size:
                 new_cent[c] = _row_sum(points, member, chunk) / member.size
@@ -158,24 +157,21 @@ def _labels(points, cent, reach, diff, buf):
     # each point's exact label: from the margin's sign where it clears the
     # bound above, else from _sq_dists over the undecided points, gathered
     # _CHUNK at a time into ``buf``; a gathered row sums the same contiguous
-    # D values, so it keeps its bits. Any k but 2 leaves every point undecided.
+    # D values, so it keeps its bits
     labels = np.empty(points.shape[0], dtype=np.intp)
-    if cent.shape[0] == 2:
-        scale, tau_r, tau = _filter_scale(points.shape[1])
-        # an overflow or inf - inf here only leaves its points undecided
-        with np.errstate(over="ignore", invalid="ignore"):
-            n0 = float(cent[0] @ cent[0])
-            n1 = float(cent[1] @ cent[1])
-            margin = points @ (2.0 * (cent[0] - cent[1]))
-            margin += n1 - n0
-        bound = reach + (math.sqrt(n0 + tau_r) + math.sqrt(n1 + tau_r)) * scale
-        bound *= bound
-        bound += tau
-        np.less(margin, 0.0, out=labels)
-        np.abs(margin, out=margin)
-        undecided = np.flatnonzero(~(margin > bound))
-    else:
-        undecided = np.arange(points.shape[0])
+    scale, tau_r, tau = _filter_scale(points.shape[1])
+    # an overflow or inf - inf here only leaves its points undecided
+    with np.errstate(over="ignore", invalid="ignore"):
+        n0 = float(cent[0] @ cent[0])
+        n1 = float(cent[1] @ cent[1])
+        margin = points @ (2.0 * (cent[0] - cent[1]))
+        margin += n1 - n0
+    bound = reach + (math.sqrt(n0 + tau_r) + math.sqrt(n1 + tau_r)) * scale
+    bound *= bound
+    bound += tau
+    np.less(margin, 0.0, out=labels)
+    np.abs(margin, out=margin)
+    undecided = np.flatnonzero(~(margin > bound))
     for start in range(0, undecided.shape[0], _CHUNK):
         part = undecided[start : start + _CHUNK]
         gathered = buf[: part.shape[0]]

@@ -200,17 +200,50 @@ class Dataset:
     def column(self, i: int) -> np.ndarray:
         return self.values[:, i]
 
+    @classmethod
+    def _unchecked(cls, schema: Schema, values: np.ndarray) -> "Dataset":
+        """A dataset of a 2-d float64 matrix already known to fit ``schema``.
+
+        Skips ``__post_init__``'s scan and copy for values that were checked
+        before: a slice of a dataset, or a parsed CSV (whose categorical
+        codes may also equal ``arity``, the out-of-vocabulary code). The
+        matrix is made read-only in place, so the caller must own it.
+        """
+        values.setflags(write=False)
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "schema", schema)
+        object.__setattr__(ds, "values", values)
+        return ds
+
     def select(self, rows=None, cols=None) -> "Dataset":
-        """Sub-dataset by row indices and/or column indices (both optional)."""
+        """Sub-dataset by row indices and/or column indices (both optional).
+
+        Indices are integers in range; a bool mask or a fractional index
+        raises :class:`DomainError`, and an empty selection
+        :class:`EmptyInputError`.
+        """
         v = self.values
         if rows is not None:
-            v = v[np.asarray(rows, dtype=np.intp), :]
+            v = v.take(_indices(rows, self.n_rows, "row"), axis=0)
         schema = self.schema
         if cols is not None:
-            cols = list(cols)
-            v = v[:, cols]
+            cols = _indices(cols, self.n_cols, "column")
+            # take, unlike v[:, cols], gives a row-major matrix
+            v = v.take(cols, axis=1)
             schema = schema.select(cols)
-        return Dataset(schema, v)
+        return Dataset._unchecked(schema, v)
+
+
+def _indices(index, n: int, what: str) -> np.ndarray:
+    """``index`` as a 1-d integer array of positions in [0, n)."""
+    idx = np.asarray(index)
+    if idx.size == 0:
+        raise EmptyInputError(f"cannot select zero {what}s")
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise DomainError(f"{what} indices must be a 1-d sequence of integers")
+    if idx.min() < 0 or idx.max() >= n:
+        raise DomainError(f"{what} indices must lie in [0, {n})")
+    return idx
 
 
 def _escapes_bytes(text: str) -> bool:
@@ -406,20 +439,9 @@ def load_dataset(path, schema: Schema, *, unseen_to_sentinel: bool = False) -> D
         for j, known in enumerate(declared):
             if known:
                 np.minimum(values[:, j], len(frozen.stat_type(j).categories), out=values[:, j])
-        # out-of-vocab codes equal arity; Dataset would reject them, so the
-        # caller gets the raw matrix semantics via a relaxed construction
-        return _dataset_with_sentinels(frozen, values)
-    return Dataset(frozen, values)
-
-
-def _dataset_with_sentinels(schema: Schema, values: np.ndarray) -> Dataset:
-    """Build a Dataset allowing categorical codes equal to arity."""
-    ds = object.__new__(Dataset)
-    v = np.asarray(values, dtype=np.float64).copy()
-    v.setflags(write=False)
-    object.__setattr__(ds, "schema", schema)
-    object.__setattr__(ds, "values", v)
-    return ds
+    # the parse checked every cell; with unseen_to_sentinel a code may equal
+    # arity, which Dataset's own checks would reject
+    return Dataset._unchecked(frozen, values)
 
 
 def copula_transform(column: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
@@ -442,16 +464,3 @@ def copula_transform(column: np.ndarray, counts: np.ndarray | None = None) -> np
     order = np.argsort(col, kind="stable")
     at_most = np.cumsum(counts[order])
     return at_most[np.searchsorted(col[order], col, side="right") - 1] / at_most[-1]
-
-
-def one_hot(column: np.ndarray, arity: int) -> np.ndarray:
-    """Indicator expansion of integer codes ``0..arity-1`` to (M, arity)."""
-    col = np.asarray(column)
-    idx = np.rint(col).astype(np.int64).ravel()
-    if idx.size == 0:
-        raise EmptyInputError("cannot one-hot encode an empty column")
-    if np.any(col.ravel() != idx) or np.any(idx < 0) or np.any(idx >= arity):
-        raise DomainError(f"codes must be integers in [0, {arity})")
-    out = np.zeros((idx.size, arity), dtype=np.float64)
-    out[np.arange(idx.size), idx] = 1.0
-    return out

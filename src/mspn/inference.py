@@ -190,15 +190,12 @@ def _check_column(column, finite: bool, whole: bool, nonnegative: bool) -> None:
 _LEAF, _SUM, _PRODUCT = 0, 1, 2
 
 # Batch keys (``_Batch``): a discrete or categorical column whose values
-# span at most this many codes per row is numbered with a presence table,
-# a wider one with ``np.unique``.
+# span at most this many codes per row is numbered with a presence table;
+# any other column is dense.
 _CODES_PER_ROW = 4
 # A variable with more than one distinct value per this many rows is
 # dense: the nodes with only it observed run on every row.
 _ROWS_PER_ENTRY = 4
-# A column numbered with ``np.unique`` is first judged on a strided sample
-# of about this many rows, and is not sorted if the sample is dense.
-_SAMPLE_ROWS = 256
 
 
 def _padded(columns: list, fill) -> np.ndarray:
@@ -318,14 +315,12 @@ class _Batch:
     """The rows of one ``log_evaluate_batch`` call, checked and keyed.
 
     Checking the batch gives each observed variable its distinct values
-    (``points``) and a dense id per row (``ids``): from a presence table for
-    a discrete or categorical column whose range spans at most
-    ``_CODES_PER_ROW`` codes per row, which needs no sort, and from
-    ``np.unique`` for the others. A variable with more than one distinct
-    value per ``_ROWS_PER_ENTRY`` rows is dense: its points are its rows and
-    it has no ids; a column sorted by ``np.unique`` is taken as dense
-    unsorted when a strided sample of it is. Which variables are keyed
-    changes only speed.
+    (``points``) and a dense id per row (``ids``), from a presence table of
+    the codes of a discrete or categorical column whose range spans at most
+    ``_CODES_PER_ROW`` codes per row, which needs no sort. Any other
+    variable, and one with more than one distinct value per
+    ``_ROWS_PER_ENTRY`` rows, is dense: its points are its rows and it has
+    no ids. Which variables are keyed changes only speed.
     """
 
     def __init__(self, schema: Schema, values: np.ndarray, observed: np.ndarray):
@@ -336,29 +331,21 @@ class _Batch:
         for var in np.flatnonzero(observed).tolist() if n else ():
             # one contiguous copy: the passes below run several times faster on it
             column, col = schema.columns[var], np.ascontiguousarray(values[:, var])
+            self.points[var] = col
             lo, hi = float(col.min()), float(col.max())
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 _check_column(column, False, False, False)
-            if column.stat_type.kind != CONTINUOUS and hi - lo < _CODES_PER_ROW * n:
-                # the codes truncate fractions, so test the rows, not the codes
-                _check_column(column, True, bool((col == np.rint(col)).all()), lo >= 0)
+            if column.stat_type.kind == CONTINUOUS:
+                continue
+            # the codes truncate fractions, so test the rows, not the codes
+            _check_column(column, True, bool((col == np.rint(col)).all()), lo >= 0)
+            if hi - lo < _CODES_PER_ROW * n:
                 codes = (col - lo).astype(np.intp)
                 present = np.zeros(int(hi - lo) + 1, dtype=bool)
                 present[codes] = True
-                ids = (np.cumsum(present, dtype=np.intp) - 1)[codes]
-                points = lo + np.flatnonzero(present)
-            else:
-                sample = col[:: max(1, n // _SAMPLE_ROWS)]
-                if _ROWS_PER_ENTRY * np.unique(sample).size > sample.size:
-                    points = col
-                else:
-                    points, ids = np.unique(col, return_inverse=True)
-                _check_column(column, True, bool((points == np.rint(points)).all()), lo >= 0)
-            if _ROWS_PER_ENTRY * points.size > n:
-                points = col
-            else:
-                self.ids[var] = ids
-            self.points[var] = points
+                if _ROWS_PER_ENTRY * np.count_nonzero(present) <= n:
+                    self.ids[var] = (np.cumsum(present, dtype=np.intp) - 1)[codes]
+                    self.points[var] = lo + np.flatnonzero(present)
 
 
 class _Plan:

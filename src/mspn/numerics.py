@@ -1,10 +1,10 @@
 """Shared numeric machinery.
 
-Seeded RNG streams, random sine feature maps, canonical correlation
-(each feature block whitened once, at the fixed ridge ``CCA_RIDGE``, then
-scored against any other, or scored with a proven margin from the counts
-of its distinct-row pairs), k-means, the adaptive histogram binning search, and a few small
-helpers used across the package.
+Seeded RNG streams, canonical correlation (each feature block whitened
+once, at the fixed ridge ``CCA_RIDGE``, then scored against any other, or
+scored with a proven margin from the counts of its distinct-row pairs),
+two-means, the adaptive histogram binning search, and a few small helpers
+used across the package.
 """
 
 from __future__ import annotations
@@ -51,44 +51,6 @@ class SeedScope:
     def rng(self, *tags: int) -> np.random.Generator:
         entropy = (self.seed, len(self.path)) + self.path + tuple(int(t) for t in tags)
         return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-@dataclass(frozen=True)
-class SineProjection:
-    """Random feature map ``x -> sin(W x + b)``.
-
-    Weight and offset entries are drawn iid from a zero-mean normal with
-    variance ``scale``, giving smooth nonlinear features whose inner
-    products approximate a shift-invariant kernel on rank-transformed
-    inputs.
-    """
-
-    weights: np.ndarray  # (n_features, n_inputs)
-    offsets: np.ndarray  # (n_features,)
-
-    @classmethod
-    def draw(cls, rng: np.random.Generator, n_inputs: int, n_features: int = 20,
-             scale: float = 1.0 / 6.0) -> "SineProjection":
-        if n_inputs < 1 or n_features < 1:
-            raise DomainError("projection needs at least one input and one feature")
-        std = math.sqrt(scale)
-        weights = rng.normal(0.0, std, size=(n_features, n_inputs))
-        offsets = rng.normal(0.0, std, size=n_features)
-        return cls(weights, offsets)
-
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[0]
-
-    def transform(self, data: np.ndarray) -> np.ndarray:
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim == 1:
-            data = data[:, None]
-        if data.shape[1] != self.weights.shape[1]:
-            raise DomainError(
-                f"projection expects {self.weights.shape[1]} inputs, got {data.shape[1]}"
-            )
-        return np.sin(data @ self.weights.T + self.offsets)
 
 
 @dataclass(frozen=True)
@@ -340,22 +302,23 @@ def cca_count_score(a: _Counted, b: _Counted, threshold: float) -> float | None:
     return None
 
 
-def kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator,
-           max_iter: int = 100, tol: float = 1e-4,
-           inverse: np.ndarray | None = None) -> np.ndarray:
-    """Cluster the rows ``points[inverse]`` by Lloyd iteration with ++-style seeding.
+def kmeans(points: np.ndarray, rng: np.random.Generator, max_iter: int = 100,
+           tol: float = 1e-4, inverse: np.ndarray | None = None) -> np.ndarray:
+    """Two-means on the rows ``points[inverse]``: ++-style seeding, then Lloyd iteration.
 
     ``points`` holds each distinct row once and ``inverse`` maps every row
-    to its point; by default every row is its own point. Seeding draws
-    rows, assignments are computed once per point, and each centroid is
-    the mean of its member rows, so the labels, one per row, are those of
-    clustering ``points[inverse]`` itself. With two clusters, each Lloyd
+    to its point; by default every row is its own point. The first
+    centroid is a row drawn uniformly, the second a row drawn with
+    probability proportional to its squared distance from the first (again
+    uniformly when every row lies on the first), which takes one distance
+    pass over the points. Assignments are computed once per point, and each
+    centroid is the mean of its member rows, so the labels, one per row,
+    are those of clustering ``points[inverse]`` itself. Each Lloyd
     iteration labels the points from one matrix-vector product and
     measures exact distances only for the points its rounding-error bound
-    cannot decide, so every label is the one exact distances give. Returns integer
-    labels in [0, k). Requesting more clusters than rows caps k at the row
-    count; clusters can come back empty, in which case their label simply
-    never appears.
+    cannot decide, so every label is the one exact distances give. Returns
+    labels 0 and 1; a cluster can come back empty (identical rows all get
+    one label).
     """
     pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if pts.ndim == 1:
@@ -364,29 +327,19 @@ def kmeans(points: np.ndarray, n_clusters: int, rng: np.random.Generator,
     m = rows.shape[0]
     if m == 0:
         raise EmptyInputError("cannot cluster zero rows")
-    if n_clusters < 1:
-        raise DomainError("need at least one cluster")
-    k = min(n_clusters, m)
 
-    cent = np.empty((k, pts.shape[1]))
+    cent = np.empty((2, pts.shape[1]))
+    cent[0] = pts[rows[int(rng.integers(m))]]
     diff = np.empty((min(_CHUNK, pts.shape[0]), pts.shape[1]))
-    first = int(rng.integers(m))
-    cent[0] = pts[rows[first]]
-    d2 = np.full(pts.shape[0], np.inf)
-    for c in range(1, k):
-        # distances to the nearest centroid drawn so far; the last one drawn needs none
-        d2 = np.minimum(d2, _sq_dists(pts, cent[c - 1 : c], diff)[:, 0])
-        # the draw weighs every row, so the sums run over rows, not points
-        row_d2 = d2[rows]
-        total = float(row_d2.sum())
-        if total > 0.0:
-            u = rng.random() * total
-            j = int(np.searchsorted(np.cumsum(row_d2), u, side="right"))
-            j = min(j, m - 1)
-        else:
-            j = int(rng.integers(m))
-        cent[c] = pts[rows[j]]
-
+    # the draw weighs every row, so the sums run over rows, not points
+    row_d2 = _sq_dists(pts, cent[:1], diff)[rows, 0]
+    total = float(row_d2.sum())
+    if total > 0.0:
+        u = rng.random() * total
+        j = min(int(np.searchsorted(np.cumsum(row_d2), u, side="right")), m - 1)
+    else:
+        j = int(rng.integers(m))
+    cent[1] = pts[rows[j]]
     return lloyd(pts, cent, max_iter, tol, rows)
 
 

@@ -1,12 +1,13 @@
 """Nonparametric dependency machinery.
 
 Dependence between variables of any kind is scored by rank-transforming
-each variable, pushing the ranks through random sine feature maps, and
-taking the largest canonical correlation of the feature blocks. On top of
-that one coefficient sit the two decomposition moves of the structure
-learner: splitting variables into independent groups (connected components
-of the thresholded dependency graph) and conditioning rows into clusters
-(k-means on the concatenated features).
+each variable, pushing the ranks through a random sine feature map
+``sin(W r + b)`` (drawn here, per variable, in ``_distinct_features``),
+and taking the largest canonical correlation of the feature blocks. On
+top of that one coefficient sit the two decomposition moves of the
+structure learner: splitting variables into independent groups (connected
+components of the thresholded dependency graph) and conditioning rows into
+two clusters (two-means on the concatenated features).
 
 Equal values carry equal features, so the work runs on distinct values:
 each variable is ranked and projected once per distinct value. The column
@@ -29,16 +30,16 @@ and symmetric in the variable pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset, copula_transform, one_hot
+from .data import Dataset, copula_transform
 from .errors import DomainError
 from .numerics import (
     SeedScope,
-    SineProjection,
     _count_block,
     _Counted,
     _whiten,
@@ -83,24 +84,29 @@ def _distinct_features(dataset: Dataset, v: int, config, seeds: SeedScope,
     """Sine features of variable ``v``'s distinct values, and each row's value id.
 
     Each distinct value is ranked once from the counts of the values at or
-    below it, and categorical codes are one-hot expanded with each
-    indicator column ranked on its own, giving a multivariate block. Row
-    ``r``'s features are ``features[ids[r]]``, so equal values share one
-    computed feature row.
+    below it, and categorical codes are expanded to indicators with each
+    indicator column ranked on its own, giving a multivariate block. The
+    ranks ``r`` map to ``sin(r @ W.T + b)``, where ``W`` (``proj_features``
+    by inputs) and then ``b`` are drawn from ``seeds.rng(tag, v)`` with mean
+    0 and variance ``proj_scale``, so the features' inner products
+    approximate a shift-invariant kernel on the ranks. Row ``r``'s features
+    are ``features[ids[r]]``, so equal values share one computed feature
+    row.
     """
     st = dataset.schema.stat_type(v)
     values, ids, counts = np.unique(dataset.column(v), return_inverse=True, return_counts=True)
     if st.is_categorical:
-        indicators = one_hot(values, st.arity)
+        indicators = values[:, None] == np.arange(st.arity)
         ranks = np.column_stack(
             [copula_transform(indicators[:, c], counts) for c in range(st.arity)]
         )
     else:
         ranks = copula_transform(values, counts)[:, None]
-    proj = SineProjection.draw(
-        seeds.rng(tag, v), ranks.shape[1], config.proj_features, config.proj_scale
-    )
-    return proj.transform(ranks), ids
+    rng = seeds.rng(tag, v)
+    std = math.sqrt(config.proj_scale)
+    weights = rng.normal(0.0, std, size=(config.proj_features, ranks.shape[1]))
+    offsets = rng.normal(0.0, std, size=config.proj_features)
+    return np.sin(ranks @ weights.T + offsets), ids
 
 
 def _countable(ka: int, kb: int, rows: int) -> bool:
@@ -226,9 +232,9 @@ def cluster_samples(dataset: Dataset, config, seeds: SeedScope | None = None) ->
     """Split rows into (up to) two clusters in the shared sine-feature space.
 
     Every variable is rank-transformed and projected with its own feature
-    map, the blocks are concatenated, and k-means with k=2 runs on the
-    result. The embedding is built once per distinct data row: each row's
-    id combines its per-variable value ids, so equal rows share one point.
+    map, the blocks are concatenated, and two-means runs on the result.
+    The embedding is built once per distinct data row: each row's id
+    combines its per-variable value ids, so equal rows share one point.
     Empty clusters are dropped, so degenerate data (for example
     all-identical rows) comes back as a single cluster.
     """
@@ -255,13 +261,8 @@ def cluster_samples(dataset: Dataset, config, seeds: SeedScope | None = None) ->
         stop = start + features.shape[1]
         embedded[:, start:stop] = features[ids[row_of]]
         start = stop
-    labels = kmeans(
-        embedded, 2, seeds.rng(_KMEANS_TAG), config.kmeans_max_iter, config.kmeans_tol, key
-    )
-    clusters = []
-    for label in range(int(labels.max()) + 1):
-        rows = np.flatnonzero(labels == label)
-        if rows.size:
-            clusters.append(rows)
+    labels = kmeans(embedded, seeds.rng(_KMEANS_TAG), config.kmeans_max_iter,
+                    config.kmeans_tol, key)
+    clusters = [rows for rows in (np.flatnonzero(labels == c) for c in (0, 1)) if rows.size]
     sizes = np.array([c.size for c in clusters], dtype=np.float64)
     return SamplePartition(tuple(clusters), sizes / dataset.n_rows)

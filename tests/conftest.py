@@ -23,7 +23,7 @@ from mspn import (
     learn_mspn,
 )
 from mspn._kernels import dp_fill
-from mspn.data import DISCRETE, _dataset_with_sentinels, _parse_cell
+from mspn.data import DISCRETE, _parse_cell
 from mspn.errors import IngestError
 from mspn.leaves import PiecewiseLinearLeaf
 from mspn.numerics import _candidate_boundaries, _segment_loglik
@@ -213,7 +213,7 @@ def per_cell_load_dataset(path, schema, *, unseen_to_sentinel=False) -> Dataset:
             cols.append(c)
     values = np.asarray(rows, dtype=np.float64)
     if unseen_to_sentinel:
-        return _dataset_with_sentinels(Schema(tuple(cols)), values)
+        return Dataset._unchecked(Schema(tuple(cols)), values)
     return Dataset(Schema(tuple(cols)), values)
 
 
@@ -321,6 +321,42 @@ H14_COLS = [
     ("g2", CATEGORICAL, ("p", "q", "r", "s")),
     ("g3", CATEGORICAL, ("neg", "pos")),
 ]
+
+
+C14_ARITIES = (2, 3, 4, 5, 2, 3, 4, 5)
+
+
+def make_categorical14(seed: int, m: int) -> np.ndarray:
+    """8 categorical columns (arity 2-5) and 6 small-range discrete columns.
+
+    The benchmark's categorical table: a latent segment with four levels
+    drives categorical columns 0-4 (each keeps a segment-dependent label
+    with probability 0.75) and discrete columns 0-2 (binomial counts whose
+    rate rises with the segment); the other six columns are independent
+    noise, and no discrete range is wide enough for the binning search.
+    """
+    r = np.random.default_rng(seed)
+    segment = r.choice(4, m, p=[0.4, 0.3, 0.2, 0.1])
+    cols = []
+    for j, arity in enumerate(C14_ARITIES):
+        noise = r.integers(0, arity, m)
+        if j < 5:
+            keep = r.random(m) < 0.75
+            cols.append(np.where(keep, (segment + j) % arity, noise))
+        else:
+            cols.append(noise)
+    for j in range(6):
+        if j < 3:
+            cols.append(r.binomial(6, 0.15 + 0.2 * segment))
+        else:
+            cols.append(r.integers(0, 4 + j, m))
+    return np.column_stack(cols).astype(float)
+
+
+C14_COLS = [
+    (f"c{j}", CATEGORICAL, tuple(f"l{i}" for i in range(arity)))
+    for j, arity in enumerate(C14_ARITIES)
+] + [(f"d{j}", DISCRETE, None) for j in range(6)]
 
 
 # ---------------------------------------------------------------------------

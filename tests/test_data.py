@@ -20,7 +20,7 @@ from mspn import (
     load_dataset,
     load_schema,
 )
-from mspn.data import _BLOCK_ROWS, DISCRETE, copula_transform, one_hot
+from mspn.data import _BLOCK_ROWS, DISCRETE, copula_transform
 from mspn.errors import DomainError, EmptyInputError, IngestError, SchemaError
 
 from conftest import make_dataset, per_cell_load_dataset
@@ -137,6 +137,28 @@ class TestDataset:
         sub = ds.select(rows=[2, 0], cols=[1])
         assert sub.schema.names == ("k",)
         np.testing.assert_array_equal(sub.values, [[6.0], [2.0]])
+        # a slice is row-major and read-only like any dataset
+        assert sub.values.flags["C_CONTIGUOUS"] and not sub.values.flags["WRITEABLE"]
+
+    def test_select_takes_integer_indices_only(self):
+        ds = make_dataset(
+            [("x", CONTINUOUS, None), ("k", DISCRETE, None)],
+            [[1.0, 2], [3.0, 4], [5.0, 6]],
+        )
+        # a mask was once cast to the row indices 1, 0, 0 and a fraction truncated
+        for bad in ([True, False, False], np.array([True, False, True]), [0.5, 2.0],
+                    np.array([1.0]), [[0, 1]], 1, [3], [-1]):
+            with pytest.raises(DomainError):
+                ds.select(rows=bad)
+            with pytest.raises(DomainError):
+                ds.select(cols=bad)
+        for empty in ([], np.array([], dtype=np.intp)):
+            with pytest.raises(EmptyInputError):
+                ds.select(rows=empty)
+            with pytest.raises(EmptyInputError):
+                ds.select(cols=empty)
+        sub = ds.select(rows=np.array([2, 2], dtype=np.uint8), cols=(1, 0))
+        np.testing.assert_array_equal(sub.values, [[6.0, 5.0], [6.0, 5.0]])
 
 
 class TestLoadDataset:
@@ -427,23 +449,3 @@ class TestCopulaTransform:
         )
         with pytest.raises(DomainError):
             copula_transform(entries, counts[:-1])
-
-
-class TestOneHot:
-    def test_basic_encoding(self):
-        out = one_hot(np.array([0.0, 1.0, 0.0]), 2)
-        np.testing.assert_array_equal(out, [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-
-    def test_each_row_sums_to_one_for_known_codes(self):
-        r = np.random.default_rng(6)
-        codes = r.integers(0, 4, 100).astype(float)
-        out = one_hot(codes, 4)
-        np.testing.assert_array_equal(out.sum(axis=1), np.ones(100))
-
-    def test_out_of_range_code_rejected(self):
-        with pytest.raises(DomainError):
-            one_hot(np.array([0.0, 3.0]), 2)
-
-    def test_empty_column_rejected(self):
-        with pytest.raises(EmptyInputError):
-            one_hot(np.array([]), 2)

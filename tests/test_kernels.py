@@ -2,14 +2,16 @@
 
 ``dp_fill`` must match the triple-loop dynamic program below bit for
 bit on the bin-count columns it is asked to fill, ``lloyd`` must give
-the labels of the loop K-means below (and of the broadcast K-means below
-for points too wide for loop sums), and ``pava_nondecreasing`` must
-agree with scipy's isotonic regression.
+the labels of the loop K-means below at two clusters (and of the
+broadcast K-means below for points too wide for loop sums), and
+``pava_nondecreasing`` must agree with scipy's isotonic regression.
 """
 
+import importlib.util
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -122,8 +124,7 @@ def count_fallback(monkeypatch):
 
 def adversarial_sets():
     # (name, points, two starting centroids, max_iter, inverse): point sets
-    # whose two-centroid margin cannot be decided for some points. The third
-    # centroid of the k = 3 runs is the last row.
+    # whose two-centroid margin cannot be decided for some points
     r = np.random.default_rng(20)
     # the first coordinate halfway between the centroids', so fl(d0) == fl(d1)
     # exactly; half the points sit on that bisector
@@ -173,7 +174,7 @@ def lattice_cases(draw):
     points = np.unique(np.array(draw(st.lists(coords, min_size=n, max_size=n)), dtype=float), axis=0)
     m = draw(st.integers(1, 30))
     inverse = np.array(draw(st.lists(st.integers(0, points.shape[0] - 1), min_size=m, max_size=m)))
-    picks = np.array(draw(st.lists(st.integers(0, m - 1), min_size=3, max_size=3)))
+    picks = np.array(draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2)))
     return points, inverse, picks
 
 
@@ -300,7 +301,7 @@ class TestLloydKernel:
     def test_selected_path_matches_loop_implementation(self):
         r = np.random.default_rng(9)
         pts = r.normal(size=(80, 3))
-        cent = pts[:4].copy()
+        cent = pts[:2].copy()
         np.testing.assert_array_equal(
             lloyd(pts, cent, 50, 1e-4), loop_lloyd(pts, cent, 50, 1e-4)
         )
@@ -310,27 +311,24 @@ class TestLloydKernel:
         for dim in (20, 280):
             v = r.normal(size=dim)
             noise = r.normal(0.0, 0.8, size=(150, dim))
-            # mirrored clusters around +v and -v (and a far third one): the
-            # origin, last, is exactly equidistant from the first two
-            # starting centroids, so its first assignment is a tie that must
-            # go to the first, where it then stays
-            mirrored = [v + noise, -v - noise]
-            far = [4.0 + noise[:60]]
-            for k in (2, 3):
-                pts = np.vstack(mirrored + far * (k - 2) + [np.zeros((1, dim))])
-                cent = np.vstack([v, -v, np.full(dim, 4.0)])[:k]
-                labels = lloyd(pts, cent, 100, 1e-4)
-                np.testing.assert_array_equal(labels, broadcast_lloyd(pts, cent, 100, 1e-4))
-                assert labels[-1] == 0
-                start = pts[r.choice(pts.shape[0], size=k, replace=False)]
-                np.testing.assert_array_equal(
-                    lloyd(pts, start, 100, 1e-4), broadcast_lloyd(pts, start, 100, 1e-4)
-                )
-                # labels rarely see a last-bit change; the distances do
-                np.testing.assert_array_equal(
-                    _sq_dists(pts, start, np.empty((min(_CHUNK, pts.shape[0]), dim))),
-                    ((pts[:, None, :] - start[None]) ** 2).sum(axis=2),
-                )
+            # mirrored clusters around +v and -v: the origin, last, is
+            # exactly equidistant from the two starting centroids, so its
+            # first assignment is a tie that must go to the first, where it
+            # then stays
+            pts = np.vstack([v + noise, -v - noise, np.zeros((1, dim))])
+            cent = np.vstack([v, -v])
+            labels = lloyd(pts, cent, 100, 1e-4)
+            np.testing.assert_array_equal(labels, broadcast_lloyd(pts, cent, 100, 1e-4))
+            assert labels[-1] == 0
+            start = pts[r.choice(pts.shape[0], size=2, replace=False)]
+            np.testing.assert_array_equal(
+                lloyd(pts, start, 100, 1e-4), broadcast_lloyd(pts, start, 100, 1e-4)
+            )
+            # labels rarely see a last-bit change; the distances do
+            np.testing.assert_array_equal(
+                _sq_dists(pts, start, np.empty((min(_CHUNK, pts.shape[0]), dim))),
+                ((pts[:, None, :] - start[None]) ** 2).sum(axis=2),
+            )
 
     def test_empty_cluster_keeps_its_centroid(self):
         pts = np.array([[0.0], [0.1]])
@@ -353,12 +351,11 @@ class TestLloydKernel:
     def test_early_stop_matches_the_loop_oracle(self):
         r = np.random.default_rng(14)
         pts = np.vstack([r.normal(0.0, 1.0, (60, 3)), r.normal(1.5, 1.0, (60, 3))])
-        for k in (2, 3, 5):
-            cent = pts[r.choice(pts.shape[0], size=k, replace=False)]
-            for max_iter, tol in ((100, 0.0), (100, 1e-4), (1, 0.0), (1, 1e-4), (0, 0.0)):
-                np.testing.assert_array_equal(
-                    lloyd(pts, cent, max_iter, tol), loop_lloyd(pts, cent, max_iter, tol)
-                )
+        cent = pts[r.choice(pts.shape[0], size=2, replace=False)]
+        for max_iter, tol in ((100, 0.0), (100, 1e-4), (1, 0.0), (1, 1e-4), (0, 0.0)):
+            np.testing.assert_array_equal(
+                lloyd(pts, cent, max_iter, tol), loop_lloyd(pts, cent, max_iter, tol)
+            )
 
     def test_early_stop_on_distinct_points_matches_the_rows(self):
         # the middle point ties between the outer two, and the rows repeat
@@ -366,7 +363,7 @@ class TestLloydKernel:
         r = np.random.default_rng(15)
         points = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.5, 3.0]])
         inverse = r.integers(0, 4, 3 * _CHUNK + 7)
-        for cent in (points[[0, 2]], points[[1, 3]], points[[0, 1, 2]]):
+        for cent in (points[[0, 2]], points[[1, 3]]):
             for max_iter, tol in ((100, 0.0), (1, 0.0), (100, 1e-4)):
                 np.testing.assert_array_equal(
                     lloyd(points, cent, max_iter, tol, inverse),
@@ -388,17 +385,15 @@ class TestLloydKernel:
         fallback = count_fallback(monkeypatch)
         for name, pts, cent, max_iter, inverse in adversarial_sets():
             rows = pts if inverse is None else pts[inverse]
-            for k in (1, 2, 3):
-                start = cent[:k] if k < 3 else np.vstack([cent, rows[-1:]])
-                fallback.clear()
-                labels = lloyd(pts, start, max_iter, 1e-4, inverse)
+            fallback.clear()
+            labels = lloyd(pts, cent, max_iter, 1e-4, inverse)
+            np.testing.assert_array_equal(
+                labels, broadcast_lloyd(rows, cent, max_iter, 1e-4), err_msg=name)
+            # the loop oracle's strict < skips a NaN distance; argmin takes it
+            if rows.shape[0] <= 300 and np.isfinite(rows).all():
                 np.testing.assert_array_equal(
-                    labels, broadcast_lloyd(rows, start, max_iter, 1e-4), err_msg=f"{name}, k={k}")
-                # the loop oracle's strict < skips a NaN distance; argmin takes it
-                if rows.shape[0] <= 300 and np.isfinite(rows).all():
-                    np.testing.assert_array_equal(
-                        labels, loop_lloyd(rows, start, max_iter, 1e-4), err_msg=f"{name}, k={k}")
-                assert sum(fallback) > 0, (name, k)
+                    labels, loop_lloyd(rows, cent, max_iter, 1e-4), err_msg=name)
+            assert sum(fallback) > 0, name
 
     @settings(max_examples=60, deadline=None)
     @given(lattice_cases())
@@ -408,14 +403,13 @@ class TestLloydKernel:
         points, inverse, picks = case
         for offset in (0.0, 2.0**26 + 0.5):
             pts = points + offset
-            for k in (1, 2, 3):
-                cent = pts[inverse[picks[:k]]]
-                np.testing.assert_array_equal(
-                    lloyd(pts, cent, 100, 1e-4, inverse),
-                    broadcast_lloyd(pts[inverse], cent, 100, 1e-4))
-                np.testing.assert_array_equal(
-                    lloyd(pts[inverse], cent, 100, 1e-4),
-                    broadcast_lloyd(pts[inverse], cent, 100, 1e-4))
+            cent = pts[inverse[picks]]
+            np.testing.assert_array_equal(
+                lloyd(pts, cent, 100, 1e-4, inverse),
+                broadcast_lloyd(pts[inverse], cent, 100, 1e-4))
+            np.testing.assert_array_equal(
+                lloyd(pts[inverse], cent, 100, 1e-4),
+                broadcast_lloyd(pts[inverse], cent, 100, 1e-4))
 
     def test_memory_stays_far_below_the_rows(self):
         # 20 000 rows of 160 dims would take 25.6 MB; only 50 are distinct
@@ -431,28 +425,22 @@ class TestLloydKernel:
         assert peak < 2_000_000
 
 
-def whole_array_kmeans(points, n_clusters, rng, max_iter, tol, inverse=None):
-    # kmeans as it was before its seeding shared the chunked distances: ++
-    # seeding on distances to all points at once, then the broadcast K-means
-    # on every row
+def whole_array_kmeans(points, rng, max_iter, tol, inverse=None):
+    # two-means as it was before its seeding shared the chunked distances:
+    # ++ seeding on distances to all points at once, then the broadcast
+    # K-means on every row
     rows = np.arange(points.shape[0]) if inverse is None else inverse
     m = rows.shape[0]
-    k = min(n_clusters, m)
-    cent = np.empty((k, points.shape[1]))
-    first = int(rng.integers(m))
-    cent[0] = points[rows[first]]
-    d2 = ((points - cent[0]) ** 2).sum(axis=1)
-    for c in range(1, k):
-        row_d2 = d2[rows]
-        total = float(row_d2.sum())
-        if total > 0.0:
-            u = rng.random() * total
-            j = int(np.searchsorted(np.cumsum(row_d2), u, side="right"))
-            j = min(j, m - 1)
-        else:
-            j = int(rng.integers(m))
-        cent[c] = points[rows[j]]
-        d2 = np.minimum(d2, ((points - cent[c]) ** 2).sum(axis=1))
+    cent = np.empty((2, points.shape[1]))
+    cent[0] = points[rows[int(rng.integers(m))]]
+    row_d2 = ((points - cent[0]) ** 2).sum(axis=1)[rows]
+    total = float(row_d2.sum())
+    if total > 0.0:
+        u = rng.random() * total
+        j = min(int(np.searchsorted(np.cumsum(row_d2), u, side="right")), m - 1)
+    else:
+        j = int(rng.integers(m))
+    cent[1] = points[rows[j]]
     return broadcast_lloyd(points[rows], cent, max_iter, tol)
 
 
@@ -476,13 +464,12 @@ class TestChunkedDistances:
         points = np.vstack([v + r.normal(0.0, 0.8, (n // 2, 20)),
                             -v + r.normal(0.0, 0.8, (n - n // 2, 20))])
         for inverse in (None, r.integers(0, n, 3000)):
-            for k in (2, 3):
-                for seed in range(4):
-                    got = mspn.numerics.kmeans(points, k, np.random.default_rng(seed),
-                                               100, 1e-4, inverse)
-                    want = whole_array_kmeans(points, k, np.random.default_rng(seed),
-                                              100, 1e-4, inverse)
-                    np.testing.assert_array_equal(got, want)
+            for seed in range(4):
+                got = mspn.numerics.kmeans(points, np.random.default_rng(seed),
+                                           100, 1e-4, inverse)
+                want = whole_array_kmeans(points, np.random.default_rng(seed),
+                                          100, 1e-4, inverse)
+                np.testing.assert_array_equal(got, want)
 
     def test_kmeans_memory_stays_far_below_the_points(self):
         # 6000 points of 160 dims take 7.7 MB. Whole-array distances peaked
@@ -492,7 +479,7 @@ class TestChunkedDistances:
         points = np.random.default_rng(20).normal(size=(6000, 160))
 
         def run():
-            return mspn.numerics.kmeans(points, 2, np.random.default_rng(1), 100, 1e-4)
+            return mspn.numerics.kmeans(points, np.random.default_rng(1), 100, 1e-4)
 
         run()
         tracemalloc.start()
@@ -516,6 +503,21 @@ def mixture_model():
 
 
 class TestBenchmarkHooks:
+    def test_every_traced_name_resolves(self):
+        # the benchmark's tracer rebinds each HOOKS target in the namespace
+        # that calls it; one a refactor unbinds would drop its metrics there,
+        # which no test of this suite would see
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer.HOOKS
+        for module, target, *_ in tracer.HOOKS:
+            owner = sys.modules[module]
+            for part in target.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), (module, target)
+
     def test_kernel_names_and_environment_flag_stay_in_place(self):
         # the benchmark's tracer rebinds these three names inside
         # mspn.numerics, and its environment record reads NUMBA_ENABLED

@@ -1,5 +1,5 @@
-"""Numeric primitives: seeding, random features, CCA, k-means, monotone
-fits, adaptive binning, and log-space mixing."""
+"""Numeric primitives: seeding, CCA, two-means, monotone fits, adaptive
+binning, and log-space mixing."""
 
 import math
 import warnings
@@ -18,7 +18,6 @@ from mspn.numerics import (
     MAX_BIN_MAGNITUDE,
     MAX_CANDIDATE_CUTS,
     SeedScope,
-    SineProjection,
     _whiten,
     adaptive_bin_edges,
     cca_max_correlation,
@@ -57,43 +56,6 @@ class TestSeedScope:
 
     def test_seed_changes_stream(self):
         assert SeedScope(1).rng(1).random() != SeedScope(2).rng(1).random()
-
-
-class TestSineProjection:
-    def test_zero_projection_maps_to_zeros(self):
-        proj = SineProjection(np.zeros((4, 2)), np.zeros(4))
-        out = proj.transform(np.random.default_rng(0).normal(size=(5, 2)))
-        np.testing.assert_array_equal(out, np.zeros((5, 4)))
-
-    def test_quarter_turn_offset_maps_zero_to_one(self):
-        proj = SineProjection(np.array([[1.0]]), np.array([math.pi / 2]))
-        np.testing.assert_allclose(proj.transform(np.array([[0.0]])), [[1.0]])
-
-    def test_draw_is_reproducible_bit_exactly(self):
-        a = SineProjection.draw(np.random.default_rng(42), 1)
-        b = SineProjection.draw(np.random.default_rng(42), 1)
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.offsets, b.offsets)
-        data = np.random.default_rng(0).normal(size=(5, 1))
-        np.testing.assert_array_equal(a.transform(data), b.transform(data))
-
-    def test_default_width_and_shape(self):
-        proj = SineProjection.draw(np.random.default_rng(1), 3)
-        assert proj.weights.shape == (20, 3)
-        assert proj.offsets.shape == (20,)
-        out = proj.transform(np.zeros((7, 3)))
-        assert out.shape == (7, 20)
-
-    def test_scale_parameter_is_a_variance(self):
-        # entries ~ N(0, s): with s = 1/6 the sample std over many draws
-        # approaches sqrt(1/6) ~ 0.408
-        proj = SineProjection.draw(np.random.default_rng(2), 400, n_features=50)
-        assert abs(proj.weights.std() - math.sqrt(1 / 6)) < 0.01
-
-    def test_dimension_mismatch_rejected(self):
-        proj = SineProjection.draw(np.random.default_rng(3), 2)
-        with pytest.raises(DomainError):
-            proj.transform(np.zeros((4, 3)))
 
 
 def _cca(a, b):
@@ -190,46 +152,39 @@ class TestCcaMaxCorrelation:
 class TestKmeans:
     def test_recovers_optimal_two_partition(self):
         pts = np.array([[0.0], [0.1], [10.0], [10.1]])
-        labels = kmeans(pts, 2, np.random.default_rng(0))
+        labels = kmeans(pts, np.random.default_rng(0))
         assert labels[0] == labels[1]
         assert labels[2] == labels[3]
         assert labels[0] != labels[2]
 
     def test_single_point_uses_one_cluster(self):
-        labels = kmeans(np.array([[3.0]]), 2, np.random.default_rng(1))
-        assert labels.shape == (1,)
-        assert len(np.unique(labels)) == 1
+        labels = kmeans(np.array([[3.0]]), np.random.default_rng(1))
+        np.testing.assert_array_equal(labels, [0])
 
     def test_identical_points_collapse_to_one_cluster(self):
-        labels = kmeans(np.full((20, 2), 4.2), 2, np.random.default_rng(2))
+        labels = kmeans(np.full((20, 2), 4.2), np.random.default_rng(2))
         assert len(np.unique(labels)) == 1
 
     def test_deterministic_given_seed(self):
         pts = np.random.default_rng(3).normal(size=(200, 2))
-        a = kmeans(pts, 3, np.random.default_rng(11))
-        b = kmeans(pts, 3, np.random.default_rng(11))
+        a = kmeans(pts, np.random.default_rng(11))
+        b = kmeans(pts, np.random.default_rng(11))
         np.testing.assert_array_equal(a, b)
+        assert set(a.tolist()) == {0, 1}
 
-    def test_labels_within_range(self):
-        pts = np.random.default_rng(4).normal(size=(50, 2))
-        labels = kmeans(pts, 4, np.random.default_rng(5))
-        assert labels.min() >= 0 and labels.max() < 4
-
-    @pytest.mark.parametrize("k", [2, 4])
-    def test_seeding_skips_the_distances_to_the_last_centroid(self, monkeypatch, k):
-        # each draw reads the distances to the centroids before it, so k
-        # centroids take k - 1 passes; Lloyd's go through mspn._kernels
+    def test_seeding_takes_one_distance_pass(self, monkeypatch):
+        # the second centroid's draw reads the distances to the first, and
+        # nothing reads the distances to the second; Lloyd's go through
+        # mspn._kernels
         calls = []
         sq_dists = mspn.numerics._sq_dists
         monkeypatch.setattr(mspn.numerics, "_sq_dists",
                             lambda *args: calls.append(1) or sq_dists(*args))
-        labels = kmeans(np.random.default_rng(8).normal(size=(60, 2)), k,
-                        np.random.default_rng(9))
-        assert len(calls) == k - 1
-        assert set(labels.tolist()) == set(range(k))
+        labels = kmeans(np.random.default_rng(8).normal(size=(60, 2)), np.random.default_rng(9))
+        assert len(calls) == 1
+        assert set(labels.tolist()) == {0, 1}
 
-    @pytest.mark.parametrize("case", ["ties", "fewer points than clusters", "one point",
-                                      "blobs"])
+    @pytest.mark.parametrize("case", ["ties", "two points", "one point", "blobs"])
     def test_distinct_points_cluster_like_their_rows(self, case):
         r = np.random.default_rng(6)
         if case == "ties":
@@ -237,7 +192,7 @@ class TestKmeans:
             # rows repeat each point many times
             points = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
             inverse = r.integers(0, 3, 400)
-        elif case == "fewer points than clusters":
+        elif case == "two points":
             points = np.array([[0.0], [5.0]])
             inverse = r.integers(0, 2, 30)
         elif case == "one point":
@@ -247,11 +202,10 @@ class TestKmeans:
         else:
             points = np.vstack([r.normal(0, 0.3, (40, 3)), r.normal(2, 0.3, (30, 3))])
             inverse = r.integers(0, 70, 5000)
-        for k in (2, 3, 4):
-            for seed in range(8):
-                got = kmeans(points, k, np.random.default_rng(seed), inverse=inverse)
-                want = kmeans(points[inverse], k, np.random.default_rng(seed))
-                np.testing.assert_array_equal(got, want)
+        for seed in range(8):
+            got = kmeans(points, np.random.default_rng(seed), inverse=inverse)
+            want = kmeans(points[inverse], np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want)
 
 
 class TestFitMonotone:

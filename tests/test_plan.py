@@ -1060,23 +1060,22 @@ def test_batch_rows_equal_single_row_queries(fixture_models):
     assert dead >= 10  # -inf rows are compared too
 
 
-def test_columns_judged_dense_by_a_sample_keep_their_bits(hybrid6_train, hybrid6_model):
-    # column 0 has few enough distinct values to be keyed, but its strided
-    # sample is all distinct, so it runs per row; column 1 is dense, but its
-    # sample is one repeated value, so it is sorted and then runs per row
+def test_columns_without_a_code_table_run_per_row_and_keep_their_bits(hybrid6_train,
+                                                                       hybrid6_model):
+    # pos (continuous) takes 50 values and slot (discrete) four, spread past
+    # four codes per row: few enough to key, but only a code table keys a
+    # column, so both run per row; energy has a value per row; grade and
+    # hits keep their code tables
     rng = np.random.default_rng(18)
     n = 2560
     rows = hybrid6_train.values[rng.integers(hybrid6_train.n_rows, size=n)].copy()
-    sampled = np.arange(n) % (n // mspn.inference._SAMPLE_ROWS) == 0
-    pos, energy = hybrid6_train.column(0), hybrid6_train.column(1)
-    rows[:, 0] = rng.choice(pos[:50], size=n)
-    rows[sampled, 0] = pos[50:50 + sampled.sum()]
-    rows[:, 1] = energy[:n]
-    rows[sampled, 1] = energy[0]
+    rows[:, 0] = rng.choice(hybrid6_train.column(0)[:50], size=n)
+    rows[:, 1] = hybrid6_train.column(1)[:n]
+    rows[:, 3] = rng.choice([0.0, 1.0, 2.0, 4.0 * n], size=n)
     mask = np.ones(6, dtype=bool)
     batch = mspn.inference._Batch(hybrid6_model.schema, rows, mask)
-    assert np.unique(rows[:, 0]).size * 4 <= n and 0 not in batch.ids
-    assert 1 not in batch.ids and 2 in batch.ids
+    assert np.unique(rows[:, 0]).size * 4 <= n and np.unique(rows[:, 3]).size * 4 <= n
+    assert sorted(batch.ids) == [2, 5]
     assert_batches_match_single_rows(hybrid6_model, rows, mask, rng, (n,))
 
 
@@ -1162,7 +1161,7 @@ def test_batch_rejects_what_single_row_queries_reject(hybrid_small_model):
 
 KEYED_BASE = 50
 KEYED_TILE = 40
-FAR = 1e6  # an integer past four values per row of any discrete range below
+FAR = 1e6  # an integer that puts any discrete range below past four codes per row
 
 
 def duplicate_heavy_rows(model, data, rng):
@@ -1171,9 +1170,11 @@ def duplicate_heavy_rows(model, data, rng):
     The base rows are training rows with about a third of their values
     swapped for knots, bin edges, off-support values and unseen codes, and
     some for 0.0 or -0.0. The first discrete variable, if any, holds FAR in
-    one base row, so its distinct values span more than four per row. With
-    at most KEYED_BASE distinct rows, every variable stays below the dense
-    cutoff and keys the nodes of its one-variable subtrees.
+    one base row, so its distinct values span more than four codes per row
+    and it runs per row, as continuous variables do. With at most
+    KEYED_BASE distinct rows, every other discrete or categorical variable
+    stays below the dense cutoff and keys the nodes of its one-variable
+    subtrees.
     """
     base = data.values[rng.integers(data.n_rows, size=KEYED_BASE)].copy()
     drawn = np.column_stack([rng.choice(pool, size=KEYED_BASE)
@@ -1216,7 +1217,9 @@ def test_keyed_batches_match_the_recursive_pass_and_single_rows(fixture_models):
 
 
 def test_batch_keys_number_the_distinct_values():
-    # one column per way to key a variable, and one with too many values
+    # two columns keyed by their code tables, and three that run per row:
+    # a range past four codes per row, a continuous column with few values
+    # and one with too many values
     n = 400
     rng = np.random.default_rng(19)
     data = make_dataset([("small", DISCRETE, None), ("wide", DISCRETE, None),
@@ -1224,18 +1227,19 @@ def test_batch_keys_number_the_distinct_values():
                          ("many", CONTINUOUS, None)], [[0.0, 0.0, 0.0, 0.0, 0.0]])
     values = np.column_stack([
         rng.integers(-3, 5, n),
-        rng.choice([-2.0 * n, 0.0, 7.0, 3.0 * n], n),  # a range past four values per row
+        rng.choice([-2.0 * n, 0.0, 7.0, 3.0 * n], n),  # a range past four codes per row
         rng.integers(0, 5, n),  # codes past the vocabulary too
         rng.choice([-0.0, 0.0, 0.25, 1.5], n),
         rng.uniform(0.0, 1.0, n),  # more than a quarter as many values as rows
     ]).astype(float)
     batch = mspn.inference._Batch(data.schema, values, np.ones(5, dtype=bool))
-    for var in range(4):
+    assert sorted(batch.ids) == [0, 2]
+    for var in (0, 2):
         ids, points = batch.ids[var], batch.points[var]
         assert np.array_equal(points[ids], values[:, var])
         assert np.unique(points).size == points.size == ids.max() + 1
-    assert 4 not in batch.ids  # dense: evaluated on its rows
-    assert np.array_equal(batch.points[4], values[:, 4])
+    for var in (1, 3, 4):  # evaluated on their rows, signed zeros and all
+        assert batch.points[var].tobytes() == values[:, var].tobytes()
 
 
 def test_partial_mask_batches_skip_subtrees_with_nothing_observed(fixture_models, monkeypatch):

@@ -507,8 +507,39 @@ class TestCountFilter:
 
 
 class TestVariableFeatures:
+    @pytest.mark.parametrize("kind", [CONTINUOUS, CATEGORICAL])
+    def test_features_are_the_sine_map_of_the_ranks(self, kind):
+        # from scratch: each distinct value's rank among the rows (per
+        # indicator column for categorical codes), then sin(r W' + b) with W
+        # and then b drawn from the variable's stream at variance proj_scale
+        r = np.random.default_rng(29)
+        m, arity = 3000, 50
+        if kind == CONTINUOUS:
+            column = np.round(r.normal(size=m), 2)
+            data = make_dataset([("x", CONTINUOUS, None)], column[:, None])
+        else:
+            column = r.integers(0, arity, m).astype(float)
+            labels = tuple(f"l{i}" for i in range(arity))
+            data = make_dataset([("g", CATEGORICAL, labels)], column[:, None])
+        cfg = LearnConfig(seed=30, proj_features=400, proj_scale=0.25)
+        seeds = SeedScope(cfg.seed, (2,))
+        features, ids = _distinct_features(data, 0, cfg, seeds, _CLUSTER_TAG)
+        values = np.unique(column)
+        assert np.array_equal(values[ids], column)
+        inputs = values[:, None] == np.arange(arity) if kind == CATEGORICAL else values[:, None]
+        rows = np.sort(inputs[ids], axis=0)
+        ranks = np.column_stack([np.searchsorted(rows[:, c], inputs[:, c], side="right") / m
+                                 for c in range(inputs.shape[1])])
+        rng = seeds.rng(_CLUSTER_TAG, 0)
+        w = rng.normal(0.0, 0.5, size=(cfg.proj_features, inputs.shape[1]))
+        b = rng.normal(0.0, 0.5, size=cfg.proj_features)
+        assert features.tobytes() == np.sin(ranks @ w.T + b).tobytes()
+        # proj_scale is the weights' variance, not their spread: sd 0.5 over
+        # 400 (continuous) or 20 000 draws
+        assert abs(w.std() - 0.5) < (0.05 if kind == CONTINUOUS else 0.01)
+
     def test_equal_rows_give_bit_equal_features(self):
-        # k-means on distinct rows relies on it; the blocks are thousands of
+        # two-means on distinct rows relies on it; the blocks are thousands of
         # rows tall, where a matrix product could round by position
         r = np.random.default_rng(23)
         m = 6000
@@ -641,7 +672,7 @@ class TestClusterSamples:
         embedded = np.hstack([
             _variable_features(data, v, cfg, seeds, _CLUSTER_TAG) for v in range(data.n_cols)
         ])
-        labels = kmeans(embedded, 2, seeds.rng(_KMEANS_TAG), cfg.kmeans_max_iter, cfg.kmeans_tol)
+        labels = kmeans(embedded, seeds.rng(_KMEANS_TAG), cfg.kmeans_max_iter, cfg.kmeans_tol)
         part = cluster_samples(data, cfg, seeds)
         assert len(part.clusters) == 2
         for rows in part.clusters:

@@ -30,7 +30,7 @@ from mspn.errors import ConfigError, FormatError
 from mspn.leaves import HistogramLeaf, PiecewiseLinearLeaf
 from mspn.rdc import SamplePartition
 from mspn.structure import Mspn
-from conftest import H14_COLS, make_dataset, make_hybrid14
+from conftest import C14_COLS, H14_COLS, make_categorical14, make_dataset, make_hybrid14
 
 # the build the pinned model bytes below come from
 PINNED_BUILD = "numpy 2.4.6 with scipy-openblas 0.3.31.188.0"
@@ -232,6 +232,14 @@ class TestDeterminism:
         data = make_dataset(H14_COLS, make_hybrid14(2024, 5000))
         assert_pinned_bytes({"hybrid14": learn_mspn(data, LearnConfig())},
                             {"hybrid14": "ff6eb48732ec8018"})
+
+    def test_categorical_benchmark_model_keeps_its_bytes(self):
+        # the benchmark's 20 000-row categorical table, where the pair counts
+        # decide most column pairs and row clustering runs 141 times
+        model = learn_mspn(make_dataset(C14_COLS, make_categorical14(2025, 20000)),
+                           LearnConfig())
+        assert (model.node_count, len(serialize(model))) == (344, 54358)
+        assert_pinned_bytes({"categorical14": model}, {"categorical14": "0f257ad1d70c40f9"})
 
     def test_histogram_gate_model_keeps_its_bytes(self):
         # the gate table with histogram leaves: the only pinned model whose
