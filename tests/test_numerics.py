@@ -165,6 +165,33 @@ class TestKmeans:
         labels = kmeans(np.full((20, 2), 4.2), np.random.default_rng(2))
         assert len(np.unique(labels)) == 1
 
+    def test_labels_within_range(self):
+        pts = np.random.default_rng(4).normal(size=(50, 2))
+        labels = kmeans(pts, np.random.default_rng(5))
+        assert labels.shape == (50,) and labels.dtype.kind == "i"
+        assert set(labels.tolist()) <= {0, 1}
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(EmptyInputError):
+            kmeans(np.empty((0, 2)), np.random.default_rng(0))
+        with pytest.raises(EmptyInputError):
+            kmeans(np.zeros((3, 2)), np.random.default_rng(0), inverse=np.array([], dtype=np.intp))
+
+    def test_a_vector_clusters_as_one_column(self):
+        x = np.random.default_rng(6).normal(size=80)
+        for seed in range(4):
+            np.testing.assert_array_equal(kmeans(x, np.random.default_rng(seed)),
+                                          kmeans(x[:, None], np.random.default_rng(seed)))
+
+    def test_a_far_row_seeds_the_second_cluster(self):
+        # every row but the last lies on the first centroid unless the last
+        # is drawn first, so the distance-weighted draw always separates it
+        pts = np.vstack([np.zeros((30, 2)), [[100.0, 100.0]]])
+        for seed in range(10):
+            labels = kmeans(pts, np.random.default_rng(seed))
+            assert len(set(labels[:-1].tolist())) == 1
+            assert labels[-1] != labels[0]
+
     def test_deterministic_given_seed(self):
         pts = np.random.default_rng(3).normal(size=(200, 2))
         a = kmeans(pts, np.random.default_rng(11))

@@ -538,6 +538,52 @@ class TestVariableFeatures:
         # 400 (continuous) or 20 000 draws
         assert abs(w.std() - 0.5) < (0.05 if kind == CONTINUOUS else 0.01)
 
+    def test_draws_are_reproducible_and_keyed_by_variable_and_tag(self):
+        # two equal columns: only the stream key tells their features apart
+        x = np.round(np.random.default_rng(31).normal(size=500), 2)
+        data = _cont2(np.column_stack([x, x]))
+        cfg = LearnConfig(seed=32)
+
+        def features(v, tag):
+            return _distinct_features(data, v, cfg, SeedScope(cfg.seed, (1,)), tag)[0]
+
+        assert features(0, _SPLIT_TAG).tobytes() == features(0, _SPLIT_TAG).tobytes()
+        assert not np.array_equal(features(0, _SPLIT_TAG), features(1, _SPLIT_TAG))
+        assert not np.array_equal(features(0, _SPLIT_TAG), features(0, _CLUSTER_TAG))
+
+    @pytest.mark.parametrize("kind", [CONTINUOUS, CATEGORICAL])
+    def test_one_feature_row_per_distinct_value(self, kind):
+        r = np.random.default_rng(33)
+        if kind == CONTINUOUS:
+            column = np.round(r.normal(size=700), 1)
+            data = make_dataset([("x", CONTINUOUS, None)], column[:, None])
+        else:
+            column = r.integers(0, 6, 700).astype(float)
+            data = make_dataset([("g", CATEGORICAL, tuple("abcdef"))], column[:, None])
+        cfg = LearnConfig(seed=34, proj_features=7)
+        features, ids = _distinct_features(data, 0, cfg, SeedScope(cfg.seed), _SPLIT_TAG)
+        assert features.shape == (np.unique(column).size, 7)
+        assert ids.shape == (700,)
+        assert np.all(np.abs(features) <= 1.0)
+
+    def test_an_absent_category_keeps_its_weight_column(self):
+        # the draw is shaped by the schema's arity, not by the codes present,
+        # so a slice missing a category reads its stream the same way; the
+        # absent code's indicator is 0 on every row, which ranks to 1
+        r = np.random.default_rng(35)
+        column = r.integers(0, 2, 400).astype(float)
+        data = make_dataset([("g", CATEGORICAL, tuple("abc"))], column[:, None])
+        cfg = LearnConfig(seed=36, proj_features=9)
+        seeds = SeedScope(cfg.seed)
+        features, _ = _distinct_features(data, 0, cfg, seeds, _CLUSTER_TAG)
+        share0 = np.count_nonzero(column == 0) / column.size
+        share1 = np.count_nonzero(column == 1) / column.size
+        ranks = np.array([[1.0, share0, 1.0], [share1, 1.0, 1.0]])
+        rng = seeds.rng(_CLUSTER_TAG, 0)
+        w = rng.normal(0.0, math.sqrt(cfg.proj_scale), size=(9, 3))
+        b = rng.normal(0.0, math.sqrt(cfg.proj_scale), size=9)
+        assert features.tobytes() == np.sin(ranks @ w.T + b).tobytes()
+
     def test_equal_rows_give_bit_equal_features(self):
         # two-means on distinct rows relies on it; the blocks are thousands of
         # rows tall, where a matrix product could round by position

@@ -22,11 +22,12 @@ from mspn import (
     deserialize,
     iter_nodes,
     learn_mspn,
+    load_dataset,
     serialize,
     validate,
 )
 from mspn.data import DISCRETE
-from mspn.errors import ConfigError, FormatError
+from mspn.errors import ConfigError, DomainError, FormatError
 from mspn.leaves import HistogramLeaf, PiecewiseLinearLeaf
 from mspn.rdc import SamplePartition
 from mspn.structure import Mspn
@@ -137,6 +138,20 @@ class TestLearnedShapes:
         model = learn_mspn(data, LearnConfig(seed=2))
         assert isinstance(model.root, (HistogramLeaf, PiecewiseLinearLeaf))
         assert model.root.scope == (0,)
+
+    def test_out_of_vocabulary_codes_are_not_learned(self, tmp_path):
+        # a held-out file may carry the out-of-vocabulary code, which scores
+        # but has no indicator or leaf mass to learn from
+        r = np.random.default_rng(5)
+        rows = [f"{x:.3f},{'abc'[g]}" for x, g in zip(r.normal(size=300), r.integers(0, 3, 300))]
+        path = tmp_path / "held_out.csv"
+        path.write_text("x,g\n" + "\n".join(rows + ["0.5,z"]) + "\n")
+        schema = Schema((Column("x", StatType(CONTINUOUS)),
+                         Column("g", StatType(CATEGORICAL, ("a", "b", "c")))))
+        data = load_dataset(path, schema, unseen_to_sentinel=True)
+        assert data.values[-1, 1] == 3.0
+        with pytest.raises(DomainError):
+            learn_mspn(data, LearnConfig(seed=6))
 
     def test_constant_column_slices_skip_row_clustering(self, monkeypatch):
         # a constant column clusters into one cluster, which makes it a leaf:
